@@ -89,9 +89,7 @@ def build_operator(obj) -> VolterraOperator:
                 build_operator(first), build_operator(second), float(obj["lambda"])
             )
         raise MalformedInput(f"unknown operator type {tag!r}")
-    except ValidationError:
-        raise
-    except MalformedInput:
+    except (ValidationError, MalformedInput):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad operator spec: {exc}") from exc
@@ -122,7 +120,11 @@ def _parse_face(text: str) -> FaceSpec:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("VOLTERRA_SEED", "0"))
+    text = os.environ.get("VOLTERRA_SEED", "0")
+    try:
+        return _NONNEGATIVE_INT(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise MalformedInput(f"bad VOLTERRA_SEED {text!r}: {exc}") from exc
 
 
 def _emit(payload, output: str | None) -> None:
@@ -205,10 +207,8 @@ def cmd_invert(args) -> int:
             method="triangular" if triangular else "fixed_point",
             converged=False,
         )
-        _emit({"version": __version__, **result.to_obj()}, args.output)
-        return 2
     _emit({"version": __version__, **result.to_obj()}, args.output)
-    return 0
+    return 0 if result.converged else 2
 
 
 def cmd_builtin(args) -> int:
@@ -225,6 +225,25 @@ def cmd_builtin(args) -> int:
         raise MalformedInput(f"unknown builtin {args.name!r}")
     _emit(spec, args.output)
     return 0
+
+
+def _ranged(convert, accept, requirement: str):
+    """An argparse ``type=`` callable that also checks the value's range."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_NONNEGATIVE_INT = _ranged(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_INT = _ranged(int, lambda v: v >= 1, ">= 1")
+_TOLERANCE = _ranged(float, lambda v: v > 0.0, "> 0")
+_DAMPING = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         if point:
             p.add_argument("--point", required=True, help="point JSON file")
         if sampling:
-            p.add_argument("--samples", type=int, default=1000)
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--samples", type=_POSITIVE_INT, default=1000)
+            p.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     check = sub.add_parser("check", help="sampled validity-condition check on a face")
@@ -265,19 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="iterate the operator, emitting JSONL")
     common(sim, point=True)
-    sim.add_argument("--steps", type=int, default=100)
+    sim.add_argument("--steps", type=_NONNEGATIVE_INT, default=100)
     sim.set_defaults(func=cmd_simulate)
 
     inv = sub.add_parser("invert", help="find the preimage of a point")
     common(inv, point=True)
-    inv.add_argument("--tol", type=float, default=1e-10)
+    inv.add_argument("--tol", type=_TOLERANCE, default=1e-10)
     inv.add_argument("--max-iter", type=int, default=10_000)
-    inv.add_argument("--damping", type=float, default=0.5)
+    inv.add_argument("--damping", type=_DAMPING, default=0.5)
     inv.set_defaults(func=cmd_invert)
 
     builtin = sub.add_parser("builtin", help="emit a builtin operator spec")
     builtin.add_argument("--name", required=True)
-    builtin.add_argument("--dimension", type=int, default=None)
+    builtin.add_argument("--dimension", type=_POSITIVE_INT, default=None)
     builtin.add_argument("--output", default=None)
     builtin.set_defaults(func=cmd_builtin)
 

@@ -38,21 +38,20 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     NegativeCoefficient,
+    NonFiniteValue,
     NormalizationFailure,
     NotVolterra,
     PermutationInconsistency,
     RowSumViolation,
     UndefinedTriple,
 )
-from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator
+from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator, _image
 from .simplex import FaceSpec, SparsePoint
 
 #: Tolerance for row sums and permutation consistency of tensors.
@@ -105,7 +104,7 @@ def validate_tensor(raw) -> CubicTensor:
     ((i,j,l), outputs) pairs, or the JSON shape
     [{"triple": [i,j,l], "outputs": {"k": p}}, ...].  Triples given in
     any index order are sorted; repeated (permuted) triples must agree
-    within TENSOR_TOLERANCE.  Every output distribution must be
+    within TENSOR_TOLERANCE.  Every output distribution must be finite,
     nonnegative and sum to 1 within TENSOR_TOLERANCE.
     """
     store: dict[Triple, dict[int, float]] = {}
@@ -121,6 +120,8 @@ def validate_tensor(raw) -> CubicTensor:
             if k < 1:
                 raise ValueError(f"output index must be positive, got {k}")
             p = float(p)
+            if not math.isfinite(p):
+                raise NonFiniteValue((triple, k), p)
             if p < 0.0:
                 raise NegativeCoefficient(triple, k, p)
             total += p
@@ -263,12 +264,7 @@ def canonical_apply(c: CanonicalCubicCoeffs, x: SparsePoint) -> SparsePoint:
     """Evaluate the grouped per-coordinate form of a cubic operator."""
     if x.support and x.support[-1] > c.dimension:
         raise UndefinedTriple((x.support[-1],) * 3)
-    raw = [(k, x.mass(k) * c.bracket(k, x)) for k in x.support]
-    total = sum(v for _, v in raw)
-    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
-        raise NormalizationFailure(total, NORMALIZATION_TOLERANCE)
-    kept = [(k, v) for k, v in raw if v > 0.0]
-    return SparsePoint((k for k, _ in kept), (v for _, v in kept))
+    return _image((k, x.mass(k) * c.bracket(k, x)) for k in x.support)
 
 
 def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
@@ -281,14 +277,10 @@ def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
     canon = tensor_to_canonical(p)
     domain = FaceSpec.prefix(p.dimension)
 
-    def batch(ks: Sequence[int], x: SparsePoint) -> list[float]:
+    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
         return [canon.bracket(k, x) - 1.0 for k in ks]
 
-    gmap = GeneratingMap(
-        evaluate=lambda k, x: batch((k,), x)[0],
-        batch=batch,
-        declared_domain=domain,
-    )
+    gmap = GeneratingMap(fn, declared_domain=domain)
     return VolterraOperator(gmap, label=f"cubic_tensor(n={p.dimension})")
 
 
@@ -301,29 +293,20 @@ class QuadraticTable:
 
     def image(self, x: SparsePoint) -> SparsePoint:
         out: dict[int, float] = {}
-        support = x.support
-        for a in range(len(support)):
-            i = support[a]
-            mi = x.mass(i)
-            for b in range(a, len(support)):
-                j = support[b]
-                w = mi * x.mass(j) * (1.0 if i == j else 2.0)
-                for k, q in self.pairs.get((i, j), {}).items():
-                    out[k] = out.get(k, 0.0) + q * w
-        kept = sorted((k, v) for k, v in out.items() if v > 0.0)
-        return SparsePoint((k for k, _ in kept), (v for _, v in kept))
+        for (i, mi), (j, mj) in combinations_with_replacement(x.items(), 2):
+            w = mi * mj * (1.0 if i == j else 2.0)
+            for k, q in self.pairs.get((i, j), {}).items():
+                out[k] = out.get(k, 0.0) + q * w
+        return _image(sorted(out.items()))
 
 
-def reduce_if_index_independent(
-    p: CubicTensor, samples: int = 100, seed: int = 0
-) -> QuadraticTable | None:
+def reduce_if_index_independent(p: CubicTensor) -> QuadraticTable | None:
     """Collapse p_{ijl,k} to q_{ij,k} when it does not depend on l.
 
     Since sum_l x_l = 1 on the simplex, such a tensor acts as the
     degree-two form sum_{i,j} q_{ij,k} x_i x_j.  Returns None when some
     value varies with l (beyond TENSOR_TOLERANCE) or when the tensor is
-    not fully defined over its face.  The collapsed image is verified
-    against ``cubic_apply`` on sampled points before returning.
+    not fully defined over its face.
     """
     n = p.dimension
     table: dict[tuple[int, int], dict[int, float]] = {}
@@ -339,19 +322,7 @@ def reduce_if_index_independent(
                 table[(i, j)] = reference
     except UndefinedTriple:
         return None
-    result = QuadraticTable(pairs=table, dimension=n)
-
-    rng = np.random.default_rng(seed)
-    face = FaceSpec.prefix(n)
-    from .simplex import l1_distance, sample_face_rng
-
-    for _ in range(samples):
-        x = sample_face_rng(face, rng)
-        if l1_distance(cubic_apply(p, x), result.image(x)) > 1e-10:
-            raise ArithmeticError(
-                "collapsed quadratic form disagrees with the triple sum"
-            )
-    return result
+    return QuadraticTable(pairs=table, dimension=n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +341,11 @@ def example31(dimension: int | None = None) -> VolterraOperator:
     """
     domain = None if dimension is None else FaceSpec.prefix(dimension)
 
-    def batch(ks: Sequence[int], x: SparsePoint) -> list[float]:
+    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
         sq = sum(m * m for _, m in x.items())
         return [x.mass(k) - sq for k in ks]
 
-    gmap = GeneratingMap(
-        evaluate=lambda k, x: batch((k,), x)[0], batch=batch, declared_domain=domain
-    )
-    return VolterraOperator(gmap, label="example31")
+    return VolterraOperator(GeneratingMap(fn, declared_domain=domain), label="example31")
 
 
 def example31_tensor(dimension: int) -> CubicTensor:
@@ -426,7 +394,7 @@ def example32() -> VolterraOperator:
     condition fails at the vertex pair (e^(1), e^(2)) with value 1.
     """
 
-    def batch(ks: Sequence[int], x: SparsePoint) -> list[float]:
+    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
         support, cum, cum_sq = _prefix_sums(x)
         out = []
         for k in ks:
@@ -437,8 +405,7 @@ def example32() -> VolterraOperator:
             out.append(xk * xk + 3.0 * s1 - 3.0 * pairs - 1.0)
         return out
 
-    gmap = GeneratingMap(evaluate=lambda k, x: batch((k,), x)[0], batch=batch)
-    return VolterraOperator(gmap, label="example32")
+    return VolterraOperator(GeneratingMap(fn), label="example32")
 
 
 def image_tail_sum(k: int, x: SparsePoint) -> float:
@@ -470,31 +437,18 @@ def prefix_positivity_value(x: SparsePoint, n: int) -> float:
 
         sum_{k<n} x_k * (1 - sum_{k<i<=n} x_i) + x_n,
 
-    every term of which is nonnegative on the simplex; the direct
-    double sum is computed as a cross-check and must agree to 1e-12.
-    This is the quantity 3*C_k(x) / 3 guaranteeing example32 images stay
-    nonnegative.
+    every term of which is nonnegative on the simplex.  This is the
+    quantity 3*C_k(x) / 3 guaranteeing example32 images stay nonnegative.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
     in_range = [(i, m) for i, m in x.items() if i <= n]
-
-    direct = 0.0
-    running = 0.0
-    for _, m in in_range:
-        direct += m - m * running
-        running += m
-
     telescoped = x.mass(n)
     tail_after = 0.0
     for i, m in reversed(in_range):
         if i < n:
             telescoped += m * (1.0 - tail_after)
         tail_after += m
-    if abs(direct - telescoped) > 1e-12:
-        raise ArithmeticError(
-            f"telescoped form {telescoped!r} disagrees with direct sum {direct!r}"
-        )
     return telescoped
 
 
@@ -519,7 +473,7 @@ def sine_example() -> VolterraOperator:
     """
     domain = FaceSpec.of((1, 2))
 
-    def batch(ks: Sequence[int], x: SparsePoint) -> list[float]:
+    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
         x1 = x.mass(1)
         x2 = x.mass(2)
         s = _sinpi(x1)
@@ -533,10 +487,7 @@ def sine_example() -> VolterraOperator:
                 out.append(0.0)
         return out
 
-    gmap = GeneratingMap(
-        evaluate=lambda k, x: batch((k,), x)[0], batch=batch, declared_domain=domain
-    )
-    return VolterraOperator(gmap, label="sine")
+    return VolterraOperator(GeneratingMap(fn, declared_domain=domain), label="sine")
 
 
 def tensor_to_obj(p: CubicTensor) -> list[dict]:

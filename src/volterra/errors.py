@@ -17,6 +17,16 @@ class ValidationError(VolterraError, ValueError):
     """Invalid input data or a detected contract violation."""
 
 
+class NonFiniteValue(ValidationError):
+    """NaN or infinity at ``where``: a point index, a matrix cell or a
+    tensor's (triple, output index)."""
+
+    def __init__(self, where, value: float):
+        super().__init__(f"value at {where} is not finite: {value!r}")
+        self.where = where
+        self.value = value
+
+
 class NegativeMass(ValidationError):
     def __init__(self, index: int, mass: float):
         super().__init__(f"mass at index {index} is negative: {mass!r}")

@@ -5,6 +5,11 @@ generating map f = (f_1, f_2, ...):
 
     (Vx)_k = x_k * (1 + f_k(x)).
 
+A generating map is one callable plus an optional domain,
+``GeneratingMap(fn, declared_domain)``, where ``fn(indices, x)``
+returns [f_k(x) for k in indices].  Every consumer (``apply``, the
+checkers, the inverters) evaluates f through ``GeneratingMap.values``.
+
 V maps the simplex into itself, continuously and with every face
 invariant, exactly when the generating map satisfies four conditions:
 
@@ -29,7 +34,7 @@ simplex; ``check_pair_condition`` samples it the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -51,23 +56,19 @@ PAIR_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class GeneratingMap:
-    """Evaluator of the functionals f_k defining an operator.
+    """The functionals f_k defining an operator, held as one callable.
 
-    ``evaluate(k, x)`` must be defined for every index k of any face the
-    operator is used on, not only the support of x.  ``batch`` is an
-    optional vectorized form returning [f_k(x) for k in indices]; the
-    builtin operators provide it for speed.  ``declared_domain``
-    restricts the operator to points supported inside a face.
+    ``fn(indices, x)`` returns [f_k(x) for k in indices]; it must be
+    defined for every index k of any face the operator is used on, not
+    only the support of x.  ``declared_domain`` restricts the operator
+    to points supported inside a face.
     """
 
-    evaluate: Callable[[int, SparsePoint], float]
-    batch: Callable[[Sequence[int], SparsePoint], Sequence[float]] | None = None
+    fn: Callable[[Sequence[int], SparsePoint], Sequence[float]]
     declared_domain: FaceSpec | None = None
 
     def values(self, indices: Sequence[int], x: SparsePoint) -> np.ndarray:
-        if self.batch is not None:
-            return np.asarray(self.batch(indices, x), dtype=float)
-        return np.array([self.evaluate(k, x) for k in indices], dtype=float)
+        return np.asarray(self.fn(indices, x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -76,16 +77,12 @@ class VolterraOperator:
     label: str = "operator"
 
     def f(self, k: int, x: SparsePoint) -> float:
-        return float(self.map.evaluate(k, x))
+        return float(self.map.values((k,), x)[0])
 
 
 def identity_operator() -> VolterraOperator:
     """The operator with f identically zero; applies as the identity."""
-    gmap = GeneratingMap(
-        evaluate=lambda k, x: 0.0,
-        batch=lambda ks, x: [0.0] * len(ks),
-    )
-    return VolterraOperator(gmap, label="identity")
+    return VolterraOperator(GeneratingMap(lambda ks, x: np.zeros(len(ks))), label="identity")
 
 
 def _check_domain(op: VolterraOperator, x: SparsePoint) -> None:
@@ -112,17 +109,22 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     _check_domain(op, x)
     support = x.support
     fvals = op.map.values(support, x)
-    raw = []
+    return _image((k, x.mass(k) * (1.0 + float(fk))) for k, fk in zip(support, fvals))
+
+
+def _image(raw: Iterable[tuple[int, float]]) -> SparsePoint:
+    """The image from raw (index, mass) pairs in ascending index order,
+    checked and clamped as ``apply`` describes; a NaN total raises."""
+    kept = []
     total = 0.0
-    for k, m, fk in zip(support, (x.mass(k) for k in support), fvals):
-        v = m * (1.0 + float(fk))
+    for k, v in raw:
         if v < -NEGATIVE_TOLERANCE:
             raise NegativeCoordinate(k, v)
         total += v
-        raw.append((k, v))
-    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+        if v > 0.0:
+            kept.append((k, v))
+    if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
         raise NormalizationFailure(total, NORMALIZATION_TOLERANCE)
-    kept = [(k, v) for k, v in raw if v > 0.0]
     return SparsePoint((k for k, _ in kept), (v for _, v in kept))
 
 
@@ -269,7 +271,7 @@ def check_conditions(
     max_wobble = -np.inf
     wobble_witness = None
 
-    for x in interior + boundary:
+    for n, x in enumerate(interior + boundary):
         fvals = op.map.values(indices, x)
         m = float(np.min(fvals))
         if m < min_f:
@@ -277,10 +279,8 @@ def check_conditions(
         bal = abs(float(sum(x.mass(k) * fv for k, fv in zip(indices, fvals))))
         if bal > max_balance:
             max_balance, balance_witness = bal, x
-
-    for x in interior:
-        fvals = op.map.values(indices, x)
-        m = float(np.min(fvals))
+        if n >= len(interior):
+            continue
         if m < min_interior_f:
             min_interior_f, interior_witness = m, x
         x2 = _perturb_within(x, face, perturbation, rng)
@@ -399,19 +399,12 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
     """
     dom = _merge_domains(op1.map.declared_domain, op2.map.declared_domain)
 
-    def evaluate(k: int, x: SparsePoint) -> float:
-        y = apply(op2, x)
-        f2 = float(op2.map.evaluate(k, x))
-        f1 = float(op1.map.evaluate(k, y))
+    def fn(ks: Sequence[int], x: SparsePoint) -> np.ndarray:
+        f2 = op2.map.values(ks, x)
+        f1 = op1.map.values(ks, apply(op2, x))
         return f2 + f1 + f2 * f1
 
-    def batch(ks: Sequence[int], x: SparsePoint) -> list[float]:
-        y = apply(op2, x)
-        f2 = op2.map.values(ks, x)
-        f1 = op1.map.values(ks, y)
-        return [float(a + b + a * b) for a, b in zip(f2, f1)]
-
-    gmap = GeneratingMap(evaluate=evaluate, batch=batch, declared_domain=dom)
+    gmap = GeneratingMap(fn, declared_domain=dom)
     return VolterraOperator(gmap, label=f"compose({op1.label}, {op2.label})")
 
 
@@ -423,24 +416,16 @@ def convex_combination(
         raise LambdaOutOfRange(lam)
     dom = _merge_domains(op1.map.declared_domain, op2.map.declared_domain)
 
-    def evaluate(k: int, x: SparsePoint) -> float:
-        return lam * float(op1.map.evaluate(k, x)) + (1.0 - lam) * float(op2.map.evaluate(k, x))
+    def fn(ks: Sequence[int], x: SparsePoint) -> np.ndarray:
+        return lam * op1.map.values(ks, x) + (1.0 - lam) * op2.map.values(ks, x)
 
-    def batch(ks: Sequence[int], x: SparsePoint) -> list[float]:
-        f1 = op1.map.values(ks, x)
-        f2 = op2.map.values(ks, x)
-        return [float(lam * a + (1.0 - lam) * b) for a, b in zip(f1, f2)]
-
-    gmap = GeneratingMap(evaluate=evaluate, batch=batch, declared_domain=dom)
+    gmap = GeneratingMap(fn, declared_domain=dom)
     return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
 
 
 def restrict(op: VolterraOperator, face: FaceSpec) -> VolterraOperator:
     """The same operator with its domain narrowed to one face."""
-    gmap = GeneratingMap(
-        evaluate=op.map.evaluate, batch=op.map.batch, declared_domain=face
-    )
-    return VolterraOperator(gmap, label=f"{op.label}|{face.indices}")
+    return VolterraOperator(GeneratingMap(op.map.fn, declared_domain=face), label=f"{op.label}|{face.indices}")
 
 
 def _merge_domains(a: FaceSpec | None, b: FaceSpec | None) -> FaceSpec | None:

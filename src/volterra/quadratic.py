@@ -13,22 +13,21 @@ witness deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import json
+import math
 
 import numpy as np
 
-from .errors import BoundViolation, NotSkew
+from .errors import BoundViolation, NonFiniteValue, NotSkew
 from .generating import GeneratingMap, VolterraOperator
 from .simplex import SparsePoint, vertex
 
 #: Tolerance for skew-symmetry, zero diagonal and the entry bound.
 MATRIX_TOLERANCE = 1e-12
-
-#: Largest dimension for which a dense evaluation cache is built.
-_DENSE_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -59,17 +58,18 @@ def _cells_from_raw(raw) -> dict[tuple[int, int], float]:
     triples into a cell map with 1-based indices.
 
     A two-dimensional numpy array is read densely (zeros skipped); any
-    other iterable must yield index-index-value triples.
+    other iterable must yield index-index-value triples.  A NaN or
+    infinite value raises NonFiniteValue.
     """
     cells: dict[tuple[int, int], float] = {}
     if isinstance(raw, np.ndarray):
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError(f"dense matrix must be square, got shape {raw.shape}")
-        for r in range(raw.shape[0]):
-            for c in range(raw.shape[1]):
-                v = float(raw[r, c])
-                if v != 0.0:
-                    cells[(r + 1, c + 1)] = v
+        for (r, c), v in np.ndenumerate(raw):
+            if not math.isfinite(v):
+                raise NonFiniteValue((r + 1, c + 1), float(v))
+            if v != 0.0:
+                cells[(r + 1, c + 1)] = float(v)
         return cells
     for item in raw:
         k, i, v = item
@@ -78,6 +78,8 @@ def _cells_from_raw(raw) -> dict[tuple[int, int], float]:
             raise ValueError(f"matrix indices must be positive, got ({k}, {i})")
         key = (k, i)
         v = float(v)
+        if not math.isfinite(v):
+            raise NonFiniteValue(key, v)
         if key in cells and cells[key] != v:
             raise ValueError(f"conflicting duplicate entries for cell {key}")
         cells[key] = v
@@ -93,16 +95,14 @@ def validate_matrix(raw) -> SkewMatrix:
     """
     cells = _cells_from_raw(raw)
     store: dict[tuple[int, int], float] = {}
-    seen: set[tuple[int, int]] = set()
     for (k, i), v in sorted(cells.items()):
         if k == i:
             if abs(v) > MATRIX_TOLERANCE:
                 raise NotSkew((k, i), f"diagonal entry {v!r} is not zero")
             continue
+        if k > i and (i, k) in cells:
+            continue  # the pair was handled at its upper cell, which sorts first
         lo, hi = (k, i) if k < i else (i, k)
-        if (lo, hi) in seen:
-            continue
-        seen.add((lo, hi))
         upper = cells.get((lo, hi))
         lower = cells.get((hi, lo))
         if upper is not None and lower is not None and abs(upper + lower) > MATRIX_TOLERANCE:
@@ -117,37 +117,33 @@ def validate_matrix(raw) -> SkewMatrix:
 
 
 def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
-    """The operator with linear generating map f_k(x) = sum_i a_ki x_i."""
+    """The operator with linear generating map f_k(x) = sum_i a_ki x_i.
+
+    Both orientations of the store are kept as (row, column, value)
+    arrays sorted by (row, column), so f_k sums in ascending column order.
+    """
     n = a.dimension
-    dense = None
-    if 0 < n <= _DENSE_LIMIT:
-        dense = np.zeros((n + 1, n + 1))
-        for (k, i), v in a.entries.items():
-            dense[k, i] = v
-            dense[i, k] = -v
+    count = len(a.entries)
+    upper = np.fromiter(chain.from_iterable(a.entries), dtype=np.intp, count=2 * count)
+    lo, hi = upper[0::2], upper[1::2]
+    coef = np.fromiter(a.entries.values(), dtype=float, count=count)
+    rows = np.concatenate((lo, hi))
+    cols = np.concatenate((hi, lo))
+    vals = np.concatenate((coef, -coef))
+    order = np.argsort(rows * (n + 1) + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
 
-    def evaluate(k: int, x: SparsePoint) -> float:
-        if dense is not None:
-            if k > n:
-                return 0.0
-            return sum(dense[k, i] * m for i, m in x.items() if i <= n)
-        return sum(a.coefficient(k, i) * m for i, m in x.items())
+    def fn(ks: Sequence[int], x: SparsePoint) -> np.ndarray:
+        idx = np.fromiter(x.support, dtype=np.intp, count=len(x))
+        mass = np.fromiter((m for _, m in x.items()), dtype=float, count=len(x))
+        inside = idx <= n
+        x_dense = np.zeros(n + 1)
+        x_dense[idx[inside]] = mass[inside]
+        f = np.bincount(rows, weights=vals * x_dense[cols], minlength=n + 1)
+        ks = np.fromiter(ks, dtype=np.intp, count=len(ks))
+        return np.where(ks <= n, f[np.minimum(ks, n)], 0.0)
 
-    def batch(ks: Sequence[int], x: SparsePoint) -> np.ndarray:
-        if dense is not None:
-            idx = [i for i in x.support if i <= n]
-            out = np.zeros(len(ks))
-            if idx:
-                masses = np.array([x.mass(i) for i in idx])
-                inside = [p for p, k in enumerate(ks) if k <= n]
-                if inside:
-                    rows = [ks[p] for p in inside]
-                    out[inside] = dense[np.ix_(rows, idx)] @ masses
-            return out
-        return np.array([evaluate(k, x) for k in ks])
-
-    gmap = GeneratingMap(evaluate=evaluate, batch=batch)
-    return VolterraOperator(gmap, label=f"quadratic(n={n})")
+    return VolterraOperator(GeneratingMap(fn), label=f"quadratic(n={n})")
 
 
 def symmetry_defect_witness(raw) -> tuple[SparsePoint, float] | None:

@@ -14,6 +14,7 @@ through normalized exponentials: g_i ~ Exp(1), mass_i = g_i / sum(g).
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import NegativeMass, SumOutOfTolerance
+from .errors import NegativeMass, NonFiniteValue, SumOutOfTolerance
 
 #: Absolute tolerance on the input mass total accepted by make_point.
 SUM_TOLERANCE = 1e-9
@@ -92,7 +93,8 @@ def make_point(entries: Mapping[int, float] | Iterable[tuple[int, float]]) -> Sp
     remaining masses are divided by their total so the stored sum is 1
     in working precision.
 
-    Raises NegativeMass for any mass below zero and SumOutOfTolerance
+    Raises NonFiniteValue for a NaN or infinite mass, NegativeMass for
+    any mass below zero and SumOutOfTolerance
     when the input total deviates from 1 by more than ``SUM_TOLERANCE``.
     """
     if isinstance(entries, Mapping):
@@ -105,6 +107,8 @@ def make_point(entries: Mapping[int, float] | Iterable[tuple[int, float]]) -> Sp
         if k != index or k < 1:
             raise ValueError(f"index must be a positive integer, got {index!r}")
         m = float(mass)
+        if not math.isfinite(m):
+            raise NonFiniteValue(k, m)
         if m < 0.0:
             raise NegativeMass(k, m)
         acc[k] = acc.get(k, 0.0) + m

@@ -93,12 +93,11 @@ def linear_operator_from_cells(cells) -> VolterraOperator:
         row = rows.setdefault(int(k), {})
         row[int(i)] = row.get(int(i), 0.0) + float(v)
 
-    def batch(ks, x):
+    def fn(ks, x):
         out = []
         for k in ks:
             row = rows.get(k, {})
             out.append(sum(row.get(i, 0.0) * m for i, m in x.items()))
         return out
 
-    gmap = GeneratingMap(evaluate=lambda k, x: batch((k,), x)[0], batch=batch)
-    return VolterraOperator(gmap, label="raw_linear")
+    return VolterraOperator(GeneratingMap(fn), label="raw_linear")

@@ -230,6 +230,39 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
     code, _ = run(capsys, ["apply", "--operator", ex31_spec, "--point", negative])
     assert code == 3
 
+    point = write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5})
+    out_of_range = [
+        ["simulate", "--operator", ex31_spec, "--point", point, "--steps", "-1"],
+        ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "0"],
+        ["check", "--operator", ex31_spec, "--face", "1,2", "--seed", "-1"],
+        ["invert", "--operator", ex31_spec, "--point", point, "--tol", "0"],
+        ["invert", "--operator", ex31_spec, "--point", point, "--damping", "2"],
+        ["invert", "--operator", ex31_spec, "--point", point, "--damping", "nan"],
+        ["builtin", "--name", "example31", "--dimension", "0"],
+    ]
+    for argv in out_of_range:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3, argv
+
+
+def test_non_finite_inputs(capsys, tmp_path, ex31_spec):
+    nan_point = tmp_path / "nan_point.json"
+    nan_point.write_text('{"1": NaN, "2": 1.0}')
+    code, _ = run(capsys, ["apply", "--operator", ex31_spec, "--point", str(nan_point)])
+    assert code == 3
+
+    point = write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5})
+    for name, spec in [
+        ("matrix", '{"type": "quadratic", "matrix": [[1, 2, NaN]]}'),
+        ("tensor", '{"type": "cubic_tensor", "triples": '
+                   '[{"triple": [1, 1, 2], "outputs": {"1": NaN, "2": 1.0}}]}'),
+    ]:
+        path = tmp_path / f"nan_{name}.json"
+        path.write_text(spec)
+        code, _ = run(capsys, ["apply", "--operator", str(path), "--point", point])
+        assert code == 1, name
+
 
 def test_missing_required_flag_exits_three(capsys):
     with pytest.raises(SystemExit) as info:
@@ -250,3 +283,7 @@ def test_seed_env_override(capsys, ex31_spec, monkeypatch):
         ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "50", "--seed", "3"],
     )
     assert json.loads(out)["seed"] == 3
+
+    monkeypatch.setenv("VOLTERRA_SEED", "-1")
+    code, _ = run(capsys, ["check", "--operator", ex31_spec, "--face", "1,2"])
+    assert code == 3

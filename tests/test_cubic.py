@@ -5,6 +5,7 @@ import pytest
 
 from volterra import (
     NegativeCoefficient,
+    NonFiniteValue,
     NotVolterra,
     PermutationInconsistency,
     RowSumViolation,
@@ -196,19 +197,21 @@ def test_reduce_constant_tensor():
         for j in range(i, 4):
             for l in range(j, 4):
                 raw[(i, j, l)] = dict(c)
-    table = reduce_if_index_independent(validate_tensor(raw), samples=50, seed=0)
+    p = validate_tensor(raw)
+    table = reduce_if_index_independent(p)
     assert table is not None
     assert table.pairs[(1, 2)][2] == pytest.approx(0.3)
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for _ in range(100):
         x = rand_point(rng, (1, 2, 3))
         image = table.image(x)
+        assert l1_distance(image, cubic_apply(p, x)) <= 1e-10
         for k, target in c.items():
             assert image.mass(k) == pytest.approx(target, abs=1e-12)
 
 
 def test_reduce_rejects_example31_tensor():
-    assert reduce_if_index_independent(example31_tensor(4), samples=10) is None
+    assert reduce_if_index_independent(example31_tensor(4)) is None
 
 
 def test_reduce_degenerate_identity_dimension_one():
@@ -321,7 +324,14 @@ def test_prefix_positivity_random_nonnegative():
     for _ in range(300):
         x = rand_point_on_pool(rng, 25, 15)
         n = int(rng.integers(1, 30))
-        assert prefix_positivity_value(x, n) >= -1e-12
+        value = prefix_positivity_value(x, n)
+        assert value >= -1e-12
+        direct = running = 0.0  # the double sum, accumulated left to right
+        for i, m in x.items():
+            if i <= n:
+                direct += m - m * running
+                running += m
+        assert value == pytest.approx(direct, abs=1e-12)
 
 
 # --- builtin: sine counterexample -------------------------------------------
@@ -361,3 +371,10 @@ def test_tensor_json_roundtrip(tmp_path):
     assert loaded.dimension == p.dimension
     for triple, row in p.coefficients.items():
         assert loaded.coefficients[triple] == pytest.approx(row)
+
+
+def test_validate_rejects_non_finite_coefficient():
+    with pytest.raises(NonFiniteValue) as info:
+        validate_tensor({(1, 1, 2): {1: float("nan"), 2: 1.0}})
+    assert info.value.where == ((1, 1, 2), 1)
+

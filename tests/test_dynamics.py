@@ -95,10 +95,7 @@ def test_trajectory_error_carries_step_index():
             return ex31.map.values(ks, x)
         return [0.25] * len(ks)
 
-    op = VolterraOperator(
-        GeneratingMap(evaluate=lambda k, x: switching((k,), x)[0], batch=switching),
-        label="switching",
-    )
+    op = VolterraOperator(GeneratingMap(switching), label="switching")
     with pytest.raises(TrajectoryError) as info:
         iterate(op, make_point([(1, 0.3), (2, 0.7)]), 50)
     assert info.value.step == 3

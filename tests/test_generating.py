@@ -31,7 +31,7 @@ from helpers import rand_point, rand_point_on_pool, rand_skew_operator
 
 
 def constant_map_operator(value: float) -> VolterraOperator:
-    gmap = GeneratingMap(evaluate=lambda k, x: value)
+    gmap = GeneratingMap(lambda ks, x: [value] * len(ks))
     return VolterraOperator(gmap, label=f"constant({value})")
 
 
@@ -67,6 +67,11 @@ def test_apply_normalization_failure():
     with pytest.raises(NormalizationFailure) as info:
         apply(constant_map_operator(0.5), make_point([(1, 0.5), (2, 0.5)]))
     assert info.value.total == pytest.approx(1.5)
+
+
+def test_apply_rejects_nan_image():
+    with pytest.raises(NormalizationFailure):
+        apply(constant_map_operator(float("nan")), make_point([(1, 0.5), (2, 0.5)]))
 
 
 def test_apply_raw_image_total_not_renormalized():

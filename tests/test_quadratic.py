@@ -3,6 +3,8 @@ import pytest
 
 from volterra import (
     BoundViolation,
+    FaceSpec,
+    NonFiniteValue,
     NotSkew,
     apply,
     l1_distance,
@@ -10,6 +12,7 @@ from volterra import (
     make_point,
     pair_condition_value,
     quadratic_operator,
+    sample_face,
     save_matrix,
     symmetry_defect_witness,
     validate_matrix,
@@ -150,3 +153,40 @@ def test_matrix_json_roundtrip(tmp_path):
     loaded = load_matrix(path)
     assert loaded.entries == matrix.entries
     assert loaded.dimension == matrix.dimension
+
+
+def test_validate_rejects_non_finite_entry():
+    with pytest.raises(NonFiniteValue) as info:
+        validate_matrix([[1, 2, float("nan")]])
+    assert info.value.where == (1, 2)
+    dense = np.zeros((2, 2))
+    dense[1, 0] = np.inf
+    with pytest.raises(NonFiniteValue) as info:
+        validate_matrix(dense)
+    assert info.value.where == (2, 1)
+
+
+@pytest.mark.parametrize("n", [20, 600])
+def test_values_equal_ascending_index_sum(n):
+    rng = np.random.default_rng(n)
+    cells = [[k, i, float(rng.uniform(-1.0, 1.0))]
+             for k in range(1, n + 1) for i in range(k + 1, n + 1) if rng.random() < 40.0 / n]
+    matrix = validate_matrix(cells)
+    op = quadratic_operator(matrix)
+    face = FaceSpec.of(sorted(set(rng.choice(np.arange(1, n + 1), size=15, replace=False))))
+    x = sample_face(face, n)
+    ks = list(range(1, n + 3))  # includes indices beyond the dimension
+    expected = []
+    for k in ks:
+        total = 0.0
+        for i, m in x.items():
+            total += matrix.coefficient(k, i) * m
+        expected.append(total)
+    assert op.map.values(ks, x).tolist() == expected
+
+
+def test_empty_skew_matrix_applies_as_identity():
+    op = quadratic_operator(validate_matrix([]))
+    x = make_point({2: 0.25, 7: 0.75})
+    assert op.map.values((1, 2, 7), x).tolist() == [0.0, 0.0, 0.0]
+    assert apply(op, x) == x

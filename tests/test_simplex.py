@@ -4,6 +4,7 @@ import pytest
 from volterra import (
     FaceSpec,
     NegativeMass,
+    NonFiniteValue,
     SumOutOfTolerance,
     in_relative_interior,
     l1_distance,
@@ -168,3 +169,10 @@ def test_face_helpers():
     assert face.covers(make_point([(1, 0.5), (4, 0.5)]))
     assert not face.covers(make_point([(1, 0.5), (3, 0.5)]))
     assert FaceSpec.prefix(3).indices == (1, 2, 3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_make_point_rejects_non_finite_mass(bad):
+    with pytest.raises(NonFiniteValue) as info:
+        make_point({1: bad, 2: 1.0})
+    assert info.value.where == 1

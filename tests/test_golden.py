@@ -1,43 +1,75 @@
-"""Checker reports pinned bit for bit in ``golden_checks.json``.
+"""Checker reports, images and inverses pinned bit for bit in ``golden_checks.json``.
 
-Covers ``check_conditions`` and ``check_pair_condition`` for four
+Covers ``check_conditions`` and ``check_pair_condition`` for seven
 operators, seeds 0-2, 200 samples (sine on its face {1, 2}, the others
-on 1..6).  Regenerate only for an intended report change:
-``PYTHONPATH=src python tests/test_golden.py``.
+on 1..6); ``apply`` of every operator family at one seeded point; and
+``invert_fixed_point`` on two seeded targets.  Regenerate only for an
+intended change of results: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
+
 from volterra import (
     FaceSpec,
+    apply,
     check_conditions,
     check_pair_condition,
+    compose,
+    convex_combination,
     example31,
     example31_tensor,
     example32,
+    identity_operator,
+    invert_fixed_point,
     operator_from_tensor,
+    point_to_obj,
+    quadratic_operator,
+    sample_face,
     sine_example,
+    validate_matrix,
 )
 
 FIXTURE = Path(__file__).with_name("golden_checks.json")
 
 
+def skew6():
+    """A full skew matrix on 1..6 with seeded upper entries in (-1, 1)."""
+    rng = np.random.default_rng(6)
+    cells = [[k, i, float(rng.uniform(-1.0, 1.0))] for k in range(1, 7) for i in range(k + 1, 7)]
+    return quadratic_operator(validate_matrix(cells))
+
+
 def golden_reports() -> dict:
-    cases = {
-        "example31": (example31(), FaceSpec.prefix(6)),
-        "example32": (example32(), FaceSpec.prefix(6)),
-        "sine": (sine_example(), FaceSpec.of((1, 2))),
-        "example31_tensor6": (operator_from_tensor(example31_tensor(6)), FaceSpec.prefix(6)),
+    face6 = FaceSpec.prefix(6)
+    q6 = skew6()
+    ops = {
+        "example31": example31(),
+        "example32": example32(),
+        "sine": sine_example(),
+        "example31_tensor6": operator_from_tensor(example31_tensor(6)),
+        "quadratic6": q6,
+        "compose_example31_quadratic6": compose(example31(), q6),
+        "convex0.3_example31_quadratic6": convex_combination(example31(), q6, 0.3),
     }
+    faces = {name: face6 for name in ops}
+    faces["sine"] = FaceSpec.of((1, 2))
     out = {
         f"{name}/seed{seed}": {
-            "conditions": check_conditions(op, face, samples=200, seed=seed).to_obj(),
-            "pair": check_pair_condition(op, face, samples=200, seed=seed).to_obj(),
+            "conditions": check_conditions(op, faces[name], samples=200, seed=seed).to_obj(),
+            "pair": check_pair_condition(op, faces[name], samples=200, seed=seed).to_obj(),
         }
-        for name, (op, face) in cases.items()
+        for name, op in ops.items()
         for seed in (0, 1, 2)
     }
+    ops["identity"] = identity_operator()
+    faces["identity"] = face6
+    for name, op in ops.items():
+        out[f"apply/{name}"] = point_to_obj(apply(op, sample_face(faces[name], 7)))
+    for name, seed in (("quadratic6", 21), ("compose_example31_quadratic6", 22)):
+        out[f"invert/{name}"] = invert_fixed_point(ops[name], sample_face(face6, seed)).to_obj()
     return json.loads(json.dumps(out))  # tuples become lists, as in the fixture
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -243,6 +244,7 @@ def _ranged(convert, accept, requirement: str):
 _NONNEGATIVE_INT = _ranged(int, lambda v: v >= 0, ">= 0")
 _POSITIVE_INT = _ranged(int, lambda v: v >= 1, ">= 1")
 _TOLERANCE = _ranged(float, lambda v: v > 0.0, "> 0")
+_MARGIN = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _DAMPING = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="sampled validity-condition check on a face")
     common(check, face=True, sampling=True)
-    check.add_argument("--margin", type=float, default=1e-9)
+    check.add_argument("--margin", type=_MARGIN, default=1e-9)
     check.set_defaults(func=cmd_check)
 
     pair = sub.add_parser("pair-check", help="sampled pairwise bijectivity condition")
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser("invert", help="find the preimage of a point")
     common(inv, point=True)
     inv.add_argument("--tol", type=_TOLERANCE, default=1e-10)
-    inv.add_argument("--max-iter", type=int, default=10_000)
+    inv.add_argument("--max-iter", type=_NONNEGATIVE_INT, default=10_000)
     inv.add_argument("--damping", type=_DAMPING, default=0.5)
     inv.set_defaults(func=cmd_invert)
 

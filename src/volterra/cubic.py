@@ -42,6 +42,8 @@ from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     NegativeCoefficient,
     NonFiniteValue,
@@ -209,21 +211,35 @@ class CanonicalCubicCoeffs:
     p_iik: Mapping[int, Mapping[int, float]]
     p_ijk: Mapping[int, Mapping[tuple[int, int], float]]
 
-    def bracket(self, k: int, x: SparsePoint) -> float:
-        """The grouped factor multiplying x_k in (Vx)_k."""
-        xk = x.mass(k)
-        others = [(i, m) for i, m in x.items() if i != k]
-        fam_ikk = self.p_ikk.get(k, {})
-        fam_iik = self.p_iik.get(k, {})
-        fam_ijk = self.p_ijk.get(k, {})
-        linear = sum(fam_ikk.get(i, 0.0) * m for i, m in others)
-        squares = sum(fam_iik.get(i, 0.0) * m * m for i, m in others)
-        cross = 0.0
-        for (i, mi), (j, mj) in combinations(others, 2):
-            c = fam_ijk.get((i, j), 0.0)
-            if c:
-                cross += c * mi * mj
-        return xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross
+    def brackets(self, ks: Sequence[int], X) -> list:
+        """The grouped factor multiplying x_k in (Vx)_k, for each k in ks.
+
+        ``X`` holds the masses at ``ks`` as a ``GeneratingMap`` body gets
+        them (floats, or columns for a block of points).
+        """
+        present = list(zip(ks, X))
+        out = []
+        for k, xk in present:
+            others = [(i, m) for i, m in present if i != k]
+            fam_ikk = self.p_ikk.get(k, {})
+            fam_iik = self.p_iik.get(k, {})
+            fam_ijk = self.p_ijk.get(k, {})
+            linear = 0.0
+            squares = 0.0
+            for i, m in others:
+                c = fam_ikk.get(i)
+                if c:
+                    linear = linear + c * m
+                c = fam_iik.get(i)
+                if c:
+                    squares = squares + c * m * m
+            cross = 0.0
+            for (i, mi), (j, mj) in combinations(others, 2):
+                c = fam_ijk.get((i, j))
+                if c:
+                    cross = cross + c * mi * mj
+            out.append(xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross)
+        return out
 
 
 def tensor_to_canonical(p: CubicTensor) -> CanonicalCubicCoeffs:
@@ -264,21 +280,22 @@ def canonical_apply(c: CanonicalCubicCoeffs, x: SparsePoint) -> SparsePoint:
     """Evaluate the grouped per-coordinate form of a cubic operator."""
     if x.support and x.support[-1] > c.dimension:
         raise UndefinedTriple((x.support[-1],) * 3)
-    return _image((k, x.mass(k) * c.bracket(k, x)) for k in x.support)
+    brackets = c.brackets(x.support, x.masses)
+    return _image(x.support, [m * b for m, b in zip(x.masses, brackets)])
 
 
 def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
     """Wrap a face-invariant tensor as a generating-map operator.
 
     The generating map is the grouped bracket minus one, which is exact
-    at vertices (bracket(e^(k)) = 1) and defined for every index of the
+    at vertices (the bracket at e^(k) is 1) and defined for every index of the
     tensor's face.
     """
     canon = tensor_to_canonical(p)
     domain = FaceSpec.prefix(p.dimension)
 
-    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
-        return [canon.bracket(k, x) - 1.0 for k in ks]
+    def fn(ks: Sequence[int], X) -> list:
+        return [b - 1.0 for b in canon.brackets(ks, X)]
 
     gmap = GeneratingMap(fn, declared_domain=domain)
     return VolterraOperator(gmap, label=f"cubic_tensor(n={p.dimension})")
@@ -297,7 +314,8 @@ class QuadraticTable:
             w = mi * mj * (1.0 if i == j else 2.0)
             for k, q in self.pairs.get((i, j), {}).items():
                 out[k] = out.get(k, 0.0) + q * w
-        return _image(sorted(out.items()))
+        ks = sorted(out)
+        return _image(ks, [out[k] for k in ks])
 
 
 def reduce_if_index_independent(p: CubicTensor) -> QuadraticTable | None:
@@ -341,9 +359,11 @@ def example31(dimension: int | None = None) -> VolterraOperator:
     """
     domain = None if dimension is None else FaceSpec.prefix(dimension)
 
-    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
-        sq = sum(m * m for _, m in x.items())
-        return [x.mass(k) - sq for k in ks]
+    def fn(ks: Sequence[int], X) -> list:
+        sq = 0.0
+        for m in X:
+            sq = sq + m * m
+        return [m - sq for m in X]
 
     return VolterraOperator(GeneratingMap(fn, declared_domain=domain), label="example31")
 
@@ -394,15 +414,15 @@ def example32() -> VolterraOperator:
     condition fails at the vertex pair (e^(1), e^(2)) with value 1.
     """
 
-    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
-        support, cum, cum_sq = _prefix_sums(x)
+    def fn(ks: Sequence[int], X) -> list:
+        s1 = 0.0  # sum of the masses before index k
+        s2 = 0.0  # sum of their squares
         out = []
-        for k in ks:
-            pos = bisect_left(support, k)
-            s1 = cum[pos]
-            pairs = (s1 * s1 - cum_sq[pos]) / 2.0
-            xk = x.mass(k)
+        for xk in X:
+            pairs = (s1 * s1 - s2) / 2.0
             out.append(xk * xk + 3.0 * s1 - 3.0 * pairs - 1.0)
+            s1 = s1 + xk
+            s2 = s2 + xk * xk
         return out
 
     return VolterraOperator(GeneratingMap(fn), label="example32")
@@ -462,6 +482,14 @@ def _sinpi(t: float) -> float:
     return -v if n % 2 else v
 
 
+def _per_element(scalar_fn, *args):
+    """``scalar_fn`` of floats, applied to floats or element by element to columns."""
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return scalar_fn(*args)
+    columns = [c.tolist() for c in np.broadcast_arrays(*args)]
+    return np.array([scalar_fn(*row) for row in zip(*columns)])
+
+
 def sine_example() -> VolterraOperator:
     """The non-injective map V(x) = x(1 - sin(pi x)) on the face {1, 2}.
 
@@ -473,19 +501,13 @@ def sine_example() -> VolterraOperator:
     """
     domain = FaceSpec.of((1, 2))
 
-    def fn(ks: Sequence[int], x: SparsePoint) -> list[float]:
-        x1 = x.mass(1)
-        x2 = x.mass(2)
-        s = _sinpi(x1)
-        out = []
-        for k in ks:
-            if k == 1:
-                out.append(-s)
-            elif k == 2:
-                out.append(x1 * s / x2 if x2 > 0.0 else math.pi)
-            else:
-                out.append(0.0)
-        return out
+    def fn(ks: Sequence[int], X) -> list:
+        masses = dict(zip(ks, X))
+        x1 = masses.get(1, 0.0)
+        x2 = masses.get(2, 0.0)
+        s = _per_element(_sinpi, x1)
+        f2 = _per_element(lambda a, b, v: a * v / b if b > 0.0 else math.pi, x1, x2, s)
+        return [-s if k == 1 else f2 if k == 2 else 0.0 for k in ks]
 
     return VolterraOperator(GeneratingMap(fn, declared_domain=domain), label="sine")
 

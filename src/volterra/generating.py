@@ -6,9 +6,14 @@ generating map f = (f_1, f_2, ...):
     (Vx)_k = x_k * (1 + f_k(x)).
 
 A generating map is one callable plus an optional domain,
-``GeneratingMap(fn, declared_domain)``, where ``fn(indices, x)``
-returns [f_k(x) for k in indices].  Every consumer (``apply``, the
-checkers, the inverters) evaluates f through ``GeneratingMap.values``.
+``GeneratingMap(fn, declared_domain)``, where ``fn(indices, X)``
+returns [f_k(x) for k in indices] and ``X[j]`` is the mass of x at
+``indices[j]``.  ``X[j]`` is a float for one point, or a length-N
+column for a block of N points: one body, written with elementwise
+arithmetic only, serves both.  Every consumer evaluates f through
+``GeneratingMap.values``: ``apply``, ``pair_condition_value``, the
+inverters and trajectories one point at a time on the point's own
+floats, the checkers a whole block of sampled points per call.
 
 V maps the simplex into itself, continuously and with every face
 invariant, exactly when the generating map satisfies four conditions:
@@ -21,7 +26,9 @@ invariant, exactly when the generating map satisfies four conditions:
 Conditions 2-4 are decidable pointwise, so the checker evaluates them on
 seeded uniform samples of a face plus a deterministic probe set (the
 face's vertices and barycenter).  Failures are reported with a concrete
-witness point, never raised.
+witness point, never raised.  Each point's values go through the same
+floating-point operations, in the same order, as one-point evaluation,
+so a report does not depend on the block form.
 
 A further pairwise condition,
 
@@ -34,7 +41,7 @@ simplex; ``check_pair_condition`` samples it the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from .errors import (
     NegativeCoordinate,
     NormalizationFailure,
 )
-from .simplex import FaceSpec, SparsePoint, l1_distance, sample_face_rng
+from .simplex import FaceSpec, SparsePoint, l1_distance, sample_face_block, vertex
 
 #: Negative image coordinates beyond this magnitude raise NegativeCoordinate.
 NEGATIVE_TOLERANCE = 1e-12
@@ -58,17 +65,40 @@ PAIR_TOLERANCE = 1e-12
 class GeneratingMap:
     """The functionals f_k defining an operator, held as one callable.
 
-    ``fn(indices, x)`` returns [f_k(x) for k in indices]; it must be
-    defined for every index k of any face the operator is used on, not
-    only the support of x.  ``declared_domain`` restricts the operator
-    to points supported inside a face.
+    ``fn(indices, X)`` returns [f_k(x) for k in indices], where ``X[j]``
+    is the mass of x at ``indices[j]``; the indices ascend and cover the
+    support of x.  ``X[j]`` is a float for one point, or a length-N
+    column for a block of N points, and one body serves both: it may
+    only use elementwise arithmetic on the masses (no ``if`` on a value
+    and no ``math`` function of a column; use ``np.where`` or a loop over
+    the elements).  ``declared_domain`` restricts the operator to points
+    supported inside a face.
     """
 
-    fn: Callable[[Sequence[int], SparsePoint], Sequence[float]]
+    fn: Callable[[Sequence[int], Sequence], Sequence]
     declared_domain: FaceSpec | None = None
 
-    def values(self, indices: Sequence[int], x: SparsePoint) -> np.ndarray:
-        return np.asarray(self.fn(indices, x), dtype=float)
+    def values(self, X, indices: Sequence[int]):
+        """f over ``indices`` at one point or at every row of a block.
+
+        X is one point's masses aligned with ``indices`` (the result is a
+        list of floats) or an (N, len(indices)) array of N points (the
+        result is an (N, len(indices)) C-ordered array).
+        """
+        if isinstance(X, np.ndarray) and X.ndim == 2:
+            out = np.empty(X.shape)
+            for j, column in enumerate(self.fn(indices, np.ascontiguousarray(X.T))):
+                out[:, j] = column
+            return out
+        out = self.fn(indices, X)
+        return out.tolist() if isinstance(out, np.ndarray) else list(out)
+
+
+def _nested_values(gmap: GeneratingMap, indices: Sequence[int], X):
+    """``gmap``'s values inside another map's body, in the body's layout."""
+    if isinstance(X, np.ndarray):
+        return gmap.values(X.T, indices).T
+    return gmap.values(X, indices)
 
 
 @dataclass(frozen=True)
@@ -77,19 +107,21 @@ class VolterraOperator:
     label: str = "operator"
 
     def f(self, k: int, x: SparsePoint) -> float:
-        return float(self.map.values((k,), x)[0])
+        indices = tuple(sorted({k, *x.support}))
+        fvals = self.map.values([x.mass(i) for i in indices], indices)
+        return fvals[indices.index(k)]
 
 
 def identity_operator() -> VolterraOperator:
     """The operator with f identically zero; applies as the identity."""
-    return VolterraOperator(GeneratingMap(lambda ks, x: np.zeros(len(ks))), label="identity")
+    return VolterraOperator(GeneratingMap(lambda ks, X: [0.0] * len(ks)), label="identity")
 
 
-def _check_domain(op: VolterraOperator, x: SparsePoint) -> None:
+def _check_domain(op: VolterraOperator, support: tuple[int, ...]) -> None:
     dom = op.map.declared_domain
-    if dom is not None and not dom.covers(x):
+    if dom is not None and not all(k in dom for k in support):
         raise DomainViolation(
-            f"point supported on {x.support} lies outside the declared "
+            f"point supported on {support} lies outside the declared "
             f"domain {dom.indices} of operator {op.label!r}"
         )
 
@@ -106,26 +138,47 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     tolerance are clamped to zero and dropped, so the image support is
     always contained in the support of x.
     """
-    _check_domain(op, x)
-    support = x.support
-    fvals = op.map.values(support, x)
-    return _image((k, x.mass(k) * (1.0 + float(fk))) for k, fk in zip(support, fvals))
+    _check_domain(op, x.support)
+    return _image_at(x.support, x.masses, op.map.values(x.masses, x.support))
 
 
-def _image(raw: Iterable[tuple[int, float]]) -> SparsePoint:
-    """The image from raw (index, mass) pairs in ascending index order,
+def _image_at(support: Sequence[int], masses, fvals) -> SparsePoint:
+    """The image of the point with these masses, from f already evaluated there."""
+    return _image(support, [m * (1.0 + fk) for m, fk in zip(masses, fvals)])
+
+
+def _image(indices: Sequence[int], raw) -> SparsePoint:
+    """The image from raw masses aligned with ascending ``indices``,
     checked and clamped as ``apply`` describes; a NaN total raises."""
+    kept = [(k, v) for k, v in zip(indices, _checked_masses(indices, raw)) if v > 0.0]
+    return SparsePoint((k for k, _ in kept), (v for _, v in kept))
+
+
+def _checked_masses(indices: Sequence[int], raw):
+    """Raw image masses, floats or the length-N columns of a block,
+    checked as ``apply`` describes, with the ones not above zero set to
+    zero.  A block comes back as one (d, N) array."""
+    if len(raw) and isinstance(raw[0], np.ndarray):
+        raw = np.array(raw)
+        low = np.argwhere(raw < -NEGATIVE_TOLERANCE)
+        if len(low):
+            j, n = low[0]
+            raise NegativeCoordinate(indices[j], float(raw[j, n]))
+        total = 0.0 + np.cumsum(raw, axis=0)[-1]
+        off = np.flatnonzero(~(np.abs(total - 1.0) <= NORMALIZATION_TOLERANCE))
+        if len(off):
+            raise NormalizationFailure(float(total[off[0]]), NORMALIZATION_TOLERANCE)
+        return np.where(raw > 0.0, raw, 0.0)
     kept = []
     total = 0.0
-    for k, v in raw:
+    for k, v in zip(indices, raw):
         if v < -NEGATIVE_TOLERANCE:
             raise NegativeCoordinate(k, v)
         total += v
-        if v > 0.0:
-            kept.append((k, v))
+        kept.append(v if v > 0.0 else 0.0)
     if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
         raise NormalizationFailure(total, NORMALIZATION_TOLERANCE)
-    return SparsePoint((k for k, _ in kept), (v for _, v in kept))
+    return kept
 
 
 def is_fixed_point(op: VolterraOperator, x: SparsePoint, tol: float) -> bool:
@@ -140,17 +193,23 @@ def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -
     Nonpositive values for all pairs are sufficient for bijectivity.
     The implementation is literally symmetric in (x, y).
     """
-    _check_domain(op, x)
-    _check_domain(op, y)
-    fy = op.map.values(x.support, y)
-    fx = op.map.values(y.support, x)
-    sx = 0.0
-    for (_, m), v in zip(x.items(), fy):
-        sx += m * float(v)
-    sy = 0.0
-    for (_, m), v in zip(y.items(), fx):
-        sy += m * float(v)
-    return sx + sy
+    _check_domain(op, x.support)
+    _check_domain(op, y.support)
+    union = tuple(sorted({*x.support, *y.support}))
+    xm = [x.mass(k) for k in union]
+    ym = [y.mass(k) for k in union]
+    fy = op.map.values(ym, union)
+    fx = op.map.values(xm, union)
+    return _support_sum(xm, fy) + _support_sum(ym, fx)
+
+
+def _support_sum(masses, fvals) -> float:
+    """sum_k m_k v_k in index order over the positive masses only."""
+    s = 0.0
+    for m, v in zip(masses, fvals):
+        if m > 0.0:
+            s += m * v
+    return s
 
 
 @dataclass(frozen=True)
@@ -206,26 +265,66 @@ class ConditionReport:
         }
 
 
-def _perturb_within(
-    x: SparsePoint, face: FaceSpec, size: float, rng: np.random.Generator
-) -> SparsePoint:
-    """A nearby interior point with l1 distance at most ``size`` from x."""
-    idx = face.indices
-    masses = np.array([x.mass(k) for k in idx])
-    d = rng.standard_normal(len(idx))
-    d -= d.mean()
-    norm = float(np.abs(d).sum())
-    if norm == 0.0:
-        return x
-    d *= size / norm
-    neg = d < 0
-    if np.any(neg):
-        # Keep every coordinate strictly positive.
-        headroom = float(np.min(masses[neg] / (-2.0 * d[neg])))
-        if headroom < 1.0:
-            d *= headroom
-    new = masses + d
-    return SparsePoint(idx, (float(v) for v in new))
+def _perturb_block(X: np.ndarray, size: float, rng: np.random.Generator) -> np.ndarray:
+    """Nearby interior points, row by row, at l1 distance at most ``size``.
+
+    A direction with zero l1 norm (a one-index face) leaves its row as is.
+    """
+    D = rng.standard_normal(X.shape)
+    D -= D.mean(axis=1, keepdims=True)
+    norm = np.abs(D).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D *= (size / norm)[:, None]
+        # Keep every coordinate strictly positive: scale a row by its
+        # headroom when that is below 1 (scaling by 1.0 changes nothing).
+        headroom = X / (-2.0 * D)
+        headroom[~(D < 0.0)] = np.inf
+        D *= np.minimum(headroom.min(axis=1), 1.0)[:, None]
+    D += X
+    still = norm == 0.0
+    D[still] = X[still]
+    return D
+
+
+def _first(values: np.ndarray, better) -> int | None:
+    """Index of the first entry that beats every earlier one under the
+    strict comparison ``better`` (a NaN never does), or None."""
+    start = -np.inf if better is np.greater else np.inf
+    clean = np.where(np.isnan(values), start, values)
+    i = int(np.argmax(clean) if better is np.greater else np.argmin(clean))
+    return i if better(clean[i], start) else None
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums added left to right from 0.0, as a Python loop adds them
+    (``terms`` is overwritten)."""
+    return 0.0 + np.cumsum(terms, axis=1, out=terms)[:, -1]
+
+
+def _point(indices: tuple[int, ...], row: np.ndarray) -> SparsePoint:
+    """A witness: the face point held in ``row`` (zero masses dropped)."""
+    kept = [(k, m) for k, m in zip(indices, row.tolist()) if m > 0.0]
+    return SparsePoint((k for k, _ in kept), (m for _, m in kept))
+
+
+def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *groups) -> list[np.ndarray]:
+    """f at every row of each block of each group, one ``values`` call per block.
+
+    Should a block raise, the rows are evaluated one at a time instead:
+    group by group, row n of every block of the group before row n + 1.
+    That is the order in which ``check_conditions`` visits its points, so
+    the exception that surfaces is the one the first failing point raises.
+    """
+    blocks = [B for group in groups for B in group]
+    try:
+        return [gmap.values(B, indices) if len(B) else np.empty(B.shape) for B in blocks]
+    except Exception:
+        out = {id(B): np.empty(B.shape) for B in blocks}
+        for group in groups:
+            for n in range(len(group[0])):
+                for B in group:
+                    out[id(B)][n] = gmap.values(B[n].tolist(), indices)
+        return [out[id(B)] for B in blocks]
 
 
 def check_conditions(
@@ -246,7 +345,9 @@ def check_conditions(
     boundary hit counts as a failure.  The continuity check perturbs
     each sample by at most ``perturbation`` in l1 and flags generating
     maps whose response exceeds ``continuity_bound``; it is a smoke
-    test, not a certificate.
+    test, not a certificate.  Points are evaluated as blocks, one row
+    per point; ties go to the first point, in the order barycenter,
+    samples, vertices.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -258,71 +359,45 @@ def check_conditions(
         )
     rng = np.random.default_rng(seed)
     indices = face.indices
-    interior = [face.barycenter()]
-    interior.extend(sample_face_rng(face, rng) for _ in range(samples))
-    boundary = face.vertices() if len(face) > 1 else []
+    d = len(indices)
+    interior = np.vstack((np.full((1, d), 1.0 / d), sample_face_block(face, rng, samples)))
+    nudged = _perturb_block(interior, perturbation, rng)
+    vertices = np.eye(d) if d > 1 else np.empty((0, d))
+    f_in, f_nudged, f_vert = _evaluate(op.map, indices, (interior, nudged), (vertices,))
 
-    min_f = np.inf
-    min_f_witness = None
-    max_balance = -np.inf
-    balance_witness = None
-    min_interior_f = np.inf
-    interior_witness = None
-    max_wobble = -np.inf
-    wobble_witness = None
+    # Interior rows first, then vertex rows: the order points are probed in.
+    lowest = np.concatenate((f_in.min(axis=1), f_vert.min(axis=1)))
+    balance = np.abs(np.concatenate((_ordered_sum(interior * f_in), _ordered_sum(vertices * f_vert))))
+    f_nudged -= f_in
+    wobble = np.abs(f_nudged, out=f_nudged).sum(axis=1)
+    probed = len(interior)
 
-    for n, x in enumerate(interior + boundary):
-        fvals = op.map.values(indices, x)
-        m = float(np.min(fvals))
-        if m < min_f:
-            min_f, min_f_witness = m, x
-        bal = abs(float(sum(x.mass(k) * fv for k, fv in zip(indices, fvals))))
-        if bal > max_balance:
-            max_balance, balance_witness = bal, x
-        if n >= len(interior):
-            continue
-        if m < min_interior_f:
-            min_interior_f, interior_witness = m, x
-        x2 = _perturb_within(x, face, perturbation, rng)
-        fvals2 = op.map.values(indices, x2)
-        wobble = float(np.abs(fvals - fvals2).sum())
-        if wobble > max_wobble:
-            max_wobble, wobble_witness = wobble, x
+    def verdict(name, values, better, passes, smoke_test=False):
+        i = _first(values, better)
+        worst = (-np.inf if better is np.greater else np.inf) if i is None else float(values[i])
+        if i is not None:
+            row = interior[i] if i < probed else vertices[i - probed]
+        return ConditionVerdict(
+            condition=name,
+            passed=passes(worst),
+            worst_value=worst,
+            witness=None if i is None else _point(indices, row),
+            smoke_test=smoke_test,
+        )
 
-    lower = ConditionVerdict(
-        condition="mass_lower_bound",
-        passed=min_f >= -1.0 - NEGATIVE_TOLERANCE,
-        worst_value=min_f,
-        witness=min_f_witness,
-    )
-    balance = ConditionVerdict(
-        condition="weighted_balance",
-        passed=max_balance <= NORMALIZATION_TOLERANCE,
-        worst_value=max_balance,
-        witness=balance_witness,
-    )
-    strict = ConditionVerdict(
-        condition="interior_strict_bound",
-        passed=min_interior_f > -1.0 + margin,
-        worst_value=min_interior_f,
-        witness=interior_witness,
-    )
-    continuity = ConditionVerdict(
-        condition="continuity_smoke",
-        passed=max_wobble <= continuity_bound,
-        worst_value=max_wobble,
-        witness=wobble_witness,
-        smoke_test=True,
-    )
     return ConditionReport(
         face=face,
         samples=samples,
         seed=seed,
         margin=margin,
-        continuity=continuity,
-        lower_bound=lower,
-        balance=balance,
-        strict_bound=strict,
+        continuity=verdict("continuity_smoke", wobble, np.greater,
+                           lambda w: w <= continuity_bound, smoke_test=True),
+        lower_bound=verdict("mass_lower_bound", lowest, np.less,
+                            lambda w: w >= -1.0 - NEGATIVE_TOLERANCE),
+        balance=verdict("weighted_balance", balance, np.greater,
+                        lambda w: w <= NORMALIZATION_TOLERANCE),
+        strict_bound=verdict("interior_strict_bound", lowest[:probed], np.less,
+                             lambda w: w > -1.0 + margin),
     )
 
 
@@ -363,19 +438,47 @@ def check_pair_condition(
     """Maximize the pair functional over sampled pairs plus vertex pairs.
 
     All vertex pairs of the face are always evaluated: counterexamples
-    to the pairwise condition typically sit at extremal points.
+    to the pairwise condition typically sit at extremal points.  Ties go
+    to the first pair, vertex pairs (a, b) with a <= b in index order
+    first, then the samples.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    pairs: list[tuple[SparsePoint, SparsePoint]] = []
-    verts = face.vertices()
-    for a in range(len(verts)):
-        for b in range(a, len(verts)):
-            pairs.append((verts[a], verts[b]))
-    for _ in range(samples):
-        pairs.append((sample_face_rng(face, rng), sample_face_rng(face, rng)))
+    indices = face.indices
+    d = len(indices)
+    drawn = sample_face_block(face, rng, 2 * samples)
+    xs, ys = drawn[0::2], drawn[1::2]
+    try:
+        dom = op.map.declared_domain
+        if dom is not None and not all(k in dom for k in indices):
+            raise DomainViolation("the face leaves the declared domain")
+        # f_vert[b, a] = f_a(e_b), so a vertex pair adds f_vert and its transpose.
+        f_vert, fy, fx = (op.map.values(B, indices) for B in (np.eye(d), ys, xs))
+    except Exception:
+        return _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys)
+    upper = np.triu_indices(d)
+    vertex_pairs = ((0.0 + f_vert.T) + (0.0 + f_vert))[upper]
+    values = np.concatenate((vertex_pairs, _ordered_sum(xs * fy) + _ordered_sum(ys * fx)))
+    i = _first(values, np.greater)
+    if i is None:
+        best, witness = -np.inf, (vertex(indices[0]), vertex(indices[0]))
+    elif i < len(vertex_pairs):
+        best = float(values[i])
+        witness = (vertex(indices[upper[0][i]]), vertex(indices[upper[1][i]]))
+    else:
+        best = float(values[i])
+        n = i - len(vertex_pairs)
+        witness = (_point(indices, xs[n]), _point(indices, ys[n]))
+    return PairConditionReport(face=face, samples=samples, seed=seed, max_value=best, witness=witness)
 
+
+def _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys) -> PairConditionReport:
+    """``check_pair_condition`` pair by pair, for a map that fails on a
+    block: the first failing pair raises its own exception."""
+    verts = face.vertices()
+    pairs = [(verts[a], verts[b]) for a in range(len(verts)) for b in range(a, len(verts))]
+    pairs.extend((_point(face.indices, x), _point(face.indices, y)) for x, y in zip(xs, ys))
     best = -np.inf
     best_pair = pairs[0]
     for x, y in pairs:
@@ -399,10 +502,10 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
     """
     dom = _merge_domains(op1.map.declared_domain, op2.map.declared_domain)
 
-    def fn(ks: Sequence[int], x: SparsePoint) -> np.ndarray:
-        f2 = op2.map.values(ks, x)
-        f1 = op1.map.values(ks, apply(op2, x))
-        return f2 + f1 + f2 * f1
+    def fn(ks: Sequence[int], X) -> list:
+        f2 = _nested_values(op2.map, ks, X)
+        f1 = _nested_values(op1.map, ks, _checked_masses(ks, [m * (1.0 + f) for m, f in zip(X, f2)]))
+        return [b + a + b * a for b, a in zip(f2, f1)]
 
     gmap = GeneratingMap(fn, declared_domain=dom)
     return VolterraOperator(gmap, label=f"compose({op1.label}, {op2.label})")
@@ -416,8 +519,10 @@ def convex_combination(
         raise LambdaOutOfRange(lam)
     dom = _merge_domains(op1.map.declared_domain, op2.map.declared_domain)
 
-    def fn(ks: Sequence[int], x: SparsePoint) -> np.ndarray:
-        return lam * op1.map.values(ks, x) + (1.0 - lam) * op2.map.values(ks, x)
+    def fn(ks: Sequence[int], X) -> list:
+        f1 = _nested_values(op1.map, ks, X)
+        f2 = _nested_values(op2.map, ks, X)
+        return [lam * a + (1.0 - lam) * b for a, b in zip(f1, f2)]
 
     gmap = GeneratingMap(fn, declared_domain=dom)
     return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
-from .generating import VolterraOperator, apply
+from .generating import VolterraOperator, _check_domain, _image_at, apply
 from .simplex import SparsePoint, l1_distance, make_point
 
 
@@ -120,16 +120,21 @@ def invert_fixed_point(
     generating map is small).  Each sweep mixes the current iterate with
     y_k / (1 + f_k(x)) over the support of y and renormalizes; a sweep
     that would increase the residual is rejected and the damping factor
-    halved instead.  Support never extends beyond the support of y.
+    halved instead.  Support never extends beyond the support of y.  Each
+    sweep evaluates f once, at the trial point, over the support of y;
+    the forward image and the next sweep reuse those values.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
+    _check_domain(op, y.support)
     support = y.support
     lam = damping
     x = y
-    residual = l1_distance(apply(op, x), y)
+    xm = y.masses  # masses of x aligned with the support of y
+    fx = op.map.values(xm, support)
+    residual = l1_distance(_image_at(support, xm, fx), y)
     best_x, best_residual = x, residual
     iterations = 0
     while residual > tol:
@@ -141,17 +146,18 @@ def invert_fixed_point(
                 iterations,
             )
         iterations += 1
-        fvals = op.map.values(support, x)
         mixed = []
-        for k, fk in zip(support, fvals):
-            denom = 1.0 + float(fk)
-            candidate = y.mass(k) / denom if denom > 1e-12 else x.mass(k)
-            mixed.append((k, (1.0 - lam) * x.mass(k) + lam * candidate))
+        for k, yk, xk, fk in zip(support, y.masses, xm, fx):
+            denom = 1.0 + fk
+            candidate = yk / denom if denom > 1e-12 else xk
+            mixed.append((k, (1.0 - lam) * xk + lam * candidate))
         total = sum(v for _, v in mixed)
         trial = make_point((k, v / total) for k, v in mixed)
-        trial_residual = l1_distance(apply(op, trial), y)
+        trial_m = [trial.mass(k) for k in support]
+        trial_f = op.map.values(trial_m, support)
+        trial_residual = l1_distance(_image_at(support, trial_m, trial_f), y)
         if trial_residual < residual:
-            x, residual = trial, trial_residual
+            x, xm, fx, residual = trial, trial_m, trial_f, trial_residual
             if residual < best_residual:
                 best_x, best_residual = x, residual
         else:

@@ -28,6 +28,8 @@ from .simplex import SparsePoint, vertex
 
 #: Tolerance for skew-symmetry, zero diagonal and the entry bound.
 MATRIX_TOLERANCE = 1e-12
+#: Largest (entries x points) product one np.bincount of a block handles.
+_BINCOUNT_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,9 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
 
     Both orientations of the store are kept as (row, column, value)
     arrays sorted by (row, column), so f_k sums in ascending column order.
+    An evaluation reads only the entries whose row and column are both
+    requested indices (a zero mass adds nothing to a sum), and sums them
+    with ``np.bincount`` over many points at a time.
     """
     n = a.dimension
     count = len(a.entries)
@@ -132,16 +137,47 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     vals = np.concatenate((coef, -coef))
     order = np.argsort(rows * (n + 1) + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
+    # Row r's entries are rows[starts[r]:starts[r + 1]].
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n + 1))))
+    # Entry positions when the requested indices are exactly 1..n.
+    rows_0, cols_0 = rows - 1, cols - 1
 
-    def fn(ks: Sequence[int], x: SparsePoint) -> np.ndarray:
-        idx = np.fromiter(x.support, dtype=np.intp, count=len(x))
-        mass = np.fromiter((m for _, m in x.items()), dtype=float, count=len(x))
-        inside = idx <= n
-        x_dense = np.zeros(n + 1)
-        x_dense[idx[inside]] = mass[inside]
-        f = np.bincount(rows, weights=vals * x_dense[cols], minlength=n + 1)
-        ks = np.fromiter(ks, dtype=np.intp, count=len(ks))
-        return np.where(ks <= n, f[np.minimum(ks, n)], 0.0)
+    def fn(ks: Sequence[int], X) -> np.ndarray:
+        d = len(ks)
+        masses = np.asarray(X, dtype=float)
+        if not d:
+            return masses
+        M = masses.reshape(d, -1)  # (d, N): one column per point
+        N = M.shape[1]
+        ks = np.fromiter(ks, dtype=np.intp, count=d)
+        if d == n and ks[-1] == n:
+            r, c, v = rows_0, cols_0, vals
+        else:
+            # The entries of the requested rows, in (row, column) order,
+            # then only those whose column is requested too.
+            inside = np.flatnonzero(ks <= n)
+            first = starts[ks[inside]]
+            lengths = starts[ks[inside] + 1] - first
+            entry = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+            entry += np.arange(len(entry))
+            position = np.full(n + 1, -1, dtype=np.intp)
+            position[ks[inside]] = inside
+            c = position[cols[entry]]
+            keep = c >= 0
+            r, c, v = np.repeat(inside, lengths)[keep], c[keep], vals[entry[keep]]
+        f = np.empty((N, d))
+        # Points go through np.bincount a few at a time, so that the
+        # (entries x points) temporaries stay small; bin (point s, row r)
+        # is r + d * s, and each bin adds its entries in order.
+        step = max(1, _BINCOUNT_CELLS // max(len(r), 1))
+        for lo in range(0, N, step):
+            part = M[:, lo:lo + step]
+            weights = np.take(part, c, axis=0)
+            weights *= v[:, None]
+            bins = np.add.outer(r, d * np.arange(part.shape[1]))
+            sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=d * part.shape[1])
+            f[lo:lo + step] = sums.reshape(-1, d)
+        return f.T.reshape(masses.shape)
 
     return VolterraOperator(GeneratingMap(fn), label=f"quadratic(n={n})")
 

@@ -9,6 +9,11 @@ the points whose mass is strictly positive on every index of the face.
 
 Uniform sampling on a face uses the flat Dirichlet distribution realized
 through normalized exponentials: g_i ~ Exp(1), mass_i = g_i / sum(g).
+``sample_face_block`` draws N such points as the rows of an (N, d)
+array, bit for bit the N points that N sequential draws give.
+
+Faces hold at most ``MAX_FACE_SIZE`` indices, so that no input can make
+a face, or a checker's block of points on it, arbitrarily large.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .errors import NegativeMass, NonFiniteValue, SumOutOfTolerance
 
 #: Absolute tolerance on the input mass total accepted by make_point.
 SUM_TOLERANCE = 1e-9
+#: Largest number of indices a face may hold.
+MAX_FACE_SIZE = 10_000
 
 
 class SparsePoint:
@@ -53,6 +60,11 @@ class SparsePoint:
     @property
     def max_index(self) -> int:
         return self._indices[-1] if self._indices else 0
+
+    @property
+    def masses(self) -> tuple[float, ...]:
+        """Masses aligned with ``support``."""
+        return self._masses
 
     def mass(self, index: int) -> float:
         return self._lookup.get(index, 0.0)
@@ -145,11 +157,17 @@ class FaceSpec:
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "FaceSpec":
-        return cls(tuple(sorted({int(k) for k in indices})))
+        """The face on the distinct ``indices``; ValueError past MAX_FACE_SIZE."""
+        keys: set[int] = set()
+        for k in indices:
+            keys.add(int(k))
+            _check_size(len(keys))
+        return cls(tuple(sorted(keys)))
 
     @classmethod
     def prefix(cls, n: int) -> "FaceSpec":
         """The face on indices 1..n."""
+        _check_size(n)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -160,10 +178,12 @@ class FaceSpec:
             if not token:
                 continue
             if ".." in token:
-                lo, hi = token.split("..")
-                indices.update(range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in token.split(".."))
+                _check_size(hi - lo + 1)
+                indices.update(range(lo, hi + 1))
             else:
                 indices.add(int(token))
+            _check_size(len(indices))
         if not indices:
             raise ValueError(f"cannot parse face from {text!r}")
         return cls.of(indices)
@@ -190,6 +210,11 @@ class FaceSpec:
         return SparsePoint(self.indices, (m,) * len(self.indices))
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_FACE_SIZE:
+        raise ValueError(f"a face holds at most {MAX_FACE_SIZE} indices, got {n}")
+
+
 def in_relative_interior(p: SparsePoint, face: FaceSpec) -> bool:
     """True iff ``p`` has strictly positive mass exactly on the face."""
     return p.support == face.indices
@@ -206,16 +231,27 @@ def l1_distance(p: SparsePoint, q: SparsePoint) -> float:
     return s
 
 
+def sample_face_block(face: FaceSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n flat-Dirichlet points in the relative interior of ``face``.
+
+    Row i holds the masses of point i on the face's indices.  A row with
+    a mass underflowed to zero (astronomically unlikely) would leave the
+    relative interior; it is dropped and the block topped up from the
+    same stream, exactly as a sequential draw would redraw it.
+    """
+    d = len(face.indices)
+    rows = np.empty((0, d))
+    while len(rows) < n:
+        g = rng.exponential(size=(n - len(rows), d))
+        g /= g.sum(axis=1, keepdims=True)
+        interior = np.all(g > 0.0, axis=1)
+        rows = g if not len(rows) and interior.all() else np.vstack((rows, g[interior]))
+    return rows
+
+
 def sample_face_rng(face: FaceSpec, rng: np.random.Generator) -> SparsePoint:
     """Draw one flat-Dirichlet point in the relative interior of ``face``."""
-    n = len(face.indices)
-    while True:
-        g = rng.exponential(size=n)
-        masses = g / g.sum()
-        # Guards against (astronomically unlikely) underflow to zero mass,
-        # which would break relative-interior membership.
-        if np.all(masses > 0.0):
-            return SparsePoint(face.indices, (float(m) for m in masses))
+    return SparsePoint(face.indices, sample_face_block(face, rng, 1)[0].tolist())
 
 
 def sample_face(face: FaceSpec, seed: int) -> SparsePoint:

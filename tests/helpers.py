@@ -93,11 +93,11 @@ def linear_operator_from_cells(cells) -> VolterraOperator:
         row = rows.setdefault(int(k), {})
         row[int(i)] = row.get(int(i), 0.0) + float(v)
 
-    def fn(ks, x):
+    def fn(ks, X):
         out = []
         for k in ks:
             row = rows.get(k, {})
-            out.append(sum(row.get(i, 0.0) * m for i, m in x.items()))
+            out.append(sum(row.get(i, 0.0) * m for i, m in zip(ks, X)))
         return out
 
     return VolterraOperator(GeneratingMap(fn), label="raw_linear")

@@ -239,6 +239,10 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
         ["invert", "--operator", ex31_spec, "--point", point, "--damping", "2"],
         ["invert", "--operator", ex31_spec, "--point", point, "--damping", "nan"],
         ["builtin", "--name", "example31", "--dimension", "0"],
+        ["check", "--operator", ex31_spec, "--face", "1,2", "--margin", "nan"],
+        ["check", "--operator", ex31_spec, "--face", "1,2", "--margin", "-1"],
+        ["check", "--operator", ex31_spec, "--face", "1,2", "--margin", "inf"],
+        ["invert", "--operator", ex31_spec, "--point", point, "--max-iter", "-1"],
     ]
     for argv in out_of_range:
         with pytest.raises(SystemExit) as info:
@@ -286,4 +290,11 @@ def test_seed_env_override(capsys, ex31_spec, monkeypatch):
 
     monkeypatch.setenv("VOLTERRA_SEED", "-1")
     code, _ = run(capsys, ["check", "--operator", ex31_spec, "--face", "1,2"])
+    assert code == 3
+
+
+def test_oversized_face_exits_three_at_once(capsys, ex31_spec):
+    code, _ = run(capsys, ["check", "--operator", ex31_spec, "--face", "1..1000000000"])
+    assert code == 3
+    code, _ = run(capsys, ["pair-check", "--operator", ex31_spec, "--face", "1..1000000000"])
     assert code == 3

@@ -90,9 +90,9 @@ def test_trajectory_records():
 def test_trajectory_error_carries_step_index():
     ex31 = example31()
 
-    def switching(ks, x):
-        if x.mass(1) > 0.1:
-            return ex31.map.values(ks, x)
+    def switching(ks, X):  # one point at a time: iterate never passes a block
+        if dict(zip(ks, X)).get(1, 0.0) > 0.1:
+            return ex31.map.values(X, ks)
         return [0.25] * len(ks)
 
     op = VolterraOperator(GeneratingMap(switching), label="switching")

@@ -27,11 +27,11 @@ from volterra import (
     validate_matrix,
     vertex,
 )
-from helpers import rand_point, rand_point_on_pool, rand_skew_operator
+from helpers import linear_operator_from_cells, rand_point, rand_point_on_pool, rand_skew_operator
 
 
 def constant_map_operator(value: float) -> VolterraOperator:
-    gmap = GeneratingMap(lambda ks, x: [value] * len(ks))
+    gmap = GeneratingMap(lambda ks, X: [value] * len(ks))
     return VolterraOperator(gmap, label=f"constant({value})")
 
 
@@ -259,3 +259,42 @@ def test_zero_matrix_is_identity():
     for _ in range(20):
         x = rand_point(rng, (1, 3, 9))
         assert apply(op, x) == x
+
+
+def test_block_failure_raises_the_first_points_exception():
+    # The inner map breaks normalization, by a different amount at each
+    # point, so compose fails on every block; the checkers must raise
+    # what their first point raises, as a point-by-point loop would.
+    inner = linear_operator_from_cells([(1, 1, 0.2), (1, 2, 0.4), (2, 3, -0.3), (3, 1, 0.1)])
+    op = compose(example31(), inner)
+    face = FaceSpec.prefix(3)
+    with pytest.raises(NormalizationFailure) as first_point:
+        apply(inner, face.barycenter())
+    with pytest.raises(NormalizationFailure) as info:
+        check_conditions(op, face, samples=50, seed=3)
+    assert str(info.value) == str(first_point.value)
+    with pytest.raises(NormalizationFailure) as first_pair:
+        pair_condition_value(op, vertex(1), vertex(1))
+    with pytest.raises(NormalizationFailure) as info:
+        check_pair_condition(op, face, samples=50, seed=3)
+    assert str(info.value) == str(first_pair.value)
+
+
+def test_nan_values_never_win():
+    def fn(ks, X):  # example31, but NaN wherever x_1 > 0.5
+        x1 = dict(zip(ks, X)).get(1, 0.0)
+        sq = 0.0
+        for m in X:
+            sq = sq + m * m
+        nan = np.where(np.asarray(x1) > 0.5, np.nan, 0.0)
+        return [m - sq + nan for m in X]
+
+    op = VolterraOperator(GeneratingMap(fn), label="partly_nan")
+    face = FaceSpec.prefix(3)
+    report = check_conditions(op, face, samples=300, seed=4)
+    for verdict in report.verdicts:
+        assert np.isfinite(verdict.worst_value)
+        assert verdict.witness.mass(1) <= 0.5
+    pair = check_pair_condition(op, face, samples=300, seed=4)
+    assert np.isfinite(pair.max_value)
+    assert all(p.mass(1) <= 0.5 for p in pair.witness)

@@ -3,6 +3,7 @@ import pytest
 
 from volterra import (
     FaceSpec,
+    GeneratingMap,
     NonConvergence,
     ResidualTooLarge,
     apply,
@@ -19,6 +20,7 @@ from volterra import (
     validate_matrix,
     verify_inverse,
     vertex,
+    VolterraOperator,
 )
 from helpers import rand_point, rand_point_on_pool, rand_skew_operator
 
@@ -157,3 +159,19 @@ def test_inversion_result_serialization():
     assert set(obj["preimage"]) == {"1", "2"}
     assert obj["residual"] >= 0.0
     assert isinstance(obj["iterations"], int)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixed_point_evaluates_f_once_per_sweep(seed):
+    calls = []
+    base = example31()
+
+    def counted(ks, X):
+        calls.append(len(ks))
+        return base.map.fn(ks, X)
+
+    op = VolterraOperator(GeneratingMap(counted), label="counted")
+    y = sample_face_rng(FaceSpec.prefix(6), np.random.default_rng(seed))
+    result = invert_fixed_point(op, y)
+    assert result == invert_fixed_point(base, y)
+    assert 0 < len(calls) <= result.iterations + 1

@@ -182,11 +182,29 @@ def test_values_equal_ascending_index_sum(n):
         for i, m in x.items():
             total += matrix.coefficient(k, i) * m
         expected.append(total)
-    assert op.map.values(ks, x).tolist() == expected
+    assert op.map.values([x.mass(k) for k in ks], ks) == expected
 
 
 def test_empty_skew_matrix_applies_as_identity():
     op = quadratic_operator(validate_matrix([]))
     x = make_point({2: 0.25, 7: 0.75})
-    assert op.map.values((1, 2, 7), x).tolist() == [0.0, 0.0, 0.0]
+    assert op.map.values([x.mass(k) for k in (1, 2, 7)], (1, 2, 7)) == [0.0, 0.0, 0.0]
     assert apply(op, x) == x
+
+
+def test_two_point_support_on_full_matrix():
+    rng = np.random.default_rng(400)
+    matrix = validate_matrix(
+        [[k, i, float(rng.uniform(-1.0, 1.0))] for k in range(1, 401) for i in range(k + 1, 401)]
+    )
+    op = quadratic_operator(matrix)
+    x = make_point({3: 0.4, 377: 0.6})
+    expected = []
+    for k in x.support:
+        total = 0.0
+        for i, m in x.items():
+            total += matrix.coefficient(k, i) * m
+        expected.append(total)
+    assert op.map.values(x.masses, x.support) == expected
+    image = apply(op, x)
+    assert image.masses == tuple(m * (1.0 + f) for m, f in zip(x.masses, expected))

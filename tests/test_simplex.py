@@ -17,6 +17,7 @@ from volterra import (
     save_point,
     vertex,
 )
+from volterra.simplex import MAX_FACE_SIZE
 from helpers import rand_point, rand_support
 
 
@@ -176,3 +177,18 @@ def test_make_point_rejects_non_finite_mass(bad):
     with pytest.raises(NonFiniteValue) as info:
         make_point({1: bad, 2: 1.0})
     assert info.value.where == 1
+
+
+def test_face_size_is_bounded_before_building():
+    # Each call must raise at once: building any of these faces would
+    # take minutes and gigabytes.
+    with pytest.raises(ValueError, match="at most"):
+        FaceSpec.parse("1..1000000000")
+    with pytest.raises(ValueError, match="at most"):
+        FaceSpec.parse(f"1..{MAX_FACE_SIZE},{MAX_FACE_SIZE + 1}..1000000000")
+    with pytest.raises(ValueError, match="at most"):
+        FaceSpec.of(range(1, 1_000_000_001))
+    with pytest.raises(ValueError, match="at most"):
+        FaceSpec.prefix(1_000_000_000)
+    assert len(FaceSpec.parse(f"1..{MAX_FACE_SIZE}")) == MAX_FACE_SIZE
+    assert len(FaceSpec.of(range(1, MAX_FACE_SIZE + 1))) == MAX_FACE_SIZE

@@ -318,7 +318,7 @@ def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *groups) -> list[np
     blocks = [B for group in groups for B in group]
     try:
         return [gmap.values(B, indices) if len(B) else np.empty(B.shape) for B in blocks]
-    except Exception:
+    except Exception:  # re-raised below, by the first point that fails
         out = {id(B): np.empty(B.shape) for B in blocks}
         for group in groups:
             for n in range(len(group[0])):
@@ -449,13 +449,14 @@ def check_pair_condition(
     d = len(indices)
     drawn = sample_face_block(face, rng, 2 * samples)
     xs, ys = drawn[0::2], drawn[1::2]
+    dom = op.map.declared_domain
+    if dom is not None and not all(k in dom for k in indices):
+        # Some vertex pair leaves the domain; the pair loop raises its error.
+        return _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys)
     try:
-        dom = op.map.declared_domain
-        if dom is not None and not all(k in dom for k in indices):
-            raise DomainViolation("the face leaves the declared domain")
         # f_vert[b, a] = f_a(e_b), so a vertex pair adds f_vert and its transpose.
         f_vert, fy, fx = (op.map.values(B, indices) for B in (np.eye(d), ys, xs))
-    except Exception:
+    except Exception:  # re-raised by the pair loop, from the first pair that fails
         return _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys)
     upper = np.triu_indices(d)
     vertex_pairs = ((0.0 + f_vert.T) + (0.0 + f_vert))[upper]
@@ -504,7 +505,8 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
 
     def fn(ks: Sequence[int], X) -> list:
         f2 = _nested_values(op2.map, ks, X)
-        f1 = _nested_values(op1.map, ks, _checked_masses(ks, [m * (1.0 + f) for m, f in zip(X, f2)]))
+        image = _checked_masses(ks, [m * (1.0 + f) for m, f in zip(X, f2)])
+        f1 = _nested_values(op1.map, ks, image)
         return [b + a + b * a for b, a in zip(f2, f1)]
 
     gmap = GeneratingMap(fn, declared_domain=dom)

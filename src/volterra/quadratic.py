@@ -132,15 +132,14 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     upper = np.fromiter(chain.from_iterable(a.entries), dtype=np.intp, count=2 * count)
     lo, hi = upper[0::2], upper[1::2]
     coef = np.fromiter(a.entries.values(), dtype=float, count=count)
-    rows = np.concatenate((lo, hi))
-    cols = np.concatenate((hi, lo))
+    # Rows and columns count from 0 here: index k is row k - 1.
+    rows = np.concatenate((lo, hi)) - 1
+    cols = np.concatenate((hi, lo)) - 1
     vals = np.concatenate((coef, -coef))
-    order = np.argsort(rows * (n + 1) + cols, kind="stable")
+    order = np.argsort(rows * n + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
-    # Row r's entries are rows[starts[r]:starts[r + 1]].
-    starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n + 1))))
-    # Entry positions when the requested indices are exactly 1..n.
-    rows_0, cols_0 = rows - 1, cols - 1
+    # Row i's entries are [starts[i], starts[i + 1]).
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
     def fn(ks: Sequence[int], X) -> np.ndarray:
         d = len(ks)
@@ -150,18 +149,18 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         M = masses.reshape(d, -1)  # (d, N): one column per point
         N = M.shape[1]
         ks = np.fromiter(ks, dtype=np.intp, count=d)
-        if d == n and ks[-1] == n:
-            r, c, v = rows_0, cols_0, vals
+        if d == n and ks[-1] == n:  # indices 1..n sit at positions 0..n-1
+            r, c, v = rows, cols, vals
         else:
             # The entries of the requested rows, in (row, column) order,
             # then only those whose column is requested too.
             inside = np.flatnonzero(ks <= n)
-            first = starts[ks[inside]]
-            lengths = starts[ks[inside] + 1] - first
+            first = starts[ks[inside] - 1]
+            lengths = starts[ks[inside]] - first
             entry = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
             entry += np.arange(len(entry))
-            position = np.full(n + 1, -1, dtype=np.intp)
-            position[ks[inside]] = inside
+            position = np.full(n, -1, dtype=np.intp)
+            position[ks[inside] - 1] = inside
             c = position[cols[entry]]
             keep = c >= 0
             r, c, v = np.repeat(inside, lengths)[keep], c[keep], vals[entry[keep]]

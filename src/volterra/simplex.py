@@ -244,8 +244,8 @@ def sample_face_block(face: FaceSpec, rng: np.random.Generator, n: int) -> np.nd
     while len(rows) < n:
         g = rng.exponential(size=(n - len(rows), d))
         g /= g.sum(axis=1, keepdims=True)
-        interior = np.all(g > 0.0, axis=1)
-        rows = g if not len(rows) and interior.all() else np.vstack((rows, g[interior]))
+        ok = np.all(g > 0.0, axis=1)
+        rows = g if not len(rows) and ok.all() else np.vstack((rows, g[ok]))
     return rows
 
 

@@ -150,8 +150,11 @@ def _image_at(support: Sequence[int], masses, fvals) -> SparsePoint:
 def _image(indices: Sequence[int], raw) -> SparsePoint:
     """The image from raw masses aligned with ascending ``indices``,
     checked and clamped as ``apply`` describes; a NaN total raises."""
-    kept = [(k, v) for k, v in zip(indices, _checked_masses(indices, raw)) if v > 0.0]
-    return SparsePoint((k for k, _ in kept), (v for _, v in kept))
+    masses = _checked_masses(indices, raw)
+    if 0.0 in masses:  # drop the coordinates set to zero
+        kept = [(k, v) for k, v in zip(indices, masses) if v > 0.0]
+        indices, masses = [k for k, _ in kept], [v for _, v in kept]
+    return SparsePoint(indices, masses)
 
 
 def _checked_masses(indices: Sequence[int], raw):
@@ -169,16 +172,14 @@ def _checked_masses(indices: Sequence[int], raw):
         if len(off):
             raise NormalizationFailure(float(total[off[0]]), NORMALIZATION_TOLERANCE)
         return np.where(raw > 0.0, raw, 0.0)
-    kept = []
     total = 0.0
     for k, v in zip(indices, raw):
         if v < -NEGATIVE_TOLERANCE:
             raise NegativeCoordinate(k, v)
         total += v
-        kept.append(v if v > 0.0 else 0.0)
     if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
         raise NormalizationFailure(total, NORMALIZATION_TOLERANCE)
-    return kept
+    return [v if v > 0.0 else 0.0 for v in raw]
 
 
 def is_fixed_point(op: VolterraOperator, x: SparsePoint, tol: float) -> bool:

@@ -132,14 +132,11 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     upper = np.fromiter(chain.from_iterable(a.entries), dtype=np.intp, count=2 * count)
     lo, hi = upper[0::2], upper[1::2]
     coef = np.fromiter(a.entries.values(), dtype=float, count=count)
-    # Rows and columns count from 0 here: index k is row k - 1.
-    rows = np.concatenate((lo, hi)) - 1
-    cols = np.concatenate((hi, lo)) - 1
+    rows = np.concatenate((lo, hi))
+    cols = np.concatenate((hi, lo))
     vals = np.concatenate((coef, -coef))
-    order = np.argsort(rows * n + cols, kind="stable")
+    order = np.argsort(rows * (n + 1) + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
-    # Row i's entries are [starts[i], starts[i + 1]).
-    starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
     def fn(ks: Sequence[int], X) -> np.ndarray:
         d = len(ks)
@@ -149,33 +146,37 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         M = masses.reshape(d, -1)  # (d, N): one column per point
         N = M.shape[1]
         ks = np.fromiter(ks, dtype=np.intp, count=d)
-        if d == n and ks[-1] == n:  # indices 1..n sit at positions 0..n-1
+        # Slot j + 1 holds the masses at ks[j]; slot 0 holds none.
+        slots = np.concatenate((np.zeros((1, N)), M))
+        if d == n and ks[-1] == n:  # ks is 1..n: index k sits in slot k
             r, c, v = rows, cols, vals
         else:
             # The entries of the requested rows, in (row, column) order,
             # then only those whose column is requested too.
-            inside = np.flatnonzero(ks <= n)
-            first = starts[ks[inside] - 1]
-            lengths = starts[ks[inside]] - first
+            m = int(np.searchsorted(ks, n, side="right"))  # rows the matrix has
+            first = np.searchsorted(rows, ks[:m], side="left")
+            lengths = np.searchsorted(rows, ks[:m], side="right") - first
             entry = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
             entry += np.arange(len(entry))
-            position = np.full(n, -1, dtype=np.intp)
-            position[ks[inside] - 1] = inside
-            c = position[cols[entry]]
-            keep = c >= 0
-            r, c, v = np.repeat(inside, lengths)[keep], c[keep], vals[entry[keep]]
+            slot = np.zeros(n + 1, dtype=np.intp)
+            slot[ks[:m]] = np.arange(1, m + 1)
+            c = slot[cols[entry]]
+            keep = c > 0
+            r = np.repeat(np.arange(1, m + 1), lengths)[keep]
+            c, v = c[keep], vals[entry[keep]]
         f = np.empty((N, d))
         # Points go through np.bincount a few at a time, so that the
-        # (entries x points) temporaries stay small; bin (point s, row r)
-        # is r + d * s, and each bin adds its entries in order.
+        # (entries x points) temporaries stay small; bin (point s, slot r)
+        # is r + (d + 1) * s, and each bin adds its entries in order.
         step = max(1, _BINCOUNT_CELLS // max(len(r), 1))
-        for lo in range(0, N, step):
-            part = M[:, lo:lo + step]
+        for start in range(0, N, step):
+            part = slots[:, start:start + step]
+            width = part.shape[1]
             weights = np.take(part, c, axis=0)
             weights *= v[:, None]
-            bins = np.add.outer(r, d * np.arange(part.shape[1]))
-            sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=d * part.shape[1])
-            f[lo:lo + step] = sums.reshape(-1, d)
+            bins = np.add.outer(r, (d + 1) * np.arange(width))
+            sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=(d + 1) * width)
+            f[start:start + width] = sums.reshape(width, d + 1)[:, 1:]
         return f.T.reshape(masses.shape)
 
     return VolterraOperator(GeneratingMap(fn), label=f"quadratic(n={n})")

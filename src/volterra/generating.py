@@ -59,6 +59,9 @@ NEGATIVE_TOLERANCE = 1e-12
 NORMALIZATION_TOLERANCE = 1e-9
 #: Sampled pair-condition values above this fail the pairwise check.
 PAIR_TOLERANCE = 1e-12
+#: Most vertices the checkers evaluate in one block.  A larger face's
+#: vertices go in pieces, so no block grows with the square of the face.
+_VERTEX_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -308,24 +311,29 @@ def _point(indices: tuple[int, ...], row: np.ndarray) -> SparsePoint:
     return SparsePoint((k for k, _ in kept), (m for _, m in kept))
 
 
-def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *groups) -> list[np.ndarray]:
-    """f at every row of each block of each group, one ``values`` call per block.
+def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np.ndarray]:
+    """f at every row of each block, one ``values`` call per block.
 
-    Should a block raise, the rows are evaluated one at a time instead:
-    group by group, row n of every block of the group before row n + 1.
-    That is the order in which ``check_conditions`` visits its points, so
-    the exception that surfaces is the one the first failing point raises.
+    Should a block raise, the rows are evaluated one at a time instead,
+    row n of every block before row n + 1: the order in which
+    ``check_conditions`` visits its points, so the exception that
+    surfaces is the one the first failing point raises.
     """
-    blocks = [B for group in groups for B in group]
     try:
-        return [gmap.values(B, indices) if len(B) else np.empty(B.shape) for B in blocks]
+        return [gmap.values(B, indices) for B in blocks]
     except Exception:  # re-raised below, by the first point that fails
-        out = {id(B): np.empty(B.shape) for B in blocks}
-        for group in groups:
-            for n in range(len(group[0])):
-                for B in group:
-                    out[id(B)][n] = gmap.values(B[n].tolist(), indices)
-        return [out[id(B)] for B in blocks]
+        out = [np.empty(B.shape) for B in blocks]
+        for n in range(len(blocks[0])):
+            for B, F in zip(blocks, out):
+                F[n] = gmap.values(B[n].tolist(), indices)
+        return out
+
+
+def _vertex_rows(d: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the d x d identity: vertices as face points."""
+    rows = np.zeros((stop - start, d))
+    rows[np.arange(stop - start), np.arange(start, stop)] = 1.0
+    return rows
 
 
 def check_conditions(
@@ -363,26 +371,33 @@ def check_conditions(
     d = len(indices)
     interior = np.vstack((np.full((1, d), 1.0 / d), sample_face_block(face, rng, samples)))
     nudged = _perturb_block(interior, perturbation, rng)
-    vertices = np.eye(d) if d > 1 else np.empty((0, d))
-    f_in, f_nudged, f_vert = _evaluate(op.map, indices, (interior, nudged), (vertices,))
-
+    f_in, f_nudged = _evaluate(op.map, indices, interior, nudged)
     # Interior rows first, then vertex rows: the order points are probed in.
-    lowest = np.concatenate((f_in.min(axis=1), f_vert.min(axis=1)))
-    balance = np.abs(np.concatenate((_ordered_sum(interior * f_in), _ordered_sum(vertices * f_vert))))
+    lowest = [f_in.min(axis=1)]
+    balance = [_ordered_sum(interior * f_in)]
+    for start in range(0, d if d > 1 else 0, _VERTEX_BLOCK):
+        vertices = _vertex_rows(d, start, min(start + _VERTEX_BLOCK, d))
+        (f_vert,) = _evaluate(op.map, indices, vertices)
+        lowest.append(f_vert.min(axis=1))
+        balance.append(_ordered_sum(vertices * f_vert))
+    lowest = np.concatenate(lowest)
+    balance = np.abs(np.concatenate(balance))
     f_nudged -= f_in
     wobble = np.abs(f_nudged, out=f_nudged).sum(axis=1)
     probed = len(interior)
 
     def verdict(name, values, better, passes, smoke_test=False):
         i = _first(values, better)
-        worst = (-np.inf if better is np.greater else np.inf) if i is None else float(values[i])
-        if i is not None:
-            row = interior[i] if i < probed else vertices[i - probed]
+        if i is None:
+            worst, witness = (-np.inf if better is np.greater else np.inf), None
+        else:
+            worst = float(values[i])
+            witness = _point(indices, interior[i]) if i < probed else vertex(indices[i - probed])
         return ConditionVerdict(
             condition=name,
             passed=passes(worst),
             worst_value=worst,
-            witness=None if i is None else _point(indices, row),
+            witness=witness,
             smoke_test=smoke_test,
         )
 
@@ -455,24 +470,49 @@ def check_pair_condition(
         # Some vertex pair leaves the domain; the pair loop raises its error.
         return _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys)
     try:
-        # f_vert[b, a] = f_a(e_b), so a vertex pair adds f_vert and its transpose.
-        f_vert, fy, fx = (op.map.values(B, indices) for B in (np.eye(d), ys, xs))
+        best, (a, b) = _best_vertex_pair(op.map, indices)
+        fy, fx = (op.map.values(B, indices) for B in (ys, xs))
     except Exception:  # re-raised by the pair loop, from the first pair that fails
         return _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys)
-    upper = np.triu_indices(d)
-    vertex_pairs = ((0.0 + f_vert.T) + (0.0 + f_vert))[upper]
-    values = np.concatenate((vertex_pairs, _ordered_sum(xs * fy) + _ordered_sum(ys * fx)))
-    i = _first(values, np.greater)
-    if i is None:
-        best, witness = -np.inf, (vertex(indices[0]), vertex(indices[0]))
-    elif i < len(vertex_pairs):
-        best = float(values[i])
-        witness = (vertex(indices[upper[0][i]]), vertex(indices[upper[1][i]]))
-    else:
-        best = float(values[i])
-        n = i - len(vertex_pairs)
-        witness = (_point(indices, xs[n]), _point(indices, ys[n]))
+    witness = (vertex(indices[a]), vertex(indices[b]))
+    sampled = _ordered_sum(xs * fy) + _ordered_sum(ys * fx)
+    n = _first(sampled, np.greater)
+    if n is not None and sampled[n] > best:  # the samples come after every vertex pair
+        best, witness = float(sampled[n]), (_point(indices, xs[n]), _point(indices, ys[n]))
     return PairConditionReport(face=face, samples=samples, seed=seed, max_value=best, witness=witness)
+
+
+def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[float, tuple[int, int]]:
+    """The largest f_a(e_b) + f_b(e_a) over vertex pairs a <= b (as
+    positions in ``indices``) and the first pair in index order to reach
+    it; a NaN never wins, and (0, 0) stands in when nothing does.
+
+    The pairs go in pieces of at most two runs of _VERTEX_BLOCK vertices,
+    each evaluated on its own indices only: a zero mass adds nothing, so
+    f_a(e_b) is the same on any index set that holds a and b.
+    """
+    d = len(indices)
+    best, where = -np.inf, (0, 0)
+    for i in range(0, d, _VERTEX_BLOCK):
+        left = np.arange(i, min(i + _VERTEX_BLOCK, d))
+        for j in range(i, d, _VERTEX_BLOCK):
+            right = np.arange(j, min(j + _VERTEX_BLOCK, d))
+            pos = left if j == i else np.concatenate((left, right))
+            f = gmap.values(np.eye(len(pos)), tuple(indices[p] for p in pos))
+            # f[b, a] = f_a(e_b), so a vertex pair adds f and its transpose.
+            pairs = (0.0 + f.T) + (0.0 + f)
+            if j == i:
+                a, b = np.triu_indices(len(pos))
+            else:
+                a, b = np.divmod(np.arange(len(left) * len(right)), len(right))
+                b += len(left)
+            k = _first(pairs[a, b], np.greater)
+            if k is None:
+                continue
+            value, pair = pairs[a[k], b[k]], (int(pos[a[k]]), int(pos[b[k]]))
+            if value > best or (value == best and pair < where):
+                best, where = float(value), pair
+    return best, where
 
 
 def _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys) -> PairConditionReport:

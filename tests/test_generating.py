@@ -27,6 +27,7 @@ from volterra import (
     validate_matrix,
     vertex,
 )
+from volterra import generating
 from helpers import linear_operator_from_cells, rand_point, rand_point_on_pool, rand_skew_operator
 
 
@@ -298,3 +299,28 @@ def test_nan_values_never_win():
     pair = check_pair_condition(op, face, samples=300, seed=4)
     assert np.isfinite(pair.max_value)
     assert all(p.mass(1) <= 0.5 for p in pair.witness)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_vertex_pieces_give_the_same_reports(monkeypatch, block):
+    # Faces wider than the vertex block are checked piece by piece; ties
+    # must still go to the first point or pair in index order.
+    rng = np.random.default_rng(block)
+    # Pairs (2, 3) and (1, 5) tie for the maximum; (1, 5) comes first in
+    # index order but sits in a later piece when the block is 2.
+    tied = linear_operator_from_cells([(2, 3, 0.5), (3, 2, 0.5), (1, 5, 0.5), (5, 1, 0.5)])
+    ops = [example31(), example32(), rand_skew_operator(rng, 9)[1], sine_example(), tied]
+    faces = [FaceSpec.prefix(9), FaceSpec.prefix(9), FaceSpec.of((2, 3, 5, 7, 8, 9)), FaceSpec.of((1, 2)),
+             FaceSpec.prefix(6)]
+    expected = [
+        (check_conditions(op, face, samples=40, seed=1).to_obj(),
+         check_pair_condition(op, face, samples=40, seed=1).to_obj())
+        for op, face in zip(ops, faces)
+    ]
+    monkeypatch.setattr(generating, "_VERTEX_BLOCK", block)
+    actual = [
+        (check_conditions(op, face, samples=40, seed=1).to_obj(),
+         check_pair_condition(op, face, samples=40, seed=1).to_obj())
+        for op, face in zip(ops, faces)
+    ]
+    assert repr(actual) == repr(expected)

@@ -120,11 +120,11 @@ def identity_operator() -> VolterraOperator:
     return VolterraOperator(GeneratingMap(lambda ks, X: [0.0] * len(ks)), label="identity")
 
 
-def _check_domain(op: VolterraOperator, support: tuple[int, ...]) -> None:
+def _check_domain(op: VolterraOperator, x: SparsePoint) -> None:
     dom = op.map.declared_domain
-    if dom is not None and not all(k in dom for k in support):
+    if dom is not None and not dom.covers(x):
         raise DomainViolation(
-            f"point supported on {support} lies outside the declared "
+            f"point supported on {x.support} lies outside the declared "
             f"domain {dom.indices} of operator {op.label!r}"
         )
 
@@ -141,7 +141,7 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     tolerance are clamped to zero and dropped, so the image support is
     always contained in the support of x.
     """
-    _check_domain(op, x.support)
+    _check_domain(op, x)
     return _image_at(x.support, x.masses, op.map.values(x.masses, x.support))
 
 
@@ -197,8 +197,8 @@ def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -
     Nonpositive values for all pairs are sufficient for bijectivity.
     The implementation is literally symmetric in (x, y).
     """
-    _check_domain(op, x.support)
-    _check_domain(op, y.support)
+    _check_domain(op, x)
+    _check_domain(op, y)
     union = tuple(sorted({*x.support, *y.support}))
     xm = [x.mass(k) for k in union]
     ym = [y.mass(k) for k in union]

@@ -128,7 +128,7 @@ def invert_fixed_point(
         raise ValueError("tolerance must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
-    _check_domain(op, y.support)
+    _check_domain(op, y)
     support = y.support
     lam = damping
     x = y

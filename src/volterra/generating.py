@@ -86,11 +86,15 @@ class GeneratingMap:
 
         X is one point's masses aligned with ``indices`` (the result is a
         list of floats) or an (N, len(indices)) array of N points (the
-        result is an (N, len(indices)) C-ordered array).
+        result is an (N, len(indices)) C-ordered array).  A block whose
+        map returns the wrong number of columns raises ValueError.
         """
         if isinstance(X, np.ndarray) and X.ndim == 2:
+            columns = self.fn(indices, np.ascontiguousarray(X.T))
+            if len(columns) != len(indices):
+                raise ValueError(f"generating map returned {len(columns)} values for {len(indices)} indices")
             out = np.empty(X.shape)
-            for j, column in enumerate(self.fn(indices, np.ascontiguousarray(X.T))):
+            for j, column in enumerate(columns):
                 out[:, j] = column
             return out
         out = self.fn(indices, X)
@@ -99,7 +103,7 @@ class GeneratingMap:
 
 def _nested_values(gmap: GeneratingMap, indices: Sequence[int], X):
     """``gmap``'s values inside another map's body, in the body's layout."""
-    if isinstance(X, np.ndarray):
+    if isinstance(X, np.ndarray) and X.ndim == 2:
         return gmap.values(X.T, indices).T
     return gmap.values(X, indices)
 
@@ -315,9 +319,9 @@ def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np
     """f at every row of each block, one ``values`` call per block.
 
     Should a block raise, the rows are evaluated one at a time instead,
-    row n of every block before row n + 1: the order in which
-    ``check_conditions`` visits its points, so the exception that
-    surfaces is the one the first failing point raises.
+    row n of every block before row n + 1: the order in which the
+    checkers visit their points, so the exception that surfaces is the
+    one the first failing point raises.
     """
     try:
         return [gmap.values(B, indices) for B in blocks]
@@ -327,6 +331,15 @@ def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np
             for B, F in zip(blocks, out):
                 F[n] = gmap.values(B[n].tolist(), indices)
         return out
+
+
+def _check_face_domain(op: VolterraOperator, face: FaceSpec) -> None:
+    dom = op.map.declared_domain
+    if dom is not None and not all(k in dom for k in face.indices):
+        raise DomainViolation(
+            f"face {face.indices} is not contained in the declared domain "
+            f"{dom.indices} of operator {op.label!r}"
+        )
 
 
 def _vertex_rows(d: int, start: int, stop: int) -> np.ndarray:
@@ -360,12 +373,7 @@ def check_conditions(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    dom = op.map.declared_domain
-    if dom is not None and not all(k in dom for k in face.indices):
-        raise DomainViolation(
-            f"face {face.indices} is not contained in the declared domain "
-            f"{dom.indices} of operator {op.label!r}"
-        )
+    _check_face_domain(op, face)
     rng = np.random.default_rng(seed)
     indices = face.indices
     d = len(indices)
@@ -456,24 +464,20 @@ def check_pair_condition(
     All vertex pairs of the face are always evaluated: counterexamples
     to the pairwise condition typically sit at extremal points.  Ties go
     to the first pair, vertex pairs (a, b) with a <= b in index order
-    first, then the samples.
+    first, then the samples.  A failing evaluation raises the exception
+    of the first point that fails, in the order pair by pair evaluation
+    visits them: the vertices in index order, then y before x for each
+    sampled pair.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_face_domain(op, face)
     rng = np.random.default_rng(seed)
     indices = face.indices
-    d = len(indices)
     drawn = sample_face_block(face, rng, 2 * samples)
     xs, ys = drawn[0::2], drawn[1::2]
-    dom = op.map.declared_domain
-    if dom is not None and not all(k in dom for k in indices):
-        # Some vertex pair leaves the domain; the pair loop raises its error.
-        return _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys)
-    try:
-        best, (a, b) = _best_vertex_pair(op.map, indices)
-        fy, fx = (op.map.values(B, indices) for B in (ys, xs))
-    except Exception:  # re-raised by the pair loop, from the first pair that fails
-        return _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys)
+    best, (a, b) = _best_vertex_pair(op.map, indices)
+    fy, fx = _evaluate(op.map, indices, ys, xs)
     witness = (vertex(indices[a]), vertex(indices[b]))
     sampled = _ordered_sum(xs * fy) + _ordered_sum(ys * fx)
     n = _first(sampled, np.greater)
@@ -498,7 +502,7 @@ def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[fl
         for j in range(i, d, _VERTEX_BLOCK):
             right = np.arange(j, min(j + _VERTEX_BLOCK, d))
             pos = left if j == i else np.concatenate((left, right))
-            f = gmap.values(np.eye(len(pos)), tuple(indices[p] for p in pos))
+            (f,) = _evaluate(gmap, tuple(indices[p] for p in pos), np.eye(len(pos)))
             # f[b, a] = f_a(e_b), so a vertex pair adds f and its transpose.
             pairs = (0.0 + f.T) + (0.0 + f)
             if j == i:
@@ -513,23 +517,6 @@ def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[fl
             if value > best or (value == best and pair < where):
                 best, where = float(value), pair
     return best, where
-
-
-def _pair_condition_one_at_a_time(op, face, samples, seed, xs, ys) -> PairConditionReport:
-    """``check_pair_condition`` pair by pair, for a map that fails on a
-    block: the first failing pair raises its own exception."""
-    verts = face.vertices()
-    pairs = [(verts[a], verts[b]) for a in range(len(verts)) for b in range(a, len(verts))]
-    pairs.extend((_point(face.indices, x), _point(face.indices, y)) for x, y in zip(xs, ys))
-    best = -np.inf
-    best_pair = pairs[0]
-    for x, y in pairs:
-        v = pair_condition_value(op, x, y)
-        if v > best:
-            best, best_pair = v, (x, y)
-    return PairConditionReport(
-        face=face, samples=samples, seed=seed, max_value=float(best), witness=best_pair
-    )
 
 
 def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
@@ -581,7 +568,7 @@ def _merge_domains(a: FaceSpec | None, b: FaceSpec | None) -> FaceSpec | None:
         return b
     if b is None:
         return a
-    common = [k for k in a.indices if k in b]
+    common = tuple(k for k in a.indices if k in b)
     if not common:
         raise DomainViolation("operators have disjoint declared domains")
-    return FaceSpec.of(common)
+    return FaceSpec(common)

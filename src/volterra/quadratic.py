@@ -148,7 +148,10 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         ks = np.fromiter(ks, dtype=np.intp, count=d)
         # Slot j + 1 holds the masses at ks[j]; slot 0 holds none.
         slots = np.concatenate((np.zeros((1, N)), M))
-        if d == n and ks[-1] == n:  # ks is 1..n: index k sits in slot k
+        if d == n and ks[-1] == n:
+            # ks is 1..n: index k sits in slot k, and every entry counts.
+            # Gathering the whole store below would cost several times
+            # the sums themselves.
             r, c, v = rows, cols, vals
         else:
             # The entries of the requested rows, in (row, column) order,

@@ -12,8 +12,11 @@ through normalized exponentials: g_i ~ Exp(1), mass_i = g_i / sum(g).
 ``sample_face_block`` draws N such points as the rows of an (N, d)
 array, bit for bit the N points that N sequential draws give.
 
-Faces hold at most ``MAX_FACE_SIZE`` indices, so that no input can make
-a face, or a checker's block of points on it, arbitrarily large.
+A face parsed from text or collected from an iterable (``FaceSpec.parse``,
+``FaceSpec.of``) holds at most ``MAX_FACE_SIZE`` indices, so that no input
+can make such a face, or a checker's block of points on it, arbitrarily
+large.  The declared domain of a finite-dimensional operator,
+``FaceSpec.prefix(n)``, is not bounded.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import NegativeMass, NonFiniteValue, SumOutOfTolerance
 
 #: Absolute tolerance on the input mass total accepted by make_point.
 SUM_TOLERANCE = 1e-9
-#: Largest number of indices a face may hold.
+#: Largest number of indices a parsed or collected face may hold.
 MAX_FACE_SIZE = 10_000
 
 
@@ -167,7 +170,6 @@ class FaceSpec:
     @classmethod
     def prefix(cls, n: int) -> "FaceSpec":
         """The face on indices 1..n."""
-        _check_size(n)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod

@@ -210,6 +210,14 @@ def test_compose_and_convex_specs(capsys, tmp_path):
     assert image["2"] > image["1"]
 
 
+def test_operator_dimension_above_face_bound_applies(capsys, tmp_path):
+    spec = write_json(tmp_path / "big.json", {"type": "example31", "dimension": 20_000})
+    point = write_json(tmp_path / "p.json", {"1": 0.5, "20000": 0.5})
+    code, out = run(capsys, ["apply", "--operator", spec, "--point", point])
+    assert code == 0
+    assert set(json.loads(out)) == {"1", "20000"}
+
+
 def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
     code, _ = run(capsys, ["check", "--operator", str(tmp_path / "missing.json"), "--face", "1,2"])
     assert code == 3

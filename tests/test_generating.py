@@ -190,6 +190,15 @@ def test_check_pair_condition_quadratic_passes():
     assert report.passed
 
 
+def test_large_declared_domain_still_applies():
+    # Only faces read from input are bounded; an operator's declared
+    # domain may be larger than MAX_FACE_SIZE.
+    x = make_point({1: 0.5, 20_000: 0.5})
+    big = example31(20_000)
+    assert apply(big, x).as_dict() == apply(example31(), x).as_dict()
+    assert apply(compose(big, big), x).as_dict() == apply(compose(example31(), example31()), x).as_dict()
+
+
 def test_compose_with_identity_behaves_as_original():
     rng = np.random.default_rng(10)
     op = compose(identity_operator(), example31())
@@ -279,6 +288,12 @@ def test_block_failure_raises_the_first_points_exception():
     with pytest.raises(NormalizationFailure) as info:
         check_pair_condition(op, face, samples=50, seed=3)
     assert str(info.value) == str(first_pair.value)
+
+
+def test_block_with_missing_values_raises():
+    short = GeneratingMap(lambda ks, X: [0.0] * (len(ks) - 1))
+    with pytest.raises(ValueError, match="2 values for 3 indices"):
+        short.values(np.full((4, 3), 1.0 / 3.0), (1, 2, 3))
 
 
 def test_nan_values_never_win():

@@ -70,6 +70,9 @@ def test_block_rows_equal_one_point_values(name, picks, rows, seed):
     one_by_one = np.array([op.map.values(row.tolist(), face.indices) for row in block])
     assert together.shape == block.shape
     assert together.tobytes() == one_by_one.tobytes()
+    # One point may also come as a 1-D array, the nested maps included.
+    as_arrays = np.array([op.map.values(row, face.indices) for row in block])
+    assert together.tobytes() == as_arrays.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

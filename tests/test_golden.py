@@ -3,7 +3,10 @@
 Covers ``check_conditions`` and ``check_pair_condition`` for seven
 operators, seeds 0-2, 200 samples (sine on its face {1, 2}, the others
 on 1..6); ``apply`` of every operator family at one seeded point; and
-``invert_fixed_point`` on two seeded targets.  Regenerate only for an
+``invert_fixed_point`` on five targets: two that converge at once, one
+example32 run that rejects sweeps and halves its damping before it
+converges, and two example32 runs that raise ``NonConvergence``, at
+``max_iter`` and at the damping floor.  Regenerate only for an
 intended change of results: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -23,7 +26,9 @@ from volterra import (
     example31_tensor,
     example32,
     identity_operator,
+    NonConvergence,
     invert_fixed_point,
+    make_point,
     operator_from_tensor,
     point_to_obj,
     quadratic_operator,
@@ -70,6 +75,21 @@ def golden_reports() -> dict:
         out[f"apply/{name}"] = point_to_obj(apply(op, sample_face(faces[name], 7)))
     for name, seed in (("quadratic6", 21), ("compose_example31_quadratic6", 22)):
         out[f"invert/{name}"] = invert_fixed_point(ops[name], sample_face(face6, seed)).to_obj()
+    stall = apply(ops["example32"], make_point({1: 0.025, 2: 0.4, 3: 0.575}))
+    targets = {
+        "example32_rejects": sample_face(face6, 7),
+        "example32_stall": stall,
+        "example32_damping_floor": sample_face(face6, 34),
+    }
+    for name, y in targets.items():
+        try:
+            out[f"invert/{name}"] = invert_fixed_point(ops["example32"], y).to_obj()
+        except NonConvergence as exc:
+            out[f"invert/{name}"] = {
+                "best": point_to_obj(exc.best),
+                "residual": exc.residual,
+                "iterations": exc.iterations,
+            }
     return json.loads(json.dumps(out))  # tuples become lists, as in the fixture
 
 

@@ -46,7 +46,13 @@ from .generating import (
 )
 from .inversion import InversionResult, invert_fixed_point, invert_triangular
 from .quadratic import quadratic_operator, validate_matrix
-from .simplex import FaceSpec, SparsePoint, point_from_obj, point_to_obj
+from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, point_from_obj, point_to_obj
+
+
+#: Most masses (samples x face size) a ``check`` or ``pair-check`` may
+#: sample.  The checkers hold several blocks of that many floats; the
+#: default 1000 samples on the largest face a command line can name fit.
+MAX_SAMPLE_CELLS = 1000 * MAX_FACE_SIZE
 
 
 class MalformedInput(Exception):
@@ -118,6 +124,19 @@ def _parse_face(text: str) -> FaceSpec:
         raise MalformedInput(f"bad face {text!r}: {exc}") from exc
 
 
+def _sampling(args) -> tuple[FaceSpec, int]:
+    """The face and seed of a sampled check; MalformedInput when
+    ``--samples`` points on the face exceed ``MAX_SAMPLE_CELLS`` masses."""
+    face = _parse_face(args.face)
+    cells = args.samples * len(face)
+    if cells > MAX_SAMPLE_CELLS:
+        raise MalformedInput(
+            f"{args.samples} samples on {len(face)} indices are {cells} masses; "
+            f"at most {MAX_SAMPLE_CELLS} are allowed"
+        )
+    return face, _resolve_seed(args)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -138,8 +157,7 @@ def _emit(payload, output: str | None) -> None:
 
 def cmd_check(args) -> int:
     _, op = _load_operator(args.operator)
-    face = _parse_face(args.face)
-    seed = _resolve_seed(args)
+    face, seed = _sampling(args)
     report = check_conditions(
         op, face, samples=args.samples, seed=seed, margin=args.margin
     )
@@ -155,8 +173,7 @@ def cmd_check(args) -> int:
 
 def cmd_pair_check(args) -> int:
     _, op = _load_operator(args.operator)
-    face = _parse_face(args.face)
-    seed = _resolve_seed(args)
+    face, seed = _sampling(args)
     report = check_pair_condition(op, face, samples=args.samples, seed=seed)
     payload = {
         "command": "pair-check",

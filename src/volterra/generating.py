@@ -51,7 +51,7 @@ from .errors import (
     NegativeCoordinate,
     NormalizationFailure,
 )
-from .simplex import FaceSpec, SparsePoint, l1_distance, sample_face_block, vertex
+from .simplex import FaceSpec, SparsePoint, _point_on, l1_distance, sample_face_block, vertex
 
 #: Negative image coordinates beyond this magnitude raise NegativeCoordinate.
 NEGATIVE_TOLERANCE = 1e-12
@@ -146,22 +146,35 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     always contained in the support of x.
     """
     _check_domain(op, x)
-    return _image_at(x.support, x.masses, op.map.values(x.masses, x.support))
-
-
-def _image_at(support: Sequence[int], masses, fvals) -> SparsePoint:
-    """The image of the point with these masses, from f already evaluated there."""
-    return _image(support, [m * (1.0 + fk) for m, fk in zip(masses, fvals)])
+    fvals = op.map.values(x.masses, x.support)
+    return _image(x.support, [m * (1.0 + fk) for m, fk in zip(x.masses, fvals)])
 
 
 def _image(indices: Sequence[int], raw) -> SparsePoint:
     """The image from raw masses aligned with ascending ``indices``,
     checked and clamped as ``apply`` describes; a NaN total raises."""
-    masses = _checked_masses(indices, raw)
-    if 0.0 in masses:  # drop the coordinates set to zero
-        kept = [(k, v) for k, v in zip(indices, masses) if v > 0.0]
-        indices, masses = [k for k, _ in kept], [v for _, v in kept]
-    return SparsePoint(indices, masses)
+    return _point_on(indices, _checked_masses(indices, raw))
+
+
+def _image_residual(support: Sequence[int], masses, fvals, target: Sequence[float]) -> float:
+    """``l1_distance(apply(op, x), y)`` without building a point, where x
+    has ``masses`` and y has masses ``target`` on ``support`` and
+    ``fvals`` are op's values at x.
+
+    The image is checked as ``apply`` checks it.  The sum runs in
+    ``l1_distance``'s order: |v - y_k| over the kept image coordinates in
+    support order, then y_k over the coordinates the image drops.
+    """
+    image = _checked_masses(support, [m * (1.0 + fk) for m, fk in zip(masses, fvals)])
+    s = 0.0
+    for v, t in zip(image, target):
+        if v > 0.0:
+            s += abs(v - t)
+    if 0.0 in image:
+        for v, t in zip(image, target):
+            if v == 0.0:
+                s += t
+    return s
 
 
 def _checked_masses(indices: Sequence[int], raw):

@@ -10,9 +10,11 @@ coordinate iteration
     x_k  <-  normalize( (1-lam)*x_k + lam * y_k / (1 + f_k(x)) )
 
 started at the target itself, with lam halved whenever the residual
-would increase.  It carries no convergence guarantee; failures raise
-``NonConvergence`` with the best iterate so no wrong answer is ever
-returned silently.
+would increase, so the current iterate is always the best one so far.
+The sweeps run on float lists aligned with the target's support, and a
+point is built only once, at exit.  The route carries no convergence
+guarantee; failures raise ``NonConvergence`` with the best iterate so no
+wrong answer is ever returned silently.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
-from .generating import VolterraOperator, _check_domain, _image_at, apply
-from .simplex import SparsePoint, l1_distance, make_point
+from .generating import VolterraOperator, _check_domain, _image_residual, apply
+from .simplex import SparsePoint, _checked_mass, _normalized, _point_on, l1_distance, make_point
 
 
 @dataclass(frozen=True)
@@ -120,51 +122,57 @@ def invert_fixed_point(
     generating map is small).  Each sweep mixes the current iterate with
     y_k / (1 + f_k(x)) over the support of y and renormalizes; a sweep
     that would increase the residual is rejected and the damping factor
-    halved instead.  Support never extends beyond the support of y.  Each
-    sweep evaluates f once, at the trial point, over the support of y;
-    the forward image and the next sweep reuse those values.
+    halved instead, so the iterate is always the best one so far.
+    Support never extends beyond the support of y.  Each sweep evaluates
+    f once, at the trial point, over the support of y; the forward image
+    and the next sweep reuse those values.  The sweeps work on float
+    lists aligned with the support of y, checked and renormalized as
+    ``make_point`` would, and the residual is the ``l1_distance`` of the
+    forward image from y, summed in its order; a point is built only for
+    the result or for ``NonConvergence.best``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
     _check_domain(op, y)
-    support = y.support
+    support, target = y.support, y.masses
     lam = damping
-    x = y
-    xm = y.masses  # masses of x aligned with the support of y
+    xm = target  # masses of the iterate, aligned with the support of y
     fx = op.map.values(xm, support)
-    residual = l1_distance(_image_at(support, xm, fx), y)
-    best_x, best_residual = x, residual
+    residual = _image_residual(support, xm, fx, target)
     iterations = 0
     while residual > tol:
         if iterations >= max_iter or lam < 1e-14:
             raise NonConvergence(
                 f"fixed-point inversion of {op.label!r} stalled",
-                best_x,
-                best_residual,
+                _iterate(y, xm),
+                residual,
                 iterations,
             )
         iterations += 1
         mixed = []
-        for k, yk, xk, fk in zip(support, y.masses, xm, fx):
+        for yk, xk, fk in zip(target, xm, fx):
             denom = 1.0 + fk
             candidate = yk / denom if denom > 1e-12 else xk
-            mixed.append((k, (1.0 - lam) * xk + lam * candidate))
-        total = sum(v for _, v in mixed)
-        trial = make_point((k, v / total) for k, v in mixed)
-        trial_m = [trial.mass(k) for k in support]
+            mixed.append((1.0 - lam) * xk + lam * candidate)
+        total = sum(mixed)
+        trial_m = _normalized([_checked_mass(k, v / total) for k, v in zip(support, mixed)])
         trial_f = op.map.values(trial_m, support)
-        trial_residual = l1_distance(_image_at(support, trial_m, trial_f), y)
+        trial_residual = _image_residual(support, trial_m, trial_f, target)
         if trial_residual < residual:
-            x, xm, fx, residual = trial, trial_m, trial_f, trial_residual
-            if residual < best_residual:
-                best_x, best_residual = x, residual
+            xm, fx, residual = trial_m, trial_f, trial_residual
         else:
             lam *= 0.5
     return InversionResult(
-        preimage=x, residual=residual, iterations=iterations, method="fixed_point"
+        preimage=_iterate(y, xm), residual=residual, iterations=iterations, method="fixed_point"
     )
+
+
+def _iterate(y: SparsePoint, xm) -> SparsePoint:
+    """The fixed-point iterate with masses ``xm`` on the support of y: y
+    itself until a sweep is accepted."""
+    return y if xm is y.masses else _point_on(y.support, xm)
 
 
 def verify_inverse(

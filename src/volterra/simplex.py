@@ -26,7 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -121,17 +121,37 @@ def make_point(entries: Mapping[int, float] | Iterable[tuple[int, float]]) -> Sp
         k = int(index)
         if k != index or k < 1:
             raise ValueError(f"index must be a positive integer, got {index!r}")
-        m = float(mass)
-        if not math.isfinite(m):
-            raise NonFiniteValue(k, m)
-        if m < 0.0:
-            raise NegativeMass(k, m)
-        acc[k] = acc.get(k, 0.0) + m
-    total = float(sum(acc.values()))
+        acc[k] = acc.get(k, 0.0) + _checked_mass(k, float(mass))
+    kept = sorted((k, m) for k, m in zip(acc, _normalized(list(acc.values()))) if m > 0.0)
+    return SparsePoint((k for k, _ in kept), (m for _, m in kept))
+
+
+def _checked_mass(k: int, m: float) -> float:
+    """m, if it is a finite mass at least zero; NonFiniteValue or NegativeMass if not."""
+    if not math.isfinite(m):
+        raise NonFiniteValue(k, m)
+    if m < 0.0:
+        raise NegativeMass(k, m)
+    return m
+
+
+def _normalized(masses: list[float]) -> list[float]:
+    """Checked masses divided by their total, as ``make_point`` divides
+    them; a mass not above zero becomes 0.0.  Raises SumOutOfTolerance
+    when the total deviates from 1 by more than ``SUM_TOLERANCE``."""
+    total = float(sum(masses))
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise SumOutOfTolerance(total, SUM_TOLERANCE)
-    kept = sorted((k, m / total) for k, m in acc.items() if m > 0.0)
-    return SparsePoint((k for k, _ in kept), (m for _, m in kept))
+    return [m / total if m > 0.0 else 0.0 for m in masses]
+
+
+def _point_on(indices: Sequence[int], masses: Sequence[float]) -> SparsePoint:
+    """The point with these masses, each above zero or exactly zero, on
+    ascending ``indices``; the zeros are dropped."""
+    if 0.0 in masses:
+        kept = [(k, m) for k, m in zip(indices, masses) if m > 0.0]
+        indices, masses = [k for k, _ in kept], [m for _, m in kept]
+    return SparsePoint(indices, masses)
 
 
 def vertex(n: int) -> SparsePoint:

@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from volterra import __version__
+from volterra import __version__, cli
 from volterra.cli import main
+from volterra.simplex import MAX_FACE_SIZE
 from helpers import rand_skew_triples
 
 import numpy as np
@@ -256,6 +258,30 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 3, argv
+
+    # 100,001 samples on 100 indices exceed the 10,000,000-mass budget.
+    for command in ("check", "pair-check"):
+        argv = [command, "--operator", ex31_spec, "--face", "1..100", "--samples", "100001"]
+        assert main(argv) == 3, argv
+        assert "at most 10000000 are allowed" in capsys.readouterr().err
+
+
+def test_sample_budget_admits_default_samples_on_largest_face(capsys, monkeypatch, ex31_spec):
+    seen = []
+
+    def fake_check(op, face, samples, seed, **kwargs):
+        seen.append((len(face), samples))
+        return SimpleNamespace(to_obj=dict, passed=True, all_passed=True)
+
+    monkeypatch.setattr(cli, "check_conditions", fake_check)
+    monkeypatch.setattr(cli, "check_pair_condition", fake_check)
+    largest = f"1..{MAX_FACE_SIZE}"
+    for command in ("check", "pair-check"):
+        code, _ = run(capsys, [command, "--operator", ex31_spec, "--face", largest])
+        assert code == 0
+        code, _ = run(capsys, [command, "--operator", ex31_spec, "--face", largest, "--samples", "1001"])
+        assert code == 3
+    assert seen == [(MAX_FACE_SIZE, 1000)] * 2
 
 
 def test_non_finite_inputs(capsys, tmp_path, ex31_spec):

@@ -17,6 +17,7 @@ import numpy as np
 
 from volterra import (
     FaceSpec,
+    NonConvergence,
     apply,
     check_conditions,
     check_pair_condition,
@@ -26,7 +27,6 @@ from volterra import (
     example31_tensor,
     example32,
     identity_operator,
-    NonConvergence,
     invert_fixed_point,
     make_point,
     operator_from_tensor,

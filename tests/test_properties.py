@@ -1,9 +1,12 @@
-"""Properties of the block protocol over generated faces and points.
+"""Properties of the block protocol and the inverters over generated
+faces and points.
 
 A generating map evaluates one point or a block of points with the same
 body, so row i of a block evaluation must equal the one-point evaluation
 of row i bit for bit; and a block of samples must be the very points
-that sequential draws give.
+that sequential draws give.  The fixed-point inverter reports the exact
+l1 residual of the point it returns, and the triangular inverse of
+example32 recovers the point it was given.
 """
 
 import numpy as np
@@ -11,11 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from volterra import (
     FaceSpec,
+    NonConvergence,
+    apply,
     compose,
     convex_combination,
     example31,
     example32,
     identity_operator,
+    invert_fixed_point,
+    invert_triangular,
+    l1_distance,
+    make_point,
     operator_from_tensor,
     quadratic_operator,
     sample_face_rng,
@@ -23,7 +32,7 @@ from volterra import (
     validate_matrix,
 )
 from volterra.simplex import sample_face_block
-from helpers import rand_skew_triples, rand_volterra_tensor
+from helpers import rand_skew_operator, rand_skew_triples, rand_volterra_tensor
 
 _rng = np.random.default_rng(2024)
 _skew8 = quadratic_operator(validate_matrix(rand_skew_triples(_rng, 8)))
@@ -89,3 +98,43 @@ def test_sample_block_equals_sequential_draws(d, n, seed):
     points = np.random.default_rng(seed)
     drawn = np.array([sample_face_rng(face, points).masses for _ in range(n)])
     assert block.tobytes() == drawn.tobytes()
+
+
+def _points(max_index: int):
+    """Points on up to eight indices of 1..max_index, each mass at least
+    about 1e-6 of the largest."""
+    weights = st.dictionaries(st.integers(1, max_index), st.floats(1e-6, 1.0), min_size=1, max_size=8)
+    return weights.map(lambda w: make_point({k: v / sum(w.values()) for k, v in w.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["example31", "example32", "skew"]),
+    x=_points(8),
+    seed=st.integers(0, 2**32 - 1),
+    damping=st.sampled_from([1.0, 0.5, 0.2]),
+    max_iter=st.sampled_from([0, 3, 200]),
+)
+def test_fixed_point_residual_is_the_distance_of_the_reported_point(name, x, seed, damping, max_iter):
+    if name == "skew":
+        _, op = rand_skew_operator(np.random.default_rng(seed), 8)
+    else:
+        op = example31() if name == "example31" else example32()
+    y = apply(op, x)
+    try:
+        result = invert_fixed_point(op, y, damping=damping, max_iter=max_iter)
+    except NonConvergence as exc:
+        assert exc.residual == l1_distance(apply(op, exc.best), y)
+        assert exc.iterations <= max_iter
+    else:
+        assert result.residual == l1_distance(apply(op, result.preimage), y)
+        assert result.residual <= 1e-10
+        assert set(result.preimage.support) <= set(y.support)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_points(40))
+def test_triangular_round_trip(x):
+    result = invert_triangular(apply(example32(), x))
+    assert l1_distance(result.preimage, x) <= 1e-9
+    assert result.preimage.support == x.support

@@ -42,8 +42,7 @@ from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     NegativeCoefficient,
     NonFiniteValue,
@@ -484,7 +483,7 @@ def _sinpi(t: float) -> float:
 
 def _per_element(scalar_fn, *args):
     """``scalar_fn`` of floats, applied to floats or element by element to columns."""
-    if not any(isinstance(a, np.ndarray) for a in args):
+    if not any(getattr(a, "ndim", 0) for a in args):
         return scalar_fn(*args)
     columns = [c.tolist() for c in np.broadcast_arrays(*args)]
     return np.array([scalar_fn(*row) for row in zip(*columns)])

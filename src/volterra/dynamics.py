@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import TrajectoryError, VolterraError
 from .generating import VolterraOperator, apply, is_fixed_point
 from .simplex import FaceSpec, SparsePoint, l1_distance, sample_face_rng

@@ -14,6 +14,10 @@ arithmetic only, serves both.  Every consumer evaluates f through
 ``GeneratingMap.values``: ``apply``, ``pair_condition_value``, the
 inverters and trajectories one point at a time on the point's own
 floats, the checkers a whole block of sampled points per call.
+``values`` tells the two apart by the argument's ``ndim``: a
+two-dimensional array is a block, and anything else (a tuple or list
+of floats, or a 1-D array) is one point.  Nothing is tested against
+numpy's types, so evaluating one point never imports numpy.
 
 V maps the simplex into itself, continuously and with every face
 invariant, exactly when the generating map satisfies four conditions:
@@ -43,8 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     DomainViolation,
     LambdaOutOfRange,
@@ -68,14 +71,15 @@ _VERTEX_BLOCK = 256
 class GeneratingMap:
     """The functionals f_k defining an operator, held as one callable.
 
-    ``fn(indices, X)`` returns [f_k(x) for k in indices], where ``X[j]``
-    is the mass of x at ``indices[j]``; the indices ascend and cover the
-    support of x.  ``X[j]`` is a float for one point, or a length-N
-    column for a block of N points, and one body serves both: it may
-    only use elementwise arithmetic on the masses (no ``if`` on a value
-    and no ``math`` function of a column; use ``np.where`` or a loop over
-    the elements).  ``declared_domain`` restricts the operator to points
-    supported inside a face.
+    ``fn(indices, X)`` returns [f_k(x) for k in indices] as a list, a
+    tuple or an array, where ``X[j]`` is the mass of x at
+    ``indices[j]``; the indices ascend and cover the support of x.
+    ``X[j]`` is a float for one point, or a length-N column for a block
+    of N points, and one body serves both: it may only use elementwise
+    arithmetic on the masses (no ``if`` on a value and no ``math``
+    function of a column; use ``np.where`` or a loop over the elements).
+    ``declared_domain`` restricts the operator to points supported
+    inside a face.
     """
 
     fn: Callable[[Sequence[int], Sequence], Sequence]
@@ -84,12 +88,14 @@ class GeneratingMap:
     def values(self, X, indices: Sequence[int]):
         """f over ``indices`` at one point or at every row of a block.
 
-        X is one point's masses aligned with ``indices`` (the result is a
-        list of floats) or an (N, len(indices)) array of N points (the
-        result is an (N, len(indices)) C-ordered array).  A block whose
-        map returns the wrong number of columns raises ValueError.
+        X is one point's masses aligned with ``indices`` (the result is
+        the map's list or tuple of floats as is, or its array's
+        ``tolist()``) or an (N, len(indices)) array of N points, told
+        apart by ``ndim`` (the result is an (N, len(indices)) C-ordered
+        array).  A block whose map returns the wrong number of columns
+        raises ValueError.
         """
-        if isinstance(X, np.ndarray) and X.ndim == 2:
+        if getattr(X, "ndim", 1) == 2:
             columns = self.fn(indices, np.ascontiguousarray(X.T))
             if len(columns) != len(indices):
                 raise ValueError(f"generating map returned {len(columns)} values for {len(indices)} indices")
@@ -98,12 +104,12 @@ class GeneratingMap:
                 out[:, j] = column
             return out
         out = self.fn(indices, X)
-        return out.tolist() if isinstance(out, np.ndarray) else list(out)
+        return out if isinstance(out, (list, tuple)) else out.tolist()
 
 
 def _nested_values(gmap: GeneratingMap, indices: Sequence[int], X):
     """``gmap``'s values inside another map's body, in the body's layout."""
-    if isinstance(X, np.ndarray) and X.ndim == 2:
+    if getattr(X, "ndim", 1) == 2:
         return gmap.values(X.T, indices).T
     return gmap.values(X, indices)
 
@@ -181,7 +187,7 @@ def _checked_masses(indices: Sequence[int], raw):
     """Raw image masses, floats or the length-N columns of a block,
     checked as ``apply`` describes, with the ones not above zero set to
     zero.  A block comes back as one (d, N) array."""
-    if len(raw) and isinstance(raw[0], np.ndarray):
+    if len(raw) and getattr(raw[0], "ndim", 0):
         raw = np.array(raw)
         low = np.argwhere(raw < -NEGATIVE_TOLERANCE)
         if len(low):

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
 from .generating import VolterraOperator, _check_domain, _image_residual, apply
@@ -75,21 +74,22 @@ def invert_triangular(
     Solves x_1 = y_1^(1/3), then for each subsequent index the strictly
     increasing cubic t^3 + 3*C_k*t = y_k with
     C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j (nonnegative on the
-    simplex).  Indices with zero target mass solve to exactly zero, so
-    the preimage support equals the target support.  The forward image
-    of the result is checked against y; a miss raises ResidualTooLarge
-    carrying the best point found.
+    simplex).  Only the indices in the support of y are solved: an index
+    with zero target mass solves to exactly zero and adds nothing to
+    C_k, so the preimage support equals the target support and the work
+    does not grow with the largest index.  The forward image of the
+    result is checked against y; a miss raises ResidualTooLarge carrying
+    the best point found.  The reported ``iterations`` (and the count a
+    ResidualTooLarge carries) is the largest index of y, the number of
+    coordinates the inverse determines.
     """
     op = example32()
     m = y.max_index
     solved: list[tuple[int, float]] = []
     s1 = 0.0  # sum of solved coordinates
     pairs = 0.0  # sum of products over solved index pairs
-    for k in range(1, m + 1):
-        yk = y.mass(k)
-        if yk == 0.0:
-            t = 0.0
-        elif k == 1:
+    for k, yk in y.items():
+        if k == 1:
             t = float(np.cbrt(yk))
         else:
             c = s1 - pairs

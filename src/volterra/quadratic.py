@@ -20,8 +20,7 @@ from typing import Mapping, Sequence
 import json
 import math
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import BoundViolation, NonFiniteValue, NotSkew
 from .generating import GeneratingMap, VolterraOperator
 from .simplex import SparsePoint, vertex
@@ -121,11 +120,14 @@ def validate_matrix(raw) -> SkewMatrix:
 def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     """The operator with linear generating map f_k(x) = sum_i a_ki x_i.
 
-    Both orientations of the store are kept as (row, column, value)
-    arrays sorted by (row, column), so f_k sums in ascending column order.
-    An evaluation reads only the entries whose row and column are both
-    requested indices (a zero mass adds nothing to a sum), and sums them
-    with ``np.bincount`` over many points at a time.
+    Both orientations of the store are kept as arrays of rows, columns
+    and values sorted by (row, column), so f_k sums in ascending column
+    order; a column is held as its position among the indices that have
+    entries.  An evaluation reads only the entries whose row and column
+    are both requested indices (a zero mass adds nothing to a sum), and
+    sums them with ``np.bincount`` over many points at a time.  Its
+    tables are sized by the store and the request, never by the largest
+    index.
     """
     n = a.dimension
     count = len(a.entries)
@@ -135,8 +137,11 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     rows = np.concatenate((lo, hi))
     cols = np.concatenate((hi, lo))
     vals = np.concatenate((coef, -coef))
-    order = np.argsort(rows * (n + 1) + cols, kind="stable")
+    order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
+    # The indices that have entries, ascending: the first row of each run.
+    keys = rows[np.concatenate((rows[:1] > 0, rows[1:] != rows[:-1]))]
+    col_keys = np.searchsorted(keys, cols)  # each column as a position in keys
 
     def fn(ks: Sequence[int], X) -> np.ndarray:
         d = len(ks)
@@ -146,26 +151,28 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         M = masses.reshape(d, -1)  # (d, N): one column per point
         N = M.shape[1]
         ks = np.fromiter(ks, dtype=np.intp, count=d)
-        # Slot j + 1 holds the masses at ks[j]; slot 0 holds none.
-        slots = np.concatenate((np.zeros((1, N)), M))
+        # Entry e adds v[e] times the masses in row c[e] of ``masses_at``
+        # to output slot r[e], which holds f at ks[r[e] - 1].
         if d == n and ks[-1] == n:
-            # ks is 1..n: index k sits in slot k, and every entry counts.
+            # ks is 1..n: row k's slot is k, and every entry counts.
             # Gathering the whole store below would cost several times
             # the sums themselves.
-            r, c, v = rows, cols, vals
+            masses_at = M[keys - 1]  # row p: the masses at keys[p]
+            r, c, v = rows, col_keys, vals
         else:
             # The entries of the requested rows, in (row, column) order,
             # then only those whose column is requested too.
-            m = int(np.searchsorted(ks, n, side="right"))  # rows the matrix has
-            first = np.searchsorted(rows, ks[:m], side="left")
-            lengths = np.searchsorted(rows, ks[:m], side="right") - first
+            first = np.searchsorted(rows, ks, side="left")
+            lengths = np.searchsorted(rows, ks, side="right") - first
             entry = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
             entry += np.arange(len(entry))
-            slot = np.zeros(n + 1, dtype=np.intp)
-            slot[ks[:m]] = np.arange(1, m + 1)
-            c = slot[cols[entry]]
-            keep = c > 0
-            r = np.repeat(np.arange(1, m + 1), lengths)[keep]
+            present = lengths > 0  # exactly the requested indices in keys
+            at = np.full(len(keys), -1)  # position in ks by position in keys
+            at[np.searchsorted(keys, ks[present])] = np.arange(d)[present]
+            masses_at = M
+            c = at[col_keys[entry]]
+            keep = c >= 0
+            r = np.repeat(np.arange(1, d + 1), lengths)[keep]
             c, v = c[keep], vals[entry[keep]]
         f = np.empty((N, d))
         # Points go through np.bincount a few at a time, so that the
@@ -173,7 +180,7 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         # is r + (d + 1) * s, and each bin adds its entries in order.
         step = max(1, _BINCOUNT_CELLS // max(len(r), 1))
         for start in range(0, N, step):
-            part = slots[:, start:start + step]
+            part = masses_at[:, start:start + step]
             width = part.shape[1]
             weights = np.take(part, c, axis=0)
             weights *= v[:, None]

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import NegativeMass, NonFiniteValue, SumOutOfTolerance
 
 #: Absolute tolerance on the input mass total accepted by make_point.

@@ -50,6 +50,19 @@ def rand_skew_operator(rng: np.random.Generator, n: int):
     return matrix, quadratic_operator(matrix)
 
 
+def example32_image(x: SparsePoint) -> SparsePoint:
+    """example32's image of x from the grouped form x_k (x_k^2 + 3 C_k),
+    C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j, which has no cancellation
+    on tiny masses (``apply`` forms x_k (1 + f_k) with f_k near -1)."""
+    s1 = s2 = 0.0  # sums of the masses before k and of their squares
+    image = []
+    for m in x.masses:
+        image.append(m * (m * m + 3.0 * (s1 - (s1 * s1 - s2) / 2.0)))
+        s1 += m
+        s2 += m * m
+    return SparsePoint(x.support, image)
+
+
 def rand_volterra_tensor(rng: np.random.Generator, n: int) -> CubicTensor:
     """A random face-invariant cubic tensor over 1..n."""
     raw = {}

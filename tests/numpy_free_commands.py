@@ -1,0 +1,64 @@
+"""Check that the CLI commands which compute on no array never import numpy.
+
+    python tests/numpy_free_commands.py
+
+runs ``builtin``, ``apply``, ``simulate`` and a fixed-point ``invert`` on
+example31 through ``volterra.cli.main`` in this process, then ``check``,
+which samples a face into arrays.  It prints one JSON object with the
+exit codes, the ``check`` report and whether numpy was loaded after the
+four commands and after ``check``, and exits 1 unless numpy stayed
+unloaded through the four commands and loaded for ``check``.  Run it
+against an installed package, or with ``PYTHONPATH=src`` from the root
+of a checkout.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from volterra import cli
+
+#: The ``check`` this script runs; a test repeats it to compare reports.
+CHECK_ARGS = ["--face", "1..4", "--samples", "50", "--seed", "3"]
+
+
+def run(tmp: Path) -> dict:
+    spec = tmp / "example31.json"
+    spec.write_text(json.dumps({"type": "example31"}))
+    point = tmp / "point.json"
+    point.write_text(json.dumps({"1": 0.2, "2": 0.3, "3": 0.5}))
+    operand = ["--operator", str(spec), "--point", str(point)]
+    commands = {
+        "builtin": ["builtin", "--name", "example31"],
+        "apply": ["apply", *operand],
+        "simulate": ["simulate", *operand, "--steps", "5"],
+        "invert": ["invert", *operand],
+    }
+    codes = {}
+    for name, argv in commands.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[name] = cli.main(argv)
+    numpy_after_formula_commands = "numpy" in sys.modules
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        codes["check"] = cli.main(["check", "--operator", str(spec), *CHECK_ARGS])
+    return {
+        "exit_codes": codes,
+        "numpy_after_formula_commands": numpy_after_formula_commands,
+        "numpy_after_check": "numpy" in sys.modules,
+        "check_report": json.loads(report.getvalue()),
+    }
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        result = run(Path(tmp))
+    print(json.dumps(result))
+    return 0 if result["numpy_after_check"] and not result["numpy_after_formula_commands"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -296,6 +296,24 @@ def test_block_with_missing_values_raises():
         short.values(np.full((4, 3), 1.0 / 3.0), (1, 2, 3))
 
 
+def test_one_dimensional_row_is_one_point():
+    _, skew = rand_skew_operator(np.random.default_rng(5), 4)
+    x = make_point({1: 0.2, 2: 0.3, 4: 0.5})
+    on_12 = make_point({1: 0.4, 2: 0.6})
+    cases = [
+        (example31(), x),
+        (example32(), x),
+        (skew, x),
+        (compose(example31(), skew), x),
+        (convex_combination(example32(), skew, 0.3), x),
+        (sine_example(), on_12),
+    ]
+    for op, point in cases:
+        one_point = op.map.values(np.array(point.masses), point.support)
+        assert isinstance(one_point, list)
+        assert one_point == op.map.values(point.masses, point.support)
+
+
 def test_nan_values_never_win():
     def fn(ks, X):  # example31, but NaN wherever x_1 > 0.5
         x1 = dict(zip(ks, X)).get(1, 0.0)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,26 @@ def test_invert_triangular_sparse_support_preserved():
     result = invert_triangular(apply(op, x))
     assert result.preimage.support == (2, 5, 9)
     assert l1_distance(result.preimage, x) <= 1e-10
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("invert_triangular did not return within 10 s")
+
+
+def test_invert_triangular_solves_only_the_support():
+    near = invert_triangular(make_point({1: 0.5, 2: 0.5}))
+    # A loop over every index up to 10**12 would never end.
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(10)
+    try:
+        far = invert_triangular(make_point({1: 0.5, 10**12: 0.5}))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert far.preimage.masses == near.preimage.masses
+    assert far.preimage.support == (1, 10**12)
+    assert far.residual == near.residual
+    assert far.iterations == 10**12  # the largest index, as before
 
 
 def test_invert_triangular_residual_too_large_reports_best():

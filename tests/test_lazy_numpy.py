@@ -1,0 +1,36 @@
+"""numpy is imported only by code that computes on arrays.
+
+``numpy_free_commands.py`` runs the commands in a fresh interpreter,
+where nothing has imported numpy yet; this process has, so its own
+``check`` report is the one computed with numpy loaded from the start.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from volterra import cli
+
+from numpy_free_commands import CHECK_ARGS
+
+HERE = Path(__file__).resolve().parent
+
+
+def test_formula_commands_run_without_numpy(capsys, tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(HERE / "numpy_free_commands.py")],
+        env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout)
+    assert result["exit_codes"] == {"builtin": 0, "apply": 0, "simulate": 0, "invert": 0, "check": 0}
+    assert not result["numpy_after_formula_commands"]
+    assert result["numpy_after_check"]
+
+    spec = tmp_path / "example31.json"
+    spec.write_text(json.dumps({"type": "example31"}))
+    assert cli.main(["check", "--operator", str(spec), *CHECK_ARGS]) == 0
+    assert json.loads(capsys.readouterr().out) == result["check_report"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,30 @@ def test_two_point_support_on_full_matrix():
     assert op.map.values(x.masses, x.support) == expected
     image = apply(op, x)
     assert image.masses == tuple(m * (1.0 + f) for m, f in zip(x.masses, expected))
+
+
+@pytest.mark.parametrize("far", [10**7, 5 * 10**9])
+def test_far_index_applies_in_memory_of_the_store(far):
+    op = quadratic_operator(validate_matrix([[1, far, 0.5]]))
+    x = make_point({1: 0.5, far: 0.5})
+    tracemalloc.start()
+    try:
+        image = apply(op, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image.as_dict() == {1: 0.625, far: 0.375}
+    assert peak < 1_000_000
+
+
+def test_far_indices_keep_row_and_column_order():
+    rng = np.random.default_rng(7)
+    small = rand_skew_triples(rng, 6)
+    relabel = {k: k * 10**9 + k for k in range(1, 7)}  # row * (n + 1) + column overflows int64
+    big = [[relabel[k], relabel[i], v] for k, i, v in small]
+    x_small = rand_point(rng, range(1, 7))
+    x_big = make_point({relabel[k]: m for k, m in x_small.items()})
+    image = apply(quadratic_operator(validate_matrix(big)), x_big)
+    expected = apply(quadratic_operator(validate_matrix(small)), x_small)
+    assert image.masses == expected.masses
+    assert image.support == tuple(relabel[k] for k in expected.support)

@@ -102,11 +102,11 @@ def build_operator(obj) -> VolterraOperator:
         raise MalformedInput(f"bad operator spec: {exc}") from exc
 
 
-def _load_operator(path: str) -> tuple[dict, VolterraOperator]:
+def _load_operator(path: str) -> VolterraOperator:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise MalformedInput("operator spec must be a JSON object")
-    return obj, build_operator(obj)
+    return build_operator(obj)
 
 
 def _load_point(path: str) -> SparsePoint:
@@ -156,7 +156,7 @@ def _emit(payload, output: str | None) -> None:
 
 
 def cmd_check(args) -> int:
-    _, op = _load_operator(args.operator)
+    op = _load_operator(args.operator)
     face, seed = _sampling(args)
     report = check_conditions(
         op, face, samples=args.samples, seed=seed, margin=args.margin
@@ -172,7 +172,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_pair_check(args) -> int:
-    _, op = _load_operator(args.operator)
+    op = _load_operator(args.operator)
     face, seed = _sampling(args)
     report = check_pair_condition(op, face, samples=args.samples, seed=seed)
     payload = {
@@ -186,7 +186,7 @@ def cmd_pair_check(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    _, op = _load_operator(args.operator)
+    op = _load_operator(args.operator)
     x = _load_point(args.point)
     image = apply(op, x)
     _emit(point_to_obj(image), args.output)
@@ -194,7 +194,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _, op = _load_operator(args.operator)
+    op = _load_operator(args.operator)
     x = _load_point(args.point)
     trajectory = iterate(op, x, args.steps)
     lines = [json.dumps(record) for record in trajectory.to_records()]
@@ -207,9 +207,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    obj, op = _load_operator(args.operator)
+    op = _load_operator(args.operator)
     y = _load_point(args.point)
-    triangular = obj.get("type") == "example32"
+    triangular = op.label == "example32"
     try:
         if triangular:
             result = invert_triangular(y, residual_tol=args.tol)

@@ -38,7 +38,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -298,48 +298,6 @@ def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
 
     gmap = GeneratingMap(fn, declared_domain=domain)
     return VolterraOperator(gmap, label=f"cubic_tensor(n={p.dimension})")
-
-
-@dataclass(frozen=True)
-class QuadraticTable:
-    """Coefficients q_{ij,k} of a collapsed degree-two form."""
-
-    pairs: Mapping[tuple[int, int], Mapping[int, float]]
-    dimension: int
-
-    def image(self, x: SparsePoint) -> SparsePoint:
-        out: dict[int, float] = {}
-        for (i, mi), (j, mj) in combinations_with_replacement(x.items(), 2):
-            w = mi * mj * (1.0 if i == j else 2.0)
-            for k, q in self.pairs.get((i, j), {}).items():
-                out[k] = out.get(k, 0.0) + q * w
-        ks = sorted(out)
-        return _image(ks, [out[k] for k in ks])
-
-
-def reduce_if_index_independent(p: CubicTensor) -> QuadraticTable | None:
-    """Collapse p_{ijl,k} to q_{ij,k} when it does not depend on l.
-
-    Since sum_l x_l = 1 on the simplex, such a tensor acts as the
-    degree-two form sum_{i,j} q_{ij,k} x_i x_j.  Returns None when some
-    value varies with l (beyond TENSOR_TOLERANCE) or when the tensor is
-    not fully defined over its face.
-    """
-    n = p.dimension
-    table: dict[tuple[int, int], dict[int, float]] = {}
-    try:
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                reference = dict(p.outputs(i, j, 1))
-                for l in range(2, n + 1):
-                    row = p.outputs(i, j, l)
-                    for k in set(reference) | set(row):
-                        if abs(reference.get(k, 0.0) - row.get(k, 0.0)) > TENSOR_TOLERANCE:
-                            return None
-                table[(i, j)] = reference
-    except UndefinedTriple:
-        return None
-    return QuadraticTable(pairs=table, dimension=n)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ class SumOutOfTolerance(ValidationError):
 
 
 class DomainViolation(ValidationError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A point or face lies outside an operator's declared domain."""
 
 
 class NegativeCoordinate(ValidationError):

@@ -223,8 +223,7 @@ def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -
     _check_domain(op, x)
     _check_domain(op, y)
     union = tuple(sorted({*x.support, *y.support}))
-    xm = [x.mass(k) for k in union]
-    ym = [y.mass(k) for k in union]
+    xm, ym = ([d.get(k, 0.0) for k in union] for d in (x.as_dict(), y.as_dict()))
     fy = op.map.values(ym, union)
     fx = op.map.values(xm, union)
     return _support_sum(xm, fy) + _support_sum(ym, fx)
@@ -328,12 +327,6 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return 0.0 + np.cumsum(terms, axis=1, out=terms)[:, -1]
 
 
-def _point(indices: tuple[int, ...], row: np.ndarray) -> SparsePoint:
-    """A witness: the face point held in ``row`` (zero masses dropped)."""
-    kept = [(k, m) for k, m in zip(indices, row.tolist()) if m > 0.0]
-    return SparsePoint((k for k, _ in kept), (m for _, m in kept))
-
-
 def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np.ndarray]:
     """f at every row of each block, one ``values`` call per block.
 
@@ -388,7 +381,8 @@ def check_conditions(
     maps whose response exceeds ``continuity_bound``; it is a smoke
     test, not a certificate.  Points are evaluated as blocks, one row
     per point; ties go to the first point, in the order barycenter,
-    samples, vertices.
+    samples, vertices.  Neither the face size nor ``samples`` is bounded
+    here; only the CLI bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -419,7 +413,7 @@ def check_conditions(
             worst, witness = (-np.inf if better is np.greater else np.inf), None
         else:
             worst = float(values[i])
-            witness = _point(indices, interior[i]) if i < probed else vertex(indices[i - probed])
+            witness = _point_on(indices, interior[i].tolist()) if i < probed else vertex(indices[i - probed])
         return ConditionVerdict(
             condition=name,
             passed=passes(worst),
@@ -486,7 +480,8 @@ def check_pair_condition(
     first, then the samples.  A failing evaluation raises the exception
     of the first point that fails, in the order pair by pair evaluation
     visits them: the vertices in index order, then y before x for each
-    sampled pair.
+    sampled pair.  Neither the face size nor ``samples`` is bounded
+    here; only the CLI bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -501,7 +496,7 @@ def check_pair_condition(
     sampled = _ordered_sum(xs * fy) + _ordered_sum(ys * fx)
     n = _first(sampled, np.greater)
     if n is not None and sampled[n] > best:  # the samples come after every vertex pair
-        best, witness = float(sampled[n]), (_point(indices, xs[n]), _point(indices, ys[n]))
+        best, witness = float(sampled[n]), tuple(_point_on(indices, B[n].tolist()) for B in (xs, ys))
     return PairConditionReport(face=face, samples=samples, seed=seed, max_value=best, witness=witness)
 
 
@@ -575,11 +570,6 @@ def convex_combination(
 
     gmap = GeneratingMap(fn, declared_domain=dom)
     return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
-
-
-def restrict(op: VolterraOperator, face: FaceSpec) -> VolterraOperator:
-    """The same operator with its domain narrowed to one face."""
-    return VolterraOperator(GeneratingMap(op.map.fn, declared_domain=face), label=f"{op.label}|{face.indices}")
 
 
 def _merge_domains(a: FaceSpec | None, b: FaceSpec | None) -> FaceSpec | None:

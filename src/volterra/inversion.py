@@ -174,9 +174,3 @@ def _iterate(y: SparsePoint, xm) -> SparsePoint:
     itself until a sweep is accepted."""
     return y if xm is y.masses else _point_on(y.support, xm)
 
-
-def verify_inverse(
-    op: VolterraOperator, x: SparsePoint, y: SparsePoint, tol: float
-) -> bool:
-    """True iff applying op to x lands within tol (l1) of y."""
-    return l1_distance(apply(op, x), y) <= tol

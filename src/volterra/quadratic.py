@@ -195,27 +195,23 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
 def symmetry_defect_witness(raw) -> tuple[SparsePoint, float] | None:
     """A point where sum_k x_k f_k(x) != 0 for a non-skew matrix.
 
-    Scans the diagonal first: a nonzero b_ii gives the vertex e^(i)
-    with value b_ii.  Otherwise the smallest pair (i, j) with
-    b_ij + b_ji != 0 gives the uniform point on {i, j} with value
-    (b_ii + b_jj + b_ij + b_ji) / 4.  Returns None exactly when the
-    symmetric part vanishes within MATRIX_TOLERANCE.
+    Scans the diagonal first: the smallest i with a nonzero b_ii gives
+    the vertex e^(i) with value b_ii.  Otherwise the smallest pair
+    (i, j) with b_ij + b_ji != 0 gives the uniform point on {i, j} with
+    value (b_ii + b_jj + b_ij + b_ji) / 4.  Only the given cells are
+    scanned.  Returns None exactly when the symmetric part vanishes
+    within MATRIX_TOLERANCE.
     """
     cells = _cells_from_raw(raw)
-    if not cells:
-        return None
-    top = max(max(k, i) for (k, i) in cells)
-    for i in range(1, top + 1):
-        v = cells.get((i, i), 0.0)
+    for i in sorted(r for (r, c) in cells if r == c):
+        v = cells[(i, i)]
         if abs(v) > MATRIX_TOLERANCE:
             return vertex(i), v
-    for i in range(1, top + 1):
-        for j in range(i + 1, top + 1):
-            s = cells.get((i, j), 0.0) + cells.get((j, i), 0.0)
-            if abs(s) > MATRIX_TOLERANCE:
-                value = (s + cells.get((i, i), 0.0) + cells.get((j, j), 0.0)) / 4.0
-                witness = SparsePoint((i, j), (0.5, 0.5))
-                return witness, value
+    for i, j in sorted({(min(r, c), max(r, c)) for (r, c) in cells if r != c}):
+        s = cells.get((i, j), 0.0) + cells.get((j, i), 0.0)
+        if abs(s) > MATRIX_TOLERANCE:
+            value = (s + cells.get((i, i), 0.0) + cells.get((j, j), 0.0)) / 4.0
+            return SparsePoint((i, j), (0.5, 0.5)), value
     return None
 
 

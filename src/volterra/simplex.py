@@ -47,12 +47,11 @@ class SparsePoint:
     totals remain observable to the caller.
     """
 
-    __slots__ = ("_indices", "_masses", "_lookup")
+    __slots__ = ("_indices", "_masses")
 
     def __init__(self, indices: Iterable[int], masses: Iterable[float]):
         self._indices = tuple(indices)
         self._masses = tuple(masses)
-        self._lookup = dict(zip(self._indices, self._masses))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -69,19 +68,20 @@ class SparsePoint:
         return self._masses
 
     def mass(self, index: int) -> float:
-        return self._lookup.get(index, 0.0)
+        pos = _slot(self._indices, index)
+        return self._masses[pos] if pos >= 0 else 0.0
 
     def items(self) -> Iterator[tuple[int, float]]:
         return iter(zip(self._indices, self._masses))
 
     def as_dict(self) -> dict[int, float]:
-        return dict(self._lookup)
+        return dict(zip(self._indices, self._masses))
 
     def total(self) -> float:
         return float(sum(self._masses))
 
     def __contains__(self, index: int) -> bool:
-        return index in self._lookup
+        return _slot(self._indices, index) >= 0
 
     def __len__(self) -> int:
         return len(self._indices)
@@ -97,6 +97,12 @@ class SparsePoint:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {m:.6g}" for k, m in self.items())
         return f"SparsePoint({{{body}}})"
+
+
+def _slot(indices: Sequence[int], index: int) -> int:
+    """Position of ``index`` in the ascending ``indices``, or -1."""
+    pos = bisect_left(indices, index)
+    return pos if pos < len(indices) and indices[pos] == index else -1
 
 
 def make_point(entries: Mapping[int, float] | Iterable[tuple[int, float]]) -> SparsePoint:
@@ -210,8 +216,7 @@ class FaceSpec:
         return cls.of(indices)
 
     def __contains__(self, index: int) -> bool:
-        pos = bisect_left(self.indices, index)
-        return pos < len(self.indices) and self.indices[pos] == index
+        return _slot(self.indices, index) >= 0
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
@@ -242,13 +247,13 @@ def in_relative_interior(p: SparsePoint, face: FaceSpec) -> bool:
 
 
 def l1_distance(p: SparsePoint, q: SparsePoint) -> float:
-    """Sum of |p_k - q_k| over the union of supports."""
+    """Sum of |p_k - q_k| over the union of supports: p's indices in order, then q's others."""
+    rest = q.as_dict()
     s = 0.0
     for k, m in p.items():
-        s += abs(m - q.mass(k))
-    for k, m in q.items():
-        if k not in p:
-            s += m
+        s += abs(m - rest.pop(k, 0.0))
+    for m in rest.values():
+        s += m
     return s
 
 

@@ -23,7 +23,6 @@ from volterra import (
     make_point,
     operator_from_tensor,
     prefix_positivity_value,
-    reduce_if_index_independent,
     save_tensor,
     sine_example,
     tensor_to_canonical,
@@ -185,39 +184,6 @@ def test_operator_from_tensor_agrees_with_cubic_apply():
     for _ in range(50):
         x = rand_point_on_pool(rng, 4, 4)
         assert l1_distance(apply(op, x), cubic_apply(p, x)) <= 1e-12
-
-
-# --- index-independence reduction -------------------------------------------
-
-
-def test_reduce_constant_tensor():
-    c = {1: 0.2, 2: 0.3, 3: 0.5}
-    raw = {}
-    for i in range(1, 4):
-        for j in range(i, 4):
-            for l in range(j, 4):
-                raw[(i, j, l)] = dict(c)
-    p = validate_tensor(raw)
-    table = reduce_if_index_independent(p)
-    assert table is not None
-    assert table.pairs[(1, 2)][2] == pytest.approx(0.3)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        x = rand_point(rng, (1, 2, 3))
-        image = table.image(x)
-        assert l1_distance(image, cubic_apply(p, x)) <= 1e-10
-        for k, target in c.items():
-            assert image.mass(k) == pytest.approx(target, abs=1e-12)
-
-
-def test_reduce_rejects_example31_tensor():
-    assert reduce_if_index_independent(example31_tensor(4)) is None
-
-
-def test_reduce_degenerate_identity_dimension_one():
-    table = reduce_if_index_independent(validate_tensor({(1, 1, 1): {1: 1.0}}))
-    assert table is not None
-    assert table.pairs[(1, 1)] == {1: 1.0}
 
 
 # --- builtin: example31 -----------------------------------------------------

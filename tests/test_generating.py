@@ -22,7 +22,6 @@ from volterra import (
     make_point,
     pair_condition_value,
     quadratic_operator,
-    restrict,
     sine_example,
     validate_matrix,
     vertex,
@@ -93,13 +92,17 @@ def test_support_equality_under_strict_bound():
         assert apply(op, x).support == x.support
 
 
-def test_restrict_and_domain_violation():
-    op = restrict(example31(), FaceSpec.of([2, 5]))
+def test_example31_domain_violation():
+    op = example31(5)
     x = make_point([(2, 0.4), (5, 0.6)])
     assert apply(op, x) == apply(example31(), x)
-    with pytest.raises(DomainViolation):
-        apply(op, vertex(1))
     assert apply(op, vertex(2)) == vertex(2)
+    with pytest.raises(DomainViolation):
+        apply(op, vertex(6))
+    with pytest.raises(DomainViolation):
+        apply(op, make_point([(2, 0.5), (7, 0.5)]))
+    with pytest.raises(DomainViolation):
+        check_conditions(op, FaceSpec.of([4, 6]), samples=4)
 
 
 def test_check_conditions_ex31_passes():

@@ -20,7 +20,6 @@ from volterra import (
     sample_face_rng,
     solve_monotone_cubic,
     validate_matrix,
-    verify_inverse,
     vertex,
     VolterraOperator,
 )
@@ -159,18 +158,6 @@ def test_invert_fixed_point_argument_validation():
         invert_fixed_point(identity_operator(), y, tol=0.0)
     with pytest.raises(ValueError):
         invert_fixed_point(identity_operator(), y, damping=1.5)
-
-
-def test_verify_inverse():
-    op = example31()
-    x = make_point([(1, 0.6), (2, 0.4)])
-    y = apply(op, x)
-    assert verify_inverse(op, x, y, 1e-12)
-    assert not verify_inverse(op, x, vertex(1), 1e-12)
-    result = invert_triangular(make_point([(1, 0.125), (2, 0.875)]))
-    assert verify_inverse(
-        example32(), result.preimage, make_point([(1, 0.125), (2, 0.875)]), 1e-10
-    )
 
 
 def test_inversion_result_serialization():

@@ -6,7 +6,9 @@ body, so row i of a block evaluation must equal the one-point evaluation
 of row i bit for bit; and a block of samples must be the very points
 that sequential draws give.  The fixed-point inverter reports the exact
 l1 residual of the point it returns, and the triangular inverse of
-example32 recovers the point it was given.
+example32 recovers the point it was given.  A point's lookups and its
+l1 distance to another point agree with a plain dict of its masses,
+whatever the two supports share.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from volterra import (
     FaceSpec,
     NonConvergence,
+    SparsePoint,
     apply,
     compose,
     convex_combination,
@@ -149,3 +152,55 @@ def test_triangular_round_trip(x):
     result = invert_triangular(y)
     assert l1_distance(result.preimage, x) <= 1e-9
     assert result.preimage.support == x.support
+
+
+def _dict_l1(p, q) -> float:
+    """l1_distance written out on dicts of the two points' masses."""
+    pd, qd = dict(p.items()), dict(q.items())
+    s = 0.0
+    for k, m in p.items():
+        s += abs(m - qd.get(k, 0.0))
+    for k, m in q.items():
+        if k not in pd:
+            s += m
+    return s
+
+
+@st.composite
+def _point_pairs(draw):
+    """Two points whose supports are equal, nested, disjoint or interleaved."""
+    pool = sorted(draw(st.sets(st.integers(1, 10**12), min_size=2, max_size=24)))
+    relation = draw(st.sampled_from(["equal", "nested", "disjoint", "interleaved"]))
+    if relation == "equal":
+        a = b = pool
+    elif relation == "nested":
+        b = sorted(draw(st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool))))
+        a = pool
+    elif relation == "disjoint":
+        cut = draw(st.integers(1, len(pool) - 1))
+        a, b = pool[:cut], pool[cut:]
+    else:
+        sides = draw(st.lists(st.sampled_from("abc"), min_size=len(pool), max_size=len(pool)))
+        a = [k for k, side in zip(pool, sides) if side in "ac"] or pool[:1]
+        b = [k for k, side in zip(pool, sides) if side in "bc"] or pool[-1:]
+    masses = st.floats(1e-9, 1.0)
+    p = SparsePoint(a, draw(st.lists(masses, min_size=len(a), max_size=len(a))))
+    q = SparsePoint(b, draw(st.lists(masses, min_size=len(b), max_size=len(b))))
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_point_pairs())
+def test_point_lookups_and_l1_distance_match_a_dict(pair):
+    p, q = pair
+    for point in (p, q):
+        reference = dict(zip(point.support, point.masses))
+        assert point.as_dict() == reference
+        assert list(point.as_dict()) == list(point.support)
+        probes = {0, 1, 10**12 + 1, *p.support, *q.support}
+        probes |= {k + 1 for k in probes} | {k - 1 for k in probes}
+        for k in probes:
+            assert point.mass(k) == reference.get(k, 0.0)
+            assert (k in point) == (k in reference)
+    assert l1_distance(p, q) == _dict_l1(p, q)
+    assert l1_distance(q, p) == _dict_l1(q, p)

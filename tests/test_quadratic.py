@@ -1,3 +1,4 @@
+import signal
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,59 @@ def test_defect_witness_matches_actual_balance_sum():
         actual = sum(m * op.f(k, point) for k, m in point.items())
         assert actual == pytest.approx(value, abs=1e-14)
         assert abs(actual) > 1e-9
+
+
+def _full_scan_witness(cells):
+    """symmetry_defect_witness by the definition: every diagonal index,
+    then every pair (i, j) with i < j, up to the largest index."""
+    cells = {(int(k), int(i)): float(v) for k, i, v in cells}
+    top = max((max(key) for key in cells), default=0)
+    for i in range(1, top + 1):
+        v = cells.get((i, i), 0.0)
+        if abs(v) > 1e-12:
+            return vertex(i), v
+    for i in range(1, top + 1):
+        for j in range(i + 1, top + 1):
+            s = cells.get((i, j), 0.0) + cells.get((j, i), 0.0)
+            if abs(s) > 1e-12:
+                return make_point({i: 0.5, j: 0.5}), (s + cells.get((i, i), 0.0) + cells.get((j, j), 0.0)) / 4.0
+    return None
+
+
+def test_defect_witness_matches_full_scan():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        cells = {}
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            k, i = (int(v) for v in rng.integers(1, n + 1, size=2))
+            kind = rng.integers(4)
+            if kind == 0:  # a skew pair, or a zero diagonal
+                v = float(rng.uniform(-1.0, 1.0))
+                cells[(k, i)], cells[(i, k)] = (v, -v) if k != i else (0.0, 0.0)
+            elif kind == 1:  # below the tolerance
+                cells[(k, i)] = float(rng.uniform(-1e-13, 1e-13))
+            else:
+                cells[(k, i)] = float(rng.uniform(-1.0, 1.0))
+        triples = [[k, i, v] for (k, i), v in cells.items()]
+        assert symmetry_defect_witness(triples) == _full_scan_witness(triples)
+
+
+def test_defect_witness_far_indices():
+    far = 10**9
+    # A scan over every pair up to the largest index would never end.
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(10)
+    try:
+        witness = symmetry_defect_witness([[far, far + 1, 0.5], [far + 1, far, 0.5]])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert witness == (make_point({far: 0.5, far + 1: 0.5}), 0.25)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("symmetry_defect_witness scanned beyond the given cells")
 
 
 def test_matrix_json_roundtrip(tmp_path):

@@ -3,176 +3,126 @@
 Construction, validity checking, application, inversion and iteration
 of operators (Vx)_k = x_k * (1 + f_k(x)) with exact finite-support
 arithmetic.
-"""
 
-from .errors import (
-    BoundViolation,
-    DomainViolation,
-    LambdaOutOfRange,
-    NegativeCoefficient,
-    NegativeCoordinate,
-    NegativeMass,
-    NonConvergence,
-    NonFiniteValue,
-    NormalizationFailure,
-    NotSkew,
-    NotVolterra,
-    PermutationInconsistency,
-    ResidualTooLarge,
-    RowSumViolation,
-    SumOutOfTolerance,
-    TrajectoryError,
-    UndefinedTriple,
-    ValidationError,
-    VolterraError,
-)
-from .simplex import (
-    FaceSpec,
-    SparsePoint,
-    in_relative_interior,
-    l1_distance,
-    load_point,
-    make_point,
-    point_from_obj,
-    point_to_obj,
-    sample_face,
-    sample_face_rng,
-    save_point,
-    vertex,
-)
-from .generating import (
-    ConditionReport,
-    ConditionVerdict,
-    GeneratingMap,
-    PairConditionReport,
-    VolterraOperator,
-    apply,
-    check_conditions,
-    check_pair_condition,
-    compose,
-    convex_combination,
-    identity_operator,
-    is_fixed_point,
-    pair_condition_value,
-)
-from .quadratic import (
-    SkewMatrix,
-    load_matrix,
-    quadratic_operator,
-    save_matrix,
-    symmetry_defect_witness,
-    validate_matrix,
-)
-from .cubic import (
-    CanonicalCubicCoeffs,
-    CubicTensor,
-    VolterraCheck,
-    canonical_apply,
-    cubic_apply,
-    example31,
-    example31_tensor,
-    example32,
-    image_tail_sum,
-    is_volterra,
-    load_tensor,
-    operator_from_tensor,
-    prefix_positivity_value,
-    save_tensor,
-    sine_example,
-    tensor_to_canonical,
-    validate_tensor,
-)
-from .inversion import (
-    InversionResult,
-    invert_fixed_point,
-    invert_triangular,
-    solve_monotone_cubic,
-)
-from .dynamics import Trajectory, detect_fixed_points_on_face, iterate
+Importing the package loads none of its modules.  Each exported name
+is listed once below, under the module that defines it; the first read
+of a name (``volterra.apply``, ``from volterra import apply``) imports
+that module alone and binds the name here, so a later read is a plain
+module attribute lookup.  A command-line run thus loads only the
+modules its command uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # simplex
-    "SparsePoint",
-    "FaceSpec",
-    "make_point",
-    "vertex",
-    "in_relative_interior",
-    "l1_distance",
-    "sample_face",
-    "sample_face_rng",
-    "load_point",
-    "save_point",
-    "point_to_obj",
-    "point_from_obj",
-    # generating
-    "GeneratingMap",
-    "VolterraOperator",
-    "ConditionReport",
-    "ConditionVerdict",
-    "PairConditionReport",
-    "apply",
-    "check_conditions",
-    "check_pair_condition",
-    "pair_condition_value",
-    "compose",
-    "convex_combination",
-    "is_fixed_point",
-    "identity_operator",
-    # quadratic
-    "SkewMatrix",
-    "validate_matrix",
-    "quadratic_operator",
-    "symmetry_defect_witness",
-    "load_matrix",
-    "save_matrix",
-    # cubic
-    "CubicTensor",
-    "CanonicalCubicCoeffs",
-    "VolterraCheck",
-    "validate_tensor",
-    "is_volterra",
-    "cubic_apply",
-    "canonical_apply",
-    "tensor_to_canonical",
-    "operator_from_tensor",
-    "example31",
-    "example31_tensor",
-    "example32",
-    "image_tail_sum",
-    "prefix_positivity_value",
-    "sine_example",
-    "load_tensor",
-    "save_tensor",
-    # inversion
-    "InversionResult",
-    "invert_triangular",
-    "invert_fixed_point",
-    "solve_monotone_cubic",
-    # dynamics
-    "Trajectory",
-    "iterate",
-    "detect_fixed_points_on_face",
-    # errors
-    "VolterraError",
-    "ValidationError",
-    "NegativeMass",
-    "NonFiniteValue",
-    "SumOutOfTolerance",
-    "DomainViolation",
-    "NegativeCoordinate",
-    "NormalizationFailure",
-    "LambdaOutOfRange",
-    "NotSkew",
-    "BoundViolation",
-    "NegativeCoefficient",
-    "RowSumViolation",
-    "PermutationInconsistency",
-    "UndefinedTriple",
-    "NotVolterra",
-    "NonConvergence",
-    "ResidualTooLarge",
-    "TrajectoryError",
-]
+#: Module -> the names it exports through the package.
+_EXPORTS = {
+    "simplex": (
+        "SparsePoint",
+        "FaceSpec",
+        "make_point",
+        "vertex",
+        "in_relative_interior",
+        "l1_distance",
+        "sample_face",
+        "sample_face_rng",
+        "load_point",
+        "save_point",
+        "point_to_obj",
+        "point_from_obj",
+    ),
+    "generating": (
+        "GeneratingMap",
+        "VolterraOperator",
+        "apply",
+        "check_conditions",
+        "check_pair_condition",
+        "pair_condition_value",
+        "compose",
+        "convex_combination",
+        "is_fixed_point",
+        "identity_operator",
+    ),
+    "reports": (
+        "ConditionReport",
+        "ConditionVerdict",
+        "PairConditionReport",
+    ),
+    "quadratic": (
+        "SkewMatrix",
+        "validate_matrix",
+        "quadratic_operator",
+        "symmetry_defect_witness",
+        "load_matrix",
+        "save_matrix",
+    ),
+    "cubic": (
+        "CubicTensor",
+        "CanonicalCubicCoeffs",
+        "VolterraCheck",
+        "validate_tensor",
+        "is_volterra",
+        "cubic_apply",
+        "canonical_apply",
+        "tensor_to_canonical",
+        "operator_from_tensor",
+        "example31",
+        "example31_tensor",
+        "example32",
+        "image_tail_sum",
+        "prefix_positivity_value",
+        "sine_example",
+        "load_tensor",
+        "save_tensor",
+    ),
+    "inversion": (
+        "InversionResult",
+        "invert_triangular",
+        "invert_fixed_point",
+        "solve_monotone_cubic",
+    ),
+    "dynamics": (
+        "Trajectory",
+        "iterate",
+        "detect_fixed_points_on_face",
+    ),
+    "errors": (
+        "VolterraError",
+        "ValidationError",
+        "NegativeMass",
+        "NonFiniteValue",
+        "SumOutOfTolerance",
+        "DomainViolation",
+        "NegativeCoordinate",
+        "NormalizationFailure",
+        "LambdaOutOfRange",
+        "NotSkew",
+        "BoundViolation",
+        "NegativeCoefficient",
+        "RowSumViolation",
+        "PermutationInconsistency",
+        "UndefinedTriple",
+        "NotVolterra",
+        "NonConvergence",
+        "ResidualTooLarge",
+        "TrajectoryError",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

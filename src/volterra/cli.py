@@ -13,6 +13,10 @@ All inputs and reports are JSON (trajectories are JSON Lines).  Exit
 codes: 0 success/pass, 1 validation or condition failure, 2
 non-convergence, 3 malformed input.  VOLTERRA_SEED overrides the
 default seed; an explicit --seed wins over both.
+
+``quadratic``, ``dynamics`` and ``inversion`` are imported by the code
+that uses them, when it runs, so ``apply`` on a formula operator loads
+none of them; their functions are read off the module at call time.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .cubic import (
@@ -34,7 +37,6 @@ from .cubic import (
     tensor_to_obj,
     validate_tensor,
 )
-from .dynamics import iterate
 from .errors import NonConvergence, TrajectoryError, ValidationError
 from .generating import (
     VolterraOperator,
@@ -44,8 +46,6 @@ from .generating import (
     compose,
     convex_combination,
 )
-from .inversion import InversionResult, invert_fixed_point, invert_triangular
-from .quadratic import quadratic_operator, validate_matrix
 from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, point_from_obj, point_to_obj
 
 
@@ -61,7 +61,7 @@ class MalformedInput(Exception):
 
 def _load_json(path: str):
     try:
-        with Path(path).open("r", encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
@@ -77,7 +77,9 @@ def build_operator(obj) -> VolterraOperator:
     try:
         tag = obj["type"]
         if tag == "quadratic":
-            return quadratic_operator(validate_matrix(obj["matrix"]))
+            from . import quadratic
+
+            return quadratic.quadratic_operator(quadratic.validate_matrix(obj["matrix"]))
         if tag == "cubic_tensor":
             return operator_from_tensor(validate_tensor(obj["triples"]))
         if tag == "example31":
@@ -150,9 +152,14 @@ def _resolve_seed(args) -> int:
 def _emit(payload, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output:
-        Path(output).write_text(text + "\n")
+        _write(output, text + "\n")
     else:
         print(text)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def cmd_check(args) -> int:
@@ -194,12 +201,14 @@ def cmd_apply(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics
+
     op = _load_operator(args.operator)
     x = _load_point(args.point)
-    trajectory = iterate(op, x, args.steps)
+    trajectory = dynamics.iterate(op, x, args.steps)
     lines = [json.dumps(record) for record in trajectory.to_records()]
     if args.output:
-        Path(args.output).write_text("\n".join(lines) + "\n")
+        _write(args.output, "\n".join(lines) + "\n")
     else:
         for line in lines:
             print(line)
@@ -207,18 +216,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from . import inversion
+
     op = _load_operator(args.operator)
     y = _load_point(args.point)
     triangular = op.label == "example32"
     try:
         if triangular:
-            result = invert_triangular(y, residual_tol=args.tol)
+            result = inversion.invert_triangular(y, residual_tol=args.tol)
         else:
-            result = invert_fixed_point(
+            result = inversion.invert_fixed_point(
                 op, y, tol=args.tol, max_iter=args.max_iter, damping=args.damping
             )
     except NonConvergence as exc:
-        result = InversionResult(
+        result = inversion.InversionResult(
             preimage=exc.best,
             residual=exc.residual,
             iterations=exc.iterations,

@@ -37,10 +37,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from . import _numpy as np
 from .errors import (
@@ -61,7 +59,6 @@ TENSOR_TOLERANCE = 1e-12
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class CubicTensor:
     """Sorted-triple store of cubic coefficients.
 
@@ -69,11 +66,14 @@ class CubicTensor:
     distribution {k: p_{ijl,k}}; permutation symmetry is realized by the
     sorted key.  A missing fully degenerate triple (i, i, i) defaults to
     the identity row {i: 1}; any other missing triple is an error when
-    referenced.
+    referenced.  Immutable by convention.
     """
 
-    coefficients: Mapping[Triple, Mapping[int, float]]
-    dimension: int
+    __slots__ = ("coefficients", "dimension")
+
+    def __init__(self, coefficients: Mapping[Triple, Mapping[int, float]], dimension: int):
+        self.coefficients = coefficients
+        self.dimension = dimension
 
     def outputs(self, i: int, j: int, l: int) -> Mapping[int, float]:
         key = tuple(sorted((i, j, l)))
@@ -142,12 +142,16 @@ def validate_tensor(raw) -> CubicTensor:
     return CubicTensor(coefficients=store, dimension=dimension)
 
 
-@dataclass(frozen=True)
 class VolterraCheck:
-    """Face-invariance verdict; truthy iff the tensor is Volterra."""
+    """Face-invariance verdict; truthy iff the tensor is Volterra.
+    ``offender`` is (triple, k, p_{triple,k}) of a row that leaves its
+    triple, or None."""
 
-    ok: bool
-    offender: tuple[Triple, int, float] | None = None
+    __slots__ = ("ok", "offender")
+
+    def __init__(self, ok: bool, offender: tuple[Triple, int, float] | None = None):
+        self.ok = ok
+        self.offender = offender
 
     def __bool__(self) -> bool:
         return self.ok
@@ -194,7 +198,6 @@ def cubic_apply(p: CubicTensor, x: SparsePoint) -> SparsePoint:
     return SparsePoint((k for k, _ in kept), (v for _, v in kept))
 
 
-@dataclass(frozen=True)
 class CanonicalCubicCoeffs:
     """Grouped coefficient families of a face-invariant cubic operator.
 
@@ -203,12 +206,22 @@ class CanonicalCubicCoeffs:
     and ``p_ijk[k][(i,j)]`` with i < j the 6*x_i*x_j term (all indices
     distinct).  The x_k^2 term always carries coefficient 1: face
     invariance forces the (k,k,k) row to put all its mass on k.
+    Immutable by convention.
     """
 
-    dimension: int
-    p_ikk: Mapping[int, Mapping[int, float]]
-    p_iik: Mapping[int, Mapping[int, float]]
-    p_ijk: Mapping[int, Mapping[tuple[int, int], float]]
+    __slots__ = ("dimension", "p_ikk", "p_iik", "p_ijk")
+
+    def __init__(
+        self,
+        dimension: int,
+        p_ikk: Mapping[int, Mapping[int, float]],
+        p_iik: Mapping[int, Mapping[int, float]],
+        p_ijk: Mapping[int, Mapping[tuple[int, int], float]],
+    ):
+        self.dimension = dimension
+        self.p_ikk = p_ikk
+        self.p_iik = p_iik
+        self.p_ijk = p_ijk
 
     def brackets(self, ks: Sequence[int], X) -> list:
         """The grouped factor multiplying x_k in (Vx)_k, for each k in ks.
@@ -476,11 +489,12 @@ def tensor_to_obj(p: CubicTensor) -> list[dict]:
     ]
 
 
-def save_tensor(p: CubicTensor, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(tensor_to_obj(p), indent=2) + "\n")
+def save_tensor(p: CubicTensor, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(tensor_to_obj(p), indent=2) + "\n")
 
 
-def load_tensor(path: str | Path) -> CubicTensor:
+def load_tensor(path) -> CubicTensor:
     """Read and validate the JSON triple list format."""
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         return validate_tensor(json.load(handle))

@@ -30,9 +30,10 @@ invariant, exactly when the generating map satisfies four conditions:
 Conditions 2-4 are decidable pointwise, so the checker evaluates them on
 seeded uniform samples of a face plus a deterministic probe set (the
 face's vertices and barycenter).  Failures are reported with a concrete
-witness point, never raised.  Each point's values go through the same
-floating-point operations, in the same order, as one-point evaluation,
-so a report does not depend on the block form.
+witness point, never raised; the report classes live in ``reports``,
+which the checkers import on their first call.  Each point's values go
+through the same floating-point operations, in the same order, as
+one-point evaluation, so a report does not depend on the block form.
 
 A further pairwise condition,
 
@@ -44,8 +45,7 @@ simplex; ``check_pair_condition`` samples it the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import _numpy as np
 from .errors import (
@@ -67,7 +67,6 @@ PAIR_TOLERANCE = 1e-12
 _VERTEX_BLOCK = 256
 
 
-@dataclass(frozen=True)
 class GeneratingMap:
     """The functionals f_k defining an operator, held as one callable.
 
@@ -79,11 +78,18 @@ class GeneratingMap:
     arithmetic on the masses (no ``if`` on a value and no ``math``
     function of a column; use ``np.where`` or a loop over the elements).
     ``declared_domain`` restricts the operator to points supported
-    inside a face.
+    inside a face.  Immutable by convention.
     """
 
-    fn: Callable[[Sequence[int], Sequence], Sequence]
-    declared_domain: FaceSpec | None = None
+    __slots__ = ("fn", "declared_domain")
+
+    def __init__(
+        self,
+        fn: Callable[[Sequence[int], Sequence], Sequence],
+        declared_domain: FaceSpec | None = None,
+    ):
+        self.fn = fn
+        self.declared_domain = declared_domain
 
     def values(self, X, indices: Sequence[int]):
         """f over ``indices`` at one point or at every row of a block.
@@ -114,10 +120,15 @@ def _nested_values(gmap: GeneratingMap, indices: Sequence[int], X):
     return gmap.values(X, indices)
 
 
-@dataclass(frozen=True)
 class VolterraOperator:
-    map: GeneratingMap
-    label: str = "operator"
+    """A generating map and the label reports name it by; immutable by
+    convention."""
+
+    __slots__ = ("map", "label")
+
+    def __init__(self, map: GeneratingMap, label: str = "operator"):
+        self.map = map
+        self.label = label
 
     def f(self, k: int, x: SparsePoint) -> float:
         indices = tuple(sorted({k, *x.support}))
@@ -238,59 +249,6 @@ def _support_sum(masses, fvals) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    """Outcome of one condition over the evaluated point set."""
-
-    condition: str
-    passed: bool
-    worst_value: float
-    witness: SparsePoint | None
-    smoke_test: bool = False
-
-    def to_obj(self) -> dict:
-        return {
-            "condition": self.condition,
-            "passed": self.passed,
-            "worst_value": self.worst_value,
-            "witness": None if self.witness is None else {str(k): m for k, m in self.witness.items()},
-            "smoke_test": self.smoke_test,
-        }
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    face: FaceSpec
-    samples: int
-    seed: int
-    margin: float
-    continuity: ConditionVerdict
-    lower_bound: ConditionVerdict
-    balance: ConditionVerdict
-    strict_bound: ConditionVerdict
-
-    @property
-    def verdicts(self) -> tuple[ConditionVerdict, ...]:
-        return (self.continuity, self.lower_bound, self.balance, self.strict_bound)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def failures(self) -> list[ConditionVerdict]:
-        return [v for v in self.verdicts if not v.passed]
-
-    def to_obj(self) -> dict:
-        return {
-            "face": list(self.face.indices),
-            "samples": self.samples,
-            "seed": self.seed,
-            "margin": self.margin,
-            "conditions": [v.to_obj() for v in self.verdicts],
-            "all_passed": self.all_passed,
-        }
-
-
 def _perturb_block(X: np.ndarray, size: float, rng: np.random.Generator) -> np.ndarray:
     """Nearby interior points, row by row, at l1 distance at most ``size``.
 
@@ -384,6 +342,8 @@ def check_conditions(
     samples, vertices.  Neither the face size nor ``samples`` is bounded
     here; only the CLI bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
+    from .reports import ConditionReport, ConditionVerdict
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_face_domain(op, face)
@@ -438,37 +398,6 @@ def check_conditions(
     )
 
 
-@dataclass(frozen=True)
-class PairConditionReport:
-    """Sampled maximum of the pairwise bijectivity functional."""
-
-    face: FaceSpec
-    samples: int
-    seed: int
-    max_value: float
-    witness: tuple[SparsePoint, SparsePoint]
-    threshold: float = PAIR_TOLERANCE
-
-    @property
-    def passed(self) -> bool:
-        return self.max_value <= self.threshold
-
-    def to_obj(self) -> dict:
-        wx, wy = self.witness
-        return {
-            "face": list(self.face.indices),
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_value": self.max_value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "witness": {
-                "x": {str(k): m for k, m in wx.items()},
-                "y": {str(k): m for k, m in wy.items()},
-            },
-        }
-
-
 def check_pair_condition(
     op: VolterraOperator, face: FaceSpec, samples: int = 1000, seed: int = 0
 ) -> PairConditionReport:
@@ -483,6 +412,8 @@ def check_pair_condition(
     sampled pair.  Neither the face size nor ``samples`` is bounded
     here; only the CLI bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
+    from .reports import PairConditionReport
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_face_domain(op, face)

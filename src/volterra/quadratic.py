@@ -12,13 +12,11 @@ witness deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from pathlib import Path
-from typing import Mapping, Sequence
-
 import json
 import math
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import chain
 
 from . import _numpy as np
 from .errors import BoundViolation, NonFiniteValue, NotSkew
@@ -58,12 +56,14 @@ def _cells_from_raw(raw) -> dict[tuple[int, int], float]:
     """Normalize a dense numpy array or an iterable of (k, i, value)
     triples into a cell map with 1-based indices.
 
-    A two-dimensional numpy array is read densely (zeros skipped); any
-    other iterable must yield index-index-value triples.  A NaN or
-    infinite value raises NonFiniteValue.
+    An array (anything with an ``ndim``) is read densely, zeros skipped,
+    and must be square; any other iterable must yield index-index-value
+    triples.  Nothing is tested against numpy's types, so a list of
+    triples never imports numpy.  A NaN or infinite value raises
+    NonFiniteValue.
     """
     cells: dict[tuple[int, int], float] = {}
-    if isinstance(raw, np.ndarray):
+    if hasattr(raw, "ndim"):
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError(f"dense matrix must be square, got shape {raw.shape}")
         for (r, c), v in np.ndenumerate(raw):
@@ -215,11 +215,12 @@ def symmetry_defect_witness(raw) -> tuple[SparsePoint, float] | None:
     return None
 
 
-def save_matrix(a: SkewMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(a.to_triples(), indent=2) + "\n")
+def save_matrix(a: SkewMatrix, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(a.to_triples(), indent=2) + "\n")
 
 
-def load_matrix(path: str | Path) -> SkewMatrix:
+def load_matrix(path) -> SkewMatrix:
     """Read a JSON list of [k, i, value] triples and validate it."""
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         return validate_matrix(json.load(handle))

@@ -1,0 +1,98 @@
+"""The reports of the sampled validity checks.
+
+``generating.check_conditions`` returns a ``ConditionReport`` of four
+``ConditionVerdict``s and ``generating.check_pair_condition`` a
+``PairConditionReport``.  The checkers import this module on their
+first call, so commands that check nothing never load it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .generating import PAIR_TOLERANCE
+from .simplex import FaceSpec, SparsePoint
+
+
+@dataclass(frozen=True)
+class ConditionVerdict:
+    """Outcome of one condition over the evaluated point set."""
+
+    condition: str
+    passed: bool
+    worst_value: float
+    witness: SparsePoint | None
+    smoke_test: bool = False
+
+    def to_obj(self) -> dict:
+        return {
+            "condition": self.condition,
+            "passed": self.passed,
+            "worst_value": self.worst_value,
+            "witness": None if self.witness is None else {str(k): m for k, m in self.witness.items()},
+            "smoke_test": self.smoke_test,
+        }
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    face: FaceSpec
+    samples: int
+    seed: int
+    margin: float
+    continuity: ConditionVerdict
+    lower_bound: ConditionVerdict
+    balance: ConditionVerdict
+    strict_bound: ConditionVerdict
+
+    @property
+    def verdicts(self) -> tuple[ConditionVerdict, ...]:
+        return (self.continuity, self.lower_bound, self.balance, self.strict_bound)
+
+    @property
+    def all_passed(self) -> bool:
+        return all(v.passed for v in self.verdicts)
+
+    def failures(self) -> list[ConditionVerdict]:
+        return [v for v in self.verdicts if not v.passed]
+
+    def to_obj(self) -> dict:
+        return {
+            "face": list(self.face.indices),
+            "samples": self.samples,
+            "seed": self.seed,
+            "margin": self.margin,
+            "conditions": [v.to_obj() for v in self.verdicts],
+            "all_passed": self.all_passed,
+        }
+
+
+@dataclass(frozen=True)
+class PairConditionReport:
+    """Sampled maximum of the pairwise bijectivity functional."""
+
+    face: FaceSpec
+    samples: int
+    seed: int
+    max_value: float
+    witness: tuple[SparsePoint, SparsePoint]
+    threshold: float = PAIR_TOLERANCE
+
+    @property
+    def passed(self) -> bool:
+        return self.max_value <= self.threshold
+
+    def to_obj(self) -> dict:
+        wx, wy = self.witness
+        return {
+            "face": list(self.face.indices),
+            "samples": self.samples,
+            "seed": self.seed,
+            "max_value": self.max_value,
+            "threshold": self.threshold,
+            "passed": self.passed,
+            "witness": {
+                "x": {str(k): m for k, m in wx.items()},
+                "y": {str(k): m for k, m in wy.items()},
+            },
+        }

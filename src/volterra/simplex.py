@@ -24,9 +24,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from . import _numpy as np
 from .errors import NegativeMass, NonFiniteValue, SumOutOfTolerance
@@ -166,22 +164,37 @@ def vertex(n: int) -> SparsePoint:
     return SparsePoint((n,), (1.0,))
 
 
-@dataclass(frozen=True)
 class FaceSpec:
-    """A finite index set defining a face of the simplex."""
+    """A finite index set defining a face of the simplex.
 
-    indices: tuple[int, ...]
+    Immutable by convention; equal to, and hashed as, any face on the
+    same indices.
+    """
 
-    def __post_init__(self):
-        if not self.indices:
+    __slots__ = ("indices",)
+
+    def __init__(self, indices: tuple[int, ...]):
+        if not indices:
             raise ValueError("a face needs at least one index")
         prev = 0
-        for k in self.indices:
+        for k in indices:
             if int(k) != k or k < 1:
                 raise ValueError(f"face index must be a positive integer, got {k!r}")
             if k <= prev:
                 raise ValueError("face indices must be strictly increasing")
             prev = k
+        self.indices = indices
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FaceSpec):
+            return NotImplemented
+        return self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash(self.indices)
+
+    def __repr__(self) -> str:
+        return f"FaceSpec(indices={self.indices!r})"
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "FaceSpec":
@@ -294,10 +307,11 @@ def point_from_obj(obj: Mapping[str, float]) -> SparsePoint:
     return make_point((int(k), float(v)) for k, v in obj.items())
 
 
-def save_point(p: SparsePoint, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(point_to_obj(p), indent=2, sort_keys=True) + "\n")
+def save_point(p: SparsePoint, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(point_to_obj(p), indent=2, sort_keys=True) + "\n")
 
 
-def load_point(path: str | Path) -> SparsePoint:
-    with Path(path).open("r", encoding="utf-8") as handle:
+def load_point(path) -> SparsePoint:
+    with open(path, encoding="utf-8") as handle:
         return point_from_obj(json.load(handle))

@@ -1,0 +1,89 @@
+"""A command loads only the modules it runs.
+
+Each command runs in a fresh interpreter that records ``sys.modules``
+before ``import volterra`` and reports what the command added.  The
+interpreter starts with ``-S``, so that no ``site`` hook preloads a
+standard-library module the package should not need (``pathlib`` and
+``typing`` are common); comparing against the snapshot, instead of
+checking that a module is absent, tolerates what the interpreter itself
+loads at start.  The formula commands need nothing from site-packages.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Runs ``volterra.cli.main`` on argv and writes the exit code and the
+#: modules that ``import volterra`` and the command added to stderr.
+PROBE = """
+import sys
+before = set(sys.modules)
+import volterra.cli
+code = volterra.cli.main(sys.argv[1:])
+added = sorted(set(sys.modules) - before)
+import json
+sys.stderr.write(json.dumps({"code": code, "added": added}))
+"""
+
+#: Not needed by a formula ``builtin`` or ``apply``.
+HEAVY = {
+    "dataclasses",
+    "pathlib",
+    "typing",
+    "numpy",
+    "volterra.quadratic",
+    "volterra.inversion",
+    "volterra.dynamics",
+}
+
+
+def added_by(argv: list[str]) -> set[str]:
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stderr)
+    assert report["code"] == 0, done.stdout
+    return set(report["added"])
+
+
+@pytest.fixture
+def operand(tmp_path):
+    spec = tmp_path / "example31.json"
+    spec.write_text(json.dumps({"type": "example31"}))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"1": 0.2, "2": 0.3, "3": 0.5}))
+    return ["--operator", str(spec), "--point", str(point)]
+
+
+def test_builtin_loads_nothing_heavy():
+    added = added_by(["builtin", "--name", "example31"])
+    assert "volterra.cli" in added
+    assert not added & HEAVY, added & HEAVY
+
+
+def test_formula_apply_loads_nothing_heavy(operand):
+    added = added_by(["apply", *operand])
+    assert {"volterra.cli", "volterra.cubic", "volterra.generating", "volterra.simplex"} <= added
+    assert not added & HEAVY, added & HEAVY
+    assert "volterra.reports" not in added
+
+
+def test_simulate_loads_dynamics_only(operand):
+    added = added_by(["simulate", *operand, "--steps", "3"])
+    assert "volterra.dynamics" in added
+    assert not added & {"numpy", "volterra.inversion", "volterra.quadratic"}
+
+
+def test_invert_loads_inversion_only(operand):
+    added = added_by(["invert", *operand])
+    assert "volterra.inversion" in added
+    assert not added & {"numpy", "volterra.dynamics", "volterra.quadratic"}

@@ -6,7 +6,9 @@ body, so row i of a block evaluation must equal the one-point evaluation
 of row i bit for bit; and a block of samples must be the very points
 that sequential draws give.  The fixed-point inverter reports the exact
 l1 residual of the point it returns, and the triangular inverse of
-example32 recovers the point it was given.  A point's lookups and its
+example32 recovers the point it was given.  Every operator family keeps
+each face invariant (an image is supported inside the support of its
+point) and fixes every vertex exactly.  A point's lookups and its
 l1 distance to another point agree with a plain dict of its masses,
 whatever the two supports share.
 """
@@ -33,6 +35,7 @@ from volterra import (
     sample_face_rng,
     sine_example,
     validate_matrix,
+    vertex,
 )
 from volterra.simplex import sample_face_block
 from helpers import example32_image, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
@@ -85,6 +88,44 @@ def test_block_rows_equal_one_point_values(name, picks, rows, seed):
     # One point may also come as a 1-D array, the nested maps included.
     as_arrays = np.array([op.map.values(row, face.indices) for row in block])
     assert together.tobytes() == as_arrays.tobytes()
+
+
+@st.composite
+def _faces(draw):
+    """An operator family's name and a face drawn from its indices."""
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    pool = tuple(FAMILIES[name][1])
+    picks = draw(st.sets(st.integers(0, len(pool) - 1), min_size=1, max_size=len(pool)))
+    return name, FaceSpec.of(pool[p] for p in picks)
+
+
+@st.composite
+def _points_on_faces(draw):
+    """A family's name, a face and a point on the face or on one of its faces."""
+    name, face = draw(_faces())
+    row = _block(face, 1, draw(st.integers(0, 2**32 - 1)))[0]
+    return name, face, make_point(zip(face.indices, row.tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_points_on_faces())
+# The sine map sends the barycenter of {1, 2} to e^(2): the image leaves index 1.
+@example(case=("sine", FaceSpec.of((1, 2)), make_point({1: 0.5, 2: 0.5})))
+def test_face_invariance(case):
+    name, _, x = case
+    image = apply(FAMILIES[name][0], x)
+    assert set(image.support) <= set(x.support)
+    assert all(m > 0.0 for m in image.masses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_faces())
+@example(case=("sine", FaceSpec.of((1, 2))))
+def test_vertex_fixity(case):
+    name, face = case
+    op = FAMILIES[name][0]
+    for k in face:
+        assert apply(op, vertex(k)) == vertex(k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,14 @@
-"""The public names: everything ``volterra.__all__`` lists exists, and the
-README's library overview names only public functions and classes, each
-in the module its row names."""
+"""The public names: everything ``volterra.__all__`` lists exists, is in
+``dir(volterra)`` and is bound by a star import; the README's library
+overview names only public functions and classes, each in the module its
+row names; and the classes that were dataclasses keep their constructors,
+and ``FaceSpec`` its value equality."""
 
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import volterra
 
@@ -39,3 +43,58 @@ def test_readme_overview_names_only_exported_names():
         for name in names:
             assert name in volterra.__all__, f"README lists {name!r}, which volterra does not export"
             assert getattr(source, name) is getattr(volterra, name), f"{name!r} is not in volterra.{module}"
+
+
+def test_dir_covers_all():
+    assert set(volterra.__all__) <= set(dir(volterra))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from volterra import *", namespace)
+    for name in volterra.__all__:
+        assert namespace[name] is getattr(volterra, name), name
+
+
+def test_unknown_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="'volterra'.*'no_such_name'"):
+        volterra.no_such_name
+
+
+def test_former_dataclasses_keep_their_constructors():
+    from volterra import (
+        CanonicalCubicCoeffs, CubicTensor, FaceSpec, GeneratingMap, VolterraCheck, VolterraOperator,
+    )
+
+    fn = lambda ks, X: [0.0] * len(ks)  # noqa: E731
+    face = FaceSpec((1, 2))
+    assert FaceSpec(indices=(1, 2)).indices == (1, 2)
+    for gmap in (GeneratingMap(fn, face), GeneratingMap(fn=fn, declared_domain=face)):
+        assert (gmap.fn, gmap.declared_domain) == (fn, face)
+    assert GeneratingMap(fn).declared_domain is None
+    for op in (VolterraOperator(GeneratingMap(fn), "zero"), VolterraOperator(map=GeneratingMap(fn), label="zero")):
+        assert op.map.fn is fn and op.label == "zero"
+    assert VolterraOperator(GeneratingMap(fn)).label == "operator"
+    rows = {(1, 1, 1): {1: 1.0}}
+    for tensor in (CubicTensor(rows, 1), CubicTensor(coefficients=rows, dimension=1)):
+        assert (tensor.coefficients, tensor.dimension) == (rows, 1)
+    for coeffs in (CanonicalCubicCoeffs(2, {1: {2: 1.0}}, {}, {}),
+                   CanonicalCubicCoeffs(dimension=2, p_ikk={1: {2: 1.0}}, p_iik={}, p_ijk={})):
+        assert (coeffs.dimension, coeffs.p_ikk, coeffs.p_iik, coeffs.p_ijk) == (2, {1: {2: 1.0}}, {}, {})
+    offender = ((1, 1, 2), 3, 0.5)
+    assert VolterraCheck(True).offender is None and VolterraCheck(True)
+    for check in (VolterraCheck(False, offender), VolterraCheck(ok=False, offender=offender)):
+        assert not check and check.offender == offender
+
+
+def test_face_equality_and_hashing():
+    from volterra import FaceSpec
+
+    assert FaceSpec((1, 3)) == FaceSpec.of([3, 1]) == FaceSpec.parse("1,3")
+    assert FaceSpec((1, 3)) != FaceSpec((1, 2))
+    assert FaceSpec((1,)) != (1,)
+    assert len({FaceSpec((1, 3)), FaceSpec.of([1, 3]), FaceSpec.prefix(3)}) == 2
+    assert {FaceSpec.prefix(2): "edge"}[FaceSpec((1, 2))] == "edge"
+    for bad in ((), (0, 1), (2, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            FaceSpec(bad)

@@ -25,8 +25,6 @@ _EXPORTS = {
         "l1_distance",
         "sample_face",
         "sample_face_rng",
-        "load_point",
-        "save_point",
         "point_to_obj",
         "point_from_obj",
     ),
@@ -52,8 +50,6 @@ _EXPORTS = {
         "validate_matrix",
         "quadratic_operator",
         "symmetry_defect_witness",
-        "load_matrix",
-        "save_matrix",
     ),
     "cubic": (
         "CubicTensor",
@@ -71,8 +67,6 @@ _EXPORTS = {
         "image_tail_sum",
         "prefix_positivity_value",
         "sine_example",
-        "load_tensor",
-        "save_tensor",
     ),
     "inversion": (
         "InversionResult",

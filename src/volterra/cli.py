@@ -11,8 +11,9 @@ Commands::
 
 All inputs and reports are JSON (trajectories are JSON Lines).  Exit
 codes: 0 success/pass, 1 validation or condition failure, 2
-non-convergence, 3 malformed input.  VOLTERRA_SEED overrides the
-default seed; an explicit --seed wins over both.
+non-convergence, 3 malformed input or an unwritable --output, 141 a
+closed stdout.  VOLTERRA_SEED overrides the default seed; an explicit
+--seed wins over both.
 
 ``quadratic``, ``dynamics`` and ``inversion`` are imported by the code
 that uses them, when it runs, so ``apply`` on a formula operator loads
@@ -158,8 +159,11 @@ def _emit(payload, output: str | None) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -337,7 +341,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away.  As in Python's SIGPIPE recipe, point
+        # stdout at devnull so that the flush at exit cannot raise again,
+        # and exit as a shell reports a tool that SIGPIPE ended.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

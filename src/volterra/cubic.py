@@ -34,9 +34,7 @@ face {1, 2}, which is not injective.
 
 from __future__ import annotations
 
-import json
 import math
-from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations
 
@@ -359,17 +357,6 @@ def example31_tensor(dimension: int) -> CubicTensor:
     return validate_tensor(raw)
 
 
-def _prefix_sums(x: SparsePoint) -> tuple[tuple[int, ...], list[float], list[float]]:
-    """Support plus cumulative mass and mass-square sums before each slot."""
-    support = x.support
-    cum = [0.0]
-    cum_sq = [0.0]
-    for _, m in x.items():
-        cum.append(cum[-1] + m)
-        cum_sq.append(cum_sq[-1] + m * m)
-    return support, cum, cum_sq
-
-
 def example32() -> VolterraOperator:
     """The triangular cubic bijection of the simplex.
 
@@ -412,11 +399,15 @@ def image_tail_sum(k: int, x: SparsePoint) -> float:
     """
     if k < 1:
         raise ValueError("index must be >= 1")
-    support, cum, cum_sq = _prefix_sums(x)
-    pos = bisect_left(support, k)
-    prefix = cum[pos]
+    prefix = 0.0  # sum of the masses before index k
+    squares = 0.0  # sum of their squares
+    for i, m in x.items():
+        if i >= k:
+            break
+        prefix += m
+        squares += m * m
     tail = math.fsum(m for i, m in x.items() if i >= k)
-    q = (prefix * prefix + cum_sq[pos]) / 2.0
+    q = (prefix * prefix + squares) / 2.0
     return tail**3 + 3.0 * prefix * tail * tail + 3.0 * q * tail
 
 
@@ -487,14 +478,3 @@ def tensor_to_obj(p: CubicTensor) -> list[dict]:
         {"triple": list(triple), "outputs": {str(k): v for k, v in sorted(row.items())}}
         for triple, row in sorted(p.coefficients.items())
     ]
-
-
-def save_tensor(p: CubicTensor, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(tensor_to_obj(p), indent=2) + "\n")
-
-
-def load_tensor(path) -> CubicTensor:
-    """Read and validate the JSON triple list format."""
-    with open(path, encoding="utf-8") as handle:
-        return validate_tensor(json.load(handle))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import _numpy as np
 from .errors import TrajectoryError, VolterraError
 from .generating import VolterraOperator, apply, is_fixed_point
-from .simplex import FaceSpec, SparsePoint, l1_distance, sample_face_rng
+from .simplex import FaceSpec, SparsePoint, l1_distance, point_to_obj, sample_face_rng
 
 #: Step size below which a trajectory step counts toward convergence.
 STEP_TOLERANCE = 1e-12
@@ -32,10 +32,7 @@ class Trajectory:
     limit: SparsePoint | None
 
     def to_records(self) -> list[dict]:
-        return [
-            {"t": t, "x": {str(k): m for k, m in p.items()}}
-            for t, p in enumerate(self.points)
-        ]
+        return [{"t": t, "x": point_to_obj(p)} for t, p in enumerate(self.points)]
 
 
 def iterate(op: VolterraOperator, x0: SparsePoint, steps: int) -> Trajectory:

@@ -141,12 +141,13 @@ def identity_operator() -> VolterraOperator:
     return VolterraOperator(GeneratingMap(lambda ks, X: [0.0] * len(ks)), label="identity")
 
 
-def _check_domain(op: VolterraOperator, x: SparsePoint) -> None:
+def _check_domain(op: VolterraOperator, indices: Sequence[int], what: str) -> None:
+    """DomainViolation, naming ``what`` and ``indices``, unless every
+    index lies in op's declared domain."""
     dom = op.map.declared_domain
-    if dom is not None and not dom.covers(x):
+    if dom is not None and not all(k in dom for k in indices):
         raise DomainViolation(
-            f"point supported on {x.support} lies outside the declared "
-            f"domain {dom.indices} of operator {op.label!r}"
+            f"{what} {indices} lies outside the declared domain {dom.indices} of operator {op.label!r}"
         )
 
 
@@ -162,7 +163,7 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     tolerance are clamped to zero and dropped, so the image support is
     always contained in the support of x.
     """
-    _check_domain(op, x)
+    _check_domain(op, x.support, "point supported on")
     fvals = op.map.values(x.masses, x.support)
     return _image(x.support, [m * (1.0 + fk) for m, fk in zip(x.masses, fvals)])
 
@@ -231,8 +232,8 @@ def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -
     Nonpositive values for all pairs are sufficient for bijectivity.
     The implementation is literally symmetric in (x, y).
     """
-    _check_domain(op, x)
-    _check_domain(op, y)
+    _check_domain(op, x.support, "point supported on")
+    _check_domain(op, y.support, "point supported on")
     union = tuple(sorted({*x.support, *y.support}))
     xm, ym = ([d.get(k, 0.0) for k in union] for d in (x.as_dict(), y.as_dict()))
     fy = op.map.values(ym, union)
@@ -303,15 +304,6 @@ def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np
         return out
 
 
-def _check_face_domain(op: VolterraOperator, face: FaceSpec) -> None:
-    dom = op.map.declared_domain
-    if dom is not None and not all(k in dom for k in face.indices):
-        raise DomainViolation(
-            f"face {face.indices} is not contained in the declared domain "
-            f"{dom.indices} of operator {op.label!r}"
-        )
-
-
 def _vertex_rows(d: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the d x d identity: vertices as face points."""
     rows = np.zeros((stop - start, d))
@@ -346,7 +338,7 @@ def check_conditions(
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_face_domain(op, face)
+    _check_domain(op, face.indices, "face")
     rng = np.random.default_rng(seed)
     indices = face.indices
     d = len(indices)
@@ -416,7 +408,7 @@ def check_pair_condition(
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_face_domain(op, face)
+    _check_domain(op, face.indices, "face")
     rng = np.random.default_rng(seed)
     indices = face.indices
     drawn = sample_face_block(face, rng, 2 * samples)

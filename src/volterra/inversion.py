@@ -25,7 +25,7 @@ from . import _numpy as np
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
 from .generating import VolterraOperator, _check_domain, _image_residual, apply
-from .simplex import SparsePoint, _checked_mass, _normalized, _point_on, l1_distance, make_point
+from .simplex import SparsePoint, _checked_mass, _normalized, _point_on, l1_distance, make_point, point_to_obj
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class InversionResult:
 
     def to_obj(self) -> dict:
         return {
-            "preimage": {str(k): m for k, m in self.preimage.items()},
+            "preimage": point_to_obj(self.preimage),
             "residual": self.residual,
             "iterations": self.iterations,
             "method": self.method,
@@ -135,7 +135,7 @@ def invert_fixed_point(
         raise ValueError("tolerance must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
-    _check_domain(op, y)
+    _check_domain(op, y.support, "point supported on")
     support, target = y.support, y.masses
     lam = damping
     xm = target  # masses of the iterate, aligned with the support of y

@@ -12,7 +12,6 @@ witness deterministically.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -47,9 +46,6 @@ class SkewMatrix:
         if k < i:
             return self.entries.get((k, i), 0.0)
         return -self.entries.get((i, k), 0.0)
-
-    def to_triples(self) -> list[list[float]]:
-        return [[k, i, v] for (k, i), v in sorted(self.entries.items())]
 
 
 def _cells_from_raw(raw) -> dict[tuple[int, int], float]:
@@ -213,14 +209,3 @@ def symmetry_defect_witness(raw) -> tuple[SparsePoint, float] | None:
             value = (s + cells.get((i, i), 0.0) + cells.get((j, j), 0.0)) / 4.0
             return SparsePoint((i, j), (0.5, 0.5)), value
     return None
-
-
-def save_matrix(a: SkewMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(a.to_triples(), indent=2) + "\n")
-
-
-def load_matrix(path) -> SkewMatrix:
-    """Read a JSON list of [k, i, value] triples and validate it."""
-    with open(path, encoding="utf-8") as handle:
-        return validate_matrix(json.load(handle))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .generating import PAIR_TOLERANCE
-from .simplex import FaceSpec, SparsePoint
+from .simplex import FaceSpec, SparsePoint, point_to_obj
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ConditionVerdict:
             "condition": self.condition,
             "passed": self.passed,
             "worst_value": self.worst_value,
-            "witness": None if self.witness is None else {str(k): m for k, m in self.witness.items()},
+            "witness": None if self.witness is None else point_to_obj(self.witness),
             "smoke_test": self.smoke_test,
         }
 
@@ -91,8 +91,5 @@ class PairConditionReport:
             "max_value": self.max_value,
             "threshold": self.threshold,
             "passed": self.passed,
-            "witness": {
-                "x": {str(k): m for k, m in wx.items()},
-                "y": {str(k): m for k, m in wy.items()},
-            },
+            "witness": {"x": point_to_obj(wx), "y": point_to_obj(wy)},
         }

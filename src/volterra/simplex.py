@@ -21,7 +21,6 @@ large.  The declared domain of a finite-dimensional operator,
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -237,10 +236,6 @@ class FaceSpec:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def covers(self, p: SparsePoint) -> bool:
-        """True iff the support of ``p`` lies inside this face."""
-        return all(k in self for k in p.support)
-
     def vertices(self) -> list[SparsePoint]:
         return [vertex(k) for k in self.indices]
 
@@ -305,13 +300,3 @@ def point_to_obj(p: SparsePoint) -> dict[str, float]:
 
 def point_from_obj(obj: Mapping[str, float]) -> SparsePoint:
     return make_point((int(k), float(v)) for k, v in obj.items())
-
-
-def save_point(p: SparsePoint, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(point_to_obj(p), indent=2, sort_keys=True) + "\n")
-
-
-def load_point(path) -> SparsePoint:
-    with open(path, encoding="utf-8") as handle:
-        return point_from_obj(json.load(handle))

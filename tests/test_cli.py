@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -332,3 +336,57 @@ def test_oversized_face_exits_three_at_once(capsys, ex31_spec):
     assert code == 3
     code, _ = run(capsys, ["pair-check", "--operator", ex31_spec, "--face", "1..1000000000"])
     assert code == 3
+
+
+def test_domain_violation_messages(capsys, tmp_path, sine_spec):
+    three = write_json(tmp_path / "three.json", {"1": 0.25, "2": 0.25, "3": 0.5})
+    assert main(["apply", "--operator", sine_spec, "--point", three]) == 1
+    assert capsys.readouterr().err == (
+        "error: point supported on (1, 2, 3) lies outside the declared domain (1, 2) of operator 'sine'\n"
+    )
+    assert main(["check", "--operator", sine_spec, "--face", "1..3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: face (1, 2, 3) lies outside the declared domain (1, 2) of operator 'sine'\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["apply", "simulate", "check"])
+def test_unwritable_output_exits_three(capsys, tmp_path, ex31_spec, command):
+    point = write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5})
+    target = tmp_path / "missing" / "out.json"
+    rest = {
+        "apply": ["--point", point],
+        "simulate": ["--point", point, "--steps", "3"],
+        "check": ["--face", "1,2", "--samples", "10"],
+    }[command]
+    code = main([command, "--operator", ex31_spec, *rest, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("case", ["short", "passing check", "long"])
+def test_closed_stdout_exits_141_quietly(ex31_spec, case):
+    argv = {  # short reports fail at main's flush, a long one in print
+        "short": ["builtin", "--name", "example32"],
+        "passing check": ["check", "--operator", ex31_spec, "--face", "1..5"],
+        "long": ["builtin", "--name", "example31", "--dimension", "10"],
+    }[case]
+    # Buffered, as a pipe is by default, so that a short report fails only
+    # when main flushes it.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "volterra", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,16 +20,15 @@ from volterra import (
     image_tail_sum,
     is_volterra,
     l1_distance,
-    load_tensor,
     make_point,
     operator_from_tensor,
     prefix_positivity_value,
-    save_tensor,
     sine_example,
     tensor_to_canonical,
     validate_tensor,
     vertex,
 )
+from volterra.cubic import tensor_to_obj
 from helpers import rand_point, rand_point_on_pool, rand_volterra_tensor
 
 
@@ -328,12 +328,10 @@ def test_sine_generating_values():
 # --- serialization ----------------------------------------------------------
 
 
-def test_tensor_json_roundtrip(tmp_path):
+def test_tensor_json_roundtrip():
     rng = np.random.default_rng(10)
     p = rand_volterra_tensor(rng, 4)
-    path = tmp_path / "tensor.json"
-    save_tensor(p, path)
-    loaded = load_tensor(path)
+    loaded = validate_tensor(json.loads(json.dumps(tensor_to_obj(p))))
     assert loaded.dimension == p.dimension
     for triple, row in p.coefficients.items():
         assert loaded.coefficients[triple] == pytest.approx(row)

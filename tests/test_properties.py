@@ -8,19 +8,31 @@ that sequential draws give.  The fixed-point inverter reports the exact
 l1 residual of the point it returns, and the triangular inverse of
 example32 recovers the point it was given.  Every operator family keeps
 each face invariant (an image is supported inside the support of its
-point) and fixes every vertex exactly.  A point's lookups and its
+point), sends a point to an image of total mass 1, and fixes every
+vertex exactly.  A skew matrix with entries in [-1, 1] passes the
+sampled weighted balance, and cells with a nonzero symmetric part give
+a defect witness whose value is x^T B x.  A point's lookups and its
 l1 distance to another point agree with a plain dict of its masses,
-whatever the two supports share.
+whatever the two supports share.  Malformed command-line arguments,
+input files and an unwritable ``--output`` exit 3.
 """
 
+import io
+import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from volterra import (
     FaceSpec,
     NonConvergence,
     SparsePoint,
     apply,
+    check_conditions,
     compose,
     convex_combination,
     example31,
@@ -34,9 +46,12 @@ from volterra import (
     quadratic_operator,
     sample_face_rng,
     sine_example,
+    symmetry_defect_witness,
     validate_matrix,
     vertex,
 )
+from volterra import cli
+from volterra.quadratic import MATRIX_TOLERANCE
 from volterra.simplex import sample_face_block
 from helpers import example32_image, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
 
@@ -116,6 +131,14 @@ def test_face_invariance(case):
     image = apply(FAMILIES[name][0], x)
     assert set(image.support) <= set(x.support)
     assert all(m > 0.0 for m in image.masses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_points_on_faces())
+def test_image_normalization(case):
+    name, _, x = case
+    image = apply(FAMILIES[name][0], x)
+    assert abs(math.fsum(image.masses) - 1.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,3 +268,232 @@ def test_point_lookups_and_l1_distance_match_a_dict(pair):
             assert (k in point) == (k in reference)
     assert l1_distance(p, q) == _dict_l1(p, q)
     assert l1_distance(q, p) == _dict_l1(q, p)
+
+
+@st.composite
+def _skew_triples(draw):
+    """The dimension and the triples of a skew matrix with entries in
+    [-1, 1], the bounds included, each pair given in either orientation
+    or both."""
+    n = draw(st.integers(2, 8))
+    entry = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+    triples = []
+    for k in range(1, n + 1):
+        for i in range(k + 1, n + 1):
+            v = draw(entry)
+            given_as = draw(st.sampled_from(["upper", "lower", "both"]))
+            if given_as != "lower":
+                triples.append([k, i, v])
+            if given_as != "upper":
+                triples.append([i, k, -v])
+    return n, triples
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_skew_triples(), seed=st.integers(0, 2**32 - 1))
+def test_skew_matrix_passes_the_balance(case, seed):
+    n, triples = case
+    op = quadratic_operator(validate_matrix(triples))
+    report = check_conditions(op, FaceSpec.prefix(n), samples=20, seed=seed)
+    assert report.balance.passed, report.balance
+    assert report.lower_bound.passed, report.lower_bound
+
+
+def _has_symmetric_part(cells: dict) -> bool:
+    return any(
+        abs(v + (0.0 if k == i else cells.get((i, k), 0.0))) > MATRIX_TOLERANCE
+        for (k, i), v in cells.items()
+    )
+
+
+@st.composite
+def _defective_cells(draw):
+    """Raw cells of a matrix with a nonzero symmetric part: a skew
+    matrix, part of it mirrored, with a few cells drawn over it (on the
+    diagonal or breaking a pair's skewness)."""
+    n = draw(st.integers(1, 6))
+    value = st.floats(-1.0, 1.0)
+    cells = {}
+    for k in range(1, n + 1):
+        for i in range(k + 1, n + 1):
+            if draw(st.booleans()):
+                cells[(k, i)] = v = draw(value)
+                cells[(i, k)] = -v
+    index = st.integers(1, n)
+    cells.update(draw(st.dictionaries(st.tuples(index, index), value, min_size=1, max_size=3)))
+    assume(_has_symmetric_part(cells))
+    return cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=_defective_cells())
+def test_symmetry_defect_witness_value_is_the_quadratic_form(cells):
+    witness = symmetry_defect_witness([[k, i, v] for (k, i), v in cells.items()])
+    assert witness is not None
+    x, value = witness
+    form = math.fsum(v * x.mass(k) * x.mass(i) for (k, i), v in cells.items())
+    assert abs(value - form) <= 1e-15
+    assert abs(value) > 0.0
+
+
+# --- malformed command lines and files exit 3 ---------------------------------
+
+#: option -> (int or float, the values the option accepts)
+_OPTIONS = {
+    "--steps": (int, lambda v: v >= 0),
+    "--seed": (int, lambda v: v >= 0),
+    "--samples": (int, lambda v: v >= 1),
+    "--max-iter": (int, lambda v: v >= 0),
+    "--dimension": (int, lambda v: v >= 1),
+    "--tol": (float, lambda v: v > 0.0),
+    "--damping": (float, lambda v: 0.0 < v <= 1.0),
+    "--margin": (float, lambda v: 0.0 <= v < math.inf),
+}
+#: option -> a command line it belongs to; OP and POINT name valid files.
+_HOSTS = {
+    "--steps": ["simulate", "--operator", "OP", "--point", "POINT"],
+    "--seed": ["check", "--operator", "OP", "--face", "1,2", "--samples", "5"],
+    "--samples": ["pair-check", "--operator", "OP", "--face", "1,2"],
+    "--max-iter": ["invert", "--operator", "OP", "--point", "POINT"],
+    "--dimension": ["builtin", "--name", "example31"],
+    "--tol": ["invert", "--operator", "OP", "--point", "POINT"],
+    "--damping": ["invert", "--operator", "OP", "--point", "POINT"],
+    "--margin": ["check", "--operator", "OP", "--face", "1,2", "--samples", "5"],
+}
+#: Commands that write a report, each on valid inputs.
+_WRITERS = [
+    ["builtin", "--name", "example32"],
+    ["apply", "--operator", "OP", "--point", "POINT"],
+    ["simulate", "--operator", "OP", "--point", "POINT", "--steps", "2"],
+    ["invert", "--operator", "OP", "--point", "POINT"],
+    ["check", "--operator", "OP", "--face", "1,2", "--samples", "5"],
+    ["pair-check", "--operator", "OP", "--face", "1,2", "--samples", "5"],
+]
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text())
+_KNOWN_TYPES = {"quadratic", "cubic_tensor", "example31", "example32", "sine", "compose", "convex"}
+
+
+def _parses(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _rejected(option: str, text: str) -> bool:
+    convert, accept = _OPTIONS[option]
+    return not _parses(convert, text) or not accept(convert(text))
+
+
+@st.composite
+def _bad_option(draw):
+    option = draw(st.sampled_from(sorted(_OPTIONS)))
+    convert = _OPTIONS[option][0]
+    numbers = st.integers(-10**6, 10**6) if convert is int else st.floats()
+    text = draw(st.one_of(numbers.map(str), st.text(max_size=8)).filter(lambda t: _rejected(option, t)))
+    return {"argv": [*_HOSTS[option], f"{option}={text}"]}
+
+
+@st.composite
+def _bad_face(draw):
+    text = draw(st.text(max_size=8))
+    cut = draw(st.integers(0, len(text)))
+    face = text[:cut] + draw(st.sampled_from("aZx")) + text[cut:]  # a letter never parses
+    command = draw(st.sampled_from(["check", "pair-check"]))
+    return {"argv": [command, "--operator", "OP", "--face", face, "--samples", "5"]}
+
+
+def _not_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def _bad_point(draw):
+    """A point file that is no JSON object of index strings to masses
+    summing to 1."""
+    bad_key = st.text(max_size=4).filter(lambda k: not _parses(int, k) or int(k) < 1)
+    bad_mass = st.one_of(
+        st.text(max_size=4).filter(lambda v: not _parses(float, v)),
+        st.floats(max_value=-1e-6),
+        st.sampled_from([math.nan, math.inf, None, [0.5], {}]),
+    )
+    kind = draw(st.sampled_from(["text", "not_object", "key", "mass", "total"]))
+    if kind == "text":
+        content = draw(st.text(max_size=12).filter(_not_json))
+    elif kind == "not_object":
+        content = json.dumps(draw(st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))))
+    elif kind == "key":
+        content = json.dumps({"1": 0.5, draw(bad_key): 0.5})
+    elif kind == "mass":
+        content = json.dumps({"1": 0.5, "2": draw(bad_mass)})
+    else:
+        masses = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+        assume(abs(math.fsum(masses) - 1.0) > 1e-6)
+        content = json.dumps({str(k): m for k, m in enumerate(masses, start=1)})
+    command = draw(st.sampled_from(["apply", "simulate", "invert"]))
+    return {"argv": [command, "--operator", "OP", "--point", "FILE"], "file": content}
+
+
+@st.composite
+def _bad_operator(draw):
+    """An operator file whose structure is wrong: no JSON, no object, no
+    known type, or a known type with missing or unusable fields."""
+    good = {"type": "example31"}
+    not_an_int = st.text(max_size=4).filter(lambda t: not _parses(int, t))
+    kind = draw(st.sampled_from(["text", "not_object", "no_type", "type", "dimension", "operands", "lambda"]))
+    if kind == "text":
+        spec = draw(st.text(max_size=12).filter(_not_json))
+    elif kind == "not_object":
+        spec = json.dumps(draw(st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))))
+    elif kind == "no_type":
+        spec = json.dumps(draw(st.dictionaries(st.text(max_size=4).filter(lambda k: k != "type"), _JSON_SCALARS)))
+    elif kind == "type":
+        tag = draw(st.one_of(st.text(max_size=12).filter(lambda t: t not in _KNOWN_TYPES), st.integers()))
+        spec = json.dumps({"type": tag})
+    elif kind == "dimension":
+        spec = json.dumps({"type": "example31", "dimension": draw(st.one_of(not_an_int, st.lists(st.integers())))})
+    elif kind == "operands":
+        count = draw(st.sampled_from([0, 1, 3]))
+        spec = json.dumps({"type": draw(st.sampled_from(["compose", "convex"])), "operators": [good] * count, "lambda": 0.5})
+    else:
+        lam = draw(st.one_of(st.text(max_size=4).filter(lambda t: not _parses(float, t)), st.lists(st.floats())))
+        spec = json.dumps({"type": "convex", "operators": [good, good], "lambda": lam})
+    command = draw(st.sampled_from(_WRITERS[1:]))
+    return {"argv": [part if part != "OP" else "FILE" for part in command], "file": spec}
+
+
+@st.composite
+def _unwritable_output(draw):
+    return {"argv": [*draw(st.sampled_from(_WRITERS)), "--output", "MISSING"]}
+
+
+def _exit_code(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_bad_option(), _bad_face(), _bad_point(), _bad_operator(), _unwritable_output()))
+def test_malformed_input_exits_three(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        names = {
+            "OP": tmp / "op.json",
+            "POINT": tmp / "point.json",
+            "FILE": tmp / "file.json",
+            "MISSING": tmp / "missing" / "out.json",
+        }
+        names["OP"].write_text('{"type": "example31"}', encoding="utf-8")
+        names["POINT"].write_text('{"1": 0.25, "2": 0.75}', encoding="utf-8")
+        names["FILE"].write_text(case.get("file", ""), encoding="utf-8")
+        argv = [str(names[part]) if part in names else part for part in case["argv"]]
+        assert _exit_code(argv) == 3, (argv, case.get("file"))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,11 @@ from volterra import (
     SumOutOfTolerance,
     in_relative_interior,
     l1_distance,
-    load_point,
     make_point,
     point_from_obj,
     point_to_obj,
     sample_face,
     sample_face_rng,
-    save_point,
     vertex,
 )
 from volterra.simplex import MAX_FACE_SIZE
@@ -131,14 +131,11 @@ def test_sampled_points_canonical():
         assert p.support == tuple(sorted(p.support))
 
 
-def test_point_json_roundtrip(tmp_path):
+def test_point_json_roundtrip():
     p = make_point([(1, 0.25), (4, 0.75)])
     obj = point_to_obj(p)
     assert obj == {"1": 0.25, "4": 0.75}
-    assert point_from_obj(obj) == p
-    path = tmp_path / "point.json"
-    save_point(p, path)
-    assert load_point(path) == p
+    assert point_from_obj(json.loads(json.dumps(obj))) == p
 
 
 def test_face_parse():
@@ -167,8 +164,6 @@ def test_face_helpers():
     assert [v.support for v in face.vertices()] == [(1,), (2,), (4,)]
     bary = face.barycenter()
     assert bary.mass(4) == pytest.approx(1.0 / 3.0)
-    assert face.covers(make_point([(1, 0.5), (4, 0.5)]))
-    assert not face.covers(make_point([(1, 0.5), (3, 0.5)]))
     assert FaceSpec.prefix(3).indices == (1, 2, 3)
 
 

@@ -64,7 +64,7 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an int too long
         raise MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -73,7 +73,8 @@ def build_operator(obj) -> VolterraOperator:
 
     Validation failures of the payload (non-skew matrix, bad tensor,
     ...) propagate as ValidationError; structural problems (unknown
-    tag, missing fields) raise MalformedInput.
+    tag, missing fields, a ``dimension`` that is no integer, a
+    ``lambda`` that is no number) raise MalformedInput.
     """
     try:
         tag = obj["type"]
@@ -85,7 +86,9 @@ def build_operator(obj) -> VolterraOperator:
             return operator_from_tensor(validate_tensor(obj["triples"]))
         if tag == "example31":
             dimension = obj.get("dimension")
-            return example31(None if dimension is None else int(dimension))
+            if dimension is not None and (isinstance(dimension, bool) or not isinstance(dimension, int)):
+                raise MalformedInput(f"dimension must be an integer, got {dimension!r}")
+            return example31(dimension)
         if tag == "example32":
             return example32()
         if tag == "sine":
@@ -95,13 +98,14 @@ def build_operator(obj) -> VolterraOperator:
             return compose(build_operator(first), build_operator(second))
         if tag == "convex":
             first, second = obj["operators"]
-            return convex_combination(
-                build_operator(first), build_operator(second), float(obj["lambda"])
-            )
+            lam = obj["lambda"]
+            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+                raise MalformedInput(f"lambda must be a number, got {lam!r}")
+            return convex_combination(build_operator(first), build_operator(second), float(lam))
         raise MalformedInput(f"unknown operator type {tag!r}")
     except (ValidationError, MalformedInput):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad operator spec: {exc}") from exc
 
 
@@ -306,42 +310,47 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="sampled validity-condition check on a face")
     common(check, face=True, sampling=True)
     check.add_argument("--margin", type=_MARGIN, default=1e-9)
-    check.set_defaults(func=cmd_check)
 
     pair = sub.add_parser("pair-check", help="sampled pairwise bijectivity condition")
     common(pair, face=True, sampling=True)
-    pair.set_defaults(func=cmd_pair_check)
 
     app = sub.add_parser("apply", help="apply the operator to a point")
     common(app, point=True)
-    app.set_defaults(func=cmd_apply)
 
     sim = sub.add_parser("simulate", help="iterate the operator, emitting JSONL")
     common(sim, point=True)
     sim.add_argument("--steps", type=_NONNEGATIVE_INT, default=100)
-    sim.set_defaults(func=cmd_simulate)
 
     inv = sub.add_parser("invert", help="find the preimage of a point")
     common(inv, point=True)
     inv.add_argument("--tol", type=_TOLERANCE, default=1e-10)
     inv.add_argument("--max-iter", type=_NONNEGATIVE_INT, default=10_000)
     inv.add_argument("--damping", type=_DAMPING, default=0.5)
-    inv.set_defaults(func=cmd_invert)
 
     builtin = sub.add_parser("builtin", help="emit a builtin operator spec")
     builtin.add_argument("--name", required=True)
     builtin.add_argument("--dimension", type=_POSITIVE_INT, default=None)
     builtin.add_argument("--output", default=None)
-    builtin.set_defaults(func=cmd_builtin)
 
     return parser
 
 
+_parser = None  # built on the first call to main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        code = args.func(args)
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help and --version print, then exit
+            raise
+        # The command's function is looked up when it runs, not when the
+        # parser was built, so that a replaced cmd_* function runs.
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:

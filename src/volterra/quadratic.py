@@ -13,9 +13,11 @@ witness deterministically.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from . import _numpy as np
 from .errors import BoundViolation, NonFiniteValue, NotSkew
@@ -48,39 +50,119 @@ class SkewMatrix:
         return -self.entries.get((i, k), 0.0)
 
 
-def _cells_from_raw(raw) -> dict[tuple[int, int], float]:
-    """Normalize a dense numpy array or an iterable of (k, i, value)
-    triples into a cell map with 1-based indices.
+def _is_triple(item) -> bool:
+    return isinstance(item, (list, tuple)) and len(item) == 3
 
-    An array (anything with an ``ndim``) is read densely, zeros skipped,
-    and must be square; any other iterable must yield index-index-value
-    triples.  Nothing is tested against numpy's types, so a list of
-    triples never imports numpy.  A NaN or infinite value raises
-    NonFiniteValue.
+
+def _index(k) -> int | None:
+    """k as an index: an int in [1, sys.maxsize], where an integral
+    float counts and a bool does not; None if k is no index."""
+    if isinstance(k, bool):
+        return None
+    if isinstance(k, float):
+        if not k.is_integer():
+            return None
+        k = int(k)
+    else:
+        try:
+            k = operator.index(k)
+        except TypeError:
+            return None
+    return k if 1 <= k <= sys.maxsize else None
+
+
+def _value(v) -> float | None:
+    """v as a float, or None if v is no number (a bool or a string is none)."""
+    if isinstance(v, float):
+        return float(v)
+    if isinstance(v, bool):
+        return None
+    try:
+        return float(operator.index(v))
+    except (TypeError, OverflowError):  # no int, or one beyond the float range
+        return None
+
+
+def _find(col: list, item, stop: int) -> int:
+    """The position of the first ``item`` in col[:stop], or stop."""
+    try:
+        return col.index(item, 0, stop)
+    except ValueError:
+        return stop
+
+
+def _indices(col: list) -> tuple[list, int]:
+    """The column as indices, None for each item that is no index, and
+    the position of the first None (len(col) if there is none)."""
+    if set(map(type, col)) <= {int} and min(col, default=1) >= 1 and max(col, default=1) <= sys.maxsize:
+        return col, len(col)
+    col = list(map(_index, col))
+    return col, _find(col, None, len(col))
+
+
+def _values(col: list) -> tuple[list, int]:
+    """The column as floats, None for each item that is no number, and
+    the position of the first None (len(col) if there is none)."""
+    if set(map(type, col)) <= {float}:
+        return col, len(col)
+    col = list(map(_value, col))
+    return col, _find(col, None, len(col))
+
+
+def _read_cells(raw) -> tuple[dict[tuple[int, int], float], bool]:
+    """The cells of a dense numpy array or of an iterable of (k, i, value)
+    triples, and whether every cell lies above the diagonal.
+
+    An array (anything with an ``ndim``) must be square; its nonzero
+    entries are read in row-major order as 1-based triples.  Nothing is
+    tested against numpy's types, so a list of triples never imports
+    numpy.  A triple is a list or tuple of three: two indices, each an
+    integer in [1, sys.maxsize] (an integral float counts, a bool does
+    not), and a number.
+
+    Each check is one pass over all the items, and the first item that
+    fails any of them raises.  Within an item the checks run in this
+    order: not a triple, a bad index, a value that is no number (each a
+    ValueError), a NaN or infinite value (NonFiniteValue), a value that
+    differs from an earlier one for the same cell (ValueError).
     """
-    cells: dict[tuple[int, int], float] = {}
     if hasattr(raw, "ndim"):
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError(f"dense matrix must be square, got shape {raw.shape}")
-        for (r, c), v in np.ndenumerate(raw):
-            if not math.isfinite(v):
-                raise NonFiniteValue((r + 1, c + 1), float(v))
-            if v != 0.0:
-                cells[(r + 1, c + 1)] = float(v)
-        return cells
-    for item in raw:
-        k, i, v = item
-        k, i = int(k), int(i)
-        if k < 1 or i < 1:
-            raise ValueError(f"matrix indices must be positive, got ({k}, {i})")
-        key = (k, i)
-        v = float(v)
-        if not math.isfinite(v):
-            raise NonFiniteValue(key, v)
-        if key in cells and cells[key] != v:
-            raise ValueError(f"conflicting duplicate entries for cell {key}")
-        cells[key] = v
-    return cells
+        rows, cols = np.nonzero(raw)
+        items = list(zip((rows + 1).tolist(), (cols + 1).tolist(), raw[rows, cols].astype(float).tolist()))
+    else:
+        items = list(raw)
+    stop = len(items)  # the items before stop passed every check made so far
+    error = None
+    if not (set(map(type, items)) <= {list, tuple} and set(map(len, items)) <= {3}):
+        stop = _find(list(map(_is_triple, items)), False, stop)
+        if stop < len(items):
+            error = ValueError(f"matrix cell {items[stop]!r} is not a (row, column, value) triple")
+            items = items[:stop]
+    ks, bad_k = _indices([item[0] for item in items])
+    is_, bad_i = _indices([item[1] for item in items])
+    bad = min(bad_k, bad_i)
+    if bad < stop:
+        stop, error = bad, ValueError(
+            f"matrix cell {items[bad]!r}: indices must be integers in [1, {sys.maxsize}]"
+        )
+    vs, bad = _values([item[2] for item in items])
+    if bad < stop:
+        stop, error = bad, ValueError(f"matrix cell {items[bad]!r}: the value must be a number")
+    if not all(map(math.isfinite, islice(vs, stop))):
+        stop = _find(list(map(math.isfinite, islice(vs, stop))), False, stop)
+        error = NonFiniteValue((ks[stop], is_[stop]), vs[stop])
+    cells = dict(islice(zip(zip(ks, is_), vs), stop))
+    if len(cells) < stop:  # some cell is given more than once
+        keys = list(islice(zip(ks, is_), stop))
+        first = dict(zip(reversed(keys), reversed(vs[:stop])))  # each cell's first value
+        bad = _find(list(map(operator.eq, map(first.__getitem__, keys), vs)), False, stop)
+        if bad < stop:
+            error = ValueError(f"conflicting duplicate entries for cell {keys[bad]}")
+    if error is not None:
+        raise error
+    return cells, all(map(operator.lt, ks, is_))
 
 
 def validate_matrix(raw) -> SkewMatrix:
@@ -89,28 +171,48 @@ def validate_matrix(raw) -> SkewMatrix:
     Either orientation of a pair may be given; when both are present
     they must be consistent within MATRIX_TOLERANCE.  Returns the
     canonical upper-triangular store.
+
+    The cells are read by ``_read_cells``, whose errors come first.  A
+    nonzero diagonal entry and a pair whose cells disagree raise
+    NotSkew, and an entry beyond the bound BoundViolation; of these the
+    one at the smallest cell is raised, a pair counting at its first
+    given cell and its disagreement before its bound.  Input with upper
+    cells only, the canonical form, needs no mirror pass.
     """
-    cells = _cells_from_raw(raw)
-    store: dict[tuple[int, int], float] = {}
-    for (k, i), v in sorted(cells.items()):
-        if k == i:
-            if abs(v) > MATRIX_TOLERANCE:
-                raise NotSkew((k, i), f"diagonal entry {v!r} is not zero")
-            continue
-        if k > i and (i, k) in cells:
-            continue  # the pair was handled at its upper cell, which sorts first
-        lo, hi = (k, i) if k < i else (i, k)
-        upper = cells.get((lo, hi))
-        lower = cells.get((hi, lo))
-        if upper is not None and lower is not None and abs(upper + lower) > MATRIX_TOLERANCE:
-            raise NotSkew((lo, hi), f"a[{lo},{hi}]={upper!r} but a[{hi},{lo}]={lower!r}")
-        value = upper if upper is not None else -lower
-        if abs(value) > 1.0 + MATRIX_TOLERANCE:
-            raise BoundViolation((lo, hi), value)
-        if value != 0.0:
-            store[(lo, hi)] = value
-    dimension = max((hi for (_, hi) in store), default=0)
-    return SkewMatrix(entries=store, dimension=dimension)
+    cells, upper_only = _read_cells(raw)
+    failures = []  # (the cell a failure counts at, its rank there, the error)
+    if upper_only:
+        values = cells  # the store, before its zeros are dropped
+    else:
+        # The mirror pass: each pair's value at its upper cell, from the
+        # upper cell if given, else minus the lower cell.
+        lower = {(i, k): v for (k, i), v in cells.items() if k > i}
+        values = {key: v for key, v in cells.items() if key[0] < key[1]}
+        values.update({key: -v for key, v in lower.items() if key not in values})
+        diagonal = min(
+            (key for key, v in cells.items() if key[0] == key[1] and abs(v) > MATRIX_TOLERANCE),
+            default=None,
+        )
+        if diagonal is not None:
+            detail = f"diagonal entry {cells[diagonal]!r} is not zero"
+            failures.append((diagonal, 0, NotSkew(diagonal, detail)))
+        mismatch = min(
+            (key for key in lower.keys() & cells.keys() if abs(cells[key] + lower[key]) > MATRIX_TOLERANCE),
+            default=None,
+        )
+        if mismatch is not None:
+            lo, hi = mismatch
+            detail = f"a[{lo},{hi}]={cells[mismatch]!r} but a[{hi},{lo}]={lower[mismatch]!r}"
+            failures.append((mismatch, 0, NotSkew(mismatch, detail)))
+    bound = 1.0 + MATRIX_TOLERANCE
+    if values and max(map(abs, values.values())) > bound:
+        at = min(key if key in cells else key[::-1] for key, v in values.items() if abs(v) > bound)
+        key = min(at), max(at)
+        failures.append((at, 1, BoundViolation(key, values[key])))
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+    store = {key: v for key, v in values.items() if v != 0.0} if 0.0 in values.values() else values
+    return SkewMatrix(entries=store, dimension=max(map(operator.itemgetter(1), store), default=0))
 
 
 def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
@@ -198,7 +300,7 @@ def symmetry_defect_witness(raw) -> tuple[SparsePoint, float] | None:
     scanned.  Returns None exactly when the symmetric part vanishes
     within MATRIX_TOLERANCE.
     """
-    cells = _cells_from_raw(raw)
+    cells, _ = _read_cells(raw)
     for i in sorted(r for (r, c) in cells if r == c):
         v = cells[(i, i)]
         if abs(v) > MATRIX_TOLERANCE:

@@ -299,4 +299,15 @@ def point_to_obj(p: SparsePoint) -> dict[str, float]:
 
 
 def point_from_obj(obj: Mapping[str, float]) -> SparsePoint:
-    return make_point((int(k), float(v)) for k, v in obj.items())
+    """A point from its JSON form; ValueError for a mass that is no
+    number (a bool or a string is none) or too large for a float."""
+    return make_point((int(k), _json_mass(k, v)) for k, v in obj.items())
+
+
+def _json_mass(key: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"mass at index {key} must be a number, got {value!r}")

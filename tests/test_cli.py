@@ -270,6 +270,51 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
         assert "at most 10000000 are allowed" in capsys.readouterr().err
 
 
+_CONVEX = {"type": "convex", "operators": [{"type": "example31"}] * 2}
+#: name -> (the file it goes in, its content): each is no number where one belongs.
+NON_NUMBERS = {
+    "string masses": ("--point", {"1": "0.25", "2": "0.75"}),
+    "bool mass": ("--point", {"1": True}),
+    "mass beyond the float range": ("--point", {"1": 10**400, "2": 0.5}),
+    "fractional dimension": ("--operator", {"type": "example31", "dimension": 1.5}),
+    "bool dimension": ("--operator", {"type": "example31", "dimension": True}),
+    "string lambda": ("--operator", {**_CONVEX, "lambda": "0.5"}),
+    "bool lambda": ("--operator", {**_CONVEX, "lambda": False}),
+    "fractional index": ("--operator", {"type": "quadratic", "matrix": [[1.7, 2, 0.5]]}),
+    "index beyond sys.maxsize": ("--operator", {"type": "quadratic", "matrix": [[1, 1e20, 0.5]]}),
+    "bool index": ("--operator", {"type": "quadratic", "matrix": [[True, 2, 0.5]]}),
+    "string index": ("--operator", {"type": "quadratic", "matrix": [["1", 2, 0.5]]}),
+    "string value": ("--operator", {"type": "quadratic", "matrix": [[1, 2, "0.5"]]}),
+    "bool value": ("--operator", {"type": "quadratic", "matrix": [[1, 2, True]]}),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMBERS))
+def test_non_numbers_exit_three(capsys, tmp_path, ex31_spec, name):
+    flag, payload = NON_NUMBERS[name]
+    files = {
+        "--operator": ex31_spec,
+        "--point": write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5}),
+    }
+    files[flag] = write_json(tmp_path / "input.json", payload)
+    code = main(["apply", "--operator", files["--operator"], "--point", files["--point"]])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_integral_float_indices_apply(capsys, tmp_path):
+    point = write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5})
+    outputs = []
+    for first in (1, 1.0):
+        spec = write_json(tmp_path / "op.json", {"type": "quadratic", "matrix": [[first, 2.0, 0.5]]})
+        code, out = run(capsys, ["apply", "--operator", spec, "--point", point])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == {"1": 0.625, "2": 0.375}
+
+
 def test_sample_budget_admits_default_samples_on_largest_face(capsys, monkeypatch, ex31_spec):
     seen = []
 
@@ -331,6 +376,28 @@ def test_seed_env_override(capsys, ex31_spec, monkeypatch):
     assert code == 3
 
 
+def test_main_calls_are_independent(capsys, tmp_path, ex31_spec, monkeypatch):
+    """The parser is built once per process; each call still parses its
+    own arguments and reads VOLTERRA_SEED when it runs."""
+    argv = ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "20"]
+    monkeypatch.setenv("VOLTERRA_SEED", "11")
+    code, first = run(capsys, argv)
+    assert code == 0
+    monkeypatch.setenv("VOLTERRA_SEED", "12")
+    code, second = run(capsys, argv + ["--margin", "1e-6"])
+    assert code == 0
+    first, second = json.loads(first), json.loads(second)
+    assert (first["seed"], second["seed"]) == (11, 12)
+    assert (first["margin"], second["margin"]) == (1e-9, 1e-6)
+    assert first["conditions"] != second["conditions"]
+    # The first call's report does not change with what came after it.
+    monkeypatch.setenv("VOLTERRA_SEED", "11")
+    assert json.loads(run(capsys, argv)[1]) == first
+    point = write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5})
+    code, out = run(capsys, ["apply", "--operator", ex31_spec, "--point", point])
+    assert (code, json.loads(out)) == (0, {"1": 0.5, "2": 0.5})
+
+
 def test_oversized_face_exits_three_at_once(capsys, ex31_spec):
     code, _ = run(capsys, ["check", "--operator", ex31_spec, "--face", "1..1000000000"])
     assert code == 3
@@ -368,12 +435,15 @@ def test_unwritable_output_exits_three(capsys, tmp_path, ex31_spec, command):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("case", ["short", "passing check", "long"])
+@pytest.mark.parametrize("case", ["short", "passing check", "long", "version", "help"])
 def test_closed_stdout_exits_141_quietly(ex31_spec, case):
     argv = {  # short reports fail at main's flush, a long one in print
         "short": ["builtin", "--name", "example32"],
         "passing check": ["check", "--operator", ex31_spec, "--face", "1..5"],
         "long": ["builtin", "--name", "example31", "--dimension", "10"],
+        # argparse prints these, then exits from inside parse_args
+        "version": ["--version"],
+        "help": ["check", "--help"],
     }[case]
     # Buffered, as a pipe is by default, so that a short report fails only
     # when main flushes it.

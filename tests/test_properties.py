@@ -13,8 +13,10 @@ vertex exactly.  A skew matrix with entries in [-1, 1] passes the
 sampled weighted balance, and cells with a nonzero symmetric part give
 a defect witness whose value is x^T B x.  A point's lookups and its
 l1 distance to another point agree with a plain dict of its masses,
-whatever the two supports share.  Malformed command-line arguments,
-input files and an unwritable ``--output`` exit 3.
+whatever the two supports share.  The bulk matrix reader gives what
+the cell-by-cell loop it replaced gave, results and errors alike.
+Malformed command-line arguments, input files and an unwritable
+``--output`` exit 3.
 """
 
 import io
@@ -51,7 +53,8 @@ from volterra import (
     vertex,
 )
 from volterra import cli
-from volterra.quadratic import MATRIX_TOLERANCE
+from volterra.errors import BoundViolation, NonFiniteValue, NotSkew
+from volterra.quadratic import MATRIX_TOLERANCE, SkewMatrix
 from volterra.simplex import sample_face_block
 from helpers import example32_image, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
 
@@ -336,6 +339,189 @@ def test_symmetry_defect_witness_value_is_the_quadratic_form(cells):
     assert abs(value) > 0.0
 
 
+# --- the bulk matrix reader against the cell-by-cell loop it replaced ----------
+#
+# Verbatim copies of the per-cell reader, validate_matrix and
+# symmetry_defect_witness as they were before the bulk passes, renamed.
+# The inputs they are compared on leave out only what the bulk reader
+# newly rejects: fractional, bool, string or out-of-range indices, values
+# that are no numbers, and items that are no list or tuple.
+
+def _cells_from_raw_before(raw) -> dict[tuple[int, int], float]:
+    """Normalize a dense numpy array or an iterable of (k, i, value)
+    triples into a cell map with 1-based indices.
+
+    An array (anything with an ``ndim``) is read densely, zeros skipped,
+    and must be square; any other iterable must yield index-index-value
+    triples.  Nothing is tested against numpy's types, so a list of
+    triples never imports numpy.  A NaN or infinite value raises
+    NonFiniteValue.
+    """
+    cells: dict[tuple[int, int], float] = {}
+    if hasattr(raw, "ndim"):
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise ValueError(f"dense matrix must be square, got shape {raw.shape}")
+        for (r, c), v in np.ndenumerate(raw):
+            if not math.isfinite(v):
+                raise NonFiniteValue((r + 1, c + 1), float(v))
+            if v != 0.0:
+                cells[(r + 1, c + 1)] = float(v)
+        return cells
+    for item in raw:
+        k, i, v = item
+        k, i = int(k), int(i)
+        if k < 1 or i < 1:
+            raise ValueError(f"matrix indices must be positive, got ({k}, {i})")
+        key = (k, i)
+        v = float(v)
+        if not math.isfinite(v):
+            raise NonFiniteValue(key, v)
+        if key in cells and cells[key] != v:
+            raise ValueError(f"conflicting duplicate entries for cell {key}")
+        cells[key] = v
+    return cells
+
+
+def _validate_matrix_before(raw) -> SkewMatrix:
+    """Check skew-symmetry, zero diagonal and the unit entry bound.
+
+    Either orientation of a pair may be given; when both are present
+    they must be consistent within MATRIX_TOLERANCE.  Returns the
+    canonical upper-triangular store.
+    """
+    cells = _cells_from_raw_before(raw)
+    store: dict[tuple[int, int], float] = {}
+    for (k, i), v in sorted(cells.items()):
+        if k == i:
+            if abs(v) > MATRIX_TOLERANCE:
+                raise NotSkew((k, i), f"diagonal entry {v!r} is not zero")
+            continue
+        if k > i and (i, k) in cells:
+            continue  # the pair was handled at its upper cell, which sorts first
+        lo, hi = (k, i) if k < i else (i, k)
+        upper = cells.get((lo, hi))
+        lower = cells.get((hi, lo))
+        if upper is not None and lower is not None and abs(upper + lower) > MATRIX_TOLERANCE:
+            raise NotSkew((lo, hi), f"a[{lo},{hi}]={upper!r} but a[{hi},{lo}]={lower!r}")
+        value = upper if upper is not None else -lower
+        if abs(value) > 1.0 + MATRIX_TOLERANCE:
+            raise BoundViolation((lo, hi), value)
+        if value != 0.0:
+            store[(lo, hi)] = value
+    dimension = max((hi for (_, hi) in store), default=0)
+    return SkewMatrix(entries=store, dimension=dimension)
+
+
+def _symmetry_defect_witness_before(raw) -> tuple[SparsePoint, float] | None:
+    """A point where sum_k x_k f_k(x) != 0 for a non-skew matrix.
+
+    Scans the diagonal first: the smallest i with a nonzero b_ii gives
+    the vertex e^(i) with value b_ii.  Otherwise the smallest pair
+    (i, j) with b_ij + b_ji != 0 gives the uniform point on {i, j} with
+    value (b_ii + b_jj + b_ij + b_ji) / 4.  Only the given cells are
+    scanned.  Returns None exactly when the symmetric part vanishes
+    within MATRIX_TOLERANCE.
+    """
+    cells = _cells_from_raw_before(raw)
+    for i in sorted(r for (r, c) in cells if r == c):
+        v = cells[(i, i)]
+        if abs(v) > MATRIX_TOLERANCE:
+            return vertex(i), v
+    for i, j in sorted({(min(r, c), max(r, c)) for (r, c) in cells if r != c}):
+        s = cells.get((i, j), 0.0) + cells.get((j, i), 0.0)
+        if abs(s) > MATRIX_TOLERANCE:
+            value = (s + cells.get((i, i), 0.0) + cells.get((j, j), 0.0)) / 4.0
+            return SparsePoint((i, j), (0.5, 0.5)), value
+    return None
+
+
+#: Values of generated cells: inside, on and just beyond the bound and the
+#: tolerances, signed zeros, non-finite values and ints.
+_CELL_VALUES = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 5e-13, -1.0 - 2e-12, 5e-13, -3e-12,
+                     math.nan, math.inf, -math.inf]),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def _matrix_items(draw):
+    """Cells of a skew matrix, each pair given upper, lower, both or
+    both with a gap near the tolerance, with drawn cells put in among
+    them (diagonal, conflicting, out of bound, non-finite, index 0),
+    repeats, items that are no triple, indices as ints or integral
+    floats, in any order."""
+    n = draw(st.integers(1, 5))
+    items = []
+    for k in range(1, n + 1):
+        for i in range(k + 1, n + 1):
+            if not draw(st.booleans()):
+                continue
+            v = draw(st.one_of(
+                st.floats(-1.0, 1.0), st.sampled_from([0.0, 1.0, -1.0, 1.0 + 5e-13, -1.0 - 2e-12])
+            ))
+            given_as = draw(st.sampled_from(["upper", "lower", "both", "near"]))
+            if given_as != "lower":
+                items.append([k, i, v])
+            if given_as in ("lower", "both"):
+                items.append([i, k, -v])
+            if given_as == "near":
+                items.append([i, k, -v + draw(st.sampled_from([5e-13, -5e-13, 3e-12]))])
+    index = st.integers(0 if draw(st.integers(0, 4)) == 0 else 1, n)
+    for _ in range(draw(st.integers(0, 3))):
+        items.append([draw(index), draw(index), draw(_CELL_VALUES)])
+    if items:
+        items += [list(items[p]) for p in draw(st.lists(st.integers(0, len(items) - 1), max_size=2))]
+    if items and draw(st.integers(0, 9)) == 0:
+        items.append(draw(st.sampled_from([[1, 2], [1, 2, 0.5, 0.5], []])))
+    items = draw(st.permutations(items))
+    floats = draw(st.lists(st.booleans(), min_size=2 * len(items), max_size=2 * len(items)))
+    cells = []
+    for p, item in enumerate(items):
+        if len(item) == 3:
+            item = [float(x) if as_float else x for x, as_float in zip(item[:2], floats[2 * p:])] + item[2:]
+        cells.append(tuple(item) if draw(st.booleans()) else item)
+    return cells
+
+
+@st.composite
+def _dense_matrices(draw):
+    n = draw(st.integers(1, 4))
+    values = st.one_of(st.just(0.0), _CELL_VALUES.map(float))
+    return np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+def _outcome(function, raw):
+    """What function(raw) returns, or its error's type, witness and text."""
+    try:
+        return "value", function(raw)
+    except ValueError as exc:
+        if type(exc) is ValueError:  # a malformed cell: its wording changed
+            return "error", ValueError
+        where = getattr(exc, "where", getattr(exc, "pair", None))
+        return "error", (type(exc), where, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.one_of(_matrix_items(), _dense_matrices()))
+def test_validate_matrix_matches_the_cell_loop(raw):
+    kind, got = _outcome(validate_matrix, raw)
+    want_kind, want = _outcome(_validate_matrix_before, raw)
+    assert kind == want_kind
+    if kind == "error":
+        assert got == want
+    else:
+        assert got.entries == want.entries
+        assert got.dimension == want.dimension
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(_matrix_items(), _dense_matrices()))
+def test_symmetry_defect_witness_matches_the_cell_loop(raw):
+    assert _outcome(symmetry_defect_witness, raw) == _outcome(_symmetry_defect_witness_before, raw)
+
+
 # --- malformed command lines and files exit 3 ---------------------------------
 
 #: option -> (int or float, the values the option accepts)
@@ -418,9 +604,9 @@ def _bad_point(draw):
     summing to 1."""
     bad_key = st.text(max_size=4).filter(lambda k: not _parses(int, k) or int(k) < 1)
     bad_mass = st.one_of(
-        st.text(max_size=4).filter(lambda v: not _parses(float, v)),
+        st.text(max_size=4),  # "0.5" too: a mass is a JSON number
         st.floats(max_value=-1e-6),
-        st.sampled_from([math.nan, math.inf, None, [0.5], {}]),
+        st.sampled_from([math.nan, math.inf, None, [0.5], {}, True, False, 10**400]),
     )
     kind = draw(st.sampled_from(["text", "not_object", "key", "mass", "total"]))
     if kind == "text":
@@ -444,7 +630,6 @@ def _bad_operator(draw):
     """An operator file whose structure is wrong: no JSON, no object, no
     known type, or a known type with missing or unusable fields."""
     good = {"type": "example31"}
-    not_an_int = st.text(max_size=4).filter(lambda t: not _parses(int, t))
     kind = draw(st.sampled_from(["text", "not_object", "no_type", "type", "dimension", "operands", "lambda"]))
     if kind == "text":
         spec = draw(st.text(max_size=12).filter(_not_json))
@@ -456,12 +641,19 @@ def _bad_operator(draw):
         tag = draw(st.one_of(st.text(max_size=12).filter(lambda t: t not in _KNOWN_TYPES), st.integers()))
         spec = json.dumps({"type": tag})
     elif kind == "dimension":
-        spec = json.dumps({"type": "example31", "dimension": draw(st.one_of(not_an_int, st.lists(st.integers())))})
+        dimension = st.one_of(
+            st.text(max_size=4),  # "3" too: a dimension is a JSON integer
+            st.lists(st.integers()),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.booleans(),
+            st.integers(max_value=0),
+        )
+        spec = json.dumps({"type": "example31", "dimension": draw(dimension)})
     elif kind == "operands":
         count = draw(st.sampled_from([0, 1, 3]))
         spec = json.dumps({"type": draw(st.sampled_from(["compose", "convex"])), "operators": [good] * count, "lambda": 0.5})
     else:
-        lam = draw(st.one_of(st.text(max_size=4).filter(lambda t: not _parses(float, t)), st.lists(st.floats())))
+        lam = draw(st.one_of(st.text(max_size=4), st.lists(st.floats()), st.booleans(), st.none()))
         spec = json.dumps({"type": "convex", "operators": [good, good], "lambda": lam})
     command = draw(st.sampled_from(_WRITERS[1:]))
     return {"argv": [part if part != "OP" else "FILE" for part in command], "file": spec}

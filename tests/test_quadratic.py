@@ -1,5 +1,6 @@
 import json
 import signal
+import sys
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,47 @@ def test_validate_accepts_dense_array():
 def test_validate_rejects_conflicting_duplicates():
     with pytest.raises(ValueError):
         validate_matrix([(1, 2, 0.5), (1, 2, 0.4)])
+
+
+@pytest.mark.parametrize("cell", [
+    [1.7, 2, 0.5], [1, 2.5, 0.5], [0, 2, 0.5], [1, sys.maxsize + 1, 0.5], [1, 1e20, 0.5],
+    [1, float("nan"), 0.5], [1, float("inf"), 0.5], [True, 2, 0.5], ["1", 2, 0.5], [1, None, 0.5],
+    [1, 2, "0.5"], [1, 2, False], [1, 2, None], [1, 2, 10**400], [1, 2], (1, 2, 0.5, 0.5), "120", 5,
+])
+def test_validate_rejects_malformed_cells(cell):
+    with pytest.raises(ValueError) as info:
+        validate_matrix([[1, 3, 0.25], cell])
+    assert type(info.value) is ValueError
+
+
+def test_validate_accepts_integral_float_and_largest_indices():
+    m = validate_matrix([(1.0, 2, 0.5), (3, 2.0, 0.25), (1, sys.maxsize, -1.0)])
+    assert m.entries == {(1, 2): 0.5, (2, 3): -0.25, (1, sys.maxsize): -1.0}
+    assert all(type(k) is int and type(i) is int for k, i in m.entries)
+    assert m.dimension == sys.maxsize
+
+
+def test_validate_raises_for_the_first_failing_item():
+    # Items fail in input order; within an item a bad index comes before
+    # a non-finite value, and that before a conflicting duplicate.
+    with pytest.raises(NonFiniteValue) as info:
+        validate_matrix([[1, 2, 0.5], [2, 3, float("nan")], [1.5, 2, 0.5]])
+    assert info.value.where == (2, 3)
+    with pytest.raises(ValueError, match="integers"):
+        validate_matrix([[1, 2, 0.5], [2.5, 3, float("nan")], [4, 4, float("inf")]])
+    with pytest.raises(NonFiniteValue) as info:
+        validate_matrix([[1, 2, 0.5], [1, 2, float("inf")]])
+    assert info.value.where == (1, 2)
+    with pytest.raises(ValueError, match="conflicting"):
+        validate_matrix([[1, 2, 0.5], [1, 2, 0.25], [3, 4, float("nan")]])
+    # Skewness and the bound are judged at the smallest cell, a pair at
+    # its first given cell.
+    with pytest.raises(BoundViolation) as info:
+        validate_matrix([[3, 1, 0.5], [2, 2, 0.5], [2, 1, -1.5]])
+    assert info.value.pair == (1, 2)
+    with pytest.raises(NotSkew) as info:
+        validate_matrix([[3, 1, 0.5], [2, 2, 0.5], [1, 3, 1.5]])
+    assert info.value.pair == (1, 3)
 
 
 def test_quadratic_apply_frozen_values():

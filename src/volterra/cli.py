@@ -47,13 +47,18 @@ from .generating import (
     compose,
     convex_combination,
 )
-from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, point_from_obj, point_to_obj
+from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, _index, _read, _value, point_from_obj, point_to_obj
 
 
 #: Most masses (samples x face size) a ``check`` or ``pair-check`` may
 #: sample.  The checkers hold several blocks of that many floats; the
 #: default 1000 samples on the largest face a command line can name fit.
 MAX_SAMPLE_CELLS = 1000 * MAX_FACE_SIZE
+#: Largest ``builtin --dimension``.  The example31 tensor it writes holds
+#: every sorted triple of 1..N, about N**3 / 6 of them: at 50, 22,100
+#: triples and 4.3 MB of JSON in about a second; at 1000 it would take
+#: hours.
+MAX_BUILTIN_DIMENSION = 50
 
 
 class MalformedInput(Exception):
@@ -86,9 +91,7 @@ def build_operator(obj) -> VolterraOperator:
             return operator_from_tensor(validate_tensor(obj["triples"]))
         if tag == "example31":
             dimension = obj.get("dimension")
-            if dimension is not None and (isinstance(dimension, bool) or not isinstance(dimension, int)):
-                raise MalformedInput(f"dimension must be an integer, got {dimension!r}")
-            return example31(dimension)
+            return example31(None if dimension is None else _read(_index, dimension, "dimension"))
         if tag == "example32":
             return example32()
         if tag == "sine":
@@ -98,10 +101,8 @@ def build_operator(obj) -> VolterraOperator:
             return compose(build_operator(first), build_operator(second))
         if tag == "convex":
             first, second = obj["operators"]
-            lam = obj["lambda"]
-            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-                raise MalformedInput(f"lambda must be a number, got {lam!r}")
-            return convex_combination(build_operator(first), build_operator(second), float(lam))
+            lam = _read(_value, obj["lambda"], "lambda")
+            return convex_combination(build_operator(first), build_operator(second), lam)
         raise MalformedInput(f"unknown operator type {tag!r}")
     except (ValidationError, MalformedInput):
         raise
@@ -279,6 +280,7 @@ def _ranged(convert, accept, requirement: str):
 
 _NONNEGATIVE_INT = _ranged(int, lambda v: v >= 0, ">= 0")
 _POSITIVE_INT = _ranged(int, lambda v: v >= 1, ">= 1")
+_DIMENSION = _ranged(int, lambda v: 1 <= v <= MAX_BUILTIN_DIMENSION, f"in [1, {MAX_BUILTIN_DIMENSION}]")
 _TOLERANCE = _ranged(float, lambda v: v > 0.0, "> 0")
 _MARGIN = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _DAMPING = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     builtin = sub.add_parser("builtin", help="emit a builtin operator spec")
     builtin.add_argument("--name", required=True)
-    builtin.add_argument("--dimension", type=_POSITIVE_INT, default=None)
+    builtin.add_argument("--dimension", type=_DIMENSION, default=None)
     builtin.add_argument("--output", default=None)
 
     return parser

@@ -49,7 +49,7 @@ from .errors import (
     UndefinedTriple,
 )
 from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator, _image
-from .simplex import FaceSpec, SparsePoint
+from .simplex import FaceSpec, SparsePoint, _index, _key, _read, _value
 
 #: Tolerance for row sums and permutation consistency of tensors.
 TENSOR_TOLERANCE = 1e-12
@@ -83,17 +83,11 @@ class CubicTensor:
         raise UndefinedTriple(key)
 
 
-def _normalize_raw_triples(raw) -> Iterable[tuple[Triple, Mapping]]:
+def _raw_rows(raw) -> Iterable[tuple]:
+    """The (triple, outputs) pairs of a raw tensor in any accepted shape, unread."""
     if isinstance(raw, Mapping):
-        for key, outputs in raw.items():
-            yield tuple(int(v) for v in key), outputs
-        return
-    for item in raw:
-        if isinstance(item, Mapping):
-            yield tuple(int(v) for v in item["triple"]), item["outputs"]
-        else:
-            key, outputs = item
-            yield tuple(int(v) for v in key), outputs
+        return raw.items()
+    return ((item["triple"], item["outputs"]) if isinstance(item, Mapping) else item for item in raw)
 
 
 def validate_tensor(raw) -> CubicTensor:
@@ -101,24 +95,36 @@ def validate_tensor(raw) -> CubicTensor:
 
     Accepts a mapping {(i,j,l): {k: p}}, an iterable of
     ((i,j,l), outputs) pairs, or the JSON shape
-    [{"triple": [i,j,l], "outputs": {"k": p}}, ...].  Triples given in
-    any index order are sorted; repeated (permuted) triples must agree
-    within TENSOR_TOLERANCE.  Every output distribution must be finite,
-    nonnegative and sum to 1 within TENSOR_TOLERANCE.
+    [{"triple": [i,j,l], "outputs": {"k": p}}, ...].  Triple indices are
+    read by ``simplex._index``, output keys by ``simplex._key`` (decimal
+    text, or an index) and coefficients by ``simplex._value``; anything
+    else is a ValueError.  Triples given in any index order are sorted;
+    repeated (permuted) triples must agree within TENSOR_TOLERANCE.
+    Every output distribution must be finite, nonnegative and sum to 1
+    within TENSOR_TOLERANCE.
     """
     store: dict[Triple, dict[int, float]] = {}
     dimension = 0
-    for key, outputs in _normalize_raw_triples(raw):
-        if len(key) != 3 or any(v < 1 for v in key):
-            raise ValueError(f"triple must hold three positive indices, got {key}")
-        triple: Triple = tuple(sorted(key))  # type: ignore[assignment]
+    # The index of each output key text read so far: a tensor repeats a
+    # few texts many times.  Only str keys go in, and no str equals a
+    # key of another type, so an int, float or bool key is always read.
+    texts: dict[str, int] = {}
+    for key, outputs in _raw_rows(raw):
+        indices = [_read(_index, v, "an index of triple {!r}", key) for v in key]
+        if len(indices) != 3:
+            raise ValueError(f"a triple holds three indices, got {key!r}")
+        triple: Triple = tuple(sorted(indices))  # type: ignore[assignment]
+        if not isinstance(outputs, Mapping):
+            raise ValueError(f"the outputs of triple {triple} must be an object, got {outputs!r}")
         row: dict[int, float] = {}
         total = 0.0
-        for k, p in outputs.items():
-            k = int(k)
-            if k < 1:
-                raise ValueError(f"output index must be positive, got {k}")
-            p = float(p)
+        for text, p in outputs.items():
+            k = texts.get(text)
+            if k is None:
+                k = _read(_key, text, "an output index of triple {}", triple)
+                if isinstance(text, str):
+                    texts[text] = k
+            p = _read(_value, p, "coefficient {} of triple {}", k, triple)
             if not math.isfinite(p):
                 raise NonFiniteValue((triple, k), p)
             if p < 0.0:

@@ -22,7 +22,7 @@ from itertools import chain, islice
 from . import _numpy as np
 from .errors import BoundViolation, NonFiniteValue, NotSkew
 from .generating import GeneratingMap, VolterraOperator
-from .simplex import SparsePoint, vertex
+from .simplex import SparsePoint, _index, _value, vertex
 
 #: Tolerance for skew-symmetry, zero diagonal and the entry bound.
 MATRIX_TOLERANCE = 1e-12
@@ -52,35 +52,6 @@ class SkewMatrix:
 
 def _is_triple(item) -> bool:
     return isinstance(item, (list, tuple)) and len(item) == 3
-
-
-def _index(k) -> int | None:
-    """k as an index: an int in [1, sys.maxsize], where an integral
-    float counts and a bool does not; None if k is no index."""
-    if isinstance(k, bool):
-        return None
-    if isinstance(k, float):
-        if not k.is_integer():
-            return None
-        k = int(k)
-    else:
-        try:
-            k = operator.index(k)
-        except TypeError:
-            return None
-    return k if 1 <= k <= sys.maxsize else None
-
-
-def _value(v) -> float | None:
-    """v as a float, or None if v is no number (a bool or a string is none)."""
-    if isinstance(v, float):
-        return float(v)
-    if isinstance(v, bool):
-        return None
-    try:
-        return float(operator.index(v))
-    except (TypeError, OverflowError):  # no int, or one beyond the float range
-        return None
 
 
 def _find(col: list, item, stop: int) -> int:
@@ -116,9 +87,9 @@ def _read_cells(raw) -> tuple[dict[tuple[int, int], float], bool]:
     An array (anything with an ``ndim``) must be square; its nonzero
     entries are read in row-major order as 1-based triples.  Nothing is
     tested against numpy's types, so a list of triples never imports
-    numpy.  A triple is a list or tuple of three: two indices, each an
-    integer in [1, sys.maxsize] (an integral float counts, a bool does
-    not), and a number.
+    numpy.  A triple is a list or tuple of three: two indices, as
+    ``simplex._index`` reads them, and a number, as ``simplex._value``
+    reads it.
 
     Each check is one pass over all the items, and the first item that
     fails any of them raises.  Within an item the checks run in this

@@ -17,11 +17,17 @@ A face parsed from text or collected from an iterable (``FaceSpec.parse``,
 can make such a face, or a checker's block of points on it, arbitrarily
 large.  The declared domain of a finite-dimensional operator,
 ``FaceSpec.prefix(n)``, is not bounded.
+
+Every index, key and number the package takes from outside, here and in
+the matrix, tensor and operator-spec readers, is read by ``_index``,
+``_key`` or ``_value`` below, and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +38,66 @@ from .errors import NegativeMass, NonFiniteValue, SumOutOfTolerance
 SUM_TOLERANCE = 1e-9
 #: Largest number of indices a parsed or collected face may hold.
 MAX_FACE_SIZE = 10_000
+#: Most significant digits an index has: those of sys.maxsize.
+_DIGITS = len(str(sys.maxsize))
+
+
+def _index(k) -> int | None:
+    """k as an index: an int in [1, sys.maxsize], where an integral
+    float counts and a bool does not; None if k is no index."""
+    if isinstance(k, bool):
+        return None
+    if isinstance(k, float):
+        if not k.is_integer():
+            return None
+        k = int(k)
+    else:
+        try:
+            k = operator.index(k)
+        except TypeError:
+            return None
+    return k if 1 <= k <= sys.maxsize else None
+
+
+def _key(k) -> int | None:
+    """k as an index written in ASCII decimal digits, as a JSON object
+    key or face text gives one; an index that is no string counts as
+    itself.  None if k is neither."""
+    if not isinstance(k, str):
+        return _index(k)
+    digits = k.lstrip("0")  # int() refuses more than 4300 digits
+    if digits.isascii() and digits.isdigit() and len(digits) <= _DIGITS:
+        return _index(int(digits))
+    return None
+
+
+def _value(v) -> float | None:
+    """v as a float, or None if v is no number (a bool or a string is none)."""
+    if isinstance(v, float):
+        return float(v)
+    if isinstance(v, bool):
+        return None
+    try:
+        return float(operator.index(v))
+    except (TypeError, OverflowError):  # no int, or one beyond the float range
+        return None
+
+
+#: What each reader accepts, as its errors state it.
+_RULES = {
+    _index: f"an integer in [1, {sys.maxsize}]",
+    _key: f"ASCII decimal digits naming an integer in [1, {sys.maxsize}]",
+    _value: "a number",
+}
+
+
+def _read(reader, value, field: str, *where):
+    """reader(value); if the reader finds no index or number in it, a
+    ValueError naming the field, ``field.format(*where)``, and the value."""
+    got = reader(value)
+    if got is None:
+        raise ValueError(f"{field.format(*where)} must be {_RULES[reader]}, got {value!r}")
+    return got
 
 
 class SparsePoint:
@@ -110,8 +176,9 @@ def make_point(entries: Mapping[int, float] | Iterable[tuple[int, float]]) -> Sp
     remaining masses are divided by their total so the stored sum is 1
     in working precision.
 
-    Raises NonFiniteValue for a NaN or infinite mass, NegativeMass for
-    any mass below zero and SumOutOfTolerance
+    Raises ValueError for an index that ``_index`` does not read or a
+    mass that ``_value`` does not, NonFiniteValue for a NaN or infinite
+    mass, NegativeMass for any mass below zero and SumOutOfTolerance
     when the input total deviates from 1 by more than ``SUM_TOLERANCE``.
     """
     if isinstance(entries, Mapping):
@@ -120,10 +187,8 @@ def make_point(entries: Mapping[int, float] | Iterable[tuple[int, float]]) -> Sp
         pairs = entries
     acc: dict[int, float] = {}
     for index, mass in pairs:
-        k = int(index)
-        if k != index or k < 1:
-            raise ValueError(f"index must be a positive integer, got {index!r}")
-        acc[k] = acc.get(k, 0.0) + _checked_mass(k, float(mass))
+        k = _read(_index, index, "point index")
+        acc[k] = acc.get(k, 0.0) + _checked_mass(k, _read(_value, mass, "the mass at index {}", k))
     kept = sorted((k, m) for k, m in zip(acc, _normalized(list(acc.values()))) if m > 0.0)
     return SparsePoint((k for k, _ in kept), (m for _, m in kept))
 
@@ -166,6 +231,7 @@ def vertex(n: int) -> SparsePoint:
 class FaceSpec:
     """A finite index set defining a face of the simplex.
 
+    Its indices are read by ``_index`` and kept as ints, ascending.
     Immutable by convention; equal to, and hashed as, any face on the
     same indices.
     """
@@ -173,16 +239,12 @@ class FaceSpec:
     __slots__ = ("indices",)
 
     def __init__(self, indices: tuple[int, ...]):
-        if not indices:
+        keys = tuple(_read(_index, k, "face index") for k in indices)
+        if not keys:
             raise ValueError("a face needs at least one index")
-        prev = 0
-        for k in indices:
-            if int(k) != k or k < 1:
-                raise ValueError(f"face index must be a positive integer, got {k!r}")
-            if k <= prev:
-                raise ValueError("face indices must be strictly increasing")
-            prev = k
-        self.indices = indices
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise ValueError("face indices must be strictly increasing")
+        self.indices = keys
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FaceSpec):
@@ -200,7 +262,7 @@ class FaceSpec:
         """The face on the distinct ``indices``; ValueError past MAX_FACE_SIZE."""
         keys: set[int] = set()
         for k in indices:
-            keys.add(int(k))
+            keys.add(_read(_index, k, "face index"))
             _check_size(len(keys))
         return cls(tuple(sorted(keys)))
 
@@ -211,21 +273,22 @@ class FaceSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FaceSpec":
-        """Parse ``"1..5"`` ranges and ``"1,3,7"`` lists (mixable)."""
+        """Parse ``"1..5"`` ranges and ``"1,3,7"`` lists (mixable); each
+        index is ASCII decimal digits, spaces around it allowed."""
         indices: set[int] = set()
-        for token in text.replace(" ", "").split(","):
-            if not token:
+        for token in text.split(","):
+            if not token.strip(" "):
                 continue
-            if ".." in token:
-                lo, hi = (int(v) for v in token.split(".."))
-                _check_size(hi - lo + 1)
-                indices.update(range(lo, hi + 1))
-            else:
-                indices.add(int(token))
+            bounds = [_read(_key, v.strip(" "), "face index") for v in token.split("..")]
+            if len(bounds) > 2:
+                raise ValueError(f"a face range is lo..hi, got {token!r}")
+            lo, hi = bounds[0], bounds[-1]
+            _check_size(hi - lo + 1)
+            indices.update(range(lo, hi + 1))
             _check_size(len(indices))
         if not indices:
             raise ValueError(f"cannot parse face from {text!r}")
-        return cls.of(indices)
+        return cls(tuple(sorted(indices)))
 
     def __contains__(self, index: int) -> bool:
         return _slot(self.indices, index) >= 0
@@ -299,15 +362,6 @@ def point_to_obj(p: SparsePoint) -> dict[str, float]:
 
 
 def point_from_obj(obj: Mapping[str, float]) -> SparsePoint:
-    """A point from its JSON form; ValueError for a mass that is no
-    number (a bool or a string is none) or too large for a float."""
-    return make_point((int(k), _json_mass(k, v)) for k, v in obj.items())
-
-
-def _json_mass(key: str, value) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"mass at index {key} must be a number, got {value!r}")
+    """A point from its JSON form; ValueError for a key that ``_key``
+    does not read, and ``make_point``'s errors for its masses."""
+    return make_point((_read(_key, k, "point index"), v) for k, v in obj.items())

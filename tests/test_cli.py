@@ -237,8 +237,9 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
     code, _ = run(capsys, ["check", "--operator", unknown, "--face", "1,2"])
     assert code == 3
 
-    code, _ = run(capsys, ["check", "--operator", ex31_spec, "--face", "zap"])
-    assert code == 3
+    for face in ("zap", "1_0,2", "+1,2", "\u0663"):
+        code, _ = run(capsys, ["check", "--operator", ex31_spec, "--face", face])
+        assert code == 3, face
 
     negative = write_json(tmp_path / "neg.json", {"1": -0.5, "2": 1.5})
     code, _ = run(capsys, ["apply", "--operator", ex31_spec, "--point", negative])
@@ -253,6 +254,7 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
         ["invert", "--operator", ex31_spec, "--point", point, "--damping", "2"],
         ["invert", "--operator", ex31_spec, "--point", point, "--damping", "nan"],
         ["builtin", "--name", "example31", "--dimension", "0"],
+        ["builtin", "--name", "example31", "--dimension", str(cli.MAX_BUILTIN_DIMENSION + 1)],
         ["check", "--operator", ex31_spec, "--face", "1,2", "--margin", "nan"],
         ["check", "--operator", ex31_spec, "--face", "1,2", "--margin", "-1"],
         ["check", "--operator", ex31_spec, "--face", "1,2", "--margin", "inf"],
@@ -286,6 +288,17 @@ NON_NUMBERS = {
     "string index": ("--operator", {"type": "quadratic", "matrix": [["1", 2, 0.5]]}),
     "string value": ("--operator", {"type": "quadratic", "matrix": [[1, 2, "0.5"]]}),
     "bool value": ("--operator", {"type": "quadratic", "matrix": [[1, 2, True]]}),
+    "fractional triple index": ("--operator", {"type": "cubic_tensor", "triples": [
+        {"triple": [1, 1.9, 2], "outputs": {"1": 1.0}}]}),
+    "string coefficient": ("--operator", {"type": "cubic_tensor", "triples": [
+        {"triple": [1, 1, 1], "outputs": {"1": "1.0"}}]}),
+    "bool coefficient": ("--operator", {"type": "cubic_tensor", "triples": [
+        {"triple": [1, 1, 1], "outputs": {"1": True}}]}),
+    "outputs no object": ("--operator", {"type": "cubic_tensor", "triples": [
+        {"triple": [1, 1, 1], "outputs": [1.0]}]}),
+    "underscored point key": ("--point", {"1_0": 0.5, " 2 ": 0.5}),
+    "signed point key": ("--point", {"+3": 0.5, "2": 0.5}),
+    "non-ASCII point key": ("--point", {"\u0663": 0.5, "2": 0.5}),
 }
 
 
@@ -313,6 +326,13 @@ def test_integral_float_indices_apply(capsys, tmp_path):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0]) == {"1": 0.625, "2": 0.375}
+    images = []
+    for dimension in (2, 2.0):
+        spec = write_json(tmp_path / "op.json", {"type": "example31", "dimension": dimension})
+        code, out = run(capsys, ["apply", "--operator", spec, "--point", point])
+        assert code == 0
+        images.append(out)
+    assert images[0] == images[1]
 
 
 def test_sample_budget_admits_default_samples_on_largest_face(capsys, monkeypatch, ex31_spec):

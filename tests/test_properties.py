@@ -15,13 +15,17 @@ a defect witness whose value is x^T B x.  A point's lookups and its
 l1 distance to another point agree with a plain dict of its masses,
 whatever the two supports share.  The bulk matrix reader gives what
 the cell-by-cell loop it replaced gave, results and errors alike.
-Malformed command-line arguments, input files and an unwritable
-``--output`` exit 3.
+Every boundary that takes an index from outside (points, faces, tensor
+triples, matrix cells) accepts exactly what ``simplex._index`` accepts,
+and every one that takes decimal text exactly what ``simplex._key``
+accepts.  Malformed command-line arguments, input files and an
+unwritable ``--output`` exit 3.
 """
 
 import io
 import json
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -45,16 +49,19 @@ from volterra import (
     l1_distance,
     make_point,
     operator_from_tensor,
+    point_from_obj,
     quadratic_operator,
     sample_face_rng,
     sine_example,
     symmetry_defect_witness,
     validate_matrix,
+    validate_tensor,
     vertex,
 )
 from volterra import cli
 from volterra.errors import BoundViolation, NonFiniteValue, NotSkew
 from volterra.quadratic import MATRIX_TOLERANCE, SkewMatrix
+from volterra import simplex
 from volterra.simplex import sample_face_block
 from helpers import example32_image, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
 
@@ -522,6 +529,100 @@ def test_symmetry_defect_witness_matches_the_cell_loop(raw):
     assert _outcome(symmetry_defect_witness, raw) == _outcome(_symmetry_defect_witness_before, raw)
 
 
+# --- one rule for an index at every boundary ------------------------------------
+
+#: JSON values and numpy scalars: indices, integral and fractional floats,
+#: bools, strings, and ints and floats on both sides of the range.
+_INDEX_LIKE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.integers(),
+    st.sampled_from([sys.maxsize, sys.maxsize + 1, float(sys.maxsize), 2.0**62, 1e19, -0.0, 2.0, 1.5]),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["1", "2", "01", "1_0", "+1", "\u0663"]),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+
+
+def _read_by(build):
+    """build(), or None if it raises ValueError."""
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+def _hashable(v) -> bool:
+    try:
+        hash(v)
+    except TypeError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=_INDEX_LIKE)
+@example(v=1.5)  # int() reads it as 1
+@example(v=True)
+def test_every_boundary_reads_an_index_by_one_rule(v):
+    k = simplex._index(v)
+    assert k is None or type(k) is int
+    other = 2 if k == 1 else 1
+    # Where an index is taken: each boundary accepts v exactly when
+    # _index does, and keeps the int it reads.
+    read = {
+        "make_point": _read_by(lambda: make_point([(v, 1.0)]).support),
+        "FaceSpec": _read_by(lambda: FaceSpec((v,)).indices),
+        "FaceSpec.of": _read_by(lambda: FaceSpec.of([v]).indices),
+        "tensor triple": _read_by(lambda: set(validate_tensor([((v, v, v), {1: 1.0})]).coefficients)),
+        "JSON tensor triple": _read_by(
+            lambda: set(validate_tensor([{"triple": [1, v, 1], "outputs": {"1": 1.0}}]).coefficients)
+        ),
+        "matrix row": _read_by(lambda: set(validate_matrix([[v, other, 0.5]]).entries)),
+        "matrix column": _read_by(lambda: set(validate_matrix([(other, v, 0.5)]).entries)),
+    }
+    if k is None:
+        assert set(read.values()) == {None}, read
+    else:
+        cell = {(min(k, other), max(k, other))}
+        assert read == {
+            "make_point": (k,),
+            "FaceSpec": (k,),
+            "FaceSpec.of": (k,),
+            "tensor triple": {(k, k, k)},
+            "JSON tensor triple": {tuple(sorted((1, 1, k)))},
+            "matrix row": cell,
+            "matrix column": cell,
+        }
+    # Where a key is taken: decimal text, or an index that is no string.
+    key = simplex._key(v)
+    if not isinstance(v, str):
+        assert key == k
+    if _hashable(v):
+        assert _read_by(lambda: point_from_obj({v: 1.0}).support) == (None if key is None else (key,))
+        # The first row's key 1 is read before v, and must not stand in for it.
+        rows = {(1, 1, 1): {1: 1.0}, (2, 2, 2): {v: 1.0}}
+        assert _read_by(lambda: validate_tensor(rows).coefficients[(2, 2, 2)]) == (None if key is None else {key: 1.0})
+    if isinstance(v, str) and not set(v) & set(",. "):
+        assert _read_by(lambda: FaceSpec.parse(v).indices) == (None if key is None else (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.integers(1, sys.maxsize), st.integers(max_value=0), st.integers(min_value=sys.maxsize + 1)))
+def test_key_reads_the_decimal_text_of_every_index(n):
+    want = n if 1 <= n <= sys.maxsize else None
+    assert simplex._key(str(n)) == want
+    assert simplex._key("00" + str(n)) == want
+
+
 # --- malformed command lines and files exit 3 ---------------------------------
 
 #: option -> (int or float, the values the option accepts)
@@ -530,7 +631,7 @@ _OPTIONS = {
     "--seed": (int, lambda v: v >= 0),
     "--samples": (int, lambda v: v >= 1),
     "--max-iter": (int, lambda v: v >= 0),
-    "--dimension": (int, lambda v: v >= 1),
+    "--dimension": (int, lambda v: 1 <= v <= cli.MAX_BUILTIN_DIMENSION),
     "--tol": (float, lambda v: v > 0.0),
     "--damping": (float, lambda v: 0.0 < v <= 1.0),
     "--margin": (float, lambda v: 0.0 <= v < math.inf),
@@ -581,11 +682,24 @@ def _bad_option(draw):
     return {"argv": [*_HOSTS[option], f"{option}={text}"]}
 
 
+def _names_an_index(text: str) -> bool:
+    """Whether text is ASCII decimal digits naming an index."""
+    return text.isascii() and text.isdigit() and 1 <= int(text) <= sys.maxsize
+
+
+#: Index texts that int() reads but that are no ASCII decimal digits.
+_NEAR_DIGITS = ["1_0", "+1", "-1", " 2", "2 ", "\t3", "\u0663", "\uff11", "0", "1.0", "1e3"]
+
+
 @st.composite
 def _bad_face(draw):
-    text = draw(st.text(max_size=8))
-    cut = draw(st.integers(0, len(text)))
-    face = text[:cut] + draw(st.sampled_from("aZx")) + text[cut:]  # a letter never parses
+    if draw(st.booleans()):
+        text = draw(st.text(max_size=8))
+        cut = draw(st.integers(0, len(text)))
+        face = text[:cut] + draw(st.sampled_from("aZx")) + text[cut:]  # a letter never parses
+    else:
+        bad = draw(st.sampled_from(["1_0", "+1", "-1", "\u0663", "\uff11", "0", "1 0", "1.0", "1..2..3"]))
+        face = ",".join(draw(st.permutations(["2", bad])))
     command = draw(st.sampled_from(["check", "pair-check"]))
     return {"argv": [command, "--operator", "OP", "--face", face, "--samples", "5"]}
 
@@ -602,7 +716,7 @@ def _not_json(text: str) -> bool:
 def _bad_point(draw):
     """A point file that is no JSON object of index strings to masses
     summing to 1."""
-    bad_key = st.text(max_size=4).filter(lambda k: not _parses(int, k) or int(k) < 1)
+    bad_key = st.one_of(st.sampled_from(_NEAR_DIGITS), st.text(max_size=4).filter(lambda k: not _names_an_index(k)))
     bad_mass = st.one_of(
         st.text(max_size=4),  # "0.5" too: a mass is a JSON number
         st.floats(max_value=-1e-6),
@@ -625,12 +739,46 @@ def _bad_point(draw):
     return {"argv": [command, "--operator", "OP", "--point", "FILE"], "file": content}
 
 
+#: The tensor of example31 on the face {1, 2}, as ``builtin --dimension 2`` writes it.
+_TENSOR2 = [
+    {"triple": [1, 1, 1], "outputs": {"1": 1.0}},
+    {"triple": [1, 1, 2], "outputs": {"1": 1.0}},
+    {"triple": [1, 2, 2], "outputs": {"2": 1.0}},
+    {"triple": [2, 2, 2], "outputs": {"2": 1.0}},
+]
+
+
+@st.composite
+def _bad_tensor(draw):
+    """_TENSOR2 with one field of one row replaced by something that is
+    no index or no number: a triple index, an output key, a coefficient
+    or the outputs object."""
+    triples = json.loads(json.dumps(_TENSOR2))
+    row = draw(st.sampled_from(triples))
+    field = draw(st.sampled_from(["index", "key", "coefficient", "outputs"]))
+    if field == "index":
+        bad = st.one_of(
+            st.floats().filter(lambda v: not (1 <= v <= sys.maxsize and v.is_integer())),
+            st.booleans(), st.text(max_size=3), st.integers(max_value=0), st.none(),
+        )
+        row["triple"][draw(st.integers(0, 2))] = draw(bad)
+    elif field == "key":
+        k, p = row["outputs"].popitem()
+        row["outputs"][draw(st.sampled_from(_NEAR_DIGITS))] = p
+    elif field == "coefficient":
+        k = next(iter(row["outputs"]))
+        row["outputs"][k] = draw(st.one_of(st.sampled_from(["1.0", "1", True, None, [1.0]]), st.text(max_size=3)))
+    else:
+        row["outputs"] = draw(st.one_of(st.lists(st.floats(0, 1), max_size=2), st.floats(0, 1), st.text(max_size=3)))
+    return triples
+
+
 @st.composite
 def _bad_operator(draw):
     """An operator file whose structure is wrong: no JSON, no object, no
     known type, or a known type with missing or unusable fields."""
     good = {"type": "example31"}
-    kind = draw(st.sampled_from(["text", "not_object", "no_type", "type", "dimension", "operands", "lambda"]))
+    kind = draw(st.sampled_from(["text", "not_object", "no_type", "type", "dimension", "operands", "lambda", "tensor"]))
     if kind == "text":
         spec = draw(st.text(max_size=12).filter(_not_json))
     elif kind == "not_object":
@@ -644,17 +792,23 @@ def _bad_operator(draw):
         dimension = st.one_of(
             st.text(max_size=4),  # "3" too: a dimension is a JSON integer
             st.lists(st.integers()),
-            st.floats(allow_nan=False, allow_infinity=False),
+            # 3.0 counts as an integer, as it does for an index.
+            st.floats(allow_nan=False, allow_infinity=False).filter(
+                lambda v: not (1 <= v <= sys.maxsize and v.is_integer())
+            ),
             st.booleans(),
             st.integers(max_value=0),
+            st.integers(min_value=sys.maxsize + 1),
         )
         spec = json.dumps({"type": "example31", "dimension": draw(dimension)})
     elif kind == "operands":
         count = draw(st.sampled_from([0, 1, 3]))
         spec = json.dumps({"type": draw(st.sampled_from(["compose", "convex"])), "operators": [good] * count, "lambda": 0.5})
-    else:
+    elif kind == "lambda":
         lam = draw(st.one_of(st.text(max_size=4), st.lists(st.floats()), st.booleans(), st.none()))
         spec = json.dumps({"type": "convex", "operators": [good, good], "lambda": lam})
+    else:
+        spec = json.dumps({"type": "cubic_tensor", "triples": draw(_bad_tensor())})
     command = draw(st.sampled_from(_WRITERS[1:]))
     return {"argv": [part if part != "OP" else "FILE" for part in command], "file": spec}
 

@@ -95,6 +95,10 @@ def test_face_equality_and_hashing():
     assert FaceSpec((1,)) != (1,)
     assert len({FaceSpec((1, 3)), FaceSpec.of([1, 3]), FaceSpec.prefix(3)}) == 2
     assert {FaceSpec.prefix(2): "edge"}[FaceSpec((1, 2))] == "edge"
-    for bad in ((), (0, 1), (2, 1), (1, 1)):
+    for bad in ((), (0, 1), (2, 1), (1, 1), (True, 2), (1.5, 2), ("1", 2), (1, 2.0, 2)):
         with pytest.raises(ValueError):
             FaceSpec(bad)
+    for bad in ([1.5], [True], ["1"]):
+        with pytest.raises(ValueError):
+            FaceSpec.of(bad)
+    assert FaceSpec((1.0, 2.0)).indices == (1, 2)

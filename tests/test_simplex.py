@@ -64,10 +64,9 @@ def test_make_point_sum_out_of_tolerance_reports_deviation():
 
 
 def test_make_point_rejects_bad_index():
-    with pytest.raises(ValueError):
-        make_point([(0, 1.0)])
-    with pytest.raises(ValueError):
-        make_point([(1.5, 1.0)])
+    for bad in (0, 1.5, True, "1", 2**63, float("nan")):
+        with pytest.raises(ValueError):
+            make_point([(bad, 1.0)])
 
 
 def test_vertex():

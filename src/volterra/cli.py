@@ -47,7 +47,8 @@ from .generating import (
     compose,
     convex_combination,
 )
-from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, _index, _read, _value, point_from_obj, point_to_obj
+from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, _count, _index, _read, _value
+from .simplex import point_from_obj, point_to_obj
 
 
 #: Most masses (samples x face size) a ``check`` or ``pair-check`` may
@@ -151,7 +152,7 @@ def _resolve_seed(args) -> int:
     text = os.environ.get("VOLTERRA_SEED", "0")
     try:
         return _NONNEGATIVE_INT(text)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except argparse.ArgumentTypeError as exc:
         raise MalformedInput(f"bad VOLTERRA_SEED {text!r}: {exc}") from exc
 
 
@@ -270,17 +271,23 @@ def _ranged(convert, accept, requirement: str):
 
     def parse(text: str):
         value = convert(text)
-        if not accept(value):
+        if value is None or not accept(value):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
     return parse
 
 
-_NONNEGATIVE_INT = _ranged(int, lambda v: v >= 0, ">= 0")
-_POSITIVE_INT = _ranged(int, lambda v: v >= 1, ">= 1")
-_DIMENSION = _ranged(int, lambda v: 1 <= v <= MAX_BUILTIN_DIMENSION, f"in [1, {MAX_BUILTIN_DIMENSION}]")
+def _counts(low: int, high: int = sys.maxsize):
+    """Counts in [low, high], read by ``simplex._count``."""
+    requirement = f"ASCII decimal digits naming an integer in [{low}, {high}]"
+    return _ranged(_count, lambda v: low <= v <= high, requirement)
+
+
+_NONNEGATIVE_INT = _counts(0)
+_POSITIVE_INT = _counts(1)
+_DIMENSION = _counts(1, MAX_BUILTIN_DIMENSION)
 _TOLERANCE = _ranged(float, lambda v: v > 0.0, "> 0")
 _MARGIN = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _DAMPING = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")

@@ -49,7 +49,7 @@ from .errors import (
     UndefinedTriple,
 )
 from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator, _image
-from .simplex import FaceSpec, SparsePoint, _index, _key, _read, _value
+from .simplex import SparsePoint, _index, _key, _read, _value
 
 #: Tolerance for row sums and permutation consistency of tensors.
 TENSOR_TOLERANCE = 1e-12
@@ -308,13 +308,11 @@ def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
     tensor's face.
     """
     canon = tensor_to_canonical(p)
-    domain = FaceSpec.prefix(p.dimension)
 
     def fn(ks: Sequence[int], X) -> list:
         return [b - 1.0 for b in canon.brackets(ks, X)]
 
-    gmap = GeneratingMap(fn, declared_domain=domain)
-    return VolterraOperator(gmap, label=f"cubic_tensor(n={p.dimension})")
+    return VolterraOperator(GeneratingMap(fn, p.dimension), label=f"cubic_tensor(n={p.dimension})")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +329,6 @@ def example31(dimension: int | None = None) -> VolterraOperator:
     its explicit tensor from :func:`example31_tensor`); otherwise it is
     valid on every finite support.
     """
-    domain = None if dimension is None else FaceSpec.prefix(dimension)
 
     def fn(ks: Sequence[int], X) -> list:
         sq = 0.0
@@ -339,7 +336,7 @@ def example31(dimension: int | None = None) -> VolterraOperator:
             sq = sq + m * m
         return [m - sq for m in X]
 
-    return VolterraOperator(GeneratingMap(fn, declared_domain=domain), label="example31")
+    return VolterraOperator(GeneratingMap(fn, dimension), label="example31")
 
 
 def example31_tensor(dimension: int) -> CubicTensor:
@@ -466,7 +463,6 @@ def sine_example() -> VolterraOperator:
     but f_1 = -1 exactly at the barycenter, so the strict interior bound
     fails there: the barycenter and e^(2) share the image e^(2).
     """
-    domain = FaceSpec.of((1, 2))
 
     def fn(ks: Sequence[int], X) -> list:
         masses = dict(zip(ks, X))
@@ -476,7 +472,7 @@ def sine_example() -> VolterraOperator:
         f2 = _per_element(lambda a, b, v: a * v / b if b > 0.0 else math.pi, x1, x2, s)
         return [-s if k == 1 else f2 if k == 2 else 0.0 for k in ks]
 
-    return VolterraOperator(GeneratingMap(fn, declared_domain=domain), label="sine")
+    return VolterraOperator(GeneratingMap(fn, 2), label="sine")
 
 
 def tensor_to_obj(p: CubicTensor) -> list[dict]:

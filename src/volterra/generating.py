@@ -5,8 +5,8 @@ generating map f = (f_1, f_2, ...):
 
     (Vx)_k = x_k * (1 + f_k(x)).
 
-A generating map is one callable plus an optional domain,
-``GeneratingMap(fn, declared_domain)``, where ``fn(indices, X)``
+A generating map is one callable plus an optional domain bound,
+``GeneratingMap(fn, max_index)``, where ``fn(indices, X)``
 returns [f_k(x) for k in indices] and ``X[j]`` is the mass of x at
 ``indices[j]``.  ``X[j]`` is a float for one point, or a length-N
 column for a block of N points: one body, written with elementwise
@@ -54,7 +54,7 @@ from .errors import (
     NegativeCoordinate,
     NormalizationFailure,
 )
-from .simplex import FaceSpec, SparsePoint, _point_on, l1_distance, sample_face_block, vertex
+from .simplex import FaceSpec, SparsePoint, _index, _point_on, _read, l1_distance, sample_face_block, vertex
 
 #: Negative image coordinates beyond this magnitude raise NegativeCoordinate.
 NEGATIVE_TOLERANCE = 1e-12
@@ -77,19 +77,16 @@ class GeneratingMap:
     of N points, and one body serves both: it may only use elementwise
     arithmetic on the masses (no ``if`` on a value and no ``math``
     function of a column; use ``np.where`` or a loop over the elements).
-    ``declared_domain`` restricts the operator to points supported
-    inside a face.  Immutable by convention.
+    ``max_index`` n, an index, declares the domain 1..n, the face of a
+    finite-dimensional operator: points and faces beyond it raise
+    DomainViolation.  Immutable by convention.
     """
 
-    __slots__ = ("fn", "declared_domain")
+    __slots__ = ("fn", "max_index")
 
-    def __init__(
-        self,
-        fn: Callable[[Sequence[int], Sequence], Sequence],
-        declared_domain: FaceSpec | None = None,
-    ):
+    def __init__(self, fn: Callable[[Sequence[int], Sequence], Sequence], max_index: int | None = None):
         self.fn = fn
-        self.declared_domain = declared_domain
+        self.max_index = None if max_index is None else _read(_index, max_index, "max_index")
 
     def values(self, X, indices: Sequence[int]):
         """f over ``indices`` at one point or at every row of a block.
@@ -142,12 +139,12 @@ def identity_operator() -> VolterraOperator:
 
 
 def _check_domain(op: VolterraOperator, indices: Sequence[int], what: str) -> None:
-    """DomainViolation, naming ``what`` and ``indices``, unless every
-    index lies in op's declared domain."""
-    dom = op.map.declared_domain
-    if dom is not None and not all(k in dom for k in indices):
+    """DomainViolation, naming ``what`` and the ascending ``indices``,
+    unless the last of them lies in op's declared domain 1..max_index."""
+    n = op.map.max_index
+    if n is not None and indices and indices[-1] > n:
         raise DomainViolation(
-            f"{what} {indices} lies outside the declared domain {dom.indices} of operator {op.label!r}"
+            f"{what} {indices} lies outside the declared domain 1..{n} of operator {op.label!r}"
         )
 
 
@@ -466,15 +463,13 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
     which agrees with (V1(V2 x))_k / x_k - 1 wherever x_k > 0 and stays
     defined on all of the face (no division), so vertex probes work.
     """
-    dom = _merge_domains(op1.map.declared_domain, op2.map.declared_domain)
-
     def fn(ks: Sequence[int], X) -> list:
         f2 = _nested_values(op2.map, ks, X)
         image = _checked_masses(ks, [m * (1.0 + f) for m, f in zip(X, f2)])
         f1 = _nested_values(op1.map, ks, image)
         return [b + a + b * a for b, a in zip(f2, f1)]
 
-    gmap = GeneratingMap(fn, declared_domain=dom)
+    gmap = GeneratingMap(fn, _common_bound(op1, op2))
     return VolterraOperator(gmap, label=f"compose({op1.label}, {op2.label})")
 
 
@@ -484,23 +479,16 @@ def convex_combination(
     """Generating map lam*f1 + (1-lam)*f2; images mix coordinate-wise."""
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRange(lam)
-    dom = _merge_domains(op1.map.declared_domain, op2.map.declared_domain)
 
     def fn(ks: Sequence[int], X) -> list:
         f1 = _nested_values(op1.map, ks, X)
         f2 = _nested_values(op2.map, ks, X)
         return [lam * a + (1.0 - lam) * b for a, b in zip(f1, f2)]
 
-    gmap = GeneratingMap(fn, declared_domain=dom)
+    gmap = GeneratingMap(fn, _common_bound(op1, op2))
     return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
 
 
-def _merge_domains(a: FaceSpec | None, b: FaceSpec | None) -> FaceSpec | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    common = tuple(k for k in a.indices if k in b)
-    if not common:
-        raise DomainViolation("operators have disjoint declared domains")
-    return FaceSpec(common)
+def _common_bound(op1: VolterraOperator, op2: VolterraOperator) -> int | None:
+    """The bound of the domain both operators share: the smaller one."""
+    return min((n for n in (op1.map.max_index, op2.map.max_index) if n is not None), default=None)

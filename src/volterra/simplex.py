@@ -12,15 +12,15 @@ through normalized exponentials: g_i ~ Exp(1), mass_i = g_i / sum(g).
 ``sample_face_block`` draws N such points as the rows of an (N, d)
 array, bit for bit the N points that N sequential draws give.
 
-A face parsed from text or collected from an iterable (``FaceSpec.parse``,
-``FaceSpec.of``) holds at most ``MAX_FACE_SIZE`` indices, so that no input
-can make such a face, or a checker's block of points on it, arbitrarily
-large.  The declared domain of a finite-dimensional operator,
-``FaceSpec.prefix(n)``, is not bounded.
+Every face holds at most ``MAX_FACE_SIZE`` indices, so that no input can
+make a face, or a checker's block of points on it, arbitrarily large.
+An operator's declared domain is no face but the prefix 1..n, held as
+its bound n (``GeneratingMap.max_index``), which may be far larger.
 
-Every index, key and number the package takes from outside, here and in
-the matrix, tensor and operator-spec readers, is read by ``_index``,
-``_key`` or ``_value`` below, and nowhere else.
+Every index, key, count and number the package takes from outside, here,
+in the matrix, tensor and operator-spec readers and on the command line,
+is read by ``_index``, ``_key``, ``_count`` or ``_value`` below, and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -59,16 +59,23 @@ def _index(k) -> int | None:
     return k if 1 <= k <= sys.maxsize else None
 
 
+def _count(text: str) -> int | None:
+    """text as an integer in [0, sys.maxsize] in ASCII decimal digits
+    (leading zeros allowed), as a count option gives one; else None."""
+    digits = text.lstrip("0")  # int() refuses more than 4300 digits
+    if text.isascii() and text.isdigit() and len(digits) <= _DIGITS:
+        n = int(digits or "0")
+        return n if n <= sys.maxsize else None
+    return None
+
+
 def _key(k) -> int | None:
     """k as an index written in ASCII decimal digits, as a JSON object
     key or face text gives one; an index that is no string counts as
     itself.  None if k is neither."""
     if not isinstance(k, str):
         return _index(k)
-    digits = k.lstrip("0")  # int() refuses more than 4300 digits
-    if digits.isascii() and digits.isdigit() and len(digits) <= _DIGITS:
-        return _index(int(digits))
-    return None
+    return _count(k) or None
 
 
 def _value(v) -> float | None:
@@ -268,7 +275,8 @@ class FaceSpec:
 
     @classmethod
     def prefix(cls, n: int) -> "FaceSpec":
-        """The face on indices 1..n."""
+        """The face on indices 1..n; ValueError past MAX_FACE_SIZE."""
+        _check_size(n)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod

@@ -47,6 +47,22 @@ def run(capsys, argv):
     return code, out
 
 
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+
+
+#: Count texts that int() reads but that are no ASCII decimal digits.
+NEAR_COUNTS = ["1_0", "+1", " 2", "\u0663", " \u0663"]
+#: The range of each count option, as its error states it.
+COUNT_RANGES = {
+    "--steps": f"[0, {sys.maxsize}]",
+    "--seed": f"[0, {sys.maxsize}]",
+    "--samples": f"[1, {sys.maxsize}]",
+    "--max-iter": f"[0, {sys.maxsize}]",
+    "--dimension": f"[1, {cli.MAX_BUILTIN_DIMENSION}]",
+}
+
+
 def test_builtin_example31_with_dimension(capsys):
     code, out = run(capsys, ["builtin", "--name", "example31", "--dimension", "3"])
     assert code == 0
@@ -224,6 +240,17 @@ def test_operator_dimension_above_face_bound_applies(capsys, tmp_path):
     assert set(json.loads(out)) == {"1", "20000"}
 
 
+def test_operator_dimension_up_to_sys_maxsize_applies(capsys, tmp_path):
+    # The declared domain 1..n is held as n: neither building the
+    # operator nor checking a point against it grows with n.
+    spec = write_json(tmp_path / "huge.json", {"type": "example31", "dimension": sys.maxsize})
+    indices = [*range(1, 1000), sys.maxsize]
+    point = write_json(tmp_path / "p.json", {str(k): 0.001 for k in indices})
+    code, out = run(capsys, ["apply", "--operator", spec, "--point", point])
+    assert code == 0
+    assert [int(k) for k in json.loads(out)] == indices
+
+
 def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
     code, _ = run(capsys, ["check", "--operator", str(tmp_path / "missing.json"), "--face", "1,2"])
     assert code == 3
@@ -264,6 +291,23 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 3, argv
+
+    # A count is ASCII decimal digits: int() would read each of these texts.
+    counts = {
+        "--steps": ["simulate", "--operator", ex31_spec, "--point", point],
+        "--seed": ["check", "--operator", ex31_spec, "--face", "1,2"],
+        "--samples": ["check", "--operator", ex31_spec, "--face", "1,2"],
+        "--max-iter": ["invert", "--operator", ex31_spec, "--point", point],
+        "--dimension": ["builtin", "--name", "example31"],
+    }
+    capsys.readouterr()
+    for option, argv in counts.items():
+        for text in NEAR_COUNTS:
+            with pytest.raises(SystemExit) as info:
+                main([*argv, f"{option}={text}"])
+            assert info.value.code == 3, (option, text)
+            assert error_lines(capsys) == [f"error: argument {option}: must be ASCII decimal digits naming "
+                                           f"an integer in {COUNT_RANGES[option]}, got {text!r}"]
 
     # 100,001 samples on 100 indices exceed the 10,000,000-mass budget.
     for command in ("check", "pair-check"):
@@ -391,9 +435,11 @@ def test_seed_env_override(capsys, ex31_spec, monkeypatch):
     )
     assert json.loads(out)["seed"] == 3
 
-    monkeypatch.setenv("VOLTERRA_SEED", "-1")
-    code, _ = run(capsys, ["check", "--operator", ex31_spec, "--face", "1,2"])
-    assert code == 3
+    for text in ("-1", *NEAR_COUNTS):
+        monkeypatch.setenv("VOLTERRA_SEED", text)
+        assert main(["check", "--operator", ex31_spec, "--face", "1,2"]) == 3, text
+        assert error_lines(capsys) == [f"error: bad VOLTERRA_SEED {text!r}: must be ASCII decimal digits "
+                                       f"naming an integer in [0, {sys.maxsize}], got {text!r}"]
 
 
 def test_main_calls_are_independent(capsys, tmp_path, ex31_spec, monkeypatch):
@@ -429,11 +475,11 @@ def test_domain_violation_messages(capsys, tmp_path, sine_spec):
     three = write_json(tmp_path / "three.json", {"1": 0.25, "2": 0.25, "3": 0.5})
     assert main(["apply", "--operator", sine_spec, "--point", three]) == 1
     assert capsys.readouterr().err == (
-        "error: point supported on (1, 2, 3) lies outside the declared domain (1, 2) of operator 'sine'\n"
+        "error: point supported on (1, 2, 3) lies outside the declared domain 1..2 of operator 'sine'\n"
     )
     assert main(["check", "--operator", sine_spec, "--face", "1..3"]) == 1
     assert capsys.readouterr().err == (
-        "error: face (1, 2, 3) lies outside the declared domain (1, 2) of operator 'sine'\n"
+        "error: face (1, 2, 3) lies outside the declared domain 1..2 of operator 'sine'\n"
     )
 
 

@@ -202,7 +202,7 @@ def test_example31_dual_form_identity():
 
 def test_example31_restricted_domain():
     op = example31(dimension=3)
-    assert op.map.declared_domain.indices == (1, 2, 3)
+    assert op.map.max_index == 3
 
 
 # --- builtin: example32 -----------------------------------------------------

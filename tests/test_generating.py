@@ -202,6 +202,17 @@ def test_large_declared_domain_still_applies():
     assert apply(compose(big, big), x).as_dict() == apply(compose(example31(), example31()), x).as_dict()
 
 
+def test_combined_operators_keep_the_smaller_domain():
+    inside, outside = make_point({1: 0.5, 3: 0.5}), make_point({1: 0.5, 4: 0.5})
+    free = example31()
+    for combine in (compose, lambda a, b: convex_combination(a, b, 0.25)):
+        for a, b in ((example31(5), example31(3)), (example31(3), example31(5))):
+            op = combine(a, b)
+            assert apply(op, inside) == apply(combine(free, free), inside)
+            with pytest.raises(DomainViolation, match=r"\(1, 4\) lies outside the declared domain 1\.\.3 "):
+                apply(op, outside)
+
+
 def test_compose_with_identity_behaves_as_original():
     rng = np.random.default_rng(10)
     op = compose(identity_operator(), example31())

@@ -18,7 +18,8 @@ the cell-by-cell loop it replaced gave, results and errors alike.
 Every boundary that takes an index from outside (points, faces, tensor
 triples, matrix cells) accepts exactly what ``simplex._index`` accepts,
 and every one that takes decimal text exactly what ``simplex._key``
-accepts.  Malformed command-line arguments, input files and an
+accepts.  Malformed command-line arguments (a count option's text among
+them, unless ``simplex._count`` reads it), input files and an
 unwritable ``--output`` exit 3.
 """
 
@@ -625,13 +626,13 @@ def test_key_reads_the_decimal_text_of_every_index(n):
 
 # --- malformed command lines and files exit 3 ---------------------------------
 
-#: option -> (int or float, the values the option accepts)
+#: option -> (the count rule or float, the values the option accepts)
 _OPTIONS = {
-    "--steps": (int, lambda v: v >= 0),
-    "--seed": (int, lambda v: v >= 0),
-    "--samples": (int, lambda v: v >= 1),
-    "--max-iter": (int, lambda v: v >= 0),
-    "--dimension": (int, lambda v: 1 <= v <= cli.MAX_BUILTIN_DIMENSION),
+    "--steps": (simplex._count, lambda v: v >= 0),
+    "--seed": (simplex._count, lambda v: v >= 0),
+    "--samples": (simplex._count, lambda v: v >= 1),
+    "--max-iter": (simplex._count, lambda v: v >= 0),
+    "--dimension": (simplex._count, lambda v: 1 <= v <= cli.MAX_BUILTIN_DIMENSION),
     "--tol": (float, lambda v: v > 0.0),
     "--damping": (float, lambda v: 0.0 < v <= 1.0),
     "--margin": (float, lambda v: 0.0 <= v < math.inf),
@@ -660,25 +661,23 @@ _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(all
 _KNOWN_TYPES = {"quadratic", "cubic_tensor", "example31", "example32", "sine", "compose", "convex"}
 
 
-def _parses(convert, text: str) -> bool:
-    try:
-        convert(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _rejected(option: str, text: str) -> bool:
     convert, accept = _OPTIONS[option]
-    return not _parses(convert, text) or not accept(convert(text))
+    try:
+        value = convert(text)
+    except ValueError:
+        return True
+    return value is None or not accept(value)
 
 
 @st.composite
 def _bad_option(draw):
     option = draw(st.sampled_from(sorted(_OPTIONS)))
-    convert = _OPTIONS[option][0]
-    numbers = st.integers(-10**6, 10**6) if convert is int else st.floats()
-    text = draw(st.one_of(numbers.map(str), st.text(max_size=8)).filter(lambda t: _rejected(option, t)))
+    if _OPTIONS[option][0] is float:
+        numbers = st.floats().map(str)
+    else:
+        numbers = st.one_of(st.integers(-10**6, 10**6).map(str), st.sampled_from(_NEAR_DIGITS))
+    text = draw(st.one_of(numbers, st.text(max_size=8)).filter(lambda t: _rejected(option, t)))
     return {"argv": [*_HOSTS[option], f"{option}={text}"]}
 
 

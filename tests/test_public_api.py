@@ -67,11 +67,10 @@ def test_former_dataclasses_keep_their_constructors():
     )
 
     fn = lambda ks, X: [0.0] * len(ks)  # noqa: E731
-    face = FaceSpec((1, 2))
     assert FaceSpec(indices=(1, 2)).indices == (1, 2)
-    for gmap in (GeneratingMap(fn, face), GeneratingMap(fn=fn, declared_domain=face)):
-        assert (gmap.fn, gmap.declared_domain) == (fn, face)
-    assert GeneratingMap(fn).declared_domain is None
+    for gmap in (GeneratingMap(fn, 2), GeneratingMap(fn=fn, max_index=2)):
+        assert (gmap.fn, gmap.max_index) == (fn, 2)
+    assert GeneratingMap(fn).max_index is None
     for op in (VolterraOperator(GeneratingMap(fn), "zero"), VolterraOperator(map=GeneratingMap(fn), label="zero")):
         assert op.map.fn is fn and op.label == "zero"
     assert VolterraOperator(GeneratingMap(fn)).label == "operator"

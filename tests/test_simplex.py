@@ -17,6 +17,7 @@ from volterra import (
     sample_face_rng,
     vertex,
 )
+from volterra import simplex
 from volterra.simplex import MAX_FACE_SIZE
 from helpers import rand_point, rand_support
 
@@ -184,3 +185,13 @@ def test_face_size_is_bounded_before_building():
         FaceSpec.of(range(1, 1_000_000_001))
     assert len(FaceSpec.parse(f"1..{MAX_FACE_SIZE}")) == MAX_FACE_SIZE
     assert len(FaceSpec.of(range(1, MAX_FACE_SIZE + 1))) == MAX_FACE_SIZE
+
+
+def test_prefix_face_is_bounded_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(simplex, "range", lambda *args: built.append(args) or range(*args), raising=False)
+    with pytest.raises(ValueError, match="at most"):
+        FaceSpec.prefix(MAX_FACE_SIZE + 1)
+    assert built == []
+    assert FaceSpec.prefix(MAX_FACE_SIZE).indices == tuple(range(1, MAX_FACE_SIZE + 1))
+    assert built == [(1, MAX_FACE_SIZE + 1)]

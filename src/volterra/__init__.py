@@ -53,13 +53,10 @@ _EXPORTS = {
     ),
     "cubic": (
         "CubicTensor",
-        "CanonicalCubicCoeffs",
         "VolterraCheck",
         "validate_tensor",
         "is_volterra",
         "cubic_apply",
-        "canonical_apply",
-        "tensor_to_canonical",
         "operator_from_tensor",
         "example31",
         "example31_tensor",

@@ -47,7 +47,7 @@ from .generating import (
     compose,
     convex_combination,
 )
-from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, _count, _index, _read, _value
+from .simplex import MAX_FACE_SIZE, FaceSpec, SparsePoint, _count, _index, _number, _read, _value
 from .simplex import point_from_obj, point_to_obj
 
 
@@ -275,7 +275,6 @@ def _ranged(convert, accept, requirement: str):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
     return parse
 
 
@@ -285,12 +284,27 @@ def _counts(low: int, high: int = sys.maxsize):
     return _ranged(_count, lambda v: low <= v <= high, requirement)
 
 
+def _floats(accept, requirement: str):
+    """Floats that ``accept`` takes, read by ``simplex._number``; argparse
+    reports a text that rule refuses as an invalid float value."""
+
+    def number(text: str) -> float:
+        value = _number(text)
+        if value is None:
+            raise ValueError(text)
+        return value
+
+    parse = _ranged(number, accept, requirement)
+    parse.__name__ = "float"  # argparse names it in "invalid float value"
+    return parse
+
+
 _NONNEGATIVE_INT = _counts(0)
 _POSITIVE_INT = _counts(1)
 _DIMENSION = _counts(1, MAX_BUILTIN_DIMENSION)
-_TOLERANCE = _ranged(float, lambda v: v > 0.0, "> 0")
-_MARGIN = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-_DAMPING = _ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_TOLERANCE = _floats(lambda v: v > 0.0, "> 0")
+_MARGIN = _floats(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_DAMPING = _floats(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,8 +17,9 @@ per-coordinate form
                      + 6 sum_{i<j, both!=k} p_{ijk,k} x_i x_j ),
 
 with the weights 1/3/6 matching the number of ordered arrangements of
-each sorted triple.  ``cubic_apply`` evaluates the definition as a
-brute-force ordered sum and serves as the oracle for the grouped form.
+each sorted triple.  The grouped form is the map of the operator that
+``operator_from_tensor`` builds; ``cubic_apply`` evaluates the
+definition as a brute-force ordered sum and is its oracle.
 
 Tensors are stored over a finite face; the two infinite-family builtin
 operators are formula-driven instead and valid on any finite support:
@@ -48,7 +49,7 @@ from .errors import (
     RowSumViolation,
     UndefinedTriple,
 )
-from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator, _image
+from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator
 from .simplex import SparsePoint, _index, _key, _read, _value
 
 #: Tolerance for row sums and permutation consistency of tensors.
@@ -174,7 +175,7 @@ def cubic_apply(p: CubicTensor, x: SparsePoint) -> SparsePoint:
     """Evaluate the defining ordered triple sum (the oracle form).
 
     Iterates every ordered (i, j, l) over the support of x, so it is
-    cubic in the support size; use the grouped form for anything large.
+    cubic in the support size; use ``operator_from_tensor`` for anything large.
     """
     support = x.support
     if support and support[-1] > p.dimension:
@@ -202,44 +203,54 @@ def cubic_apply(p: CubicTensor, x: SparsePoint) -> SparsePoint:
     return SparsePoint((k for k, _ in kept), (v for _, v in kept))
 
 
-class CanonicalCubicCoeffs:
-    """Grouped coefficient families of a face-invariant cubic operator.
+def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
+    """Wrap a face-invariant tensor as a generating-map operator.
 
-    Per output index k: ``p_ikk[k][i]`` weights the 3*x_k*x_i term
-    (triple (i,k,k)), ``p_iik[k][i]`` the 3*x_i^2 term (triple (i,i,k)),
-    and ``p_ijk[k][(i,j)]`` with i < j the 6*x_i*x_j term (all indices
-    distinct).  The x_k^2 term always carries coefficient 1: face
-    invariance forces the (k,k,k) row to put all its mass on k.
-    Immutable by convention.
+    The map is the grouped bracket minus one, which is exact at vertices
+    (the bracket at e^(k) is 1) and defined for every index of the
+    tensor's face.  Its families are read off the store in one pass: a
+    row of triple t puts p_{t,k} at output k, and t without one k is
+    (i, k) for ``p_ikk[k][i]`` (the 3*x_k*x_i term), (i, i) for
+    ``p_iik[k][i]`` (3*x_i^2) or (i, j) with i < j for ``p_ijk[k][(i, j)]``
+    (6*x_i*x_j).  The (k, k, k) row weights x_k^2 by 1, as face
+    invariance forces.
+
+    Raises NotVolterra when a row leaves its triple, and UndefinedTriple
+    when a triple other than (i, i, i) within the dimension is missing.
     """
+    check = is_volterra(p)
+    if not check:
+        raise NotVolterra(*check.offender)
+    n = p.dimension
+    p_ikk: dict[int, dict[int, float]] = {}
+    p_iik: dict[int, dict[int, float]] = {}
+    p_ijk: dict[int, dict[tuple[int, int], float]] = {}
+    defined = 0
+    for (a, b, c), row in p.coefficients.items():
+        if a == c:
+            continue
+        defined += 1
+        for k, coef in row.items():
+            u, v = (b, c) if k == a else (a, c) if k == b else (a, b)
+            if k == u:
+                p_ikk.setdefault(k, {})[v] = coef
+            elif k == v:
+                p_ikk.setdefault(k, {})[u] = coef
+            elif u == v:
+                p_iik.setdefault(k, {})[u] = coef
+            else:
+                p_ijk.setdefault(k, {})[(u, v)] = coef
+    if defined < math.comb(n + 2, 3) - n:
+        _raise_first_undefined(p)
 
-    __slots__ = ("dimension", "p_ikk", "p_iik", "p_ijk")
-
-    def __init__(
-        self,
-        dimension: int,
-        p_ikk: Mapping[int, Mapping[int, float]],
-        p_iik: Mapping[int, Mapping[int, float]],
-        p_ijk: Mapping[int, Mapping[tuple[int, int], float]],
-    ):
-        self.dimension = dimension
-        self.p_ikk = p_ikk
-        self.p_iik = p_iik
-        self.p_ijk = p_ijk
-
-    def brackets(self, ks: Sequence[int], X) -> list:
-        """The grouped factor multiplying x_k in (Vx)_k, for each k in ks.
-
-        ``X`` holds the masses at ``ks`` as a ``GeneratingMap`` body gets
-        them (floats, or columns for a block of points).
-        """
+    def fn(ks: Sequence[int], X) -> list:
         present = list(zip(ks, X))
         out = []
         for k, xk in present:
             others = [(i, m) for i, m in present if i != k]
-            fam_ikk = self.p_ikk.get(k, {})
-            fam_iik = self.p_iik.get(k, {})
-            fam_ijk = self.p_ijk.get(k, {})
+            fam_ikk = p_ikk.get(k, {})
+            fam_iik = p_iik.get(k, {})
+            fam_ijk = p_ijk.get(k, {})
             linear = 0.0
             squares = 0.0
             for i, m in others:
@@ -254,65 +265,25 @@ class CanonicalCubicCoeffs:
                 c = fam_ijk.get((i, j))
                 if c:
                     cross = cross + c * mi * mj
-            out.append(xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross)
+            out.append(xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross - 1.0)
         return out
 
+    return VolterraOperator(GeneratingMap(fn, n), label=f"cubic_tensor(n={n})")
 
-def tensor_to_canonical(p: CubicTensor) -> CanonicalCubicCoeffs:
-    """Extract the grouped families from a face-invariant tensor.
 
-    Requires every non-degenerate triple within the tensor's dimension
-    to be defined (UndefinedTriple otherwise) and the tensor to be
-    Volterra (NotVolterra otherwise).
-    """
-    check = is_volterra(p)
-    if not check:
-        raise NotVolterra(*check.offender)
+def _raise_first_undefined(p: CubicTensor) -> None:
+    """UndefinedTriple for the first missing triple of 1..n in the order
+    the grouped form reads them: by k, then (i, k, k) and (i, i, k) by i,
+    then (i, j, k) by the pair i < j."""
     n = p.dimension
-    p_ikk: dict[int, dict[int, float]] = {}
-    p_iik: dict[int, dict[int, float]] = {}
-    p_ijk: dict[int, dict[tuple[int, int], float]] = {}
     for k in range(1, n + 1):
         for i in range(1, n + 1):
-            if i == k:
-                continue
-            c = p.outputs(i, k, k).get(k, 0.0)
-            if c:
-                p_ikk.setdefault(k, {})[i] = c
-            c = p.outputs(i, i, k).get(k, 0.0)
-            if c:
-                p_iik.setdefault(k, {})[i] = c
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if k in (i, j):
-                    continue
-                c = p.outputs(i, j, k).get(k, 0.0)
-                if c:
-                    p_ijk.setdefault(k, {})[(i, j)] = c
-    return CanonicalCubicCoeffs(dimension=n, p_ikk=p_ikk, p_iik=p_iik, p_ijk=p_ijk)
-
-
-def canonical_apply(c: CanonicalCubicCoeffs, x: SparsePoint) -> SparsePoint:
-    """Evaluate the grouped per-coordinate form of a cubic operator."""
-    if x.support and x.support[-1] > c.dimension:
-        raise UndefinedTriple((x.support[-1],) * 3)
-    brackets = c.brackets(x.support, x.masses)
-    return _image(x.support, [m * b for m, b in zip(x.masses, brackets)])
-
-
-def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
-    """Wrap a face-invariant tensor as a generating-map operator.
-
-    The generating map is the grouped bracket minus one, which is exact
-    at vertices (the bracket at e^(k) is 1) and defined for every index of the
-    tensor's face.
-    """
-    canon = tensor_to_canonical(p)
-
-    def fn(ks: Sequence[int], X) -> list:
-        return [b - 1.0 for b in canon.brackets(ks, X)]
-
-    return VolterraOperator(GeneratingMap(fn, p.dimension), label=f"cubic_tensor(n={p.dimension})")
+            if i != k:
+                p.outputs(i, k, k)
+                p.outputs(i, i, k)
+        for i, j in combinations(range(1, n + 1), 2):
+            if k not in (i, j):
+                p.outputs(i, j, k)
 
 
 # ---------------------------------------------------------------------------

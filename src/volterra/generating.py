@@ -45,6 +45,7 @@ simplex; ``check_pair_condition`` samples it the same way.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable, Sequence
 
 from . import _numpy as np
@@ -139,12 +140,14 @@ def identity_operator() -> VolterraOperator:
 
 
 def _check_domain(op: VolterraOperator, indices: Sequence[int], what: str) -> None:
-    """DomainViolation, naming ``what`` and the ascending ``indices``,
-    unless the last of them lies in op's declared domain 1..max_index."""
+    """DomainViolation, naming ``what``, the number of the ascending
+    ``indices`` and the first of them past op's declared domain
+    1..max_index, unless the last of them lies in it."""
     n = op.map.max_index
     if n is not None and indices and indices[-1] > n:
         raise DomainViolation(
-            f"{what} {indices} lies outside the declared domain 1..{n} of operator {op.label!r}"
+            f"{what} of size {len(indices)} has index {indices[bisect_right(indices, n)]} "
+            f"outside the declared domain 1..{n} of operator {op.label!r}"
         )
 
 
@@ -160,7 +163,7 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     tolerance are clamped to zero and dropped, so the image support is
     always contained in the support of x.
     """
-    _check_domain(op, x.support, "point supported on")
+    _check_domain(op, x.support, "point support")
     fvals = op.map.values(x.masses, x.support)
     return _image(x.support, [m * (1.0 + fk) for m, fk in zip(x.masses, fvals)])
 
@@ -229,8 +232,8 @@ def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -
     Nonpositive values for all pairs are sufficient for bijectivity.
     The implementation is literally symmetric in (x, y).
     """
-    _check_domain(op, x.support, "point supported on")
-    _check_domain(op, y.support, "point supported on")
+    _check_domain(op, x.support, "point support")
+    _check_domain(op, y.support, "point support")
     union = tuple(sorted({*x.support, *y.support}))
     xm, ym = ([d.get(k, 0.0) for k in union] for d in (x.as_dict(), y.as_dict()))
     fy = op.map.values(ym, union)

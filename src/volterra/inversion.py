@@ -135,7 +135,7 @@ def invert_fixed_point(
         raise ValueError("tolerance must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
-    _check_domain(op, y.support, "point supported on")
+    _check_domain(op, y.support, "point support")
     support, target = y.support, y.masses
     lam = damping
     xm = target  # masses of the iterate, aligned with the support of y

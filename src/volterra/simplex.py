@@ -19,8 +19,8 @@ its bound n (``GeneratingMap.max_index``), which may be far larger.
 
 Every index, key, count and number the package takes from outside, here,
 in the matrix, tensor and operator-spec readers and on the command line,
-is read by ``_index``, ``_key``, ``_count`` or ``_value`` below, and
-nowhere else.
+is read by ``_index``, ``_key``, ``_count``, ``_number`` or ``_value``
+below, and nowhere else.
 """
 
 from __future__ import annotations
@@ -66,6 +66,17 @@ def _count(text: str) -> int | None:
     if text.isascii() and text.isdigit() and len(digits) <= _DIGITS:
         n = int(digits or "0")
         return n if n <= sys.maxsize else None
+    return None
+
+
+def _number(text: str) -> float | None:
+    """text as a float, as a float option gives one: what float() reads,
+    in ASCII, with no ``_`` and no surrounding whitespace; else None."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        try:
+            return float(text)
+        except ValueError:
+            return None
     return None
 
 

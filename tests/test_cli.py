@@ -53,6 +53,8 @@ def error_lines(capsys):
 
 #: Count texts that int() reads but that are no ASCII decimal digits.
 NEAR_COUNTS = ["1_0", "+1", " 2", "\u0663", " \u0663"]
+#: Float texts that float() reads but that are no ASCII number without "_" or spaces.
+NEAR_FLOATS = ["1_0", "0.2_5", " 0.5", "0.5 ", "\u0663", "0.\u0665"]
 #: The range of each count option, as its error states it.
 COUNT_RANGES = {
     "--steps": f"[0, {sys.maxsize}]",
@@ -309,6 +311,20 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
             assert error_lines(capsys) == [f"error: argument {option}: must be ASCII decimal digits naming "
                                            f"an integer in {COUNT_RANGES[option]}, got {text!r}"]
 
+    # A float option is what float() reads, in ASCII, with no "_" and no
+    # surrounding whitespace: float() alone would read each of these texts.
+    floats = {
+        "--tol": ["invert", "--operator", ex31_spec, "--point", point],
+        "--damping": ["invert", "--operator", ex31_spec, "--point", point],
+        "--margin": ["check", "--operator", ex31_spec, "--face", "1,2"],
+    }
+    for option, argv in floats.items():
+        for text in NEAR_FLOATS:
+            with pytest.raises(SystemExit) as info:
+                main([*argv, f"{option}={text}"])
+            assert info.value.code == 3, (option, text)
+            assert error_lines(capsys) == [f"error: argument {option}: invalid float value: {text!r}"]
+
     # 100,001 samples on 100 indices exceed the 10,000,000-mass budget.
     for command in ("check", "pair-check"):
         argv = [command, "--operator", ex31_spec, "--face", "1..100", "--samples", "100001"]
@@ -475,12 +491,21 @@ def test_domain_violation_messages(capsys, tmp_path, sine_spec):
     three = write_json(tmp_path / "three.json", {"1": 0.25, "2": 0.25, "3": 0.5})
     assert main(["apply", "--operator", sine_spec, "--point", three]) == 1
     assert capsys.readouterr().err == (
-        "error: point supported on (1, 2, 3) lies outside the declared domain 1..2 of operator 'sine'\n"
+        "error: point support of size 3 has index 3 outside the declared domain 1..2 of operator 'sine'\n"
     )
-    assert main(["check", "--operator", sine_spec, "--face", "1..3"]) == 1
+    assert main(["check", "--operator", sine_spec, "--face", "1..3,7"]) == 1
     assert capsys.readouterr().err == (
-        "error: face (1, 2, 3) lies outside the declared domain 1..2 of operator 'sine'\n"
+        "error: face of size 4 has index 3 outside the declared domain 1..2 of operator 'sine'\n"
     )
+    # The line names the support's size, not its indices, so it stays short.
+    spec = write_json(tmp_path / "ex31.json", {"type": "example31", "dimension": 5})
+    wide = write_json(tmp_path / "wide.json", {str(k): 0.001 for k in range(1, 1001)})
+    assert main(["apply", "--operator", spec, "--point", wide]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: point support of size 1000 has index 6 outside the declared domain 1..5 of operator 'example31'\n"
+    )
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("command", ["apply", "simulate", "check"])

@@ -12,7 +12,6 @@ from volterra import (
     RowSumViolation,
     UndefinedTriple,
     apply,
-    canonical_apply,
     cubic_apply,
     example31,
     example31_tensor,
@@ -24,7 +23,6 @@ from volterra import (
     operator_from_tensor,
     prefix_positivity_value,
     sine_example,
-    tensor_to_canonical,
     validate_tensor,
     vertex,
 )
@@ -118,8 +116,7 @@ def test_cubic_apply_degenerate_default_rows():
     x = make_point([(1, 0.5), (2, 0.5)])
     assert cubic_apply(p, x) == x
     assert cubic_apply(p, vertex(2)) == vertex(2)
-    canon = tensor_to_canonical(p)
-    assert l1_distance(canonical_apply(canon, x), x) <= 1e-15
+    assert l1_distance(apply(operator_from_tensor(p), x), x) <= 1e-15
 
 
 def test_cubic_apply_rejects_support_beyond_dimension():
@@ -144,37 +141,44 @@ def test_cubic_apply_example31_tensor_values():
     assert y.mass(2) == pytest.approx(0.216, abs=1e-15)
 
 
-def test_canonical_apply_matches_brute_force_sum():
+def test_operator_from_tensor_matches_brute_force_sum():
     rng = np.random.default_rng(1)
     for _ in range(20):
         n = int(rng.integers(2, 6))
         p = rand_volterra_tensor(rng, n)
-        canon = tensor_to_canonical(p)
+        op = operator_from_tensor(p)
         for _ in range(20):
             x = rand_point_on_pool(rng, n, n)
-            assert l1_distance(canonical_apply(canon, x), cubic_apply(p, x)) <= 1e-12
+            assert l1_distance(apply(op, x), cubic_apply(p, x)) <= 1e-12
 
 
-def test_tensor_to_canonical_example31_families():
-    canon = tensor_to_canonical(example31_tensor(4))
+def test_operator_from_tensor_example31_families():
+    # f_k = x_k^2 + 3 x_k sum_i p_ikk x_i + 3 sum_i p_iik x_i^2
+    #       + 6 sum_{i<j} p_ijk x_i x_j - 1; each point below reads one family.
+    values = operator_from_tensor(example31_tensor(4)).map.values
+
+    def f(k, masses):
+        ks = sorted(masses)
+        return values([masses[i] for i in ks], ks)[ks.index(k)]
+
     for k in range(1, 5):
         for i in range(1, 5):
-            if i == k:
-                continue
-            assert canon.p_ikk[k][i] == 1.0
-            assert canon.p_iik.get(k, {}).get(i, 0.0) == 0.0
-    assert canon.p_ijk[3][(1, 2)] == pytest.approx(1.0 / 3.0)
+            if i != k:
+                assert f(k, {k: 0.5, i: 0.5}) == 0.0  # p_ikk = 1
+                assert f(k, {k: 0.0, i: 1.0}) == -1.0  # p_iik = 0
+    assert f(3, {1: 0.5, 2: 0.5, 3: 0.0}) == pytest.approx(-0.5, abs=1e-15)  # p_ijk = 1/3
 
 
-def test_tensor_to_canonical_degenerate_only():
-    canon = tensor_to_canonical(validate_tensor({(1, 1, 1): {1: 1.0}}))
-    assert canon.p_ikk == {} and canon.p_iik == {} and canon.p_ijk == {}
-    assert canonical_apply(canon, vertex(1)) == vertex(1)
+def test_operator_from_tensor_degenerate_only():
+    op = operator_from_tensor(validate_tensor({(1, 1, 1): {1: 1.0}}))
+    assert op.map.max_index == 1
+    assert op.map.values([1.0], [1]) == [0.0]
+    assert apply(op, vertex(1)) == vertex(1)
 
 
-def test_tensor_to_canonical_rejects_non_volterra():
+def test_operator_from_tensor_rejects_non_volterra():
     with pytest.raises(NotVolterra):
-        tensor_to_canonical(validate_tensor({(1, 1, 1): {2: 1.0}}))
+        operator_from_tensor(validate_tensor({(1, 1, 1): {2: 1.0}}))
 
 
 def test_operator_from_tensor_agrees_with_cubic_apply():

@@ -209,7 +209,7 @@ def test_combined_operators_keep_the_smaller_domain():
         for a, b in ((example31(5), example31(3)), (example31(3), example31(5))):
             op = combine(a, b)
             assert apply(op, inside) == apply(combine(free, free), inside)
-            with pytest.raises(DomainViolation, match=r"\(1, 4\) lies outside the declared domain 1\.\.3 "):
+            with pytest.raises(DomainViolation, match=r"point support of size 2 has index 4 outside the declared domain 1\.\.3 "):
                 apply(op, outside)
 
 

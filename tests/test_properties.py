@@ -18,9 +18,11 @@ the cell-by-cell loop it replaced gave, results and errors alike.
 Every boundary that takes an index from outside (points, faces, tensor
 triples, matrix cells) accepts exactly what ``simplex._index`` accepts,
 and every one that takes decimal text exactly what ``simplex._key``
-accepts.  Malformed command-line arguments (a count option's text among
-them, unless ``simplex._count`` reads it), input files and an
-unwritable ``--output`` exit 3.
+accepts.  The operator of a cubic tensor gives, bit for bit, the values
+and errors of the two-step path it replaced.  Malformed command-line
+arguments (a count option's text among them, unless ``simplex._count``
+reads it, and a float option's, unless ``simplex._number`` reads it),
+input files and an unwritable ``--output`` exit 3.
 """
 
 import io
@@ -29,15 +31,21 @@ import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from volterra import (
+    CubicTensor,
     FaceSpec,
+    GeneratingMap,
     NonConvergence,
+    NotVolterra,
     SparsePoint,
+    UndefinedTriple,
     apply,
     check_conditions,
     compose,
@@ -47,6 +55,7 @@ from volterra import (
     identity_operator,
     invert_fixed_point,
     invert_triangular,
+    is_volterra,
     l1_distance,
     make_point,
     operator_from_tensor,
@@ -624,18 +633,133 @@ def test_key_reads_the_decimal_text_of_every_index(n):
     assert simplex._key("00" + str(n)) == want
 
 
+# --- the grouped cubic form against the two-step path it replaced ---------------
+#
+# ``_reference_families`` and ``_reference_brackets`` are the former
+# ``cubic.tensor_to_canonical`` and ``CanonicalCubicCoeffs.brackets``,
+# kept verbatim apart from returning and taking the three families as a
+# tuple.  The old operator's map was the bracket minus one.
+
+
+def _reference_families(p: CubicTensor):
+    check = is_volterra(p)
+    if not check:
+        raise NotVolterra(*check.offender)
+    n = p.dimension
+    p_ikk: dict[int, dict[int, float]] = {}
+    p_iik: dict[int, dict[int, float]] = {}
+    p_ijk: dict[int, dict[tuple[int, int], float]] = {}
+    for k in range(1, n + 1):
+        for i in range(1, n + 1):
+            if i == k:
+                continue
+            c = p.outputs(i, k, k).get(k, 0.0)
+            if c:
+                p_ikk.setdefault(k, {})[i] = c
+            c = p.outputs(i, i, k).get(k, 0.0)
+            if c:
+                p_iik.setdefault(k, {})[i] = c
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if k in (i, j):
+                    continue
+                c = p.outputs(i, j, k).get(k, 0.0)
+                if c:
+                    p_ijk.setdefault(k, {})[(i, j)] = c
+    return p_ikk, p_iik, p_ijk
+
+
+def _reference_brackets(families, ks, X) -> list:
+    p_ikk, p_iik, p_ijk = families
+    present = list(zip(ks, X))
+    out = []
+    for k, xk in present:
+        others = [(i, m) for i, m in present if i != k]
+        fam_ikk = p_ikk.get(k, {})
+        fam_iik = p_iik.get(k, {})
+        fam_ijk = p_ijk.get(k, {})
+        linear = 0.0
+        squares = 0.0
+        for i, m in others:
+            c = fam_ikk.get(i)
+            if c:
+                linear = linear + c * m
+            c = fam_iik.get(i)
+            if c:
+                squares = squares + c * m * m
+        cross = 0.0
+        for (i, mi), (j, mj) in combinations(others, 2):
+            c = fam_ijk.get((i, j))
+            if c:
+                cross = cross + c * mi * mj
+        out.append(xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross)
+    return out
+
+
+@st.composite
+def _raw_tensors(draw):
+    """A raw tensor over 1..n, n <= 6: each (i, i, i) row stored or left
+    to its default, every other row a distribution on a drawn part of its
+    triple.  It may lack one other row, and one row may send half its
+    mass to an index outside its triple."""
+    n = draw(st.integers(1, 6))
+    raw = {}
+    for t in combinations_with_replacement(range(1, n + 1), 3):
+        if t[0] == t[2]:
+            if draw(st.booleans()):
+                raw[t] = {t[0]: 1.0}
+            continue
+        support = draw(st.lists(st.sampled_from(sorted(set(t))), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(1, 8), min_size=len(support), max_size=len(support)))
+        raw[t] = {k: w / sum(weights) for k, w in zip(support, weights)}
+    if not raw:  # no row names the face 1..1
+        raw[(1, 1, 1)] = {1: 1.0}
+    kind = draw(st.sampled_from(["missing", "leaking", "missing, leaking", "complete", "complete"]))
+    distinct = [t for t in raw if t[0] != t[2]]
+    if distinct and "missing" in kind:
+        del raw[draw(st.sampled_from(distinct))]
+    if "leaking" in kind:
+        t = draw(st.sampled_from(list(combinations_with_replacement(range(1, n + 1), 3))))
+        k = draw(st.sampled_from([k for k in range(1, n + 2) if k not in t]))
+        raw[t] = {**{j: m / 2 for j, m in raw.get(t, {t[0]: 1.0}).items()}, k: 0.5}
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_tensors(), data=st.data())
+def test_operator_from_tensor_matches_the_two_step_reference(raw, data):
+    p = validate_tensor(raw)
+    try:
+        families = _reference_families(p)
+    except (UndefinedTriple, NotVolterra) as exc:
+        with pytest.raises(type(exc)) as info:
+            operator_from_tensor(p)
+        assert vars(info.value) == vars(exc) and info.value.args == exc.args
+        return
+    op = operator_from_tensor(p)
+    reference = GeneratingMap(lambda ks, X: [b - 1.0 for b in _reference_brackets(families, ks, X)], p.dimension)
+    picks = data.draw(st.sets(st.integers(1, p.dimension), min_size=1))
+    face = FaceSpec.of(picks)
+    block = _block(face, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**32 - 1)))
+    want = reference.values(block, face.indices)
+    assert op.map.values(block, face.indices).tobytes() == want.tobytes()
+    for row in block:
+        got = op.map.values(row.tolist(), face.indices)
+        assert np.array(got).tobytes() == np.array(reference.values(row.tolist(), face.indices)).tobytes()
+
+
 # --- malformed command lines and files exit 3 ---------------------------------
 
-#: option -> (the count rule or float, the values the option accepts)
+#: option -> (the count or number rule, the values the option accepts)
 _OPTIONS = {
     "--steps": (simplex._count, lambda v: v >= 0),
     "--seed": (simplex._count, lambda v: v >= 0),
     "--samples": (simplex._count, lambda v: v >= 1),
     "--max-iter": (simplex._count, lambda v: v >= 0),
     "--dimension": (simplex._count, lambda v: 1 <= v <= cli.MAX_BUILTIN_DIMENSION),
-    "--tol": (float, lambda v: v > 0.0),
-    "--damping": (float, lambda v: 0.0 < v <= 1.0),
-    "--margin": (float, lambda v: 0.0 <= v < math.inf),
+    "--tol": (simplex._number, lambda v: v > 0.0),
+    "--damping": (simplex._number, lambda v: 0.0 < v <= 1.0),
+    "--margin": (simplex._number, lambda v: 0.0 <= v < math.inf),
 }
 #: option -> a command line it belongs to; OP and POINT name valid files.
 _HOSTS = {
@@ -663,18 +787,15 @@ _KNOWN_TYPES = {"quadratic", "cubic_tensor", "example31", "example32", "sine", "
 
 def _rejected(option: str, text: str) -> bool:
     convert, accept = _OPTIONS[option]
-    try:
-        value = convert(text)
-    except ValueError:
-        return True
+    value = convert(text)
     return value is None or not accept(value)
 
 
 @st.composite
 def _bad_option(draw):
     option = draw(st.sampled_from(sorted(_OPTIONS)))
-    if _OPTIONS[option][0] is float:
-        numbers = st.floats().map(str)
+    if _OPTIONS[option][0] is simplex._number:
+        numbers = st.one_of(st.floats().map(str), st.sampled_from(_NEAR_NUMBERS))
     else:
         numbers = st.one_of(st.integers(-10**6, 10**6).map(str), st.sampled_from(_NEAR_DIGITS))
     text = draw(st.one_of(numbers, st.text(max_size=8)).filter(lambda t: _rejected(option, t)))
@@ -688,6 +809,9 @@ def _names_an_index(text: str) -> bool:
 
 #: Index texts that int() reads but that are no ASCII decimal digits.
 _NEAR_DIGITS = ["1_0", "+1", "-1", " 2", "2 ", "\t3", "\u0663", "\uff11", "0", "1.0", "1e3"]
+#: Number texts that float() reads but that are not ASCII, hold "_" or
+#: have surrounding whitespace.
+_NEAR_NUMBERS = ["1_0", "0.2_5", " 0.5", "0.5 ", "\t0.5", "\u0663", "0.\u0665", "\uff11"]
 
 
 @st.composite

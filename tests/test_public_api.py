@@ -62,9 +62,7 @@ def test_unknown_attribute_names_the_package():
 
 
 def test_former_dataclasses_keep_their_constructors():
-    from volterra import (
-        CanonicalCubicCoeffs, CubicTensor, FaceSpec, GeneratingMap, VolterraCheck, VolterraOperator,
-    )
+    from volterra import CubicTensor, FaceSpec, GeneratingMap, VolterraCheck, VolterraOperator
 
     fn = lambda ks, X: [0.0] * len(ks)  # noqa: E731
     assert FaceSpec(indices=(1, 2)).indices == (1, 2)
@@ -77,9 +75,6 @@ def test_former_dataclasses_keep_their_constructors():
     rows = {(1, 1, 1): {1: 1.0}}
     for tensor in (CubicTensor(rows, 1), CubicTensor(coefficients=rows, dimension=1)):
         assert (tensor.coefficients, tensor.dimension) == (rows, 1)
-    for coeffs in (CanonicalCubicCoeffs(2, {1: {2: 1.0}}, {}, {}),
-                   CanonicalCubicCoeffs(dimension=2, p_ikk={1: {2: 1.0}}, p_iik={}, p_ijk={})):
-        assert (coeffs.dimension, coeffs.p_ikk, coeffs.p_iik, coeffs.p_ijk) == (2, {1: {2: 1.0}}, {}, {})
     offender = ((1, 1, 2), 3, 0.5)
     assert VolterraCheck(True).offender is None and VolterraCheck(True)
     for check in (VolterraCheck(False, offender), VolterraCheck(ok=False, offender=offender)):

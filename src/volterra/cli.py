@@ -230,9 +230,8 @@ def cmd_invert(args) -> int:
 
     op = _load_operator(args.operator)
     y = _load_point(args.point)
-    triangular = op.label == "example32"
     try:
-        if triangular:
+        if op.label == "example32":
             result = inversion.invert_triangular(y, residual_tol=args.tol)
         else:
             result = inversion.invert_fixed_point(
@@ -243,7 +242,7 @@ def cmd_invert(args) -> int:
             preimage=exc.best,
             residual=exc.residual,
             iterations=exc.iterations,
-            method="triangular" if triangular else "fixed_point",
+            method=exc.method,
             converged=False,
         )
     _emit({"version": __version__, **result.to_obj()}, args.output)

@@ -163,12 +163,17 @@ class VolterraCheck:
 
 
 def is_volterra(p: CubicTensor) -> VolterraCheck:
-    """True iff every output distribution is supported inside its triple."""
-    for triple in sorted(p.coefficients):
-        for k, value in sorted(p.coefficients[triple].items()):
-            if k not in triple:
-                return VolterraCheck(False, (triple, k, value))
-    return VolterraCheck(True)
+    """True iff every output distribution is supported inside its triple.
+
+    The rows are checked in store order; only a failing tensor pays for
+    finding its first offender in sorted order: the least triple, then
+    the least output outside it.
+    """
+    rows = p.coefficients
+    if all(k in triple for triple, row in rows.items() for k in row):
+        return VolterraCheck(True)
+    triple, k = min((triple, k) for triple, row in rows.items() for k in row if k not in triple)
+    return VolterraCheck(False, (triple, k, rows[triple][k]))
 
 
 def cubic_apply(p: CubicTensor, x: SparsePoint) -> SparsePoint:

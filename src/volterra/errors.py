@@ -143,15 +143,17 @@ class NotVolterra(ValidationError):
 
 
 class NonConvergence(VolterraError):
-    """An iterative inversion failed to reach the requested residual."""
+    """An iterative inversion failed to reach the requested residual;
+    ``method`` names the route that ran last, as ``InversionResult`` would."""
 
-    def __init__(self, message: str, best, residual: float, iterations: int):
+    def __init__(self, message: str, best, residual: float, iterations: int, method: str):
         super().__init__(
             f"{message} (best residual {residual:.3e} after {iterations} iterations)"
         )
         self.best = best
         self.residual = residual
         self.iterations = iterations
+        self.method = method
 
 
 class ResidualTooLarge(NonConvergence):

@@ -12,13 +12,20 @@ coordinate iteration
 started at the target itself, with lam halved whenever the residual
 would increase, so the current iterate is always the best one so far.
 The sweeps run on float lists aligned with the target's support, and a
-point is built only once, at exit.  The route carries no convergence
-guarantee; failures raise ``NonConvergence`` with the best iterate so no
-wrong answer is ever returned silently.
+point is built only once, at exit.  When the sweeps stall (the residual
+has not halved over ``STALL_SWEEPS`` sweeps, or the damping has reached
+its floor), Levenberg-Marquardt steps in the simplex's tangent space
+finish the search from the best iterate, with a finite-difference
+Jacobian taken as one block call of the map.  They invert, for
+instance, the example32 images on which the sweeps alone stall.  Still
+no route guarantees convergence: a failure raises ``NonConvergence``
+with the best iterate, its exact residual and the method that ran, so
+no wrong answer is ever returned silently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _numpy as np
@@ -26,6 +33,13 @@ from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
 from .generating import VolterraOperator, _check_domain, _image_residual, apply
 from .simplex import SparsePoint, _checked_mass, _normalized, _point_on, l1_distance, make_point, point_to_obj
+
+#: Sweeps between two stall checks of ``invert_fixed_point``.
+STALL_SWEEPS = 20
+#: Damping below which a sweep cannot move the iterate measurably.
+DAMPING_FLOOR = 1e-14
+#: Length of the finite-difference step along a tangent direction.
+FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,7 @@ def invert_triangular(
     residual = l1_distance(apply(op, preimage), y)
     if residual > residual_tol:
         raise ResidualTooLarge(
-            "triangular inverse misses the target", preimage, residual, m
+            "triangular inverse misses the target", preimage, residual, m, "triangular"
         )
     return InversionResult(
         preimage=preimage, residual=residual, iterations=m, method="triangular"
@@ -116,7 +130,8 @@ def invert_fixed_point(
     max_iter: int = 10_000,
     damping: float = 0.5,
 ) -> InversionResult:
-    """Damped fixed-point search for a preimage of y under op.
+    """Damped fixed-point search for a preimage of y under op, finished
+    by Newton steps when the sweeps stall.
 
     Starts at x = y (feasible, and close to the preimage when the
     generating map is small).  Each sweep mixes the current iterate with
@@ -130,6 +145,12 @@ def invert_fixed_point(
     ``make_point`` would, and the residual is the ``l1_distance`` of the
     forward image from y, summed in its order; a point is built only for
     the result or for ``NonConvergence.best``.
+
+    Every ``STALL_SWEEPS`` sweeps the residual is compared with its value
+    that many sweeps before.  If it has not at least halved, or the
+    damping has fallen below ``DAMPING_FLOOR``, the search continues from
+    the best iterate with ``_newton_steps`` and reports method
+    ``"newton"``.  Sweeps and Newton trials share ``max_iter``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -141,15 +162,20 @@ def invert_fixed_point(
     xm = target  # masses of the iterate, aligned with the support of y
     fx = op.map.values(xm, support)
     residual = _image_residual(support, xm, fx, target)
+    checkpoint = residual  # the residual STALL_SWEEPS sweeps before
     iterations = 0
     while residual > tol:
-        if iterations >= max_iter or lam < 1e-14:
+        if iterations >= max_iter:
             raise NonConvergence(
                 f"fixed-point inversion of {op.label!r} stalled",
-                _iterate(y, xm),
-                residual,
-                iterations,
+                _iterate(y, xm), residual, iterations, "fixed_point",
             )
+        stalled = lam < DAMPING_FLOOR
+        if iterations and iterations % STALL_SWEEPS == 0:
+            stalled = stalled or residual > 0.5 * checkpoint
+            checkpoint = residual
+        if stalled:
+            return _newton_steps(op, y, xm, residual, iterations, tol, max_iter)
         iterations += 1
         mixed = []
         for yk, xk, fk in zip(target, xm, fx):
@@ -169,8 +195,78 @@ def invert_fixed_point(
     )
 
 
-def _iterate(y: SparsePoint, xm) -> SparsePoint:
-    """The fixed-point iterate with masses ``xm`` on the support of y: y
-    itself until a sweep is accepted."""
-    return y if xm is y.masses else _point_on(y.support, xm)
+def _newton_steps(
+    op: VolterraOperator, y: SparsePoint, xm, residual: float, iterations: int, tol: float, max_iter: int
+) -> InversionResult:
+    """Levenberg-Marquardt steps in the simplex's tangent space from the
+    iterate with masses ``xm`` on the support of y.
 
+    The image's Jacobian along the d tangent directions e_j - 1/d comes
+    from forward differences of length ``FD_STEP``, taken as one
+    (d+1)-point block call of the map, so no map needs derivative code.
+    The differences run toward the vertices, along e_j - x, so that every
+    point of the block stays on the simplex (a composed map checks its
+    inner image, which a negative mass would make negative); since
+    e_j - 1/d is the sum over i of (e_j - 1/d)_i (e_i - x), the row for
+    e_j - 1/d is the one for e_j - x less the mean of those rows.
+    A trial solves (J^T J + mu I) s = -J^T R, R the image's offset from
+    y, and moves along the tangent vector s - mean(s), shortened to keep
+    every mass at least a tenth of its value (fraction to the boundary),
+    so the support stays y's; it is renormalized as the sweeps are.
+    mu starts at 1e-3 of the largest diagonal entry of J^T J, grows
+    4-fold on a rejected trial and shrinks 3-fold on an accepted one,
+    never below 1e-14 of that entry.  A trial is accepted only when it
+    strictly lowers the exact residual, so the iterate stays the best one
+    so far.  Each trial counts as an iteration.  NonConvergence (method
+    ``"newton"``) carries the best iterate when the budget runs out, when
+    the map does not move the image along any tangent direction, or when
+    a trial no longer moves the iterate.
+    """
+    support, target = y.support, y.masses
+    d = len(support)
+    eye = np.eye(d)
+    mu = None
+    while residual > tol:
+        x = np.array(xm)
+        block = np.vstack([x, (1.0 - FD_STEP) * x + FD_STEP * eye])
+        image = block * (1.0 + op.map.values(block, support))
+        toward = (image[1:] - image[0]) / FD_STEP  # row j: derivative along e_j - x
+        rows = toward - toward.mean(axis=0)  # row j: derivative along e_j - 1/d
+        normal = rows @ rows.T
+        gradient = rows @ (image[0] - target)
+        scale = float(normal.diagonal().max())
+        if not 0.0 < scale < math.inf:
+            raise _newton_stalled(op, y, xm, residual, iterations)
+        mu = 1e-3 * scale if mu is None else max(mu, 1e-14 * scale)
+        while True:
+            if iterations >= max_iter:
+                raise _newton_stalled(op, y, xm, residual, iterations)
+            iterations += 1
+            s = np.linalg.solve(normal + mu * eye, -gradient)
+            delta = s - s.mean()
+            shrinking = delta < 0.0
+            t = min(1.0, 0.9 * float((x[shrinking] / -delta[shrinking]).min())) if shrinking.any() else 1.0
+            moved = x + t * delta
+            if np.array_equal(moved, x):
+                raise _newton_stalled(op, y, xm, residual, iterations)
+            trial_m = _normalized([_checked_mass(k, v) for k, v in zip(support, moved.tolist())])
+            trial_f = op.map.values(trial_m, support)
+            trial_residual = _image_residual(support, trial_m, trial_f, target)
+            if trial_residual < residual:
+                xm, residual = trial_m, trial_residual
+                mu /= 3.0
+                break
+            mu *= 4.0
+    return InversionResult(preimage=_iterate(y, xm), residual=residual, iterations=iterations, method="newton")
+
+
+def _newton_stalled(op: VolterraOperator, y: SparsePoint, xm, residual: float, iterations: int) -> NonConvergence:
+    return NonConvergence(
+        f"Newton steps for {op.label!r} stalled", _iterate(y, xm), residual, iterations, "newton"
+    )
+
+
+def _iterate(y: SparsePoint, xm) -> SparsePoint:
+    """The iterate with masses ``xm`` on the support of y: y itself until
+    a sweep is accepted."""
+    return y if xm is y.masses else _point_on(y.support, xm)

@@ -210,6 +210,29 @@ def test_invert_non_convergence_exit_code(capsys, tmp_path):
     result = json.loads(out)
     assert result["converged"] is False
     assert result["residual"] > 0
+    assert result["method"] == "fixed_point"
+
+
+def test_invert_reports_the_method_that_ran(capsys, tmp_path):
+    # example32 under a convex label, so the fixed-point route runs; its
+    # sweeps stall on this image and Newton steps take over.
+    spec = write_json(
+        tmp_path / "c.json",
+        {"type": "convex", "operators": [{"type": "example32"}, {"type": "example32"}], "lambda": 0.5},
+    )
+    code, out = run(capsys, ["apply", "--operator", spec, "--point", write_json(
+        tmp_path / "x.json", {"1": 0.025, "2": 0.4, "3": 0.575})])
+    assert code == 0
+    point = write_json(tmp_path / "y.json", json.loads(out))
+    code, out = run(capsys, ["invert", "--operator", spec, "--point", point])
+    assert code == 0
+    result = json.loads(out)
+    assert result["method"] == "newton" and result["converged"] is True
+    assert result["residual"] <= 1e-10
+    code, out = run(capsys, ["invert", "--operator", spec, "--point", point, "--tol", "1e-18"])
+    assert code == 2
+    result = json.loads(out)
+    assert result["method"] == "newton" and result["converged"] is False
 
 
 def test_compose_and_convex_specs(capsys, tmp_path):

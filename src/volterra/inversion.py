@@ -13,10 +13,11 @@ started at the target itself, with lam halved whenever the residual
 would increase, so the current iterate is always the best one so far.
 The sweeps run on float lists aligned with the target's support, and a
 point is built only once, at exit.  When the sweeps stall (the residual
-has not halved over ``STALL_SWEEPS`` sweeps, or the damping has reached
-its floor), Levenberg-Marquardt steps in the simplex's tangent space
-finish the search from the best iterate, with a finite-difference
-Jacobian taken as one block call of the map.  They invert, for
+has not fallen by the factor its damping allows over ``STALL_SWEEPS``
+sweeps, or the damping has reached its floor), Levenberg-Marquardt steps
+in the simplex's tangent space finish the search from the best iterate,
+with a finite-difference Jacobian taken as one block call of the map,
+on supports of at most ``NEWTON_MAX_SUPPORT`` indices.  They invert, for
 instance, the example32 images on which the sweeps alone stall.  Still
 no route guarantees convergence: a failure raises ``NonConvergence``
 with the best iterate, its exact residual and the method that ran, so
@@ -40,6 +41,9 @@ STALL_SWEEPS = 20
 DAMPING_FLOOR = 1e-14
 #: Length of the finite-difference step along a tangent direction.
 FD_STEP = 1e-7
+#: Largest support on which stalled sweeps hand over to Newton steps,
+#: whose dense d x d arrays take about 60 MB at this size.
+NEWTON_MAX_SUPPORT = 1000
 
 
 @dataclass(frozen=True)
@@ -147,10 +151,16 @@ def invert_fixed_point(
     the result or for ``NonConvergence.best``.
 
     Every ``STALL_SWEEPS`` sweeps the residual is compared with its value
-    that many sweeps before.  If it has not at least halved, or the
-    damping has fallen below ``DAMPING_FLOOR``, the search continues from
-    the best iterate with ``_newton_steps`` and reports method
-    ``"newton"``.  Sweeps and Newton trials share ``max_iter``.
+    that many sweeps before.  A sweep moves the iterate only a fraction
+    ``damping`` of the way to the undamped update, so the fall it can
+    reach in the log of the residual shrinks in proportion to the
+    damping: the residual must fall by the factor 2 at damping 1/2 or
+    more and by 2^(2*damping) below.  If it has not, or the damping has
+    fallen below ``DAMPING_FLOOR``, the search continues from the best
+    iterate with ``_newton_steps`` and reports method ``"newton"``.
+    Sweeps and Newton trials share ``max_iter``.  On a support of more
+    than ``NEWTON_MAX_SUPPORT`` indices the sweeps go on instead, and
+    the damping floor raises ``NonConvergence``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -163,18 +173,21 @@ def invert_fixed_point(
     fx = op.map.values(xm, support)
     residual = _image_residual(support, xm, fx, target)
     checkpoint = residual  # the residual STALL_SWEEPS sweeps before
+    stall_ratio = 0.5 ** min(1.0, 2.0 * damping)
+    newton = len(support) <= NEWTON_MAX_SUPPORT
     iterations = 0
     while residual > tol:
-        if iterations >= max_iter:
+        floored = lam < DAMPING_FLOOR
+        if iterations >= max_iter or (floored and not newton):
             raise NonConvergence(
                 f"fixed-point inversion of {op.label!r} stalled",
                 _iterate(y, xm), residual, iterations, "fixed_point",
             )
-        stalled = lam < DAMPING_FLOOR
+        stalled = floored
         if iterations and iterations % STALL_SWEEPS == 0:
-            stalled = stalled or residual > 0.5 * checkpoint
+            stalled = stalled or residual > stall_ratio * checkpoint
             checkpoint = residual
-        if stalled:
+        if stalled and newton:
             return _newton_steps(op, y, xm, residual, iterations, tol, max_iter)
         iterations += 1
         mixed = []

@@ -17,12 +17,14 @@ from volterra import (
     l1_distance,
     make_point,
     quadratic_operator,
+    sample_face,
     sample_face_rng,
     solve_monotone_cubic,
     validate_matrix,
     vertex,
     VolterraOperator,
 )
+from volterra import inversion
 from helpers import rand_point, rand_point_on_pool, rand_skew_operator
 
 
@@ -150,6 +152,37 @@ def test_invert_fixed_point_non_convergence_reports_best():
     assert err.iterations == 3
     assert err.residual > 1e-16
     assert abs(err.best.total() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.5, 0.1, 0.02, 0.01, 0.005])
+def test_small_damping_still_converges_by_sweeping(damping):
+    # A sweep moves the iterate only `damping` of the way to the undamped
+    # update, so a small damping slows well-conditioned sweeps without
+    # stalling them: they must not hand over to Newton steps.
+    rng = np.random.default_rng(4)
+    _, skew = rand_skew_operator(rng, 8)
+    for op in (example31(), skew):
+        x = rand_point(rng, range(1, 9))
+        result = invert_fixed_point(op, apply(op, x), damping=damping)
+        assert result.method == "fixed_point"
+        assert result.residual <= 1e-10
+
+
+def test_supports_past_the_newton_bound_keep_sweeping(monkeypatch):
+    # Newton steps hold dense d x d arrays, so past NEWTON_MAX_SUPPORT a
+    # stall is not handed over: the sweeps end as they did before Newton
+    # steps existed, at max_iter or at the damping floor.
+    stall = apply(example32(), make_point({1: 0.025, 2: 0.4, 3: 0.575}))
+    floor = sample_face(FaceSpec.prefix(6), 34)
+    assert invert_fixed_point(example32(), stall, max_iter=200).method == "newton"
+    monkeypatch.setattr(inversion, "NEWTON_MAX_SUPPORT", 2)
+    with pytest.raises(NonConvergence) as info:
+        invert_fixed_point(example32(), stall, max_iter=200)
+    assert (info.value.method, info.value.iterations) == ("fixed_point", 200)
+    with pytest.raises(NonConvergence) as info:
+        invert_fixed_point(example32(), floor)
+    err = info.value
+    assert (err.method, err.iterations, err.residual) == ("fixed_point", 824, 0.14091159374881385)
 
 
 def test_invert_fixed_point_argument_validation():

@@ -306,7 +306,33 @@ _MARGIN = _floats(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _DAMPING = _floats(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help layout at the terminal width less 2, as its default,
+    without the import of ``shutil`` (and its compression modules) that
+    finding the width costs argparse on every parser.  The width is read
+    as ``shutil.get_terminal_size`` reads it: COLUMNS, else the size of
+    the terminal on stdout, else 80."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):
+                    width = 0
+            width = (width or 80) - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # subcommand parsers are built as _Parser too
+        kwargs.setdefault("formatter_class", _Formatter)
+        super().__init__(**kwargs)
+
     def error(self, message):  # malformed command line maps to exit 3
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

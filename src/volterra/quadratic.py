@@ -16,7 +16,6 @@ import math
 import operator
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain, islice
 
 from . import _numpy as np
@@ -26,21 +25,32 @@ from .simplex import SparsePoint, _index, _value, vertex
 
 #: Tolerance for skew-symmetry, zero diagonal and the entry bound.
 MATRIX_TOLERANCE = 1e-12
-#: Largest (entries x points) product one np.bincount of a block handles.
-_BINCOUNT_CELLS = 1 << 14
+#: Most (table cells x points) one chunk of a block gathers at once.
+_CHUNK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
 class SkewMatrix:
     """Canonical sparse store of a skew-symmetric coefficient matrix.
 
     Only entries with row < column are stored; the mirrored entries are
     implied with opposite sign and the diagonal is implied zero, so
-    skew-symmetry cannot be broken after validation.
+    skew-symmetry cannot be broken after validation.  Two stores are
+    equal when their entries and dimensions are; a store is not
+    hashable.  Immutable by convention.
     """
 
-    entries: Mapping[tuple[int, int], float]
-    dimension: int
+    __slots__ = ("entries", "dimension")
+
+    def __init__(self, entries: Mapping[tuple[int, int], float], dimension: int):
+        self.entries = entries
+        self.dimension = dimension
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.dimension) == (other.entries, other.dimension)
+
+    __hash__ = None
 
     def coefficient(self, k: int, i: int) -> float:
         if k == i:
@@ -189,74 +199,98 @@ def validate_matrix(raw) -> SkewMatrix:
 def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     """The operator with linear generating map f_k(x) = sum_i a_ki x_i.
 
-    Both orientations of the store are kept as arrays of rows, columns
-    and values sorted by (row, column), so f_k sums in ascending column
-    order; a column is held as its position among the indices that have
-    entries.  An evaluation reads only the entries whose row and column
-    are both requested indices (a zero mass adds nothing to a sum), and
-    sums them with ``np.bincount`` over many points at a time.  Its
-    tables are sized by the store and the request, never by the largest
-    index.
+    The rows of the matrix (both orientations of the store) are held by
+    the indices that have entries, ``keys``, and a column as its
+    position there.  A row of length in (2^(b-1), 2^b] lives in the
+    table of bucket b: C-ordered (depth, rows) arrays of columns and
+    values, as deep as the bucket's longest row; a shorter row is padded
+    with the column ``len(keys)``, which reads a zero mass.  So the
+    tables hold fewer than two cells per entry, a star matrix cannot
+    blow them up, and nothing is sized by the largest index.
+
+    An evaluation writes the requested masses into an array indexed by
+    position in ``keys`` whose other rows read zero, takes the requested
+    rows of each table, gathers their masses, multiplies by the values
+    and adds the gathered rows one after another: f_k sums left to right
+    in ascending column order, and padding and unrequested columns add a
+    signed zero, which can change only the sign of a zero sum.  A zero
+    sum comes out as +0.0.  A block goes in chunks of points that gather
+    at most ``_CHUNK_CELLS`` cells.
     """
     n = a.dimension
     count = len(a.entries)
     upper = np.fromiter(chain.from_iterable(a.entries), dtype=np.intp, count=2 * count)
-    lo, hi = upper[0::2], upper[1::2]
     coef = np.fromiter(a.entries.values(), dtype=float, count=count)
-    rows = np.concatenate((lo, hi))
-    cols = np.concatenate((hi, lo))
-    vals = np.concatenate((coef, -coef))
+    lo, hi = upper[0::2], upper[1::2]
+    # Every entry in both orientations, sorted by (row, column).
+    rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
     order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    # The indices that have entries, ascending: the first row of each run.
-    keys = rows[np.concatenate((rows[:1] > 0, rows[1:] != rows[:-1]))]
-    col_keys = np.searchsorted(keys, cols)  # each column as a position in keys
+    rows = rows[order]
+    vals = np.concatenate((coef, -coef))[order]
+    # Whether an entry starts a row, and a closing True after the last.
+    run = np.empty(len(rows) + 1, dtype=bool)
+    run[0] = run[-1] = True
+    np.not_equal(rows[1:], rows[:-1], out=run[1:-1])
+    edges = run.nonzero()[0]
+    starts, lengths = edges[:-1], edges[1:] - edges[:-1]
+    width = len(starts)
+    padded = np.zeros(width + 1, dtype=np.intp)  # 0 is no index: a request past the last key misses
+    padded[:width] = rows[starts]
+    keys = padded[:width]  # the indices that have entries, ascending
+    cols = keys.searchsorted(cols[order])  # each column as a position in keys
+    bucket = np.frexp(lengths - 1)[1]  # the b with a length in (2^(b-1), 2^b]
+    tables = []  # (its rows as positions in keys, columns, values) by bucket
+    for b in sorted(set(bucket.tolist())):
+        members = (bucket == b).nonzero()[0]
+        depths = lengths[members]
+        j = np.arange(np.maximum.reduce(depths))[:, None]
+        entry = j + starts[members]
+        table_cols, table_vals = cols.take(entry, mode="wrap"), vals.take(entry, mode="wrap")
+        pad = j >= depths  # the cells past the end of their row
+        table_cols[pad], table_vals[pad] = width, 0.0
+        tables.append((members, table_cols, table_vals))
 
     def fn(ks: Sequence[int], X) -> np.ndarray:
         d = len(ks)
-        masses = np.asarray(X, dtype=float)
+        masses = np.asarray(X, dtype=float)  # (d,) for one point, (d, N) for a block
         if not d:
             return masses
-        M = masses.reshape(d, -1)  # (d, N): one column per point
-        N = M.shape[1]
         ks = np.fromiter(ks, dtype=np.intp, count=d)
-        # Entry e adds v[e] times the masses in row c[e] of ``masses_at``
-        # to output slot r[e], which holds f at ks[r[e] - 1].
-        if d == n and ks[-1] == n:
-            # ks is 1..n: row k's slot is k, and every entry counts.
-            # Gathering the whole store below would cost several times
-            # the sums themselves.
-            masses_at = M[keys - 1]  # row p: the masses at keys[p]
-            r, c, v = rows, col_keys, vals
+        at = keys.searchsorted(ks)
+        hit = padded[at] == ks  # the requested indices that have entries
+        req, out = at[hit], hit.nonzero()[0]  # their positions in keys and in ks
+        place = np.empty(width, dtype=np.intp)  # position in ks by position in keys, -1 if not requested
+        place.fill(-1)
+        place[req] = out
+        # Each table's requested rows and their places in ks.  ``take``
+        # keeps the rows C-ordered; ``cols[:, take]`` would be F-ordered,
+        # and numpy sums a reduction over an F-ordered gather pairwise.
+        plans = []
+        for members, cols, vals in tables:
+            rows_at = place[members]
+            take = (rows_at >= 0).nonzero()[0]
+            if len(take) < len(members):
+                if not len(take):
+                    continue
+                cols, vals, rows_at = cols.take(take, axis=1), vals.take(take, axis=1), rows_at[take]
+            plans.append((cols, vals if masses.ndim == 1 else vals[:, :, None], rows_at))
+        f = np.zeros(masses.shape)
+        if masses.ndim == 1:
+            parts = [(masses, f)]
         else:
-            # The entries of the requested rows, in (row, column) order,
-            # then only those whose column is requested too.
-            first = np.searchsorted(rows, ks, side="left")
-            lengths = np.searchsorted(rows, ks, side="right") - first
-            entry = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-            entry += np.arange(len(entry))
-            present = lengths > 0  # exactly the requested indices in keys
-            at = np.full(len(keys), -1)  # position in ks by position in keys
-            at[np.searchsorted(keys, ks[present])] = np.arange(d)[present]
-            masses_at = M
-            c = at[col_keys[entry]]
-            keep = c >= 0
-            r = np.repeat(np.arange(1, d + 1), lengths)[keep]
-            c, v = c[keep], vals[entry[keep]]
-        f = np.empty((N, d))
-        # Points go through np.bincount a few at a time, so that the
-        # (entries x points) temporaries stay small; bin (point s, slot r)
-        # is r + (d + 1) * s, and each bin adds its entries in order.
-        step = max(1, _BINCOUNT_CELLS // max(len(r), 1))
-        for start in range(0, N, step):
-            part = masses_at[:, start:start + step]
-            width = part.shape[1]
-            weights = np.take(part, c, axis=0)
-            weights *= v[:, None]
-            bins = np.add.outer(r, (d + 1) * np.arange(width))
-            sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=(d + 1) * width)
-            f[start:start + width] = sums.reshape(width, d + 1)[:, 1:]
-        return f.T.reshape(masses.shape)
+            step = max(1, _CHUNK_CELLS // max(sum(cols.size for cols, _, _ in plans), 1))
+            parts = [(masses[:, s:s + step], f[:, s:s + step]) for s in range(0, masses.shape[1], step)]
+        for part, f_part in parts:
+            G = np.zeros((width + 1,) + part.shape[1:])  # masses by position in keys
+            G[req] = part[out]
+            for cols, vals, rows_at in plans:
+                W = G[cols]  # (depth, rows) or (depth, rows, points), C-ordered
+                W *= vals
+                # Reduced over its outer axis, W adds its rows one after
+                # another; numpy would sum a single output pairwise.
+                f_part[rows_at] = np.add.reduce(W) if W.size > len(W) else np.cumsum(W, axis=0)[-1]
+        f += 0.0  # a -0.0 sum reads +0.0
+        return f
 
     return VolterraOperator(GeneratingMap(fn), label=f"quadratic(n={n})")
 

@@ -574,3 +574,23 @@ def test_closed_stdout_exits_141_quietly(ex31_spec, case):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("columns", ["40", "123", "0", "junk", None])
+def test_help_wraps_as_argparse_would(monkeypatch, columns):
+    """The CLI's formatter reads the width without ``shutil`` and lays out
+    every help text as argparse's default formatter does."""
+    import argparse
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def helps(parser):
+        return [parser.format_help(), parser.format_usage(),
+                *(sub.format_help() for sub in parser._subparsers._group_actions[0].choices.values())]
+
+    ours = helps(cli.build_parser())
+    monkeypatch.setattr(cli, "_Formatter", argparse.HelpFormatter)
+    assert helps(cli.build_parser()) == ours

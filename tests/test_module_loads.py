@@ -31,10 +31,13 @@ import json
 sys.stderr.write(json.dumps({"code": code, "added": added}))
 """
 
-#: Not needed by a formula ``builtin`` or ``apply``.
+#: Not needed by a formula ``builtin`` or ``apply``.  argparse's default
+#: help formatter imports ``shutil`` (with ``bz2`` and ``lzma``) for the
+#: terminal width; the CLI's own formatter reads it without.
 HEAVY = {
     "dataclasses",
     "pathlib",
+    "shutil",
     "typing",
     "numpy",
     "volterra.quadratic",

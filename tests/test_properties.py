@@ -13,8 +13,12 @@ vertex exactly.  A skew matrix with entries in [-1, 1] passes the
 sampled weighted balance, and cells with a nonzero symmetric part give
 a defect witness whose value is x^T B x.  A point's lookups and its
 l1 distance to another point agree with a plain dict of its masses,
-whatever the two supports share.  The bulk matrix reader gives what
-the cell-by-cell loop it replaced gave, results and errors alike.
+whatever the two supports share, bit for bit where an image keeps or
+drops its point's coordinates.  A skew matrix's map gives, bit for bit,
+the ascending-column sums a plain loop gives, for one point and for
+every row of a block, at every chunk size.  The bulk matrix reader
+gives what the cell-by-cell loop it replaced gave, results and errors
+alike.
 Every boundary that takes an index from outside (points, faces, tensor
 triples, matrix cells) accepts exactly what ``simplex._index`` accepts,
 and every one that takes decimal text exactly what ``simplex._key``
@@ -33,6 +37,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,10 +74,11 @@ from volterra import (
 )
 from volterra import cli
 from volterra.errors import BoundViolation, NonFiniteValue, NotSkew
+from volterra import quadratic
 from volterra.quadratic import MATRIX_TOLERANCE, SkewMatrix
 from volterra import simplex
 from volterra.simplex import sample_face_block
-from helpers import example32_image, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
+from helpers import example32_image, rand_point, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
 
 _rng = np.random.default_rng(2024)
 _skew8 = quadratic_operator(validate_matrix(rand_skew_triples(_rng, 8)))
@@ -312,6 +318,80 @@ def test_point_lookups_and_l1_distance_match_a_dict(pair):
             assert (k in point) == (k in reference)
     assert l1_distance(p, q) == _dict_l1(p, q)
     assert l1_distance(q, p) == _dict_l1(q, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), dropped=st.integers(1, 5))
+def test_l1_distance_of_images_has_the_dict_path_bits(seed, n, dropped):
+    """A skew image keeps its point's support, where ``l1_distance`` takes
+    its loop over the two mass tuples; a star whose row reaches -1 drops
+    the tiny coordinates it clamps, where it takes the dict path."""
+    rng = np.random.default_rng(seed)
+    x = rand_point(rng, range(1, n + 1))
+    image = apply(rand_skew_operator(rng, n)[1], x)
+    pairs = [(image, x)]
+    star = quadratic_operator(validate_matrix([[1, k, 1.0] for k in range(2, dropped + 2)]))
+    y = make_point({1: 1.0, **{k: float(rng.uniform(1e-300, 1e-290)) for k in range(2, dropped + 2)}})
+    clamped = apply(star, y)
+    assert image.support == x.support and clamped.support == (1,)
+    pairs.append((clamped, y))
+    for p, q in pairs + [pair[::-1] for pair in pairs]:
+        assert l1_distance(p, q).hex() == _dict_l1(p, q).hex()
+
+
+@st.composite
+def _skew_requests(draw):
+    """A skew matrix, a request and a block of masses for it.
+
+    The matrix has dimension 1-40 and density 5-100%, and half of them
+    are stars: one row full on top of that.  The request ascends and may
+    go up to 5 past the dimension; some masses are zero; the block has
+    1, 2, 3 or 5 points, and ``chunk`` cells per chunk put chunk
+    boundaries inside it.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.05, 1.0))
+    hub = int(rng.integers(1, n + 1)) if draw(st.booleans()) else None
+    cells = [[k, i, float(rng.uniform(-1.0, 1.0))]
+             for k in range(1, n + 1) for i in range(k + 1, n + 1)
+             if hub in (k, i) or rng.random() < density]
+    share = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    ks = [k for k in range(1, n + 6) if rng.random() < share] or [n]
+    block = rng.uniform(0.0, 1.0, size=(draw(st.sampled_from([1, 2, 3, 5])), len(ks)))
+    block[rng.random(block.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return validate_matrix(cells), ks, block, draw(st.sampled_from([1, 16, 200, 1 << 14]))
+
+
+def _ascending_sums(matrix, ks, masses) -> list[float]:
+    """f_k = sum_i a_ki x_i at one point, each summed from +0.0 over the
+    requested i with an entry, in ascending order."""
+    out = []
+    for k in ks:
+        s = 0.0
+        for i, m in zip(ks, masses):
+            a = matrix.coefficient(k, i)
+            if a != 0.0:
+                s += a * m
+        out.append(s)
+    return out
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]  # tells -0.0 from 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_skew_requests())
+def test_quadratic_values_are_the_ascending_sums_bit_for_bit(case):
+    matrix, ks, block, chunk = case
+    op = quadratic_operator(matrix)
+    with mock.patch.object(quadratic, "_CHUNK_CELLS", chunk):
+        together = op.map.values(block, ks)
+    for row, values in zip(block, together):
+        expected = _bits(_ascending_sums(matrix, ks, row.tolist()))
+        assert _bits(values) == expected
+        assert _bits(op.map.values(row.tolist(), ks)) == expected
 
 
 @st.composite

@@ -62,7 +62,7 @@ def test_unknown_attribute_names_the_package():
 
 
 def test_former_dataclasses_keep_their_constructors():
-    from volterra import CubicTensor, FaceSpec, GeneratingMap, VolterraCheck, VolterraOperator
+    from volterra import CubicTensor, FaceSpec, GeneratingMap, SkewMatrix, VolterraCheck, VolterraOperator
 
     fn = lambda ks, X: [0.0] * len(ks)  # noqa: E731
     assert FaceSpec(indices=(1, 2)).indices == (1, 2)
@@ -79,6 +79,16 @@ def test_former_dataclasses_keep_their_constructors():
     assert VolterraCheck(True).offender is None and VolterraCheck(True)
     for check in (VolterraCheck(False, offender), VolterraCheck(ok=False, offender=offender)):
         assert not check and check.offender == offender
+    entries = {(1, 2): 0.5}
+    for matrix in (SkewMatrix(entries, 2), SkewMatrix(entries=entries, dimension=2)):
+        assert (matrix.entries, matrix.dimension) == (entries, 2)
+        assert matrix == SkewMatrix({(1, 2): 0.5}, 2)
+        assert matrix != SkewMatrix(entries, 3) and matrix != SkewMatrix({(1, 2): -0.5}, 2)
+        assert matrix != (entries, 2)
+        with pytest.raises(TypeError):
+            hash(matrix)
+        with pytest.raises(AttributeError):
+            matrix.extra = 1
 
 
 def test_face_equality_and_hashing():

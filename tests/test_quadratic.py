@@ -331,3 +331,29 @@ def test_far_indices_keep_row_and_column_order():
     expected = apply(quadratic_operator(validate_matrix(small)), x_small)
     assert image.masses == expected.masses
     assert image.support == tuple(relabel[k] for k in expected.support)
+
+
+def test_star_matrix_tables_stay_linear_in_the_entries():
+    """One full row next to n - 1 rows of one entry: a table as deep as the
+    longest row for every row would hold n^2 cells; the tables hold at most
+    2 nnz + keys cells (nnz counts both orientations), 16 bytes a cell."""
+    n = 20_000
+    rng = np.random.default_rng(20_000)
+    weights = rng.uniform(-1.0, 1.0, size=n - 1).tolist()
+    matrix = validate_matrix([[1, i, w] for i, w in zip(range(2, n + 1), weights)])
+    nnz, keys = 2 * (n - 1), n
+    tracemalloc.start()
+    try:
+        op = quadratic_operator(matrix)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 16 * (2 * nnz + keys)
+    assert peak <= 64 * (2 * nnz + keys)
+    x = make_point({k: 1.0 / n for k in range(1, n + 1)})
+    values = op.map.values(x.masses, x.support)
+    hub = 0.0
+    for w, m in zip(weights, x.masses[1:]):
+        hub += w * m
+    assert values[0] == hub
+    assert values[1:] == [-w * x.masses[0] for w in weights]

@@ -1,8 +1,8 @@
 """Volterra-type nonlinear operators on the infinite-dimensional simplex.
 
 Construction, validity checking, application, inversion and iteration
-of operators (Vx)_k = x_k * (1 + f_k(x)) with exact finite-support
-arithmetic.
+of operators (Vx)_k = x_k * g_k(x), g_k = 1 + f_k, with exact
+finite-support arithmetic.
 
 Importing the package loads none of its modules.  Each exported name
 is listed once below, under the module that defines it; the first read

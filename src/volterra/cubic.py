@@ -22,11 +22,12 @@ each sorted triple.  The grouped form is the map of the operator that
 definition as a brute-force ordered sum and is its oracle.
 
 Tensors are stored over a finite face; the two infinite-family builtin
-operators are formula-driven instead and valid on any finite support:
+operators are formula-driven instead and valid on any finite support,
+with growth factors g_k = 1 + f_k:
 
-    example31: f_k(x) = x_k - sum_i x_i^2          (pairwise condition holds)
-    example32: f_k(x) = x_k^2 + 3*sum_{i<k} x_i
-                        - 3*sum_{i<j<k} x_i x_j - 1  (bijective, pairwise
+    example31: g_k(x) = 1 + (x_k - sum_i x_i^2)    (pairwise condition holds)
+    example32: g_k(x) = x_k^2 + 3*sum_{i<k} x_i
+                        - 3*sum_{i<j<k} x_i x_j      (bijective, pairwise
                                                       condition fails)
 
 plus the one-dimensional counterexample V(x) = x(1 - sin(pi x)) on the
@@ -211,14 +212,13 @@ def cubic_apply(p: CubicTensor, x: SparsePoint) -> SparsePoint:
 def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
     """Wrap a face-invariant tensor as a generating-map operator.
 
-    The map is the grouped bracket minus one, which is exact at vertices
-    (the bracket at e^(k) is 1) and defined for every index of the
-    tensor's face.  Its families are read off the store in one pass: a
-    row of triple t puts p_{t,k} at output k, and t without one k is
-    (i, k) for ``p_ikk[k][i]`` (the 3*x_k*x_i term), (i, i) for
-    ``p_iik[k][i]`` (3*x_i^2) or (i, j) with i < j for ``p_ijk[k][(i, j)]``
-    (6*x_i*x_j).  The (k, k, k) row weights x_k^2 by 1, as face
-    invariance forces.
+    The growth factor is the grouped bracket, exactly 1 at the vertex
+    e^(k) and defined for every index of the tensor's face.  Its
+    families are read off the store in one pass: a row of triple t puts
+    p_{t,k} at output k, and t without one k is (i, k) for
+    ``p_ikk[k][i]`` (the 3*x_k*x_i term), (i, i) for ``p_iik[k][i]``
+    (3*x_i^2) or (i, j) with i < j for ``p_ijk[k][(i, j)]`` (6*x_i*x_j).
+    The (k, k, k) row weights x_k^2 by 1, as face invariance forces.
 
     Raises NotVolterra when a row leaves its triple, and UndefinedTriple
     when a triple other than (i, i, i) within the dimension is missing.
@@ -270,7 +270,7 @@ def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
                 c = fam_ijk.get((i, j))
                 if c:
                     cross = cross + c * mi * mj
-            out.append(xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross - 1.0)
+            out.append(xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross)
         return out
 
     return VolterraOperator(GeneratingMap(fn, n), label=f"cubic_tensor(n={n})")
@@ -297,7 +297,7 @@ def _raise_first_undefined(p: CubicTensor) -> None:
 
 
 def example31(dimension: int | None = None) -> VolterraOperator:
-    """The cubic operator with generating map f_k(x) = x_k - sum_i x_i^2.
+    """The cubic operator with growth factor g_k(x) = 1 + (x_k - sum_i x_i^2).
 
     Satisfies the pairwise bijectivity condition: for any two points the
     pair functional equals -sum_i (x_i - y_i)^2 <= 0.  With ``dimension``
@@ -310,7 +310,7 @@ def example31(dimension: int | None = None) -> VolterraOperator:
         sq = 0.0
         for m in X:
             sq = sq + m * m
-        return [m - sq for m in X]
+        return [1.0 + (m - sq) for m in X]
 
     return VolterraOperator(GeneratingMap(fn, dimension), label="example31")
 
@@ -341,9 +341,9 @@ def example32() -> VolterraOperator:
 
     Coordinates are ordered: (Vx)_k = x_k*(x_k^2 + 3*C_k(x)) where
     C_k(x) = sum_{i<k} x_i - sum_{i<j<k} x_i x_j depends only on earlier
-    coordinates, so
+    coordinates, so the growth factor is
 
-        f_k(x) = x_k^2 + 3*sum_{i<k} x_i - 3*sum_{i<j<k} x_i x_j - 1.
+        g_k(x) = x_k^2 + 3*sum_{i<k} x_i - 3*sum_{i<j<k} x_i x_j.
 
     The operator is a bijection of the simplex (each coordinate solves a
     strictly increasing cubic given the earlier ones) yet the pairwise
@@ -356,7 +356,7 @@ def example32() -> VolterraOperator:
         out = []
         for xk in X:
             pairs = (s1 * s1 - s2) / 2.0
-            out.append(xk * xk + 3.0 * s1 - 3.0 * pairs - 1.0)
+            out.append(xk * xk + 3.0 * s1 - 3.0 * pairs)
             s1 = s1 + xk
             s2 = s2 + xk * xk
         return out
@@ -433,7 +433,7 @@ def _per_element(scalar_fn, *args):
 def sine_example() -> VolterraOperator:
     """The non-injective map V(x) = x(1 - sin(pi x)) on the face {1, 2}.
 
-    In simplex coordinates f_1(x) = -sin(pi x_1) and
+    In simplex coordinates g_k = 1 + f_k with f_1(x) = -sin(pi x_1) and
     f_2(x) = x_1 sin(pi x_1) / x_2, extended by continuity to the value
     pi at the vertex e^(1).  The weighted balance holds by construction,
     but f_1 = -1 exactly at the barycenter, so the strict interior bound
@@ -446,7 +446,7 @@ def sine_example() -> VolterraOperator:
         x2 = masses.get(2, 0.0)
         s = _per_element(_sinpi, x1)
         f2 = _per_element(lambda a, b, v: a * v / b if b > 0.0 else math.pi, x1, x2, s)
-        return [-s if k == 1 else f2 if k == 2 else 0.0 for k in ks]
+        return [1.0 - s if k == 1 else 1.0 + f2 if k == 2 else 1.0 for k in ks]
 
     return VolterraOperator(GeneratingMap(fn, 2), label="sine")
 

@@ -3,17 +3,20 @@
 An operator V acts on a simplex point coordinate-wise through a
 generating map f = (f_1, f_2, ...):
 
-    (Vx)_k = x_k * (1 + f_k(x)).
+    (Vx)_k = x_k * (1 + f_k(x)) = x_k * g_k(x).
 
 A generating map is one callable plus an optional domain bound,
-``GeneratingMap(fn, max_index)``, where ``fn(indices, X)``
-returns [f_k(x) for k in indices] and ``X[j]`` is the mass of x at
-``indices[j]``.  ``X[j]`` is a float for one point, or a length-N
-column for a block of N points: one body, written with elementwise
-arithmetic only, serves both.  Every consumer evaluates f through
-``GeneratingMap.values``: ``apply``, ``pair_condition_value``, the
-inverters and trajectories one point at a time on the point's own
-floats, the checkers a whole block of sampled points per call.
+``GeneratingMap(fn, max_index)``, where ``fn(indices, X)`` returns the
+growth factors [g_k(x) for k in indices] and ``X[j]`` is the mass of x
+at ``indices[j]``.  Every image is x_k * g_k: a small factor (x_1^2 for
+example32) rebuilt as 1 + (g_k - 1) would cancel.  Only the checkers
+and the pair functional, which speak of f, take g - 1.  ``X[j]`` is a
+float for one point, or a length-N column for a block of N points: one
+body, written with elementwise arithmetic only, serves both.  Every
+consumer evaluates g through ``GeneratingMap.values``: ``apply``,
+``pair_condition_value``, the inverters and trajectories one point at
+a time on the point's own floats, the checkers a whole block of
+sampled points per call.
 ``values`` tells the two apart by the argument's ``ndim``: a
 two-dimensional array is a block, and anything else (a tuple or list
 of floats, or a 1-D array) is one point.  Nothing is tested against
@@ -71,8 +74,8 @@ _VERTEX_BLOCK = 256
 class GeneratingMap:
     """The functionals f_k defining an operator, held as one callable.
 
-    ``fn(indices, X)`` returns [f_k(x) for k in indices] as a list, a
-    tuple or an array, where ``X[j]`` is the mass of x at
+    ``fn(indices, X)`` returns [g_k(x) = 1 + f_k(x) for k in indices]
+    as a list, a tuple or an array, where ``X[j]`` is the mass of x at
     ``indices[j]``; the indices ascend and cover the support of x.
     ``X[j]`` is a float for one point, or a length-N column for a block
     of N points, and one body serves both: it may only use elementwise
@@ -90,7 +93,7 @@ class GeneratingMap:
         self.max_index = None if max_index is None else _read(_index, max_index, "max_index")
 
     def values(self, X, indices: Sequence[int]):
-        """f over ``indices`` at one point or at every row of a block.
+        """g over ``indices`` at one point or at every row of a block.
 
         X is one point's masses aligned with ``indices`` (the result is
         the map's list or tuple of floats as is, or its array's
@@ -130,13 +133,13 @@ class VolterraOperator:
 
     def f(self, k: int, x: SparsePoint) -> float:
         indices = tuple(sorted({k, *x.support}))
-        fvals = self.map.values([x.mass(i) for i in indices], indices)
-        return fvals[indices.index(k)]
+        gvals = self.map.values([x.mass(i) for i in indices], indices)
+        return gvals[indices.index(k)] - 1.0
 
 
 def identity_operator() -> VolterraOperator:
-    """The operator with f identically zero; applies as the identity."""
-    return VolterraOperator(GeneratingMap(lambda ks, X: [0.0] * len(ks)), label="identity")
+    """The operator with g identically one; applies as the identity."""
+    return VolterraOperator(GeneratingMap(lambda ks, X: [1.0] * len(ks)), label="identity")
 
 
 def _check_domain(op: VolterraOperator, indices: Sequence[int], what: str) -> None:
@@ -152,7 +155,7 @@ def _check_domain(op: VolterraOperator, indices: Sequence[int], what: str) -> No
 
 
 def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
-    """Apply (Vx)_k = x_k*(1 + f_k(x)) over the support of x.
+    """Apply (Vx)_k = x_k*g_k(x) over the support of x.
 
     The image is returned with its raw masses: no renormalization is
     performed, so callers can observe the exact image total.  A
@@ -164,8 +167,8 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     always contained in the support of x.
     """
     _check_domain(op, x.support, "point support")
-    fvals = op.map.values(x.masses, x.support)
-    return _image(x.support, [m * (1.0 + fk) for m, fk in zip(x.masses, fvals)])
+    gvals = op.map.values(x.masses, x.support)
+    return _image(x.support, [m * g for m, g in zip(x.masses, gvals)])
 
 
 def _image(indices: Sequence[int], raw) -> SparsePoint:
@@ -174,16 +177,16 @@ def _image(indices: Sequence[int], raw) -> SparsePoint:
     return _point_on(indices, _checked_masses(indices, raw))
 
 
-def _image_residual(support: Sequence[int], masses, fvals, target: Sequence[float]) -> float:
+def _image_residual(support: Sequence[int], masses, gvals, target: Sequence[float]) -> float:
     """``l1_distance(apply(op, x), y)`` without building a point, where x
     has ``masses`` and y has masses ``target`` on ``support`` and
-    ``fvals`` are op's values at x.
+    ``gvals`` are op's values at x.
 
     The image is checked as ``apply`` checks it.  The sum runs in
     ``l1_distance``'s order: |v - y_k| over the kept image coordinates in
     support order, then y_k over the coordinates the image drops.
     """
-    image = _checked_masses(support, [m * (1.0 + fk) for m, fk in zip(masses, fvals)])
+    image = _checked_masses(support, [m * g for m, g in zip(masses, gvals)])
     s = 0.0
     for v, t in zip(image, target):
         if v > 0.0:
@@ -236,17 +239,17 @@ def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -
     _check_domain(op, y.support, "point support")
     union = tuple(sorted({*x.support, *y.support}))
     xm, ym = ([d.get(k, 0.0) for k in union] for d in (x.as_dict(), y.as_dict()))
-    fy = op.map.values(ym, union)
-    fx = op.map.values(xm, union)
-    return _support_sum(xm, fy) + _support_sum(ym, fx)
+    gy = op.map.values(ym, union)
+    gx = op.map.values(xm, union)
+    return _support_sum(xm, gy) + _support_sum(ym, gx)
 
 
-def _support_sum(masses, fvals) -> float:
-    """sum_k m_k v_k in index order over the positive masses only."""
+def _support_sum(masses, gvals) -> float:
+    """sum_k m_k (g_k - 1) in index order over the positive masses only."""
     s = 0.0
-    for m, v in zip(masses, fvals):
+    for m, g in zip(masses, gvals):
         if m > 0.0:
-            s += m * v
+            s += m * (g - 1.0)
     return s
 
 
@@ -287,7 +290,7 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np.ndarray]:
-    """f at every row of each block, one ``values`` call per block.
+    """f = g - 1 at every row of each block, one ``values`` call per block.
 
     Should a block raise, the rows are evaluated one at a time instead,
     row n of every block before row n + 1: the order in which the
@@ -295,13 +298,13 @@ def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np
     one the first failing point raises.
     """
     try:
-        return [gmap.values(B, indices) for B in blocks]
+        out = [gmap.values(B, indices) for B in blocks]
     except Exception:  # re-raised below, by the first point that fails
         out = [np.empty(B.shape) for B in blocks]
         for n in range(len(blocks[0])):
-            for B, F in zip(blocks, out):
-                F[n] = gmap.values(B[n].tolist(), indices)
-        return out
+            for B, G in zip(blocks, out):
+                G[n] = gmap.values(B[n].tolist(), indices)
+    return [np.subtract(G, 1.0, out=G) for G in out]
 
 
 def _vertex_rows(d: int, start: int, stop: int) -> np.ndarray:
@@ -459,18 +462,15 @@ def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[fl
 def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
     """The operator applying op2 first, then op1.
 
-    Its generating map is computed multiplicatively,
-
-        1 + g_k(x) = (1 + f2_k(x)) * (1 + f1_k(V2 x)),
-
-    which agrees with (V1(V2 x))_k / x_k - 1 wherever x_k > 0 and stays
+    Its growth factor is the product g_k(x) = g2_k(x) * g1_k(V2 x),
+    which agrees with (V1(V2 x))_k / x_k wherever x_k > 0 and stays
     defined on all of the face (no division), so vertex probes work.
     """
     def fn(ks: Sequence[int], X) -> list:
-        f2 = _nested_values(op2.map, ks, X)
-        image = _checked_masses(ks, [m * (1.0 + f) for m, f in zip(X, f2)])
-        f1 = _nested_values(op1.map, ks, image)
-        return [b + a + b * a for b, a in zip(f2, f1)]
+        g2 = _nested_values(op2.map, ks, X)
+        image = _checked_masses(ks, [m * g for m, g in zip(X, g2)])
+        g1 = _nested_values(op1.map, ks, image)
+        return [b * a for b, a in zip(g2, g1)]
 
     gmap = GeneratingMap(fn, _common_bound(op1, op2))
     return VolterraOperator(gmap, label=f"compose({op1.label}, {op2.label})")
@@ -479,14 +479,14 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
 def convex_combination(
     op1: VolterraOperator, op2: VolterraOperator, lam: float
 ) -> VolterraOperator:
-    """Generating map lam*f1 + (1-lam)*f2; images mix coordinate-wise."""
+    """Growth factor lam*g1 + (1-lam)*g2; images mix coordinate-wise."""
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRange(lam)
 
     def fn(ks: Sequence[int], X) -> list:
-        f1 = _nested_values(op1.map, ks, X)
-        f2 = _nested_values(op2.map, ks, X)
-        return [lam * a + (1.0 - lam) * b for a, b in zip(f1, f2)]
+        g1 = _nested_values(op1.map, ks, X)
+        g2 = _nested_values(op2.map, ks, X)
+        return [lam * a + (1.0 - lam) * b for a, b in zip(g1, g2)]
 
     gmap = GeneratingMap(fn, _common_bound(op1, op2))
     return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")

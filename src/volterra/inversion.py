@@ -2,12 +2,12 @@
 
 Two routes are provided.  The triangular route is exact-by-structure
 for the builtin operator ``example32``: its k-th image coordinate is
-g(x_k) = x_k^3 + 3*C_k*x_k with C_k >= 0 depending only on earlier
-coordinates, and g is strictly increasing on [0, 1], so coordinates are
+h(x_k) = x_k^3 + 3*C_k*x_k with C_k >= 0 depending only on earlier
+coordinates, and h is strictly increasing on [0, 1], so coordinates are
 recovered in order by bisection.  The fixed-point route is a damped
 coordinate iteration
 
-    x_k  <-  normalize( (1-lam)*x_k + lam * y_k / (1 + f_k(x)) )
+    x_k  <-  normalize( (1-lam)*x_k + lam * y_k / g_k(x) ),  g_k = 1 + f_k,
 
 started at the target itself, with lam halved whenever the residual
 would increase, so the current iterate is always the best one so far.
@@ -139,11 +139,11 @@ def invert_fixed_point(
 
     Starts at x = y (feasible, and close to the preimage when the
     generating map is small).  Each sweep mixes the current iterate with
-    y_k / (1 + f_k(x)) over the support of y and renormalizes; a sweep
+    y_k / g_k(x) over the support of y and renormalizes; a sweep
     that would increase the residual is rejected and the damping factor
     halved instead, so the iterate is always the best one so far.
     Support never extends beyond the support of y.  Each sweep evaluates
-    f once, at the trial point, over the support of y; the forward image
+    g once, at the trial point, over the support of y; the forward image
     and the next sweep reuse those values.  The sweeps work on float
     lists aligned with the support of y, checked and renormalized as
     ``make_point`` would, and the residual is the ``l1_distance`` of the
@@ -170,8 +170,8 @@ def invert_fixed_point(
     support, target = y.support, y.masses
     lam = damping
     xm = target  # masses of the iterate, aligned with the support of y
-    fx = op.map.values(xm, support)
-    residual = _image_residual(support, xm, fx, target)
+    gx = op.map.values(xm, support)
+    residual = _image_residual(support, xm, gx, target)
     checkpoint = residual  # the residual STALL_SWEEPS sweeps before
     stall_ratio = 0.5 ** min(1.0, 2.0 * damping)
     newton = len(support) <= NEWTON_MAX_SUPPORT
@@ -191,16 +191,15 @@ def invert_fixed_point(
             return _newton_steps(op, y, xm, residual, iterations, tol, max_iter)
         iterations += 1
         mixed = []
-        for yk, xk, fk in zip(target, xm, fx):
-            denom = 1.0 + fk
-            candidate = yk / denom if denom > 1e-12 else xk
+        for yk, xk, g in zip(target, xm, gx):
+            candidate = yk / g if g > 1e-12 else xk
             mixed.append((1.0 - lam) * xk + lam * candidate)
         total = sum(mixed)
         trial_m = _normalized([_checked_mass(k, v / total) for k, v in zip(support, mixed)])
-        trial_f = op.map.values(trial_m, support)
-        trial_residual = _image_residual(support, trial_m, trial_f, target)
+        trial_g = op.map.values(trial_m, support)
+        trial_residual = _image_residual(support, trial_m, trial_g, target)
         if trial_residual < residual:
-            xm, fx, residual = trial_m, trial_f, trial_residual
+            xm, gx, residual = trial_m, trial_g, trial_residual
         else:
             lam *= 0.5
     return InversionResult(
@@ -242,7 +241,7 @@ def _newton_steps(
     while residual > tol:
         x = np.array(xm)
         block = np.vstack([x, (1.0 - FD_STEP) * x + FD_STEP * eye])
-        image = block * (1.0 + op.map.values(block, support))
+        image = block * op.map.values(block, support)
         toward = (image[1:] - image[0]) / FD_STEP  # row j: derivative along e_j - x
         rows = toward - toward.mean(axis=0)  # row j: derivative along e_j - 1/d
         normal = rows @ rows.T
@@ -263,8 +262,8 @@ def _newton_steps(
             if np.array_equal(moved, x):
                 raise _newton_stalled(op, y, xm, residual, iterations)
             trial_m = _normalized([_checked_mass(k, v) for k, v in zip(support, moved.tolist())])
-            trial_f = op.map.values(trial_m, support)
-            trial_residual = _image_residual(support, trial_m, trial_f, target)
+            trial_g = op.map.values(trial_m, support)
+            trial_residual = _image_residual(support, trial_m, trial_g, target)
             if trial_residual < residual:
                 xm, residual = trial_m, trial_residual
                 mu /= 3.0

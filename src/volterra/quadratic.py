@@ -197,7 +197,8 @@ def validate_matrix(raw) -> SkewMatrix:
 
 
 def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
-    """The operator with linear generating map f_k(x) = sum_i a_ki x_i.
+    """The operator with linear generating map f_k(x) = sum_i a_ki x_i,
+    growth factor g_k = f_k + 1.
 
     The rows of the matrix (both orientations of the store) are held by
     the indices that have entries, ``keys``, and a column as its
@@ -213,9 +214,8 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     rows of each table, gathers their masses, multiplies by the values
     and adds the gathered rows one after another: f_k sums left to right
     in ascending column order, and padding and unrequested columns add a
-    signed zero, which can change only the sign of a zero sum.  A zero
-    sum comes out as +0.0.  A block goes in chunks of points that gather
-    at most ``_CHUNK_CELLS`` cells.
+    signed zero, which can change only the sign of a zero sum.  A block
+    goes in chunks of points that gather at most ``_CHUNK_CELLS`` cells.
     """
     n = a.dimension
     count = len(a.entries)
@@ -289,7 +289,7 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
                 # Reduced over its outer axis, W adds its rows one after
                 # another; numpy would sum a single output pairwise.
                 f_part[rows_at] = np.add.reduce(W) if W.size > len(W) else np.cumsum(W, axis=0)[-1]
-        f += 0.0  # a -0.0 sum reads +0.0
+        f += 1.0
         return f
 
     return VolterraOperator(GeneratingMap(fn), label=f"quadratic(n={n})")

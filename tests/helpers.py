@@ -50,19 +50,6 @@ def rand_skew_operator(rng: np.random.Generator, n: int):
     return matrix, quadratic_operator(matrix)
 
 
-def example32_image(x: SparsePoint) -> SparsePoint:
-    """example32's image of x from the grouped form x_k (x_k^2 + 3 C_k),
-    C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j, which has no cancellation
-    on tiny masses (``apply`` forms x_k (1 + f_k) with f_k near -1)."""
-    s1 = s2 = 0.0  # sums of the masses before k and of their squares
-    image = []
-    for m in x.masses:
-        image.append(m * (m * m + 3.0 * (s1 - (s1 * s1 - s2) / 2.0)))
-        s1 += m
-        s2 += m * m
-    return SparsePoint(x.support, image)
-
-
 def rand_volterra_tensor(rng: np.random.Generator, n: int) -> CubicTensor:
     """A random face-invariant cubic tensor over 1..n."""
     raw = {}
@@ -100,7 +87,8 @@ def rand_defective_cells(rng: np.random.Generator, n: int) -> list[list[float]]:
 
 
 def linear_operator_from_cells(cells) -> VolterraOperator:
-    """f_k(x) = sum_i b_ki x_i from raw (possibly non-skew) cells."""
+    """f_k(x) = sum_i b_ki x_i from raw (possibly non-skew) cells, as the
+    growth factor g_k = 1 + f_k."""
     rows: dict[int, dict[int, float]] = {}
     for k, i, v in cells:
         row = rows.setdefault(int(k), {})
@@ -110,7 +98,7 @@ def linear_operator_from_cells(cells) -> VolterraOperator:
         out = []
         for k in ks:
             row = rows.get(k, {})
-            out.append(sum(row.get(i, 0.0) * m for i, m in zip(ks, X)))
+            out.append(1.0 + sum(row.get(i, 0.0) * m for i, m in zip(ks, X)))
         return out
 
     return VolterraOperator(GeneratingMap(fn), label="raw_linear")

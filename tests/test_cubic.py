@@ -153,26 +153,26 @@ def test_operator_from_tensor_matches_brute_force_sum():
 
 
 def test_operator_from_tensor_example31_families():
-    # f_k = x_k^2 + 3 x_k sum_i p_ikk x_i + 3 sum_i p_iik x_i^2
-    #       + 6 sum_{i<j} p_ijk x_i x_j - 1; each point below reads one family.
+    # g_k = x_k^2 + 3 x_k sum_i p_ikk x_i + 3 sum_i p_iik x_i^2
+    #       + 6 sum_{i<j} p_ijk x_i x_j; each point below reads one family.
     values = operator_from_tensor(example31_tensor(4)).map.values
 
-    def f(k, masses):
+    def g(k, masses):
         ks = sorted(masses)
         return values([masses[i] for i in ks], ks)[ks.index(k)]
 
     for k in range(1, 5):
         for i in range(1, 5):
             if i != k:
-                assert f(k, {k: 0.5, i: 0.5}) == 0.0  # p_ikk = 1
-                assert f(k, {k: 0.0, i: 1.0}) == -1.0  # p_iik = 0
-    assert f(3, {1: 0.5, 2: 0.5, 3: 0.0}) == pytest.approx(-0.5, abs=1e-15)  # p_ijk = 1/3
+                assert g(k, {k: 0.5, i: 0.5}) == 1.0  # p_ikk = 1
+                assert g(k, {k: 0.0, i: 1.0}) == 0.0  # p_iik = 0
+    assert g(3, {1: 0.5, 2: 0.5, 3: 0.0}) == pytest.approx(0.5, abs=1e-15)  # p_ijk = 1/3
 
 
 def test_operator_from_tensor_degenerate_only():
     op = operator_from_tensor(validate_tensor({(1, 1, 1): {1: 1.0}}))
     assert op.map.max_index == 1
-    assert op.map.values([1.0], [1]) == [0.0]
+    assert op.map.values([1.0], [1]) == [1.0]
     assert apply(op, vertex(1)) == vertex(1)
 
 

@@ -93,7 +93,7 @@ def test_trajectory_error_carries_step_index():
     def switching(ks, X):  # one point at a time: iterate never passes a block
         if dict(zip(ks, X)).get(1, 0.0) > 0.1:
             return ex31.map.values(X, ks)
-        return [0.25] * len(ks)
+        return [1.25] * len(ks)
 
     op = VolterraOperator(GeneratingMap(switching), label="switching")
     with pytest.raises(TrajectoryError) as info:

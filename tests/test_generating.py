@@ -31,6 +31,7 @@ from helpers import linear_operator_from_cells, rand_point, rand_point_on_pool, 
 
 
 def constant_map_operator(value: float) -> VolterraOperator:
+    """The operator whose growth factor g_k is ``value`` everywhere."""
     gmap = GeneratingMap(lambda ks, X: [value] * len(ks))
     return VolterraOperator(gmap, label=f"constant({value})")
 
@@ -59,13 +60,13 @@ def test_vertices_fixed_exactly_for_builtins():
 
 def test_apply_negative_coordinate():
     with pytest.raises(NegativeCoordinate) as info:
-        apply(constant_map_operator(-2.0), make_point([(1, 0.5), (2, 0.5)]))
+        apply(constant_map_operator(-1.0), make_point([(1, 0.5), (2, 0.5)]))
     assert info.value.value < 0
 
 
 def test_apply_normalization_failure():
     with pytest.raises(NormalizationFailure) as info:
-        apply(constant_map_operator(0.5), make_point([(1, 0.5), (2, 0.5)]))
+        apply(constant_map_operator(1.5), make_point([(1, 0.5), (2, 0.5)]))
     assert info.value.total == pytest.approx(1.5)
 
 
@@ -335,7 +336,7 @@ def test_nan_values_never_win():
         for m in X:
             sq = sq + m * m
         nan = np.where(np.asarray(x1) > 0.5, np.nan, 0.0)
-        return [m - sq + nan for m in X]
+        return [1.0 + (m - sq) + nan for m in X]
 
     op = VolterraOperator(GeneratingMap(fn), label="partly_nan")
     face = FaceSpec.prefix(3)

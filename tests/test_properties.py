@@ -6,10 +6,12 @@ body, so row i of a block evaluation must equal the one-point evaluation
 of row i bit for bit; and a block of samples must be the very points
 that sequential draws give.  The fixed-point inverter reports the exact
 l1 residual of the point it returns, and the triangular inverse of
-example32 recovers the point it was given.  Every operator family keeps
-each face invariant (an image is supported inside the support of its
-point), sends a point to an image of total mass 1, and fixes every
-vertex exactly.  A skew matrix with entries in [-1, 1] passes the
+example32 recovers the point it was given.  example32's image agrees
+with exact rational arithmetic to the last bits, however small its
+masses, and example32 composed with itself applies as example32 twice.
+Every operator family keeps each face invariant (an image is supported
+inside the support of its point), sends a point to an image of total
+mass 1, and fixes every vertex exactly.  A skew matrix with entries in [-1, 1] passes the
 sampled weighted balance, and cells with a nonzero symmetric part give
 a defect witness whose value is x^T B x.  A point's lookups and its
 l1 distance to another point agree with a plain dict of its masses,
@@ -35,6 +37,7 @@ import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from unittest import mock
@@ -78,7 +81,7 @@ from volterra import quadratic
 from volterra.quadratic import MATRIX_TOLERANCE, SkewMatrix
 from volterra import simplex
 from volterra.simplex import sample_face_block
-from helpers import example32_image, rand_point, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
+from helpers import rand_point, rand_skew_operator, rand_skew_triples, rand_volterra_tensor
 
 _rng = np.random.default_rng(2024)
 _skew8 = quadratic_operator(validate_matrix(rand_skew_triples(_rng, 8)))
@@ -256,16 +259,59 @@ def test_newton_steps_invert_example32_where_the_sweeps_stall(op, a, b, small):
 
 @settings(max_examples=80, deadline=None)
 @given(x=_points(40))
-# apply's y_1 = x_1 * (1 + (x_1^2 - 1)) keeps only about three digits of
-# x_1^3 here, and the inverse amplifies that loss near the face: the
-# round trip from apply's image misses x by 1.35e-9.
+# A tiny first mass: its growth factor x_1^2 is far below 1.
 @example(x=_weighted({1: 1e-6, 2: 0.25, 3: 1.0, 4: 1.0, 5: 1.0}))
 def test_triangular_round_trip(x):
-    y = example32_image(x)
-    assert l1_distance(y, apply(example32(), x)) <= 1e-12
-    result = invert_triangular(y)
-    assert l1_distance(result.preimage, x) <= 1e-9
+    result = invert_triangular(apply(example32(), x))
+    assert l1_distance(result.preimage, x) <= 1e-10
     assert result.preimage.support == x.support
+
+
+def _spread_points(max_index: int):
+    """Points on up to eight indices of 1..max_index whose masses span up
+    to eight decades."""
+    weights = st.floats(0.0, 8.0).map(lambda e: 10.0**-e)
+    return st.dictionaries(st.integers(1, max_index), weights, min_size=1, max_size=8).map(_weighted)
+
+
+#: A tiny first mass, where x_1 * (1 + (g_1 - 1)) keeps about three digits.
+_TINY_FIRST = make_point({1: 3.08e-7, 2: 0.077, 3: 0.307666564, 4: 0.307666564, 5: 0.307666564})
+
+
+def _example32_exact(x: SparsePoint) -> list[Fraction]:
+    """example32's image masses x_k (x_k^2 + 3 sum_{i<k} x_i
+    - 3 sum_{i<j<k} x_i x_j) of x's floats, in exact rationals."""
+    s1 = pairs = Fraction(0)
+    out = []
+    for m in map(Fraction, x.masses):
+        out.append(m * (m * m + 3 * s1 - 3 * pairs))
+        pairs += m * s1
+        s1 += m
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_spread_points(12))
+@example(x=_TINY_FIRST)
+def test_example32_image_matches_exact_arithmetic(x):
+    image = apply(example32(), x)
+    assert image.support == x.support
+    for got, want in zip(image.masses, _example32_exact(x)):
+        assert abs(Fraction(got) - want) <= Fraction(1e-15) * want
+
+
+_EXAMPLE32_SQUARED = compose(example32(), example32())
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_spread_points(6))
+@example(x=_TINY_FIRST)
+def test_compose_applies_as_its_operators_in_turn(x):
+    once = apply(_EXAMPLE32_SQUARED, x)
+    twice = apply(example32(), apply(example32(), x))
+    assert once.support == twice.support
+    for a, b in zip(once.masses, twice.masses):
+        assert abs(a - b) <= 1e-14 * b
 
 
 def _dict_l1(p, q) -> float:
@@ -364,8 +410,8 @@ def _skew_requests(draw):
 
 
 def _ascending_sums(matrix, ks, masses) -> list[float]:
-    """f_k = sum_i a_ki x_i at one point, each summed from +0.0 over the
-    requested i with an entry, in ascending order."""
+    """g_k = 1 + f_k, f_k = sum_i a_ki x_i at one point, each f_k summed
+    from +0.0 over the requested i with an entry, in ascending order."""
     out = []
     for k in ks:
         s = 0.0
@@ -373,7 +419,7 @@ def _ascending_sums(matrix, ks, masses) -> list[float]:
             a = matrix.coefficient(k, i)
             if a != 0.0:
                 s += a * m
-        out.append(s)
+        out.append(1.0 + s)
     return out
 
 
@@ -849,7 +895,7 @@ def test_operator_from_tensor_matches_the_two_step_reference(raw, data):
         assert vars(info.value) == vars(exc) and info.value.args == exc.args
         return
     op = operator_from_tensor(p)
-    reference = GeneratingMap(lambda ks, X: [b - 1.0 for b in _reference_brackets(families, ks, X)], p.dimension)
+    reference = GeneratingMap(lambda ks, X: _reference_brackets(families, ks, X), p.dimension)
     picks = data.draw(st.sets(st.integers(1, p.dimension), min_size=1))
     face = FaceSpec.of(picks)
     block = _block(face, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**32 - 1)))

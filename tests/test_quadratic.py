@@ -277,14 +277,14 @@ def test_values_equal_ascending_index_sum(n):
         total = 0.0
         for i, m in x.items():
             total += matrix.coefficient(k, i) * m
-        expected.append(total)
+        expected.append(1.0 + total)
     assert op.map.values([x.mass(k) for k in ks], ks) == expected
 
 
 def test_empty_skew_matrix_applies_as_identity():
     op = quadratic_operator(validate_matrix([]))
     x = make_point({2: 0.25, 7: 0.75})
-    assert op.map.values([x.mass(k) for k in (1, 2, 7)], (1, 2, 7)) == [0.0, 0.0, 0.0]
+    assert op.map.values([x.mass(k) for k in (1, 2, 7)], (1, 2, 7)) == [1.0, 1.0, 1.0]
     assert apply(op, x) == x
 
 
@@ -300,10 +300,10 @@ def test_two_point_support_on_full_matrix():
         total = 0.0
         for i, m in x.items():
             total += matrix.coefficient(k, i) * m
-        expected.append(total)
+        expected.append(1.0 + total)
     assert op.map.values(x.masses, x.support) == expected
     image = apply(op, x)
-    assert image.masses == tuple(m * (1.0 + f) for m, f in zip(x.masses, expected))
+    assert image.masses == tuple(m * g for m, g in zip(x.masses, expected))
 
 
 @pytest.mark.parametrize("far", [10**7, 5 * 10**9])
@@ -355,5 +355,5 @@ def test_star_matrix_tables_stay_linear_in_the_entries():
     hub = 0.0
     for w, m in zip(weights, x.masses[1:]):
         hub += w * m
-    assert values[0] == hub
-    assert values[1:] == [-w * x.masses[0] for w in weights]
+    assert values[0] == 1.0 + hub
+    assert values[1:] == [1.0 + -w * x.masses[0] for w in weights]

@@ -4,8 +4,8 @@ Two routes are provided.  The triangular route is exact-by-structure
 for the builtin operator ``example32``: its k-th image coordinate is
 h(x_k) = x_k^3 + 3*C_k*x_k with C_k >= 0 depending only on earlier
 coordinates, and h is strictly increasing on [0, 1], so coordinates are
-recovered in order by bisection.  The fixed-point route is a damped
-coordinate iteration
+recovered in order, each as a closed-form cubic root.  The fixed-point
+route is a damped coordinate iteration
 
     x_k  <-  normalize( (1-lam)*x_k + lam * y_k / g_k(x) ),  g_k = 1 + f_k,
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from . import _numpy as np
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
-from .generating import VolterraOperator, _check_domain, _image_residual, apply
-from .simplex import SparsePoint, _checked_mass, _normalized, _point_on, l1_distance, make_point, point_to_obj
+from .generating import VolterraOperator, _check_domain, _image_residual
+from .simplex import SparsePoint, _checked_mass, _normalized, _point_on, point_to_obj
 
 #: Sweeps between two stall checks of ``invert_fixed_point``.
 STALL_SWEEPS = 20
@@ -64,66 +64,64 @@ class InversionResult:
         }
 
 
-def solve_monotone_cubic(c: float, target: float, tol: float = 1e-13) -> float:
+def solve_monotone_cubic(c: float, target: float) -> float:
     """Root of t^3 + 3*c*t = target on [0, 1] for c >= 0, target in [0, 1+3c].
 
-    Bisection: the map is strictly increasing, so the bracket never
-    breaks and no cancellation-prone closed form is needed.
+    Closed-form cubic root, written without cancellation: with
+    w = (target + sqrt(target^2 + 4c^3)) / 2, u = w^(1/3) and v = c/u,
+    the root u - v is target / (u^2 + c + v^2).  The square root is taken
+    by ``hypot``, since target^2 underflows below about 1e-154.  One
+    Newton step then removes the error of ``** (1/3)``, which grows with
+    |log w|, so the result is within 2 * 2^-52 of the exact root,
+    relative, for every target above 1e-290.
     """
     if c < 0.0:
         raise ValueError(f"linear coefficient must be nonnegative, got {c!r}")
     if target <= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid * mid * mid + 3.0 * c * mid < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    u = (0.5 * (target + math.hypot(target, 2.0 * c * math.sqrt(c)))) ** (1.0 / 3.0)
+    v = c / u
+    t = target / (u * u + c + v * v)
+    return t - (t * t * t + 3.0 * c * t - target) / (3.0 * (t * t + c))
 
 
-def invert_triangular(
-    y: SparsePoint, root_tol: float = 1e-13, residual_tol: float = 1e-10
-) -> InversionResult:
+def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionResult:
     """Sequential inverse of ``example32`` at the target y.
 
-    Solves x_1 = y_1^(1/3), then for each subsequent index the strictly
-    increasing cubic t^3 + 3*C_k*t = y_k with
-    C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j (nonnegative on the
-    simplex).  Only the indices in the support of y are solved: an index
-    with zero target mass solves to exactly zero and adds nothing to
-    C_k, so the preimage support equals the target support and the work
-    does not grow with the largest index.  The forward image of the
-    result is checked against y; a miss raises ResidualTooLarge carrying
-    the best point found.  The reported ``iterations`` (and the count a
-    ResidualTooLarge carries) is the largest index of y, the number of
-    coordinates the inverse determines.
+    Solves, for each index of y in turn, the strictly increasing cubic
+    t^3 + 3*C_k*t = y_k with C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j
+    (nonnegative on the simplex; 0 for the first index, where the root
+    is y_k^(1/3)) by ``solve_monotone_cubic``.  Only the indices in the
+    support of y are solved: an index with zero target mass solves to
+    exactly zero and adds nothing to C_k, so the preimage support equals
+    the target support (less a root that underflows to zero) and the
+    work does not grow with the largest index.  The roots are checked
+    and normalized as ``make_point`` would, and the residual is the
+    ``l1_distance`` of their forward image from y, checked as ``apply``
+    checks it; a residual above ``residual_tol`` raises
+    ResidualTooLarge carrying the point found.  The reported
+    ``iterations`` (and the count a ResidualTooLarge carries) is the
+    largest index of y, the number of coordinates the inverse determines.
     """
-    op = example32()
-    m = y.max_index
-    solved: list[tuple[int, float]] = []
+    support = y.support
+    roots = []
     s1 = 0.0  # sum of solved coordinates
     pairs = 0.0  # sum of products over solved index pairs
-    for k, yk in y.items():
-        if k == 1:
-            t = float(np.cbrt(yk))
-        else:
-            c = s1 - pairs
-            t = solve_monotone_cubic(max(c, 0.0), yk, tol=root_tol)
-        if t > 0.0:
-            solved.append((k, t))
+    for yk in y.masses:
+        c = s1 - pairs
+        t = solve_monotone_cubic(c if c > 0.0 else 0.0, yk)
+        roots.append(t)
         pairs += t * s1
         s1 += t
-    preimage = make_point(solved)
-    residual = l1_distance(apply(op, preimage), y)
+    xm = _normalized([_checked_mass(k, t) for k, t in zip(support, roots)])
+    residual = _image_residual(support, xm, example32().map.values(xm, support), y.masses)
+    preimage = _point_on(support, xm)
     if residual > residual_tol:
         raise ResidualTooLarge(
-            "triangular inverse misses the target", preimage, residual, m, "triangular"
+            "triangular inverse misses the target", preimage, residual, y.max_index, "triangular"
         )
     return InversionResult(
-        preimage=preimage, residual=residual, iterations=m, method="triangular"
+        preimage=preimage, residual=residual, iterations=y.max_index, method="triangular"
     )
 
 

@@ -3,11 +3,12 @@
     python tests/numpy_free_commands.py
 
 runs ``builtin``, ``apply``, ``simulate`` and a fixed-point ``invert`` on
-example31 through ``volterra.cli.main`` in this process, then ``check``,
-which samples a face into arrays.  It prints one JSON object with the
-exit codes, the ``check`` report and whether numpy was loaded after the
-four commands and after ``check``, and exits 1 unless numpy stayed
-unloaded through the four commands and loaded for ``check``.  Run it
+example31 and a triangular ``invert`` of example32 through
+``volterra.cli.main`` in this process, then ``check``, which samples a
+face into arrays.  It prints one JSON object with the exit codes, the
+``check`` report and whether numpy was loaded after the five commands
+and after ``check``, and exits 1 unless numpy stayed unloaded through
+the five commands and loaded for ``check``.  Run it
 against an installed package, or with ``PYTHONPATH=src`` from the root
 of a checkout.
 """
@@ -31,11 +32,14 @@ def run(tmp: Path) -> dict:
     point = tmp / "point.json"
     point.write_text(json.dumps({"1": 0.2, "2": 0.3, "3": 0.5}))
     operand = ["--operator", str(spec), "--point", str(point)]
+    triangular = tmp / "example32.json"
+    triangular.write_text(json.dumps({"type": "example32"}))
     commands = {
         "builtin": ["builtin", "--name", "example31"],
         "apply": ["apply", *operand],
         "simulate": ["simulate", *operand, "--steps", "5"],
         "invert": ["invert", *operand],
+        "invert_example32": ["invert", "--operator", str(triangular), "--point", str(point)],
     }
     codes = {}
     for name, argv in commands.items():

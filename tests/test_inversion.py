@@ -34,8 +34,9 @@ def test_solve_monotone_cubic_accuracy():
             y = t_true**3 + 3.0 * c * t_true
             t = solve_monotone_cubic(c, y)
             assert 0.0 <= t <= 1.0
-            assert abs(t - t_true) <= 2e-13
-            assert abs(t**3 + 3.0 * c * t - y) <= 1e-12
+            # y carries its own rounding, so allow 4 ulps, not the solver's 2.
+            assert abs(t - t_true) <= 4 * 2**-52 * t_true
+            assert abs(t**3 + 3.0 * c * t - y) <= 4 * 2**-52 * y
 
 
 def test_solve_monotone_cubic_rejects_negative_coefficient():
@@ -95,6 +96,16 @@ def test_invert_triangular_solves_only_the_support():
     assert far.preimage.support == (1, 10**12)
     assert far.residual == near.residual
     assert far.iterations == 10**12  # the largest index, as before
+
+
+def test_invert_triangular_root_that_underflows():
+    # t^3 + 3t = 5e-324 has a root below the least float: it rounds to 0,
+    # the preimage drops index 2, and the residual counts y_2 in full, as
+    # l1_distance of the forward image does.
+    y = make_point({1: 1.0, 2: 5e-324})
+    result = invert_triangular(y)
+    assert result.preimage == vertex(1)
+    assert result.residual == l1_distance(apply(example32(), result.preimage), y) == 5e-324
 
 
 def test_invert_triangular_residual_too_large_reports_best():

@@ -90,3 +90,14 @@ def test_invert_loads_inversion_only(operand):
     added = added_by(["invert", *operand])
     assert "volterra.inversion" in added
     assert not added & {"numpy", "volterra.dynamics", "volterra.quadratic"}
+
+
+def test_triangular_invert_loads_no_numpy(tmp_path):
+    # The triangular route solves each coordinate in closed form with math.
+    spec = tmp_path / "example32.json"
+    spec.write_text(json.dumps({"type": "example32"}))
+    point = tmp_path / "image.json"
+    point.write_text(json.dumps({"1": 0.125, "2": 0.875}))
+    added = added_by(["invert", "--operator", str(spec), "--point", str(point)])
+    assert "volterra.inversion" in added
+    assert not added & {"numpy", "volterra.dynamics", "volterra.quadratic"}

@@ -5,8 +5,11 @@ A generating map evaluates one point or a block of points with the same
 body, so row i of a block evaluation must equal the one-point evaluation
 of row i bit for bit; and a block of samples must be the very points
 that sequential draws give.  The fixed-point inverter reports the exact
-l1 residual of the point it returns, and the triangular inverse of
-example32 recovers the point it was given.  example32's image agrees
+l1 residual of the point it returns.  Each cubic root of the triangular
+inverse of example32 lies within 2 * 2^-52 of the exact rational root,
+relative, and the inverse meets every coordinate of an image, however
+small, to a relative 8 d 2^-52 on supports of up to 10^4 indices.
+example32's image agrees
 with exact rational arithmetic to the last bits, however small its
 masses, and example32 composed with itself applies as example32 twice.
 Every operator family keeps each face invariant (an image is supported
@@ -70,6 +73,7 @@ from volterra import (
     quadratic_operator,
     sample_face_rng,
     sine_example,
+    solve_monotone_cubic,
     symmetry_defect_witness,
     validate_matrix,
     validate_tensor,
@@ -257,14 +261,77 @@ def test_newton_steps_invert_example32_where_the_sweeps_stall(op, a, b, small):
     assert result.preimage.support == y.support
 
 
-@settings(max_examples=80, deadline=None)
-@given(x=_points(40))
+#: Unit roundoff of a float64 times two: one ulp of 1.
+_EPS = 2.0**-52
+
+
+@st.composite
+def _cubic_cases(draw):
+    """A coefficient c in [0, 1] (0, uniform, or log-uniform down to
+    1e-300) and a target log-uniform on [1e-290, 1 + 3c]."""
+    c = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e)))
+    lo, hi = math.log(1e-290), math.log1p(3.0 * c)
+    return c, min(math.exp(lo + draw(st.floats(0.0, 1.0)) * (hi - lo)), 1.0 + 3.0 * c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cubic_cases())
+# sqrt(q*q + c**3) underflows to 0 here and gives a root 2^(2/3) too large.
+@example(case=(0.0, 3.87e-267))
+def test_monotone_cubic_root_within_two_ulps(case):
+    # h(t) = t^3 + 3ct increases, so the exact root r satisfies
+    # |t - r| <= 2 * 2^-52 * r exactly when y lies between h(t / (1 + 2^-51))
+    # and h(t / (1 - 2^-51)), which rational arithmetic decides exactly.
+    c, y = case
+    t = Fraction(solve_monotone_cubic(c, y))
+    C, two_ulps = Fraction(c), Fraction(2 * _EPS)
+    h = lambda s: s**3 + 3 * C * s
+    assert h(t / (1 + two_ulps)) <= Fraction(y) <= h(t / (1 - two_ulps))
+
+
+def _dirichlet_point(d: int, seed: int, decades: float = 0.0, gap: int = 1) -> SparsePoint:
+    """A Dirichlet(1) point on d indices spaced up to ``gap`` apart, each
+    weight scaled by 10^-u for u uniform on [0, decades]."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(size=d) * 10.0 ** (-decades * rng.random(d))
+    indices = np.cumsum(rng.integers(1, gap + 1, size=d))
+    return _weighted(dict(zip(indices.tolist(), w.tolist())))
+
+
+@st.composite
+def _large_points(draw):
+    """Points on 1 to 10^4 indices whose masses span up to 90 decades, so
+    that no image mass falls below about 1e-280."""
+    d = draw(st.integers(1, 10_000))
+    decades = draw(st.sampled_from([0.0, 10.0, 90.0]))
+    return _dirichlet_point(d, draw(st.integers(0, 2**32 - 1)), decades, draw(st.sampled_from([1, 7])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_points(40) | _large_points())
 # A tiny first mass: its growth factor x_1^2 is far below 1.
 @example(x=_weighted({1: 1e-6, 2: 0.25, 3: 1.0, 4: 1.0, 5: 1.0}))
+# Tinier first masses: their image masses x_1^3 lie below 1e-154, where
+# sqrt(q*q) underflows, and near 1e-270, where x ** (1/3) is off by
+# about 50 ulps.
+@example(x=_weighted({1: 1e-60, 2: 1.0}))
+@example(x=_weighted({1: 1e-90, 2: 1e-85, 3: 1.0}))
+@example(x=_dirichlet_point(10_000, 16))
 def test_triangular_round_trip(x):
-    result = invert_triangular(apply(example32(), x))
-    assert l1_distance(result.preimage, x) <= 1e-10
+    # Each coordinate is solved to the last bits, so the forward image of
+    # the preimage meets every target coordinate, however small, to a
+    # relative 8 d 2^-52, and the l1 residual, the sum of those errors,
+    # is at most 8 d 2^-52 (y's masses total 1).
+    bound = 8 * len(x) * _EPS
+    y = apply(example32(), x)
+    result = invert_triangular(y)
     assert result.preimage.support == x.support
+    assert result.residual <= bound
+    assert l1_distance(result.preimage, x) <= bound
+    image = apply(example32(), result.preimage)
+    assert result.residual == l1_distance(image, y)
+    for got, want in zip(image.masses, y.masses):
+        assert abs(got - want) <= bound * want
 
 
 def _spread_points(max_index: int):

@@ -107,13 +107,13 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
     roots = []
     s1 = 0.0  # sum of solved coordinates
     pairs = 0.0  # sum of products over solved index pairs
-    for yk in y.masses:
+    for k, yk in y.items():
         c = s1 - pairs
-        t = solve_monotone_cubic(c if c > 0.0 else 0.0, yk)
+        t = _checked_mass(k, solve_monotone_cubic(c if c > 0.0 else 0.0, yk))
         roots.append(t)
         pairs += t * s1
         s1 += t
-    xm = _normalized([_checked_mass(k, t) for k, t in zip(support, roots)])
+    xm = _normalized(roots)
     residual = _image_residual(support, xm, example32().map.values(xm, support), y.masses)
     preimage = _point_on(support, xm)
     if residual > residual_tol:

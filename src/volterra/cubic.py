@@ -51,7 +51,7 @@ from .errors import (
     UndefinedTriple,
 )
 from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator
-from .simplex import SparsePoint, _index, _key, _read, _value
+from .simplex import SparsePoint, _index, _key, _read, _total, _value
 
 #: Tolerance for row sums and permutation consistency of tensors.
 TENSOR_TOLERANCE = 1e-12
@@ -202,7 +202,7 @@ def cubic_apply(p: CubicTensor, x: SparsePoint) -> SparsePoint:
                     rows[key] = row
                 for k, coef in row.items():
                     out[k] = out.get(k, 0.0) + coef * w
-    total = sum(out.values())
+    total = _total(out.values())
     if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
         raise NormalizationFailure(total, NORMALIZATION_TOLERANCE)
     kept = sorted((k, v) for k, v in out.items() if v > 0.0)

@@ -6,21 +6,32 @@ points.  Convergence is only declared after ten consecutive steps of
 l1 size below tolerance, guarding against slow oscillation; the search
 for fixed points is heuristic (candidates are verified, completeness is
 not claimed).
+
+A step is only compared with the tolerance, so its l1 size is added up
+in ``l1_distance``'s order only until the partial sum passes the bound
+(``simplex._within``): a step far from settling costs a term or two,
+not a pass over the whole support, and the decision is the one the
+full sum gives.  Images are fed back as ``apply`` returns them, with
+their raw totals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _numpy as np
 from .errors import TrajectoryError, VolterraError
 from .generating import VolterraOperator, apply, is_fixed_point
-from .simplex import FaceSpec, SparsePoint, l1_distance, point_to_obj, sample_face_rng
+from .simplex import FaceSpec, SparsePoint, _within, point_to_obj, sample_face_rng
 
 #: Step size below which a trajectory step counts toward convergence.
 STEP_TOLERANCE = 1e-12
 #: Consecutive sub-tolerance steps required to declare convergence.
 SETTLE_STEPS = 10
+#: The largest float below STEP_TOLERANCE: a step is below the
+#: tolerance exactly when its size is at most this.
+_STEP_BOUND = math.nextafter(STEP_TOLERANCE, 0.0)
 
 
 @dataclass(frozen=True)
@@ -51,9 +62,8 @@ def iterate(op: VolterraOperator, x0: SparsePoint, steps: int) -> Trajectory:
             nxt = apply(op, points[-1])
         except VolterraError as exc:
             raise TrajectoryError(t, exc) from exc
-        moved = l1_distance(nxt, points[-1])
+        quiet = quiet + 1 if _within(nxt, points[-1], _STEP_BOUND) else 0
         points.append(nxt)
-        quiet = quiet + 1 if moved < STEP_TOLERANCE else 0
         if quiet >= SETTLE_STEPS:
             converged = True
             break
@@ -96,7 +106,7 @@ def detect_fixed_points_on_face(
         if not is_fixed_point(op, candidate, tol):
             return
         for existing in found:
-            if l1_distance(existing, candidate) <= 10.0 * tol:
+            if _within(existing, candidate, 10.0 * tol):
                 return
         found.append(candidate)
 

@@ -58,7 +58,7 @@ from .errors import (
     NegativeCoordinate,
     NormalizationFailure,
 )
-from .simplex import FaceSpec, SparsePoint, _index, _point_on, _read, l1_distance, sample_face_block, vertex
+from .simplex import FaceSpec, SparsePoint, _index, _point_on, _read, _total, _within, sample_face_block, vertex
 
 #: Negative image coordinates beyond this magnitude raise NegativeCoordinate.
 NEGATIVE_TOLERANCE = 1e-12
@@ -174,7 +174,9 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
 def _image(indices: Sequence[int], raw) -> SparsePoint:
     """The image from raw masses aligned with ascending ``indices``,
     checked and clamped as ``apply`` describes; a NaN total raises."""
-    return _point_on(indices, _checked_masses(indices, raw))
+    masses = _checked_masses(indices, raw)
+    # Only masses all above zero come back as the raw list itself.
+    return SparsePoint(indices, masses) if masses is raw else _point_on(indices, masses)
 
 
 def _image_residual(support: Sequence[int], masses, gvals, target: Sequence[float]) -> float:
@@ -201,7 +203,11 @@ def _image_residual(support: Sequence[int], masses, gvals, target: Sequence[floa
 def _checked_masses(indices: Sequence[int], raw):
     """Raw image masses, floats or the length-N columns of a block,
     checked as ``apply`` describes, with the ones not above zero set to
-    zero.  A block comes back as one (d, N) array."""
+    zero.  A block comes back as one (d, N) array.  One point's masses
+    are checked by one C-level ``min`` and their total, and come back
+    as they are, no copy, when every one is above zero; the coordinates
+    are visited one by one only to find the first one below the
+    tolerance."""
     if len(raw) and getattr(raw[0], "ndim", 0):
         raw = np.array(raw)
         low = np.argwhere(raw < -NEGATIVE_TOLERANCE)
@@ -213,20 +219,21 @@ def _checked_masses(indices: Sequence[int], raw):
         if len(off):
             raise NormalizationFailure(float(total[off[0]]), NORMALIZATION_TOLERANCE)
         return np.where(raw > 0.0, raw, 0.0)
-    total = 0.0
-    for k, v in zip(indices, raw):
-        if v < -NEGATIVE_TOLERANCE:
-            raise NegativeCoordinate(k, v)
-        total += v
+    low = min(raw, default=0.0)
+    if not low >= -NEGATIVE_TOLERANCE:  # a coordinate below it, or a NaN first
+        for k, v in zip(indices, raw):
+            if v < -NEGATIVE_TOLERANCE:
+                raise NegativeCoordinate(k, v)
+    total = _total(raw)
     if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
         raise NormalizationFailure(total, NORMALIZATION_TOLERANCE)
-    return [v if v > 0.0 else 0.0 for v in raw]
+    return raw if low > 0.0 else [v if v > 0.0 else 0.0 for v in raw]
 
 
 def is_fixed_point(op: VolterraOperator, x: SparsePoint, tol: float) -> bool:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return l1_distance(apply(op, x), x) <= tol
+    return _within(apply(op, x), x, tol)
 
 
 def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -> float:

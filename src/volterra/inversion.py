@@ -33,7 +33,7 @@ from . import _numpy as np
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
 from .generating import VolterraOperator, _check_domain, _image_residual
-from .simplex import SparsePoint, _checked_mass, _normalized, _point_on, point_to_obj
+from .simplex import SparsePoint, _checked_all, _checked_mass, _normalized, _point_on, _total, point_to_obj
 
 #: Sweeps between two stall checks of ``invert_fixed_point``.
 STALL_SWEEPS = 20
@@ -192,8 +192,8 @@ def invert_fixed_point(
         for yk, xk, g in zip(target, xm, gx):
             candidate = yk / g if g > 1e-12 else xk
             mixed.append((1.0 - lam) * xk + lam * candidate)
-        total = sum(mixed)
-        trial_m = _normalized([_checked_mass(k, v / total) for k, v in zip(support, mixed)])
+        total = _total(mixed)
+        trial_m = _normalized(_checked_all(support, [v / total for v in mixed]))
         trial_g = op.map.values(trial_m, support)
         trial_residual = _image_residual(support, trial_m, trial_g, target)
         if trial_residual < residual:
@@ -259,7 +259,7 @@ def _newton_steps(
             moved = x + t * delta
             if np.array_equal(moved, x):
                 raise _newton_stalled(op, y, xm, residual, iterations)
-            trial_m = _normalized([_checked_mass(k, v) for k, v in zip(support, moved.tolist())])
+            trial_m = _normalized(_checked_all(support, moved.tolist()))
             trial_g = op.map.values(trial_m, support)
             trial_residual = _image_residual(support, trial_m, trial_g, target)
             if trial_residual < residual:

@@ -216,6 +216,13 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     in ascending column order, and padding and unrequested columns add a
     signed zero, which can change only the sign of a zero sum.  A block
     goes in chunks of points that gather at most ``_CHUNK_CELLS`` cells.
+
+    Where the requested masses go and which rows of each table they feed
+    depends on the requested indices only, so the map keeps that plan
+    for its last request, keyed by a tuple copy of the indices compared
+    by value.  An operator leaves every face invariant, so a trajectory
+    asks for the same support step after step and reads only masses;
+    a new request costs what it would without the plan.
     """
     n = a.dimension
     count = len(a.entries)
@@ -250,22 +257,22 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         table_cols[pad], table_vals[pad] = width, 0.0
         tables.append((members, table_cols, table_vals))
 
-    def fn(ks: Sequence[int], X) -> np.ndarray:
-        d = len(ks)
-        masses = np.asarray(X, dtype=float)  # (d,) for one point, (d, N) for a block
-        if not d:
-            return masses
-        ks = np.fromiter(ks, dtype=np.intp, count=d)
+    def plan(ks: tuple[int, ...]) -> tuple:
+        """Where the masses at ``ks`` go and which rows they feed: the
+        requested indices that have entries, as positions in ``keys``
+        and in ks; each table's requested rows, as (columns, values,
+        places in ks); and the cells those rows hold."""
+        ks = np.fromiter(ks, dtype=np.intp, count=len(ks))
         at = keys.searchsorted(ks)
         hit = padded[at] == ks  # the requested indices that have entries
         req, out = at[hit], hit.nonzero()[0]  # their positions in keys and in ks
         place = np.empty(width, dtype=np.intp)  # position in ks by position in keys, -1 if not requested
         place.fill(-1)
         place[req] = out
-        # Each table's requested rows and their places in ks.  ``take``
-        # keeps the rows C-ordered; ``cols[:, take]`` would be F-ordered,
-        # and numpy sums a reduction over an F-ordered gather pairwise.
-        plans = []
+        # ``take`` keeps the rows C-ordered; ``cols[:, take]`` would be
+        # F-ordered, and numpy sums a reduction over an F-ordered gather
+        # pairwise.
+        rows = []
         for members, cols, vals in tables:
             rows_at = place[members]
             take = (rows_at >= 0).nonzero()[0]
@@ -273,17 +280,34 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
                 if not len(take):
                     continue
                 cols, vals, rows_at = cols.take(take, axis=1), vals.take(take, axis=1), rows_at[take]
-            plans.append((cols, vals if masses.ndim == 1 else vals[:, :, None], rows_at))
+            rows.append((cols, vals, rows_at))
+        return req, out, rows, sum(cols.size for cols, _, _ in rows)
+
+    # The last request and its plan, replaced in one assignment, so a
+    # caller on another thread never pairs one request with another's plan.
+    last = ((), None)
+
+    def fn(ks: Sequence[int], X) -> np.ndarray:
+        nonlocal last
+        masses = np.asarray(X, dtype=float)  # (d,) for one point, (d, N) for a block
+        if not len(ks):
+            return masses
+        request = tuple(ks)  # a copy: a list the caller mutates later cannot match
+        seen = last
+        if seen[0] != request:
+            seen = last = (request, plan(request))
+        req, out, rows, cells = seen[1]
         f = np.zeros(masses.shape)
         if masses.ndim == 1:
             parts = [(masses, f)]
         else:
-            step = max(1, _CHUNK_CELLS // max(sum(cols.size for cols, _, _ in plans), 1))
+            rows = [(cols, vals[:, :, None], rows_at) for cols, vals, rows_at in rows]
+            step = max(1, _CHUNK_CELLS // max(cells, 1))
             parts = [(masses[:, s:s + step], f[:, s:s + step]) for s in range(0, masses.shape[1], step)]
         for part, f_part in parts:
             G = np.zeros((width + 1,) + part.shape[1:])  # masses by position in keys
             G[req] = part[out]
-            for cols, vals, rows_at in plans:
+            for cols, vals, rows_at in rows:
                 W = G[cols]  # (depth, rows) or (depth, rows, points), C-ordered
                 W *= vals
                 # Reduced over its outer axis, W adds its rows one after

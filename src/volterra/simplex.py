@@ -159,7 +159,7 @@ class SparsePoint:
         return dict(zip(self._indices, self._masses))
 
     def total(self) -> float:
-        return float(sum(self._masses))
+        return _total(self._masses)
 
     def __contains__(self, index: int) -> bool:
         return _slot(self._indices, index) >= 0
@@ -220,11 +220,40 @@ def _checked_mass(k: int, m: float) -> float:
     return m
 
 
+def _checked_all(indices: Sequence[int], masses: list[float]) -> list[float]:
+    """masses, aligned with ``indices``, if each is a finite mass at least
+    zero, which one C-level ``min`` and the total decide; otherwise
+    ``_checked_mass``'s error at the first that is not."""
+    if not (min(masses, default=0.0) >= 0.0 and math.isfinite(_total(masses))):
+        for k, m in zip(indices, masses):
+            _checked_mass(k, m)
+    return masses
+
+
+if sys.version_info >= (3, 12):
+
+    def _total(values: Iterable[float]) -> float:
+        """The values added left to right from 0.0.  Builtin ``sum`` of
+        floats compensates from Python 3.12 on, so it is not used here."""
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+else:
+
+    def _total(values: Iterable[float]) -> float:
+        """The values added left to right from 0.0, as builtin ``sum`` of
+        floats adds them before Python 3.12, about five times faster than
+        a loop."""
+        return sum(values, 0.0)
+
+
 def _normalized(masses: list[float]) -> list[float]:
     """Checked masses divided by their total, as ``make_point`` divides
     them; a mass not above zero becomes 0.0.  Raises SumOutOfTolerance
     when the total deviates from 1 by more than ``SUM_TOLERANCE``."""
-    total = float(sum(masses))
+    total = _total(masses)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise SumOutOfTolerance(total, SUM_TOLERANCE)
     return [m / total if m > 0.0 else 0.0 for m in masses]
@@ -350,6 +379,21 @@ def l1_distance(p: SparsePoint, q: SparsePoint) -> float:
     for m in rest.values():
         s += m
     return s
+
+
+def _within(p: SparsePoint, q: SparsePoint, bound: float) -> bool:
+    """Whether ``l1_distance(p, q) <= bound``, the same decision bit for
+    bit.  On matching supports the terms are added in its order and the
+    sum stops once it passes the bound: adding a term |p_k - q_k| >= 0
+    never lowers a sum, and a sum that a NaN term made NaN fails too."""
+    if p.support != q.support:
+        return l1_distance(p, q) <= bound
+    s = 0.0
+    for a, b in zip(p.masses, q.masses):
+        s += abs(a - b)
+        if s > bound:
+            return False
+    return s <= bound
 
 
 def sample_face_block(face: FaceSpec, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -52,6 +52,20 @@ def test_make_point_renormalizes_within_tolerance():
     assert p.mass(1) > p.mass(2)
 
 
+def test_totals_add_left_to_right_from_zero():
+    """Every total is the plain loop's on every Python: builtin sum() of
+    floats compensates from 3.12 on, and math.fsum rounds only once."""
+    masses = [0.1] * 10
+    loop = 0.0
+    for m in masses:
+        loop += m
+    assert loop == 0.9999999999999999
+    assert simplex._total(masses) == loop
+    assert simplex._normalized(masses) == [m / loop for m in masses]
+    assert make_point(dict(enumerate(masses, 1))).masses == tuple(m / loop for m in masses)
+    assert simplex.SparsePoint(range(1, 11), masses).total() == loop
+
+
 def test_make_point_negative_mass():
     with pytest.raises(NegativeMass) as info:
         make_point([(1, 0.5), (2, -0.1), (3, 0.6)])

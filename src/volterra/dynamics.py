@@ -32,6 +32,8 @@ SETTLE_STEPS = 10
 #: The largest float below STEP_TOLERANCE: a step is below the
 #: tolerance exactly when its size is at most this.
 _STEP_BOUND = math.nextafter(STEP_TOLERANCE, 0.0)
+#: Steps each probe of ``detect_fixed_points_on_face`` iterates at most.
+FIXED_POINT_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ def detect_fixed_points_on_face(
     starts: int = 20,
     seed: int = 0,
     tol: float = 1e-9,
-    max_steps: int = 500,
 ) -> list[SparsePoint]:
     """Verified fixed-point candidates found by iterating sampled starts.
 
@@ -91,7 +92,8 @@ def detect_fixed_points_on_face(
     ones are often repelling and unreachable by iteration, but the
     barycenter probe catches the symmetric ones exactly).  Candidates
     are deduplicated within an l1 radius of 10*tol and each returned
-    point passes ``is_fixed_point`` at tol.
+    point passes ``is_fixed_point`` at tol.  Each start is iterated for
+    at most FIXED_POINT_STEPS steps.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -114,7 +116,7 @@ def detect_fixed_points_on_face(
         if is_fixed_point(op, start, tol):
             consider(start)
             continue
-        trajectory = iterate(op, start, max_steps)
+        trajectory = iterate(op, start, FIXED_POINT_STEPS)
         if trajectory.converged and trajectory.limit is not None:
             consider(trajectory.limit)
     return found

@@ -66,6 +66,10 @@ NEGATIVE_TOLERANCE = 1e-12
 NORMALIZATION_TOLERANCE = 1e-9
 #: Sampled pair-condition values above this fail the pairwise check.
 PAIR_TOLERANCE = 1e-12
+#: Largest l1 size of the nudge the continuity smoke test gives a sample.
+PERTURBATION = 1e-6
+#: Largest l1 response to that nudge the continuity smoke test passes.
+CONTINUITY_BOUND = 1e-3
 #: Most vertices the checkers evaluate in one block.  A larger face's
 #: vertices go in pieces, so no block grows with the square of the face.
 _VERTEX_BLOCK = 256
@@ -327,8 +331,6 @@ def check_conditions(
     samples: int = 1000,
     seed: int = 0,
     margin: float = 1e-9,
-    continuity_bound: float = 1e-3,
-    perturbation: float = 1e-6,
 ) -> ConditionReport:
     """Sample-based check of the four validity conditions on a face.
 
@@ -337,8 +339,8 @@ def check_conditions(
     the two boundary-safe conditions, the barycenter for all four).
     The strict interior bound is tested against -1 + margin; an exact
     boundary hit counts as a failure.  The continuity check perturbs
-    each sample by at most ``perturbation`` in l1 and flags generating
-    maps whose response exceeds ``continuity_bound``; it is a smoke
+    each sample by at most PERTURBATION in l1 and flags generating
+    maps whose response exceeds CONTINUITY_BOUND; it is a smoke
     test, not a certificate.  Points are evaluated as blocks, one row
     per point; ties go to the first point, in the order barycenter,
     samples, vertices.  Neither the face size nor ``samples`` is bounded
@@ -353,7 +355,7 @@ def check_conditions(
     indices = face.indices
     d = len(indices)
     interior = np.vstack((np.full((1, d), 1.0 / d), sample_face_block(face, rng, samples)))
-    nudged = _perturb_block(interior, perturbation, rng)
+    nudged = _perturb_block(interior, PERTURBATION, rng)
     f_in, f_nudged = _evaluate(op.map, indices, interior, nudged)
     # Interior rows first, then vertex rows: the order points are probed in.
     lowest = [f_in.min(axis=1)]
@@ -390,7 +392,7 @@ def check_conditions(
         seed=seed,
         margin=margin,
         continuity=verdict("continuity_smoke", wobble, np.greater,
-                           lambda w: w <= continuity_bound, smoke_test=True),
+                           lambda w: w <= CONTINUITY_BOUND, smoke_test=True),
         lower_bound=verdict("mass_lower_bound", lowest, np.less,
                             lambda w: w >= -1.0 - NEGATIVE_TOLERANCE),
         balance=verdict("weighted_balance", balance, np.greater,

@@ -16,7 +16,7 @@ import math
 import operator
 import sys
 from collections.abc import Mapping, Sequence
-from itertools import chain, islice
+from itertools import chain, starmap
 
 from . import _numpy as np
 from .errors import BoundViolation, NonFiniteValue, NotSkew
@@ -60,90 +60,46 @@ class SkewMatrix:
         return -self.entries.get((i, k), 0.0)
 
 
-def _is_triple(item) -> bool:
-    return isinstance(item, (list, tuple)) and len(item) == 3
+def _read_cells(raw) -> dict[tuple[int, int], float]:
+    """The cells of an iterable of (row, column, value) triples.
 
-
-def _find(col: list, item, stop: int) -> int:
-    """The position of the first ``item`` in col[:stop], or stop."""
-    try:
-        return col.index(item, 0, stop)
-    except ValueError:
-        return stop
-
-
-def _indices(col: list) -> tuple[list, int]:
-    """The column as indices, None for each item that is no index, and
-    the position of the first None (len(col) if there is none)."""
-    if set(map(type, col)) <= {int} and min(col, default=1) >= 1 and max(col, default=1) <= sys.maxsize:
-        return col, len(col)
-    col = list(map(_index, col))
-    return col, _find(col, None, len(col))
-
-
-def _values(col: list) -> tuple[list, int]:
-    """The column as floats, None for each item that is no number, and
-    the position of the first None (len(col) if there is none)."""
-    if set(map(type, col)) <= {float}:
-        return col, len(col)
-    col = list(map(_value, col))
-    return col, _find(col, None, len(col))
-
-
-def _read_cells(raw) -> tuple[dict[tuple[int, int], float], bool]:
-    """The cells of a dense numpy array or of an iterable of (k, i, value)
-    triples, and whether every cell lies above the diagonal.
-
-    An array (anything with an ``ndim``) must be square; its nonzero
-    entries are read in row-major order as 1-based triples.  Nothing is
-    tested against numpy's types, so a list of triples never imports
-    numpy.  A triple is a list or tuple of three: two indices, as
+    A triple is a list or tuple of three: two indices, as
     ``simplex._index`` reads them, and a number, as ``simplex._value``
-    reads it.
-
-    Each check is one pass over all the items, and the first item that
-    fails any of them raises.  Within an item the checks run in this
-    order: not a triple, a bad index, a value that is no number (each a
-    ValueError), a NaN or infinite value (NonFiniteValue), a value that
-    differs from an earlier one for the same cell (ValueError).
+    reads it.  Well-formed input, triples of ints in [1, sys.maxsize]
+    and finite floats with no cell given twice, passes one bulk check.
+    Anything else is read item by item, and the first item that fails
+    raises; within an item the checks run in this order: not a triple,
+    a bad index, a value that is no number (each a ValueError), a NaN or
+    infinite value (NonFiniteValue), a value that differs from an
+    earlier one for the same cell (ValueError).
     """
-    if hasattr(raw, "ndim"):
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise ValueError(f"dense matrix must be square, got shape {raw.shape}")
-        rows, cols = np.nonzero(raw)
-        items = list(zip((rows + 1).tolist(), (cols + 1).tolist(), raw[rows, cols].astype(float).tolist()))
-    else:
-        items = list(raw)
-    stop = len(items)  # the items before stop passed every check made so far
-    error = None
-    if not (set(map(type, items)) <= {list, tuple} and set(map(len, items)) <= {3}):
-        stop = _find(list(map(_is_triple, items)), False, stop)
-        if stop < len(items):
-            error = ValueError(f"matrix cell {items[stop]!r} is not a (row, column, value) triple")
-            items = items[:stop]
-    ks, bad_k = _indices([item[0] for item in items])
-    is_, bad_i = _indices([item[1] for item in items])
-    bad = min(bad_k, bad_i)
-    if bad < stop:
-        stop, error = bad, ValueError(
-            f"matrix cell {items[bad]!r}: indices must be integers in [1, {sys.maxsize}]"
-        )
-    vs, bad = _values([item[2] for item in items])
-    if bad < stop:
-        stop, error = bad, ValueError(f"matrix cell {items[bad]!r}: the value must be a number")
-    if not all(map(math.isfinite, islice(vs, stop))):
-        stop = _find(list(map(math.isfinite, islice(vs, stop))), False, stop)
-        error = NonFiniteValue((ks[stop], is_[stop]), vs[stop])
-    cells = dict(islice(zip(zip(ks, is_), vs), stop))
-    if len(cells) < stop:  # some cell is given more than once
-        keys = list(islice(zip(ks, is_), stop))
-        first = dict(zip(reversed(keys), reversed(vs[:stop])))  # each cell's first value
-        bad = _find(list(map(operator.eq, map(first.__getitem__, keys), vs)), False, stop)
-        if bad < stop:
-            error = ValueError(f"conflicting duplicate entries for cell {keys[bad]}")
-    if error is not None:
-        raise error
-    return cells, all(map(operator.lt, ks, is_))
+    items = list(raw)
+    if set(map(type, items)) <= {list, tuple} and set(map(len, items)) <= {3}:
+        ks, is_, vs = [item[0] for item in items], [item[1] for item in items], [item[2] for item in items]
+        if (
+            all(set(map(type, col)) <= {int} and min(col, default=1) >= 1 and max(col, default=1) <= sys.maxsize
+                for col in (ks, is_))
+            and set(map(type, vs)) <= {float}
+            and math.isfinite(sum(vs, 0.0))  # not if any value is NaN or infinite, or the total overflows
+        ):
+            cells = dict(zip(zip(ks, is_), vs))
+            if len(cells) == len(items):  # no cell given twice
+                return cells
+    cells = {}
+    for item in items:
+        if not (isinstance(item, (list, tuple)) and len(item) == 3):
+            raise ValueError(f"matrix cell {item!r} is not a (row, column, value) triple")
+        k, i, v = _index(item[0]), _index(item[1]), _value(item[2])
+        if k is None or i is None:
+            raise ValueError(f"matrix cell {item!r}: indices must be integers in [1, {sys.maxsize}]")
+        if v is None:
+            raise ValueError(f"matrix cell {item!r}: the value must be a number")
+        if not math.isfinite(v):
+            raise NonFiniteValue((k, i), v)
+        if cells.get((k, i), v) != v:
+            raise ValueError(f"conflicting duplicate entries for cell {(k, i)}")
+        cells[k, i] = v
+    return cells
 
 
 def validate_matrix(raw) -> SkewMatrix:
@@ -153,46 +109,36 @@ def validate_matrix(raw) -> SkewMatrix:
     they must be consistent within MATRIX_TOLERANCE.  Returns the
     canonical upper-triangular store.
 
-    The cells are read by ``_read_cells``, whose errors come first.  A
-    nonzero diagonal entry and a pair whose cells disagree raise
-    NotSkew, and an entry beyond the bound BoundViolation; of these the
-    one at the smallest cell is raised, a pair counting at its first
-    given cell and its disagreement before its bound.  Input with upper
-    cells only, the canonical form, needs no mirror pass.
+    The cells are read by ``_read_cells``, whose errors come first.
+    Upper cells within the bound, the canonical form, pass one bulk
+    check.  Any other cells are judged one by one in sorted order, each
+    pair at its smallest given cell: a nonzero diagonal entry or a pair
+    whose cells disagree raises NotSkew, and an entry beyond the bound
+    BoundViolation, a pair's disagreement before its bound.
     """
-    cells, upper_only = _read_cells(raw)
-    failures = []  # (the cell a failure counts at, its rank there, the error)
-    if upper_only:
-        values = cells  # the store, before its zeros are dropped
-    else:
-        # The mirror pass: each pair's value at its upper cell, from the
-        # upper cell if given, else minus the lower cell.
-        lower = {(i, k): v for (k, i), v in cells.items() if k > i}
-        values = {key: v for key, v in cells.items() if key[0] < key[1]}
-        values.update({key: -v for key, v in lower.items() if key not in values})
-        diagonal = min(
-            (key for key, v in cells.items() if key[0] == key[1] and abs(v) > MATRIX_TOLERANCE),
-            default=None,
-        )
-        if diagonal is not None:
-            detail = f"diagonal entry {cells[diagonal]!r} is not zero"
-            failures.append((diagonal, 0, NotSkew(diagonal, detail)))
-        mismatch = min(
-            (key for key in lower.keys() & cells.keys() if abs(cells[key] + lower[key]) > MATRIX_TOLERANCE),
-            default=None,
-        )
-        if mismatch is not None:
-            lo, hi = mismatch
-            detail = f"a[{lo},{hi}]={cells[mismatch]!r} but a[{hi},{lo}]={lower[mismatch]!r}"
-            failures.append((mismatch, 0, NotSkew(mismatch, detail)))
+    cells = _read_cells(raw)
     bound = 1.0 + MATRIX_TOLERANCE
-    if values and max(map(abs, values.values())) > bound:
-        at = min(key if key in cells else key[::-1] for key, v in values.items() if abs(v) > bound)
-        key = min(at), max(at)
-        failures.append((at, 1, BoundViolation(key, values[key])))
-    if failures:
-        raise min(failures, key=lambda failure: failure[:2])[2]
-    store = {key: v for key, v in values.items() if v != 0.0} if 0.0 in values.values() else values
+    if all(starmap(operator.lt, cells)) and max(map(abs, cells.values()), default=0.0) <= bound:
+        store = cells
+    else:
+        store = {}
+        for (k, i), v in sorted(cells.items()):
+            if k == i:
+                if abs(v) > MATRIX_TOLERANCE:
+                    raise NotSkew((k, i), f"diagonal entry {v!r} is not zero")
+                continue
+            if k > i and (i, k) in cells:
+                continue  # the pair was judged at its upper cell, which sorts first
+            lo, hi = min(k, i), max(k, i)
+            upper, lower = cells.get((lo, hi)), cells.get((hi, lo))
+            if upper is not None and lower is not None and abs(upper + lower) > MATRIX_TOLERANCE:
+                raise NotSkew((lo, hi), f"a[{lo},{hi}]={upper!r} but a[{hi},{lo}]={lower!r}")
+            value = -lower if upper is None else upper
+            if abs(value) > bound:
+                raise BoundViolation((lo, hi), value)
+            store[lo, hi] = value
+    if 0.0 in store.values():
+        store = {key: v for key, v in store.items() if v != 0.0}
     return SkewMatrix(entries=store, dimension=max(map(operator.itemgetter(1), store), default=0))
 
 
@@ -325,11 +271,12 @@ def symmetry_defect_witness(raw) -> tuple[SparsePoint, float] | None:
     Scans the diagonal first: the smallest i with a nonzero b_ii gives
     the vertex e^(i) with value b_ii.  Otherwise the smallest pair
     (i, j) with b_ij + b_ji != 0 gives the uniform point on {i, j} with
-    value (b_ii + b_jj + b_ij + b_ji) / 4.  Only the given cells are
-    scanned.  Returns None exactly when the symmetric part vanishes
-    within MATRIX_TOLERANCE.
+    value (b_ii + b_jj + b_ij + b_ji) / 4.  The cells are read by
+    ``_read_cells``, as ``validate_matrix`` reads them, and only the
+    given cells are scanned.  Returns None exactly when the symmetric
+    part vanishes within MATRIX_TOLERANCE.
     """
-    cells, _ = _read_cells(raw)
+    cells = _read_cells(raw)
     for i in sorted(r for (r, c) in cells if r == c):
         v = cells[(i, i)]
         if abs(v) > MATRIX_TOLERANCE:

@@ -53,9 +53,6 @@ class ConditionReport:
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def failures(self) -> list[ConditionVerdict]:
-        return [v for v in self.verdicts if not v.passed]
-
     def to_obj(self) -> dict:
         return {
             "face": list(self.face.indices),

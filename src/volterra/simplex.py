@@ -367,11 +367,6 @@ def in_relative_interior(p: SparsePoint, face: FaceSpec) -> bool:
 
 def l1_distance(p: SparsePoint, q: SparsePoint) -> float:
     """Sum of |p_k - q_k| over the union of supports: p's indices in order, then q's others."""
-    if p.support == q.support:  # the dict path below, without its dict
-        s = 0.0
-        for a, b in zip(p.masses, q.masses):
-            s += abs(a - b)
-        return s
     rest = q.as_dict()
     s = 0.0
     for k, m in p.items():

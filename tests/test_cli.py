@@ -379,6 +379,10 @@ NON_NUMBERS = {
         {"triple": [1, 1, 1], "outputs": {"1": True}}]}),
     "outputs no object": ("--operator", {"type": "cubic_tensor", "triples": [
         {"triple": [1, 1, 1], "outputs": [1.0]}]}),
+    "two-index triple": ("--operator", {"type": "cubic_tensor", "triples": [
+        {"triple": [1, 1], "outputs": {"1": 1.0}}]}),
+    "four-index triple": ("--operator", {"type": "cubic_tensor", "triples": [
+        {"triple": [1, 1, 2, 2], "outputs": {"1": 1.0}}]}),
     "underscored point key": ("--point", {"1_0": 0.5, " 2 ": 0.5}),
     "signed point key": ("--point", {"+3": 0.5, "2": 0.5}),
     "non-ASCII point key": ("--point", {"\u0663": 0.5, "2": 0.5}),

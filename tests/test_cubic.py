@@ -70,6 +70,13 @@ def test_validate_accepts_consistent_permuted_duplicates():
     assert p.outputs(1, 2, 3) == {1: 0.5, 2: 0.5}
 
 
+@pytest.mark.parametrize("key", [[1, 2], [1, 1, 2, 2]])
+def test_validate_rejects_a_triple_of_two_or_four_indices(key):
+    with pytest.raises(ValueError, match="a triple holds three indices") as info:
+        validate_tensor([{"triple": key, "outputs": {"1": 1.0}}])
+    assert type(info.value) is ValueError
+
+
 def test_validate_json_shape():
     p = validate_tensor([{"triple": [2, 1, 1], "outputs": {"1": 1.0}}])
     assert p.outputs(1, 1, 2) == {1: 1.0}

@@ -64,6 +64,24 @@ def test_apply_negative_coordinate():
     assert info.value.value < 0
 
 
+def test_checkers_raise_for_a_negative_inner_image():
+    """The balance of ``bad`` holds exactly, but g_2 < 0 once x_1 > 1/3,
+    so composed after it example31 gets a negative mass: each checker
+    raises where a block evaluation finds one, as ``apply`` would, and
+    never clamps it."""
+    bad = VolterraOperator(GeneratingMap(lambda ks, X: [1.0 + 3.0 * X[1], 1.0 - 3.0 * X[0]]))
+    op = compose(example31(), bad)
+    face = FaceSpec.of([1, 2])
+    with pytest.raises(NegativeCoordinate) as at_barycenter:
+        apply(op, face.barycenter())
+    with pytest.raises(NegativeCoordinate) as info:
+        check_conditions(op, face, samples=50, seed=1)
+    assert (info.value.index, info.value.value) == (at_barycenter.value.index, at_barycenter.value.value)
+    with pytest.raises(NegativeCoordinate) as info:
+        check_pair_condition(op, face, samples=50, seed=1)
+    assert info.value.index == 2 and info.value.value < 0.0
+
+
 def test_apply_normalization_failure():
     with pytest.raises(NormalizationFailure) as info:
         apply(constant_map_operator(1.5), make_point([(1, 0.5), (2, 0.5)]))
@@ -262,7 +280,7 @@ def test_closure_under_composition_and_mixing():
         convex_combination(example31(), quad, 0.3),
     ):
         report = check_conditions(candidate, face, samples=300, seed=6)
-        assert report.all_passed, f"{candidate.label}: {report.failures()}"
+        assert report.all_passed, f"{candidate.label}: {report.to_obj()['conditions']}"
 
 
 def test_is_fixed_point():

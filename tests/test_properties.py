@@ -21,9 +21,9 @@ l1 distance to another point agree with a plain dict of its masses,
 whatever the two supports share, bit for bit where an image keeps or
 drops its point's coordinates.  A skew matrix's map gives, bit for bit,
 the ascending-column sums a plain loop gives, for one point and for
-every row of a block, at every chunk size.  The bulk matrix reader
-gives what the cell-by-cell loop it replaced gave, results and errors
-alike.
+every row of a block, at every chunk size.  The matrix reader, bulk
+checks and per-cell loops together, gives what a plain cell-by-cell
+loop gives, results and errors alike.
 Every boundary that takes an index from outside (points, faces, tensor
 triples, matrix cells) accepts exactly what ``simplex._index`` accepts,
 and every one that takes decimal text exactly what ``simplex._key``
@@ -573,34 +573,23 @@ def test_symmetry_defect_witness_value_is_the_quadratic_form(cells):
     assert abs(value) > 0.0
 
 
-# --- the bulk matrix reader against the cell-by-cell loop it replaced ----------
+# --- the matrix reader against the cell-by-cell loop -----------------------------
 #
 # Verbatim copies of the per-cell reader, validate_matrix and
-# symmetry_defect_witness as they were before the bulk passes, renamed.
-# The inputs they are compared on leave out only what the bulk reader
-# newly rejects: fractional, bool, string or out-of-range indices, values
-# that are no numbers, and items that are no list or tuple.
+# symmetry_defect_witness as they were before any bulk pass, renamed, less
+# the reader's branch for dense numpy arrays, which validate_matrix no
+# longer takes.  Well-formed cells take the bulk checks of the code under
+# test and any others its per-cell loops, so the generated lists mix both.
+# The inputs they are compared on leave out only what the code under test
+# rejects and the copies did not: fractional, bool, string or out-of-range
+# indices, values that are no numbers, and items that are no list or tuple.
 
 def _cells_from_raw_before(raw) -> dict[tuple[int, int], float]:
-    """Normalize a dense numpy array or an iterable of (k, i, value)
-    triples into a cell map with 1-based indices.
-
-    An array (anything with an ``ndim``) is read densely, zeros skipped,
-    and must be square; any other iterable must yield index-index-value
-    triples.  Nothing is tested against numpy's types, so a list of
-    triples never imports numpy.  A NaN or infinite value raises
+    """Normalize an iterable of (k, i, value) triples into a cell map
+    with 1-based indices.  A NaN or infinite value raises
     NonFiniteValue.
     """
     cells: dict[tuple[int, int], float] = {}
-    if hasattr(raw, "ndim"):
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise ValueError(f"dense matrix must be square, got shape {raw.shape}")
-        for (r, c), v in np.ndenumerate(raw):
-            if not math.isfinite(v):
-                raise NonFiniteValue((r + 1, c + 1), float(v))
-            if v != 0.0:
-                cells[(r + 1, c + 1)] = float(v)
-        return cells
     for item in raw:
         k, i, v = item
         k, i = int(k), int(i)
@@ -719,13 +708,6 @@ def _matrix_items(draw):
     return cells
 
 
-@st.composite
-def _dense_matrices(draw):
-    n = draw(st.integers(1, 4))
-    values = st.one_of(st.just(0.0), _CELL_VALUES.map(float))
-    return np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
-
-
 def _outcome(function, raw):
     """What function(raw) returns, or its error's type, witness and text."""
     try:
@@ -738,7 +720,7 @@ def _outcome(function, raw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(raw=st.one_of(_matrix_items(), _dense_matrices()))
+@given(raw=_matrix_items())
 def test_validate_matrix_matches_the_cell_loop(raw):
     kind, got = _outcome(validate_matrix, raw)
     want_kind, want = _outcome(_validate_matrix_before, raw)
@@ -751,7 +733,7 @@ def test_validate_matrix_matches_the_cell_loop(raw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw=st.one_of(_matrix_items(), _dense_matrices()))
+@given(raw=_matrix_items())
 def test_symmetry_defect_witness_matches_the_cell_loop(raw):
     assert _outcome(symmetry_defect_witness, raw) == _outcome(_symmetry_defect_witness_before, raw)
 

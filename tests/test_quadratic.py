@@ -52,18 +52,16 @@ def test_validate_rejects_bound_violation():
     with pytest.raises(BoundViolation) as info:
         validate_matrix([(1, 2, 1.5), (2, 1, -1.5)])
     assert info.value.pair == (1, 2)
+    # Upper cells only, the canonical form: the smallest cell beyond the bound.
+    with pytest.raises(BoundViolation) as info:
+        validate_matrix([[2, 3, 1.5], [1, 2, 0.5], [1, 3, -2.0]])
+    assert (info.value.pair, info.value.value) == ((1, 3), -2.0)
 
 
 def test_validate_rejects_nonzero_diagonal():
     with pytest.raises(NotSkew) as info:
         validate_matrix([(3, 3, 0.2)])
     assert info.value.pair == (3, 3)
-
-
-def test_validate_accepts_dense_array():
-    dense = np.array([[0.0, 0.7], [-0.7, 0.0]])
-    m = validate_matrix(dense)
-    assert m.coefficient(1, 2) == 0.7
 
 
 def test_validate_rejects_conflicting_duplicates():
@@ -255,11 +253,6 @@ def test_validate_rejects_non_finite_entry():
     with pytest.raises(NonFiniteValue) as info:
         validate_matrix([[1, 2, float("nan")]])
     assert info.value.where == (1, 2)
-    dense = np.zeros((2, 2))
-    dense[1, 0] = np.inf
-    with pytest.raises(NonFiniteValue) as info:
-        validate_matrix(dense)
-    assert info.value.where == (2, 1)
 
 
 @pytest.mark.parametrize("n", [20, 600])

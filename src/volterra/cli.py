@@ -60,6 +60,10 @@ MAX_SAMPLE_CELLS = 1000 * MAX_FACE_SIZE
 #: triples and 4.3 MB of JSON in about a second; at 1000 it would take
 #: hours.
 MAX_BUILTIN_DIMENSION = 50
+#: Most ``compose`` and ``convex`` levels an operator spec may nest.
+#: Every level adds frames to each evaluation of the map, and a few
+#: hundred levels end in RecursionError.
+MAX_NESTING = 64
 
 
 class MalformedInput(Exception):
@@ -74,13 +78,15 @@ def _load_json(path: str):
         raise MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def build_operator(obj) -> VolterraOperator:
+def build_operator(obj, depth: int = 0) -> VolterraOperator:
     """Construct an operator from a tagged spec object.
 
     Validation failures of the payload (non-skew matrix, bad tensor,
     ...) propagate as ValidationError; structural problems (unknown
     tag, missing fields, a ``dimension`` that is no integer, a
-    ``lambda`` that is no number) raise MalformedInput.
+    ``lambda`` that is no number, more than ``MAX_NESTING`` nested
+    ``compose`` and ``convex`` levels) raise MalformedInput.  ``depth``
+    counts the levels that enclose ``obj``.
     """
     try:
         tag = obj["type"]
@@ -97,13 +103,15 @@ def build_operator(obj) -> VolterraOperator:
             return example32()
         if tag == "sine":
             return sine_example()
+        if tag in ("compose", "convex") and depth >= MAX_NESTING:
+            raise MalformedInput(f"operator spec nests more than {MAX_NESTING} compose and convex levels")
         if tag == "compose":
             first, second = obj["operators"]
-            return compose(build_operator(first), build_operator(second))
+            return compose(build_operator(first, depth + 1), build_operator(second, depth + 1))
         if tag == "convex":
             first, second = obj["operators"]
             lam = _read(_value, obj["lambda"], "lambda")
-            return convex_combination(build_operator(first), build_operator(second), lam)
+            return convex_combination(build_operator(first, depth + 1), build_operator(second, depth + 1), lam)
         raise MalformedInput(f"unknown operator type {tag!r}")
     except (ValidationError, MalformedInput):
         raise

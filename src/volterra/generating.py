@@ -11,16 +11,18 @@ growth factors [g_k(x) for k in indices] and ``X[j]`` is the mass of x
 at ``indices[j]``.  Every image is x_k * g_k: a small factor (x_1^2 for
 example32) rebuilt as 1 + (g_k - 1) would cancel.  Only the checkers
 and the pair functional, which speak of f, take g - 1.  ``X[j]`` is a
-float for one point, or a length-N column for a block of N points: one
+float for one point, or a length-N row for a block of N points: one
 body, written with elementwise arithmetic only, serves both.  Every
 consumer evaluates g through ``GeneratingMap.values``: ``apply``,
 ``pair_condition_value``, the inverters and trajectories one point at
-a time on the point's own floats, the checkers a whole block of
-sampled points per call.
-``values`` tells the two apart by the argument's ``ndim``: a
-two-dimensional array is a block, and anything else (a tuple or list
-of floats, or a 1-D array) is one point.  Nothing is tested against
-numpy's types, so evaluating one point never imports numpy.
+a time on the point's own floats, the checkers a whole block of sampled
+points per call, and the maps nested in ``compose`` and
+``convex_combination`` the point or block their own body was given.
+``values`` tells the two apart by the argument's ``ndim``: a block is a
+(d, N) array, one row per index and one column per point, and anything
+else (a tuple or list of floats, or a 1-D array) is one point.  Nothing
+is tested against numpy's types, so evaluating one point never imports
+numpy.
 
 V maps the simplex into itself, continuously and with every face
 invariant, exactly when the generating map satisfies four conditions:
@@ -81,10 +83,10 @@ class GeneratingMap:
     ``fn(indices, X)`` returns [g_k(x) = 1 + f_k(x) for k in indices]
     as a list, a tuple or an array, where ``X[j]`` is the mass of x at
     ``indices[j]``; the indices ascend and cover the support of x.
-    ``X[j]`` is a float for one point, or a length-N column for a block
-    of N points, and one body serves both: it may only use elementwise
+    ``X[j]`` is a float for one point, or row j of a (d, N) block of N
+    points, and one body serves both: it may only use elementwise
     arithmetic on the masses (no ``if`` on a value and no ``math``
-    function of a column; use ``np.where`` or a loop over the elements).
+    function of a row; use ``np.where`` or a loop over the elements).
     ``max_index`` n, an index, declares the domain 1..n, the face of a
     finite-dimensional operator: points and faces beyond it raise
     DomainViolation.  Immutable by convention.
@@ -97,32 +99,25 @@ class GeneratingMap:
         self.max_index = None if max_index is None else _read(_index, max_index, "max_index")
 
     def values(self, X, indices: Sequence[int]):
-        """g over ``indices`` at one point or at every row of a block.
+        """g over ``indices`` at one point or at every column of a block.
 
         X is one point's masses aligned with ``indices`` (the result is
         the map's list or tuple of floats as is, or its array's
-        ``tolist()``) or an (N, len(indices)) array of N points, told
-        apart by ``ndim`` (the result is an (N, len(indices)) C-ordered
-        array).  A block whose map returns the wrong number of columns
-        raises ValueError.
+        ``tolist()``) or a (len(indices), N) block of N points, one row
+        per index, told apart by ``ndim`` (the result is a C-ordered
+        array of X's shape, row j holding g at ``indices[j]``).  A block
+        of points as rows is read as columns, with no error if square.
+        A map that returns the wrong number of values raises ValueError.
         """
-        if getattr(X, "ndim", 1) == 2:
-            columns = self.fn(indices, np.ascontiguousarray(X.T))
-            if len(columns) != len(indices):
-                raise ValueError(f"generating map returned {len(columns)} values for {len(indices)} indices")
-            out = np.empty(X.shape)
-            for j, column in enumerate(columns):
-                out[:, j] = column
-            return out
         out = self.fn(indices, X)
+        if len(out) != len(indices):
+            raise ValueError(f"generating map returned {len(out)} values for {len(indices)} indices")
+        if getattr(X, "ndim", 1) == 2:
+            block = np.empty(X.shape)
+            for j, row in enumerate(out):
+                block[j] = row
+            return block
         return out if isinstance(out, (list, tuple)) else out.tolist()
-
-
-def _nested_values(gmap: GeneratingMap, indices: Sequence[int], X):
-    """``gmap``'s values inside another map's body, in the body's layout."""
-    if getattr(X, "ndim", 1) == 2:
-        return gmap.values(X.T, indices).T
-    return gmap.values(X, indices)
 
 
 class VolterraOperator:
@@ -205,7 +200,7 @@ def _image_residual(support: Sequence[int], masses, gvals, target: Sequence[floa
 
 
 def _checked_masses(indices: Sequence[int], raw):
-    """Raw image masses, floats or the length-N columns of a block,
+    """Raw image masses, floats or the length-N rows of a block,
     checked as ``apply`` describes, with the ones not above zero set to
     zero.  A block comes back as one (d, N) array.  One point's masses
     are checked by one C-level ``min`` and their total, and come back
@@ -303,13 +298,15 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np.ndarray]:
     """f = g - 1 at every row of each block, one ``values`` call per block.
 
+    A block goes to ``values`` as columns and comes back as C-ordered
+    rows, the layout whose ``sum(axis=1)`` order the reports depend on.
     Should a block raise, the rows are evaluated one at a time instead,
     row n of every block before row n + 1: the order in which the
     checkers visit their points, so the exception that surfaces is the
     one the first failing point raises.
     """
     try:
-        out = [gmap.values(B, indices) for B in blocks]
+        out = [np.ascontiguousarray(gmap.values(np.ascontiguousarray(B.T), indices).T) for B in blocks]
     except Exception:  # re-raised below, by the first point that fails
         out = [np.empty(B.shape) for B in blocks]
         for n in range(len(blocks[0])):
@@ -476,9 +473,9 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
     defined on all of the face (no division), so vertex probes work.
     """
     def fn(ks: Sequence[int], X) -> list:
-        g2 = _nested_values(op2.map, ks, X)
+        g2 = op2.map.values(X, ks)
         image = _checked_masses(ks, [m * g for m, g in zip(X, g2)])
-        g1 = _nested_values(op1.map, ks, image)
+        g1 = op1.map.values(image, ks)
         return [b * a for b, a in zip(g2, g1)]
 
     gmap = GeneratingMap(fn, _common_bound(op1, op2))
@@ -493,8 +490,8 @@ def convex_combination(
         raise LambdaOutOfRange(lam)
 
     def fn(ks: Sequence[int], X) -> list:
-        g1 = _nested_values(op1.map, ks, X)
-        g2 = _nested_values(op2.map, ks, X)
+        g1 = op1.map.values(X, ks)
+        g2 = op2.map.values(X, ks)
         return [lam * a + (1.0 - lam) * b for a, b in zip(g1, g2)]
 
     gmap = GeneratingMap(fn, _common_bound(op1, op2))

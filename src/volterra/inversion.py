@@ -239,7 +239,9 @@ def _newton_steps(
     while residual > tol:
         x = np.array(xm)
         block = np.vstack([x, (1.0 - FD_STEP) * x + FD_STEP * eye])
-        image = block * op.map.values(block, support)
+        # Columns go to the map; the image stays in C-ordered rows, since
+        # the mean over rows and ``rows @ rows.T`` add in a layout's order.
+        image = np.multiply(block, op.map.values(np.ascontiguousarray(block.T), support).T, order="C")
         toward = (image[1:] - image[0]) / FD_STEP  # row j: derivative along e_j - x
         rows = toward - toward.mean(axis=0)  # row j: derivative along e_j - 1/d
         normal = rows @ rows.T

@@ -257,6 +257,39 @@ def test_compose_and_convex_specs(capsys, tmp_path):
     assert image["2"] > image["1"]
 
 
+def _nested_spec(tag, levels):
+    """example31 inside ``levels`` compose or convex levels."""
+    spec = {"type": "example31"}
+    for _ in range(levels):
+        if tag == "compose":
+            spec = {"type": "compose", "operators": [{"type": "example31"}, spec]}
+        else:
+            spec = {"type": "convex", "operators": [spec, {"type": "example31"}], "lambda": 0.5}
+    return spec
+
+
+@pytest.mark.parametrize("tag", ["compose", "convex"])
+def test_nesting_is_bounded(capsys, tmp_path, tag):
+    """At the bound every command ends with its own exit code; one level
+    past it the spec is malformed, before any evaluation recurses."""
+    point = write_json(tmp_path / "p.json", {"1": 0.5, "2": 0.3, "3": 0.2})
+    at = write_json(tmp_path / "at.json", _nested_spec(tag, cli.MAX_NESTING))
+    past = write_json(tmp_path / "past.json", _nested_spec(tag, cli.MAX_NESTING + 1))
+    commands = [
+        ["apply", "--point", point],
+        ["check", "--face", "1,2", "--samples", "5"],
+        ["simulate", "--point", point, "--steps", "3"],
+        ["invert", "--point", point],
+    ]
+    for command, *rest in commands:
+        assert main([command, "--operator", at, *rest]) in (0, 1, 2), command
+        capsys.readouterr()
+        assert main([command, "--operator", past, *rest]) == 3, command
+        assert error_lines(capsys) == [
+            f"error: operator spec nests more than {cli.MAX_NESTING} compose and convex levels"
+        ]
+
+
 def test_operator_dimension_above_face_bound_applies(capsys, tmp_path):
     spec = write_json(tmp_path / "big.json", {"type": "example31", "dimension": 20_000})
     point = write_json(tmp_path / "p.json", {"1": 0.5, "20000": 0.5})

@@ -147,7 +147,7 @@ def _plan_requests(draw):
 
 
 def _masses(rng, ks, rows):
-    return rng.uniform(0.0, 1.0, size=len(ks)).tolist() if rows == 0 else rng.uniform(0.0, 1.0, size=(rows, len(ks)))
+    return rng.uniform(0.0, 1.0, size=len(ks)).tolist() if rows == 0 else rng.uniform(0.0, 1.0, size=(len(ks), rows))
 
 
 def _bits(values):

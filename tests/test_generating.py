@@ -17,6 +17,7 @@ from volterra import (
     example31,
     example32,
     identity_operator,
+    invert_fixed_point,
     is_fixed_point,
     l1_distance,
     make_point,
@@ -326,7 +327,47 @@ def test_block_failure_raises_the_first_points_exception():
 def test_block_with_missing_values_raises():
     short = GeneratingMap(lambda ks, X: [0.0] * (len(ks) - 1))
     with pytest.raises(ValueError, match="2 values for 3 indices"):
-        short.values(np.full((4, 3), 1.0 / 3.0), (1, 2, 3))
+        short.values(np.full((3, 4), 1.0 / 3.0), (1, 2, 3))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_one_point_with_a_wrong_value_count_raises(extra):
+    """A map one value short must not give an image of three indices and
+    two masses, whose total is still within tolerance, nor a map one value
+    long an image that drops the extra one, a nested map included."""
+    wrong = VolterraOperator(GeneratingMap(lambda ks, X: [1.0] * (len(ks) + extra)), label="wrong")
+    x = make_point({1: 0.5, 2: 0.5 - 1e-12, 3: 1e-12})
+    calls = [
+        lambda: wrong.map.values(x.masses, x.support),
+        lambda: apply(wrong, x),
+        lambda: apply(compose(identity_operator(), wrong), x),
+        lambda: apply(convex_combination(wrong, identity_operator(), 0.5), x),
+        lambda: pair_condition_value(wrong, x, vertex(1)),
+        lambda: invert_fixed_point(wrong, x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{3 + extra} values for 3 indices"):
+            call()
+
+
+def test_continuity_adds_each_row_as_a_c_ordered_row():
+    """The checker sums each point's row of |df| as numpy sums a
+    C-ordered row: pairwise, which on more than eight indices can differ
+    from the left-to-right sum a column-major row gets.  Differences
+    spanning nine decades make the order show: f = g - 1 for g in (0, 2)
+    is a multiple of 2^-53, so rows of such differences summing below 1
+    add exactly in any order."""
+    steep = GeneratingMap(lambda ks, X: [1.0 + m * 10.0 ** (j % 9) for j, m in enumerate(X)])
+    op = VolterraOperator(steep, label="steep")
+    face = FaceSpec.of(range(1, 41))
+    report = check_conditions(op, face, samples=40, seed=0)
+    rng = np.random.default_rng(0)
+    interior = np.vstack((face.barycenter().masses, generating.sample_face_block(face, rng, 40)))
+    nudged = generating._perturb_block(interior, generating.PERTURBATION, rng)
+    f_in, f_nudged = (np.array([op.map.values(row.tolist(), face.indices) for row in B]) - 1.0 for B in (interior, nudged))
+    wobble = np.abs(f_nudged - f_in)
+    assert report.continuity.worst_value == wobble.sum(axis=1).max()
+    assert report.continuity.worst_value != max(sum(row) for row in wobble.tolist())
 
 
 def test_one_dimensional_row_is_one_point():

@@ -128,7 +128,7 @@ def test_block_rows_equal_one_point_values(name, picks, rows, seed):
     pool = tuple(pool)
     face = FaceSpec.of(pool[p % len(pool)] for p in picks)
     block = _block(face, rows, seed)
-    together = op.map.values(block, face.indices)
+    together = op.map.values(np.ascontiguousarray(block.T), face.indices).T
     one_by_one = np.array([op.map.values(row.tolist(), face.indices) for row in block])
     assert together.shape == block.shape
     assert together.tobytes() == one_by_one.tobytes()
@@ -500,7 +500,7 @@ def test_quadratic_values_are_the_ascending_sums_bit_for_bit(case):
     matrix, ks, block, chunk = case
     op = quadratic_operator(matrix)
     with mock.patch.object(quadratic, "_CHUNK_CELLS", chunk):
-        together = op.map.values(block, ks)
+        together = op.map.values(np.ascontiguousarray(block.T), ks).T
     for row, values in zip(block, together):
         expected = _bits(_ascending_sums(matrix, ks, row.tolist()))
         assert _bits(values) == expected
@@ -948,8 +948,9 @@ def test_operator_from_tensor_matches_the_two_step_reference(raw, data):
     picks = data.draw(st.sets(st.integers(1, p.dimension), min_size=1))
     face = FaceSpec.of(picks)
     block = _block(face, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**32 - 1)))
-    want = reference.values(block, face.indices)
-    assert op.map.values(block, face.indices).tobytes() == want.tobytes()
+    columns = np.ascontiguousarray(block.T)
+    want = reference.values(columns, face.indices)
+    assert op.map.values(columns, face.indices).tobytes() == want.tobytes()
     for row in block:
         got = op.map.values(row.tolist(), face.indices)
         assert np.array(got).tobytes() == np.array(reference.values(row.tolist(), face.indices)).tobytes()

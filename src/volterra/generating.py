@@ -290,29 +290,35 @@ def _first(values: np.ndarray, better) -> int | None:
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Row sums added left to right from 0.0, as a Python loop adds them
-    (``terms`` is overwritten)."""
-    return 0.0 + np.cumsum(terms, axis=1, out=terms)[:, -1]
+    """Column sums of a C-ordered (d, N) array, each added top to bottom
+    from 0.0 as a Python loop adds one point's terms.  Reduced over its
+    rows, the array adds them one after another; a single column numpy
+    would sum pairwise, so it goes through ``cumsum``."""
+    if terms.shape[1] > 1:
+        return 0.0 + np.add.reduce(terms, axis=0)
+    return 0.0 + np.cumsum(terms, axis=0)[-1]
 
 
-def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[np.ndarray]:
-    """f = g - 1 at every row of each block, one ``values`` call per block.
+def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each block of points as rows, copied to C-ordered (d, N) columns,
+    and f = g - 1 at its points in the same layout, one ``values`` call
+    per block.
 
-    A block goes to ``values`` as columns and comes back as C-ordered
-    rows, the layout whose ``sum(axis=1)`` order the reports depend on.
-    Should a block raise, the rows are evaluated one at a time instead,
-    row n of every block before row n + 1: the order in which the
-    checkers visit their points, so the exception that surfaces is the
-    one the first failing point raises.
+    The copies are the caller's to overwrite.  Should a block raise, the
+    points are evaluated one at a time instead, point n of every block
+    before point n + 1: the order in which the checkers visit their
+    points, so the exception that surfaces is the one the first failing
+    point raises.
     """
+    columns = [np.array(B.T, order="C") for B in blocks]  # a copy even where B.T is already C-ordered
     try:
-        out = [np.ascontiguousarray(gmap.values(np.ascontiguousarray(B.T), indices).T) for B in blocks]
+        out = [gmap.values(C, indices) for C in columns]
     except Exception:  # re-raised below, by the first point that fails
-        out = [np.empty(B.shape) for B in blocks]
+        out = [np.empty(C.shape) for C in columns]
         for n in range(len(blocks[0])):
             for B, G in zip(blocks, out):
-                G[n] = gmap.values(B[n].tolist(), indices)
-    return [np.subtract(G, 1.0, out=G) for G in out]
+                G[:, n] = gmap.values(B[n].tolist(), indices)
+    return [(C, np.subtract(G, 1.0, out=G)) for C, G in zip(columns, out)]
 
 
 def _vertex_rows(d: int, start: int, stop: int) -> np.ndarray:
@@ -338,10 +344,12 @@ def check_conditions(
     boundary hit counts as a failure.  The continuity check perturbs
     each sample by at most PERTURBATION in l1 and flags generating
     maps whose response exceeds CONTINUITY_BOUND; it is a smoke
-    test, not a certificate.  Points are evaluated as blocks, one row
-    per point; ties go to the first point, in the order barycenter,
-    samples, vertices.  Neither the face size nor ``samples`` is bounded
-    here; only the CLI bounds their product (``cli.MAX_SAMPLE_CELLS``).
+    test, not a certificate.  Points are evaluated as blocks, one column
+    per point; the balance adds a point's terms in index order, as
+    ``apply`` does.  Ties go to the first point, in the order
+    barycenter, samples, vertices.  Neither the face size nor
+    ``samples`` is bounded here; only the CLI bounds their product
+    (``cli.MAX_SAMPLE_CELLS``).
     """
     from .reports import ConditionReport, ConditionVerdict
 
@@ -353,19 +361,20 @@ def check_conditions(
     d = len(indices)
     interior = np.vstack((np.full((1, d), 1.0 / d), sample_face_block(face, rng, samples)))
     nudged = _perturb_block(interior, PERTURBATION, rng)
-    f_in, f_nudged = _evaluate(op.map, indices, interior, nudged)
-    # Interior rows first, then vertex rows: the order points are probed in.
-    lowest = [f_in.min(axis=1)]
-    balance = [_ordered_sum(interior * f_in)]
+    (x_in, f_in), (_, f_nudged) = _evaluate(op.map, indices, interior, nudged)
+    # Interior points first, then vertices: the order points are probed in.
+    lowest = [f_in.min(axis=0)]
+    balance = [_ordered_sum(np.multiply(x_in, f_in, out=x_in))]
     for start in range(0, d if d > 1 else 0, _VERTEX_BLOCK):
-        vertices = _vertex_rows(d, start, min(start + _VERTEX_BLOCK, d))
-        (f_vert,) = _evaluate(op.map, indices, vertices)
-        lowest.append(f_vert.min(axis=1))
-        balance.append(_ordered_sum(vertices * f_vert))
+        ((x_vert, f_vert),) = _evaluate(op.map, indices, _vertex_rows(d, start, min(start + _VERTEX_BLOCK, d)))
+        lowest.append(f_vert.min(axis=0))
+        balance.append(_ordered_sum(np.multiply(x_vert, f_vert, out=x_vert)))
     lowest = np.concatenate(lowest)
     balance = np.abs(np.concatenate(balance))
+    # Each point's |df| goes back to a C-ordered row, in the spent nudged
+    # block, and is summed as numpy sums such a row.
     f_nudged -= f_in
-    wobble = np.abs(f_nudged, out=f_nudged).sum(axis=1)
+    wobble = np.abs(f_nudged.T, out=nudged).sum(axis=1)
     probed = len(interior)
 
     def verdict(name, values, better, passes, smoke_test=False):
@@ -423,9 +432,10 @@ def check_pair_condition(
     drawn = sample_face_block(face, rng, 2 * samples)
     xs, ys = drawn[0::2], drawn[1::2]
     best, (a, b) = _best_vertex_pair(op.map, indices)
-    fy, fx = _evaluate(op.map, indices, ys, xs)
+    (y_cols, fy), (x_cols, fx) = _evaluate(op.map, indices, ys, xs)
     witness = (vertex(indices[a]), vertex(indices[b]))
-    sampled = _ordered_sum(xs * fy) + _ordered_sum(ys * fx)
+    sampled = _ordered_sum(np.multiply(x_cols, fy, out=x_cols))
+    sampled += _ordered_sum(np.multiply(y_cols, fx, out=y_cols))
     n = _first(sampled, np.greater)
     if n is not None and sampled[n] > best:  # the samples come after every vertex pair
         best, witness = float(sampled[n]), tuple(_point_on(indices, B[n].tolist()) for B in (xs, ys))
@@ -448,9 +458,9 @@ def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[fl
         for j in range(i, d, _VERTEX_BLOCK):
             right = np.arange(j, min(j + _VERTEX_BLOCK, d))
             pos = left if j == i else np.concatenate((left, right))
-            (f,) = _evaluate(gmap, tuple(indices[p] for p in pos), np.eye(len(pos)))
-            # f[b, a] = f_a(e_b), so a vertex pair adds f and its transpose.
-            pairs = (0.0 + f.T) + (0.0 + f)
+            ((_, f),) = _evaluate(gmap, tuple(indices[p] for p in pos), np.eye(len(pos)))
+            # f[a, b] = f_a(e_b), so a vertex pair adds f and its transpose.
+            pairs = (0.0 + f) + (0.0 + f.T)
             if j == i:
                 a, b = np.triu_indices(len(pos))
             else:

@@ -25,8 +25,10 @@ from .simplex import SparsePoint, _index, _value, vertex
 
 #: Tolerance for skew-symmetry, zero diagonal and the entry bound.
 MATRIX_TOLERANCE = 1e-12
-#: Most (table cells x points) one chunk of a block gathers at once.
-_CHUNK_CELLS = 1 << 14
+#: Most (table cells x points) one chunk of a block gathers at once,
+#: 512 KiB of float64 masses.  The size changes no bit: a point's sums
+#: add its own gathered terms in column order in any chunk.
+_CHUNK_CELLS = 1 << 16
 
 
 class SkewMatrix:

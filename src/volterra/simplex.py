@@ -397,15 +397,19 @@ def sample_face_block(face: FaceSpec, rng: np.random.Generator, n: int) -> np.nd
     Row i holds the masses of point i on the face's indices.  A row with
     a mass underflowed to zero (astronomically unlikely) would leave the
     relative interior; it is dropped and the block topped up from the
-    same stream, exactly as a sequential draw would redraw it.
+    same stream, exactly as a sequential draw would redraw it.  The
+    draws are ``standard_exponential``: the same stream and bits as
+    ``exponential()``, whose scale of 1.0 multiplies each draw exactly,
+    but filled without that per-draw step.
     """
     d = len(face.indices)
     rows = np.empty((0, d))
     while len(rows) < n:
-        g = rng.exponential(size=(n - len(rows), d))
+        g = rng.standard_exponential(size=(n - len(rows), d))
         g /= g.sum(axis=1, keepdims=True)
-        ok = np.all(g > 0.0, axis=1)
-        rows = g if not len(rows) and ok.all() else np.vstack((rows, g[ok]))
+        if not len(rows) and g.min() > 0.0:
+            return g
+        rows = np.vstack((rows, g[np.all(g > 0.0, axis=1)]))
     return rows
 
 

@@ -4,7 +4,9 @@ faces and points.
 A generating map evaluates one point or a block of points with the same
 body, so row i of a block evaluation must equal the one-point evaluation
 of row i bit for bit; and a block of samples must be the very points
-that sequential draws give.  The fixed-point inverter reports the exact
+that sequential draws give.  The checkers' worst values and witnesses
+are, bit for bit, those of plain loops over one-point evaluations and
+``pair_condition_value``.  The fixed-point inverter reports the exact
 l1 residual of the point it returns.  Each cubic root of the triangular
 inverse of example32 lies within 2 * 2^-52 of the exact rational root,
 relative, and the inverse meets every coordinate of an image, however
@@ -57,8 +59,10 @@ from volterra import (
     NotVolterra,
     SparsePoint,
     UndefinedTriple,
+    VolterraOperator,
     apply,
     check_conditions,
+    check_pair_condition,
     compose,
     convex_combination,
     example31,
@@ -69,6 +73,7 @@ from volterra import (
     l1_distance,
     make_point,
     operator_from_tensor,
+    pair_condition_value,
     point_from_obj,
     quadratic_operator,
     sample_face_rng,
@@ -197,6 +202,89 @@ def test_sample_block_equals_sequential_draws(d, n, seed):
     points = np.random.default_rng(seed)
     drawn = np.array([sample_face_rng(face, points).masses for _ in range(n)])
     assert block.tobytes() == drawn.tobytes()
+
+
+_tensor12 = operator_from_tensor(rand_volterra_tensor(_rng, 12))
+# f_k = x_k (1 - x_k) 10^(k mod 9) spans nine decades, so the order in
+# which a point's terms are added shows in the bits of its sums; it is
+# zero at every vertex, so a sampled pair beats every vertex pair.
+_steep = VolterraOperator(
+    GeneratingMap(lambda ks, X: [1.0 + m * (1.0 - m) * 10.0 ** (k % 9) for k, m in zip(ks, X)]), "steep")
+
+#: name -> (operator, the indices its faces are drawn from)
+CHECKED = {
+    "example31": (example31(), range(1, 41)),
+    "example32": (example32(), range(1, 41)),
+    "quadratic": (_skew8, range(1, 41)),  # 9..40 lie beyond the matrix
+    "tensor": (_tensor12, range(1, 13)),
+    "compose": (compose(example31(), _skew8), range(1, 41)),
+    "convex": (convex_combination(example32(), _tensor12, 0.3), range(1, 13)),
+    "steep": (_steep, range(1, 41)),
+}
+
+
+def _first_to_beat(scored, better, start):
+    """The first (value, item) of ``scored`` beating every earlier one."""
+    best, where = start, None
+    for value, item in scored:
+        if better(value, best):
+            best, where = value, item
+    return best, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CHECKED)),
+    picks=st.sets(st.integers(0, 39), min_size=1, max_size=40),
+    samples=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="steep", picks=set(range(40)), samples=1, seed=0)
+@example(name="steep", picks=set(range(8)), samples=1, seed=1)
+@example(name="compose", picks=set(range(12)), samples=1, seed=2)
+def test_reports_equal_a_point_by_point_reference(name, picks, samples, seed):
+    """The checkers' block sums give, bit for bit, the worst values and
+    witnesses of plain loops over one-point evaluations: balance and
+    lower bounds added left to right per point, the pair functional by
+    ``pair_condition_value`` per drawn pair."""
+    op, pool = CHECKED[name]
+    pool = tuple(pool)
+    face = FaceSpec.of(pool[p % len(pool)] for p in picks)
+    ks = face.indices
+
+    rng = np.random.default_rng(seed)
+    interior = [face.barycenter()] + [sample_face_rng(face, rng) for _ in range(samples)]
+    vertices = [vertex(k) for k in ks] if len(ks) > 1 else []
+    lowest, balance = [], []
+    for p in interior + vertices:
+        f = [g - 1.0 for g in op.map.values([p.mass(k) for k in ks], ks)]
+        assert not any(math.isnan(v) for v in f)
+        low, total = f[0], 0.0
+        for v in f[1:]:
+            if v < low:
+                low = v
+        for k, v in zip(ks, f):
+            total += p.mass(k) * v
+        lowest.append((low, p))
+        balance.append((abs(total), p))
+    report = check_conditions(op, face, samples=samples, seed=seed)
+    for verdict, scored, better, start in (
+        (report.lower_bound, lowest, float.__lt__, math.inf),
+        (report.strict_bound, lowest[:len(interior)], float.__lt__, math.inf),
+        (report.balance, balance, float.__gt__, -math.inf),
+    ):
+        worst, witness = _first_to_beat(scored, better, start)
+        assert (verdict.worst_value.hex(), verdict.witness) == (worst.hex(), witness)
+
+    pairs = [(vertex(a), vertex(b)) for j, a in enumerate(ks) for b in ks[j:]]
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = sample_face_rng(face, rng)
+        pairs.append((x, sample_face_rng(face, rng)))
+    best, witness = _first_to_beat(((pair_condition_value(op, x, y), (x, y)) for x, y in pairs),
+                                   float.__gt__, -math.inf)
+    report = check_pair_condition(op, face, samples=samples, seed=seed)
+    assert (report.max_value.hex(), report.witness) == (best.hex(), witness)
 
 
 def _weighted(w: dict[int, float]):

@@ -290,13 +290,15 @@ def _first(values: np.ndarray, better) -> int | None:
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Column sums of a C-ordered (d, N) array, each added top to bottom
-    from 0.0 as a Python loop adds one point's terms.  Reduced over its
-    rows, the array adds them one after another; a single column numpy
-    would sum pairwise, so it goes through ``cumsum``."""
-    if terms.shape[1] > 1:
-        return 0.0 + np.add.reduce(terms, axis=0)
-    return 0.0 + np.cumsum(terms, axis=0)[-1]
+    """Sums over the outer axis of a C-ordered array, such as the column
+    sums of a (d, N) block, each added top to bottom from 0.0 as a Python
+    loop adds one point's terms.  Reduced over its outer axis, the array
+    adds its slices one after another; a single output numpy would sum
+    pairwise, so it goes through ``cumsum`` (several times slower than
+    the reduction on a block)."""
+    total = np.add.reduce(terms) if terms.size > len(terms) else np.cumsum(terms, axis=0)[-1]
+    total += 0.0  # -0.0 becomes 0.0, as it does for a sum started from 0.0
+    return total
 
 
 def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[tuple[np.ndarray, np.ndarray]]:

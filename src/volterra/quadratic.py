@@ -20,7 +20,7 @@ from itertools import chain, starmap
 
 from . import _numpy as np
 from .errors import BoundViolation, NonFiniteValue, NotSkew
-from .generating import GeneratingMap, VolterraOperator
+from .generating import GeneratingMap, VolterraOperator, _ordered_sum
 from .simplex import SparsePoint, _index, _value, vertex
 
 #: Tolerance for skew-symmetry, zero diagonal and the entry bound.
@@ -258,9 +258,7 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
             for cols, vals, rows_at in rows:
                 W = G[cols]  # (depth, rows) or (depth, rows, points), C-ordered
                 W *= vals
-                # Reduced over its outer axis, W adds its rows one after
-                # another; numpy would sum a single output pairwise.
-                f_part[rows_at] = np.add.reduce(W) if W.size > len(W) else np.cumsum(W, axis=0)[-1]
+                f_part[rows_at] = _ordered_sum(W)  # each f_k adds its terms in column order
         f += 1.0
         return f
 

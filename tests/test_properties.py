@@ -561,7 +561,7 @@ def _skew_requests(draw):
     ks = [k for k in range(1, n + 6) if rng.random() < share] or [n]
     block = rng.uniform(0.0, 1.0, size=(draw(st.sampled_from([1, 2, 3, 5])), len(ks)))
     block[rng.random(block.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    return validate_matrix(cells), ks, block, draw(st.sampled_from([1, 16, 200, 1 << 14]))
+    return validate_matrix(cells), ks, block, draw(st.sampled_from([1, 16, 200, 1 << 14, 1 << 16]))
 
 
 def _ascending_sums(matrix, ks, masses) -> list[float]:
@@ -593,6 +593,24 @@ def test_quadratic_values_are_the_ascending_sums_bit_for_bit(case):
         expected = _bits(_ascending_sums(matrix, ks, row.tolist()))
         assert _bits(values) == expected
         assert _bits(op.map.values(row.tolist(), ks)) == expected
+
+
+def test_sparse_subset_block_is_the_ascending_sums_at_every_chunk_size():
+    """A block on 300 of the 2000 indices of a sparse matrix, where most
+    rows keep a term or two, in chunks of one point up to one piece."""
+    rng = np.random.default_rng(17)
+    k, i = rng.integers(1, 2001, size=(2, 20000))
+    cells = {(int(min(a, b)), int(max(a, b))): float(rng.uniform(-1.0, 1.0)) for a, b in zip(k, i) if a != b}
+    matrix = validate_matrix([[a, b, v] for (a, b), v in cells.items()])
+    ks = sorted(int(v) for v in rng.choice(2000, 300, replace=False) + 1)
+    block = rng.uniform(0.0, 1.0, size=(100, len(ks)))
+    block[rng.random(block.shape) < 0.3] = 0.0
+    expected = [_bits(_ascending_sums(matrix, ks, row.tolist())) for row in block]
+    op = quadratic_operator(matrix)
+    for chunk in (1, 1 << 14, 1 << 16, 1 << 30):
+        with mock.patch.object(quadratic, "_CHUNK_CELLS", chunk):
+            together = op.map.values(np.ascontiguousarray(block.T), ks).T
+        assert [_bits(values) for values in together] == expected
 
 
 @st.composite

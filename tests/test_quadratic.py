@@ -350,36 +350,3 @@ def test_star_matrix_tables_stay_linear_in_the_entries():
         hub += w * m
     assert values[0] == 1.0 + hub
     assert values[1:] == [1.0 + -w * x.masses[0] for w in weights]
-
-
-def _sparse_cells(rng: np.random.Generator, n: int, per_row: int) -> list[list[float]]:
-    """About ``per_row`` entries in each row of an n x n skew matrix."""
-    k, i = rng.integers(1, n + 1, size=(2, n * per_row // 2))
-    cells = {(int(min(a, b)), int(max(a, b))): float(rng.uniform(-1.0, 1.0)) for a, b in zip(k, i) if a != b}
-    return [[a, b, v] for (a, b), v in cells.items()]
-
-
-@pytest.mark.parametrize("shape", ["full", "sparse", "sparse subset"])
-def test_chunk_size_never_changes_a_bit(shape, monkeypatch):
-    """A block's values are the same bytes whether it goes in chunks of
-    one point or in one piece: each f_k adds its terms in column order,
-    also where a chunk gathers a single row of a single point."""
-    from volterra import quadratic
-
-    rng = np.random.default_rng(17)
-    if shape == "full":
-        cells, ks, points = rand_skew_triples(rng, 40), list(range(1, 41)), 300
-    elif shape == "sparse":  # with one full row, a table of its own
-        cells = [c for c in _sparse_cells(rng, 500, 10) if 7 not in c[:2]]
-        cells += [[7, i, float(rng.uniform(-1.0, 1.0))] for i in range(8, 501)]
-        ks, points = list(range(1, 503)), 200
-    else:  # a few hundred of the indices of a large sparse matrix
-        cells, ks, points = _sparse_cells(rng, 2000, 20), sorted(rng.choice(2000, 300, replace=False) + 1), 100
-    op = quadratic_operator(validate_matrix(cells))
-    block = rng.uniform(0.0, 1.0, size=(len(ks), points))
-    block[rng.random(block.shape) < 0.3] = 0.0
-    values = {}
-    for chunk in (1, 1 << 14, 1 << 16, 1 << 30):
-        monkeypatch.setattr(quadratic, "_CHUNK_CELLS", chunk)
-        values[chunk] = op.map.values(block, ks).tobytes()
-    assert len(set(values.values())) == 1

@@ -6,14 +6,13 @@ Commands::
     volterra pair-check --operator FILE --face 1..5 [--samples N --seed S]
     volterra apply      --operator FILE --point FILE
     volterra simulate   --operator FILE --point FILE --steps T
-    volterra invert     --operator FILE --point FILE [--tol T --max-iter N --damping L]
+    volterra invert     --operator FILE --point FILE [--tol T --max-iter N]
     volterra builtin    --name example31|example32|sine [--dimension N]
 
 All inputs and reports are JSON (trajectories are JSON Lines).  Exit
 codes: 0 success/pass, 1 validation or condition failure, 2
 non-convergence, 3 malformed input or an unwritable --output, 141 a
-closed stdout.  VOLTERRA_SEED overrides the default seed; an explicit
---seed wins over both.
+closed stdout.  The seed of a sampled check is --seed, 0 by default.
 
 ``quadratic``, ``dynamics`` and ``inversion`` are imported by the code
 that uses them, when it runs, so ``apply`` on a formula operator loads
@@ -40,6 +39,7 @@ from .cubic import (
 )
 from .errors import NonConvergence, TrajectoryError, ValidationError
 from .generating import (
+    MAX_NESTING,
     VolterraOperator,
     apply,
     check_conditions,
@@ -60,10 +60,6 @@ MAX_SAMPLE_CELLS = 1000 * MAX_FACE_SIZE
 #: triples and 4.3 MB of JSON in about a second; at 1000 it would take
 #: hours.
 MAX_BUILTIN_DIMENSION = 50
-#: Most ``compose`` and ``convex`` levels an operator spec may nest.
-#: Every level adds frames to each evaluation of the map, and a few
-#: hundred levels end in RecursionError.
-MAX_NESTING = 64
 
 
 class MalformedInput(Exception):
@@ -78,15 +74,14 @@ def _load_json(path: str):
         raise MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def build_operator(obj, depth: int = 0) -> VolterraOperator:
+def build_operator(obj) -> VolterraOperator:
     """Construct an operator from a tagged spec object.
 
     Validation failures of the payload (non-skew matrix, bad tensor,
     ...) propagate as ValidationError; structural problems (unknown
     tag, missing fields, a ``dimension`` that is no integer, a
     ``lambda`` that is no number, more than ``MAX_NESTING`` nested
-    ``compose`` and ``convex`` levels) raise MalformedInput.  ``depth``
-    counts the levels that enclose ``obj``.
+    ``compose`` and ``convex`` levels) raise MalformedInput.
     """
     try:
         tag = obj["type"]
@@ -103,15 +98,13 @@ def build_operator(obj, depth: int = 0) -> VolterraOperator:
             return example32()
         if tag == "sine":
             return sine_example()
-        if tag in ("compose", "convex") and depth >= MAX_NESTING:
-            raise MalformedInput(f"operator spec nests more than {MAX_NESTING} compose and convex levels")
         if tag == "compose":
             first, second = obj["operators"]
-            return compose(build_operator(first, depth + 1), build_operator(second, depth + 1))
+            return compose(build_operator(first), build_operator(second))
         if tag == "convex":
             first, second = obj["operators"]
             lam = _read(_value, obj["lambda"], "lambda")
-            return convex_combination(build_operator(first, depth + 1), build_operator(second, depth + 1), lam)
+            return convex_combination(build_operator(first), build_operator(second), lam)
         raise MalformedInput(f"unknown operator type {tag!r}")
     except (ValidationError, MalformedInput):
         raise
@@ -151,17 +144,7 @@ def _sampling(args) -> tuple[FaceSpec, int]:
             f"{args.samples} samples on {len(face)} indices are {cells} masses; "
             f"at most {MAX_SAMPLE_CELLS} are allowed"
         )
-    return face, _resolve_seed(args)
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get("VOLTERRA_SEED", "0")
-    try:
-        return _NONNEGATIVE_INT(text)
-    except argparse.ArgumentTypeError as exc:
-        raise MalformedInput(f"bad VOLTERRA_SEED {text!r}: {exc}") from exc
+    return face, args.seed
 
 
 def _emit(payload, output: str | None) -> None:
@@ -242,9 +225,7 @@ def cmd_invert(args) -> int:
         if op.label == "example32":
             result = inversion.invert_triangular(y, residual_tol=args.tol)
         else:
-            result = inversion.invert_fixed_point(
-                op, y, tol=args.tol, max_iter=args.max_iter, damping=args.damping
-            )
+            result = inversion.invert_fixed_point(op, y, tol=args.tol, max_iter=args.max_iter)
     except NonConvergence as exc:
         result = inversion.InversionResult(
             preimage=exc.best,
@@ -311,7 +292,6 @@ _POSITIVE_INT = _counts(1)
 _DIMENSION = _counts(1, MAX_BUILTIN_DIMENSION)
 _TOLERANCE = _floats(lambda v: v > 0.0, "> 0")
 _MARGIN = _floats(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-_DAMPING = _floats(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -360,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--point", required=True, help="point JSON file")
         if sampling:
             p.add_argument("--samples", type=_POSITIVE_INT, default=1000)
-            p.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
+            p.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     check = sub.add_parser("check", help="sampled validity-condition check on a face")
@@ -381,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(inv, point=True)
     inv.add_argument("--tol", type=_TOLERANCE, default=1e-10)
     inv.add_argument("--max-iter", type=_NONNEGATIVE_INT, default=10_000)
-    inv.add_argument("--damping", type=_DAMPING, default=0.5)
 
     builtin = sub.add_parser("builtin", help="emit a builtin operator spec")
     builtin.add_argument("--name", required=True)
@@ -421,9 +400,6 @@ def main(argv=None) -> int:
     except (ValidationError, TrajectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

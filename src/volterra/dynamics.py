@@ -39,7 +39,6 @@ FIXED_POINT_STEPS = 500
 @dataclass(frozen=True)
 class Trajectory:
     points: tuple[SparsePoint, ...]
-    operator_label: str
     steps: int
     converged: bool
     limit: SparsePoint | None
@@ -71,7 +70,6 @@ def iterate(op: VolterraOperator, x0: SparsePoint, steps: int) -> Trajectory:
             break
     return Trajectory(
         points=tuple(points),
-        operator_label=op.label,
         steps=len(points) - 1,
         converged=converged,
         limit=points[-1] if converged else None,

@@ -50,6 +50,7 @@ simplex; ``check_pair_condition`` samples it the same way.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 
@@ -72,6 +73,10 @@ PAIR_TOLERANCE = 1e-12
 PERTURBATION = 1e-6
 #: Largest l1 response to that nudge the continuity smoke test passes.
 CONTINUITY_BOUND = 1e-3
+#: Most ``compose`` and ``convex`` levels an operator may nest.  Every
+#: level adds frames to each evaluation of the map, and a few hundred
+#: levels end in RecursionError.
+MAX_NESTING = 64
 #: Most vertices the checkers evaluate in one block.  A larger face's
 #: vertices go in pieces, so no block grows with the square of the face.
 _VERTEX_BLOCK = 256
@@ -89,14 +94,16 @@ class GeneratingMap:
     function of a row; use ``np.where`` or a loop over the elements).
     ``max_index`` n, an index, declares the domain 1..n, the face of a
     finite-dimensional operator: points and faces beyond it raise
-    DomainViolation.  Immutable by convention.
+    DomainViolation.  ``depth`` counts the ``compose`` and ``convex``
+    levels the map nests, 0 for any other map.  Immutable by convention.
     """
 
-    __slots__ = ("fn", "max_index")
+    __slots__ = ("fn", "max_index", "depth")
 
     def __init__(self, fn: Callable[[Sequence[int], Sequence], Sequence], max_index: int | None = None):
         self.fn = fn
         self.max_index = None if max_index is None else _read(_index, max_index, "max_index")
+        self.depth = 0
 
     def values(self, X, indices: Sequence[int]):
         """g over ``indices`` at one point or at every column of a block.
@@ -281,12 +288,20 @@ def _perturb_block(X: np.ndarray, size: float, rng: np.random.Generator) -> np.n
 
 
 def _first(values: np.ndarray, better) -> int | None:
-    """Index of the first entry that beats every earlier one under the
-    strict comparison ``better`` (a NaN never does), or None."""
-    start = -np.inf if better is np.greater else np.inf
-    clean = np.where(np.isnan(values), start, values)
-    i = int(np.argmax(clean) if better is np.greater else np.argmin(clean))
-    return i if better(clean[i], start) else None
+    """Index of the worst entry: the first NaN, else the first entry that
+    beats every earlier one under the strict comparison ``better``, or
+    None when every entry is -inf (``np.greater``) or inf (``np.less``)."""
+    nan = np.flatnonzero(np.isnan(values))
+    if len(nan):
+        return int(nan[0])
+    i = int(np.argmax(values) if better is np.greater else np.argmin(values))
+    return i if better(values[i], -np.inf if better is np.greater else np.inf) else None
+
+
+def _worse(value: float, than: float) -> bool:
+    """Whether a pair-functional value beats ``than`` as a maximum: it is
+    larger, or NaN where ``than`` is not."""
+    return value > than or (math.isnan(value) and not math.isnan(than))
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -349,9 +364,10 @@ def check_conditions(
     test, not a certificate.  Points are evaluated as blocks, one column
     per point; the balance adds a point's terms in index order, as
     ``apply`` does.  Ties go to the first point, in the order
-    barycenter, samples, vertices.  Neither the face size nor
-    ``samples`` is bounded here; only the CLI bounds their product
-    (``cli.MAX_SAMPLE_CELLS``).
+    barycenter, samples, vertices.  A NaN value is worse than any
+    number, so the first NaN point is the witness and its verdict fails.
+    Neither the face size nor ``samples`` is bounded here; only the CLI
+    bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
     from .reports import ConditionReport, ConditionVerdict
 
@@ -418,11 +434,13 @@ def check_pair_condition(
     All vertex pairs of the face are always evaluated: counterexamples
     to the pairwise condition typically sit at extremal points.  Ties go
     to the first pair, vertex pairs (a, b) with a <= b in index order
-    first, then the samples.  A failing evaluation raises the exception
-    of the first point that fails, in the order pair by pair evaluation
-    visits them: the vertices in index order, then y before x for each
-    sampled pair.  Neither the face size nor ``samples`` is bounded
-    here; only the CLI bounds their product (``cli.MAX_SAMPLE_CELLS``).
+    first, then the samples; a NaN value beats any number, so the first
+    NaN pair is the witness and the check fails.  A failing evaluation
+    raises the exception of the first point that fails, in the order
+    pair by pair evaluation visits them: the vertices in index order,
+    then y before x for each sampled pair.  Neither the face size nor
+    ``samples`` is bounded here; only the CLI bounds their product
+    (``cli.MAX_SAMPLE_CELLS``).
     """
     from .reports import PairConditionReport
 
@@ -439,7 +457,7 @@ def check_pair_condition(
     sampled = _ordered_sum(np.multiply(x_cols, fy, out=x_cols))
     sampled += _ordered_sum(np.multiply(y_cols, fx, out=y_cols))
     n = _first(sampled, np.greater)
-    if n is not None and sampled[n] > best:  # the samples come after every vertex pair
+    if n is not None and _worse(sampled[n], best):  # the samples come after every vertex pair
         best, witness = float(sampled[n]), tuple(_point_on(indices, B[n].tolist()) for B in (xs, ys))
     return PairConditionReport(face=face, samples=samples, seed=seed, max_value=best, witness=witness)
 
@@ -447,7 +465,8 @@ def check_pair_condition(
 def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[float, tuple[int, int]]:
     """The largest f_a(e_b) + f_b(e_a) over vertex pairs a <= b (as
     positions in ``indices``) and the first pair in index order to reach
-    it; a NaN never wins, and (0, 0) stands in when nothing does.
+    it, where a NaN beats any number; (0, 0) stands in when nothing
+    beats -inf.
 
     The pairs go in pieces of at most two runs of _VERTEX_BLOCK vertices,
     each evaluated on its own indices only: a zero mass adds nothing, so
@@ -471,9 +490,9 @@ def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[fl
             k = _first(pairs[a, b], np.greater)
             if k is None:
                 continue
-            value, pair = pairs[a[k], b[k]], (int(pos[a[k]]), int(pos[b[k]]))
-            if value > best or (value == best and pair < where):
-                best, where = float(value), pair
+            value, pair = float(pairs[a[k], b[k]]), (int(pos[a[k]]), int(pos[b[k]]))
+            if _worse(value, best) or (pair < where and not _worse(best, value)):
+                best, where = value, pair
     return best, where
 
 
@@ -490,8 +509,7 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
         g1 = op1.map.values(image, ks)
         return [b * a for b, a in zip(g2, g1)]
 
-    gmap = GeneratingMap(fn, _common_bound(op1, op2))
-    return VolterraOperator(gmap, label=f"compose({op1.label}, {op2.label})")
+    return VolterraOperator(_nested_map(fn, op1, op2), label=f"compose({op1.label}, {op2.label})")
 
 
 def convex_combination(
@@ -506,10 +524,19 @@ def convex_combination(
         g2 = op2.map.values(X, ks)
         return [lam * a + (1.0 - lam) * b for a, b in zip(g1, g2)]
 
-    gmap = GeneratingMap(fn, _common_bound(op1, op2))
-    return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
+    return VolterraOperator(
+        _nested_map(fn, op1, op2), label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})"
+    )
 
 
-def _common_bound(op1: VolterraOperator, op2: VolterraOperator) -> int | None:
-    """The bound of the domain both operators share: the smaller one."""
-    return min((n for n in (op1.map.max_index, op2.map.max_index) if n is not None), default=None)
+def _nested_map(fn, op1: VolterraOperator, op2: VolterraOperator) -> GeneratingMap:
+    """The map ``fn`` built from op1's and op2's: its domain is the one
+    both share (the smaller bound), and it nests one level deeper than
+    the deeper of theirs.  Past ``MAX_NESTING`` levels, ValueError."""
+    depth = 1 + max(op1.map.depth, op2.map.depth)
+    if depth > MAX_NESTING:
+        raise ValueError(f"operator nests more than {MAX_NESTING} compose and convex levels")
+    bounds = [n for n in (op1.map.max_index, op2.map.max_index) if n is not None]
+    gmap = GeneratingMap(fn, min(bounds, default=None))
+    gmap.depth = depth
+    return gmap

@@ -9,15 +9,15 @@ route is a damped coordinate iteration
 
     x_k  <-  normalize( (1-lam)*x_k + lam * y_k / g_k(x) ),  g_k = 1 + f_k,
 
-started at the target itself, with lam halved whenever the residual
-would increase, so the current iterate is always the best one so far.
-The sweeps run on float lists aligned with the target's support, and a
-point is built only once, at exit.  When the sweeps stall (the residual
-has not fallen by the factor its damping allows over ``STALL_SWEEPS``
-sweeps, or the damping has reached its floor), Levenberg-Marquardt steps
-in the simplex's tangent space finish the search from the best iterate,
-with a finite-difference Jacobian taken as one block call of the map,
-on supports of at most ``NEWTON_MAX_SUPPORT`` indices.  They invert, for
+started at the target itself with lam = 1/2, halved whenever the
+residual would increase, so the current iterate is always the best one
+so far.  The sweeps run on float lists aligned with the target's
+support, and a point is built only once, at exit.  When the sweeps
+stall (the residual has not halved over ``STALL_SWEEPS`` sweeps, or lam
+has reached its floor), Levenberg-Marquardt steps in the simplex's
+tangent space finish the search from the best iterate, with a
+finite-difference Jacobian taken as one block call of the map, on
+supports of at most ``NEWTON_MAX_SUPPORT`` indices.  They invert, for
 instance, the example32 images on which the sweeps alone stall.  Still
 no route guarantees convergence: a failure raises ``NonConvergence``
 with the best iterate, its exact residual and the method that ran, so
@@ -37,7 +37,7 @@ from .simplex import SparsePoint, _checked_all, _checked_mass, _normalized, _poi
 
 #: Sweeps between two stall checks of ``invert_fixed_point``.
 STALL_SWEEPS = 20
-#: Damping below which a sweep cannot move the iterate measurably.
+#: Damping lam below which a sweep cannot move the iterate measurably.
 DAMPING_FLOOR = 1e-14
 #: Length of the finite-difference step along a tangent direction.
 FD_STEP = 1e-7
@@ -126,52 +126,41 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
 
 
 def invert_fixed_point(
-    op: VolterraOperator,
-    y: SparsePoint,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    damping: float = 0.5,
+    op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: int = 10_000
 ) -> InversionResult:
     """Damped fixed-point search for a preimage of y under op, finished
     by Newton steps when the sweeps stall.
 
     Starts at x = y (feasible, and close to the preimage when the
     generating map is small).  Each sweep mixes the current iterate with
-    y_k / g_k(x) over the support of y and renormalizes; a sweep
-    that would increase the residual is rejected and the damping factor
-    halved instead, so the iterate is always the best one so far.
-    Support never extends beyond the support of y.  Each sweep evaluates
-    g once, at the trial point, over the support of y; the forward image
-    and the next sweep reuse those values.  The sweeps work on float
-    lists aligned with the support of y, checked and renormalized as
-    ``make_point`` would, and the residual is the ``l1_distance`` of the
-    forward image from y, summed in its order; a point is built only for
-    the result or for ``NonConvergence.best``.
+    y_k / g_k(x) over the support of y, with damping lam = 1/2 at the
+    start, and renormalizes; a sweep that would increase the residual is
+    rejected and lam halved instead, so the iterate is always the best
+    one so far.  Support never extends beyond the support of y.  Each
+    sweep evaluates g once, at the trial point, over the support of y;
+    the forward image and the next sweep reuse those values.  The sweeps
+    work on float lists aligned with the support of y, checked and
+    renormalized as ``make_point`` would, and the residual is the
+    ``l1_distance`` of the forward image from y, summed in its order; a
+    point is built only for the result or for ``NonConvergence.best``.
 
     Every ``STALL_SWEEPS`` sweeps the residual is compared with its value
-    that many sweeps before.  A sweep moves the iterate only a fraction
-    ``damping`` of the way to the undamped update, so the fall it can
-    reach in the log of the residual shrinks in proportion to the
-    damping: the residual must fall by the factor 2 at damping 1/2 or
-    more and by 2^(2*damping) below.  If it has not, or the damping has
-    fallen below ``DAMPING_FLOOR``, the search continues from the best
-    iterate with ``_newton_steps`` and reports method ``"newton"``.
-    Sweeps and Newton trials share ``max_iter``.  On a support of more
-    than ``NEWTON_MAX_SUPPORT`` indices the sweeps go on instead, and
-    the damping floor raises ``NonConvergence``.
+    that many sweeps before, and must have at least halved.  If it has
+    not, or lam has fallen below ``DAMPING_FLOOR``, the search continues
+    from the best iterate with ``_newton_steps`` and reports method
+    ``"newton"``.  Sweeps and Newton trials share ``max_iter``.  On a
+    support of more than ``NEWTON_MAX_SUPPORT`` indices the sweeps go on
+    instead, and the floor of lam raises ``NonConvergence``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
     _check_domain(op, y.support, "point support")
     support, target = y.support, y.masses
-    lam = damping
+    lam = 0.5
     xm = target  # masses of the iterate, aligned with the support of y
     gx = op.map.values(xm, support)
     residual = _image_residual(support, xm, gx, target)
     checkpoint = residual  # the residual STALL_SWEEPS sweeps before
-    stall_ratio = 0.5 ** min(1.0, 2.0 * damping)
     newton = len(support) <= NEWTON_MAX_SUPPORT
     iterations = 0
     while residual > tol:
@@ -183,7 +172,7 @@ def invert_fixed_point(
             )
         stalled = floored
         if iterations and iterations % STALL_SWEEPS == 0:
-            stalled = stalled or residual > stall_ratio * checkpoint
+            stalled = stalled or residual > 0.5 * checkpoint
             checkpoint = residual
         if stalled and newton:
             return _newton_steps(op, y, xm, residual, iterations, tol, max_iter)

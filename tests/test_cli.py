@@ -286,7 +286,7 @@ def test_nesting_is_bounded(capsys, tmp_path, tag):
         capsys.readouterr()
         assert main([command, "--operator", past, *rest]) == 3, command
         assert error_lines(capsys) == [
-            f"error: operator spec nests more than {cli.MAX_NESTING} compose and convex levels"
+            f"error: bad operator spec: operator nests more than {cli.MAX_NESTING} compose and convex levels"
         ]
 
 
@@ -336,8 +336,6 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
         ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "0"],
         ["check", "--operator", ex31_spec, "--face", "1,2", "--seed", "-1"],
         ["invert", "--operator", ex31_spec, "--point", point, "--tol", "0"],
-        ["invert", "--operator", ex31_spec, "--point", point, "--damping", "2"],
-        ["invert", "--operator", ex31_spec, "--point", point, "--damping", "nan"],
         ["builtin", "--name", "example31", "--dimension", "0"],
         ["builtin", "--name", "example31", "--dimension", str(cli.MAX_BUILTIN_DIMENSION + 1)],
         ["check", "--operator", ex31_spec, "--face", "1,2", "--margin", "nan"],
@@ -371,7 +369,6 @@ def test_malformed_inputs_exit_three(capsys, tmp_path, ex31_spec):
     # surrounding whitespace: float() alone would read each of these texts.
     floats = {
         "--tol": ["invert", "--operator", ex31_spec, "--point", point],
-        "--damping": ["invert", "--operator", ex31_spec, "--point", point],
         "--margin": ["check", "--operator", ex31_spec, "--face", "1,2"],
     }
     for option, argv in floats.items():
@@ -497,44 +494,43 @@ def test_missing_required_flag_exits_three(capsys):
     assert info.value.code == 3
 
 
-def test_seed_env_override(capsys, ex31_spec, monkeypatch):
-    monkeypatch.setenv("VOLTERRA_SEED", "7")
-    code, out = run(
-        capsys, ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "50"]
-    )
-    assert code == 0
-    assert json.loads(out)["seed"] == 7
-
-    code, out = run(
-        capsys,
-        ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "50", "--seed", "3"],
-    )
-    assert json.loads(out)["seed"] == 3
-
-    for text in ("-1", *NEAR_COUNTS):
+def test_seed_is_the_option_or_zero(capsys, ex31_spec, monkeypatch):
+    """The seed comes from --seed alone; the environment plays no part."""
+    argv = ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "50"]
+    for text in ("7", "1_0"):
         monkeypatch.setenv("VOLTERRA_SEED", text)
-        assert main(["check", "--operator", ex31_spec, "--face", "1,2"]) == 3, text
-        assert error_lines(capsys) == [f"error: bad VOLTERRA_SEED {text!r}: must be ASCII decimal digits "
-                                       f"naming an integer in [0, {sys.maxsize}], got {text!r}"]
+        code, out = run(capsys, argv)
+        assert code == 0, text
+        assert json.loads(out)["seed"] == 0
+        assert out == run(capsys, argv + ["--seed", "0"])[1]
+        code, out = run(capsys, argv + ["--seed", "3"])
+        assert (code, json.loads(out)["seed"]) == (0, 3)
 
 
-def test_main_calls_are_independent(capsys, tmp_path, ex31_spec, monkeypatch):
+def test_damping_is_no_option(capsys, ex31_spec, tmp_path):
+    point = write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5})
+    with pytest.raises(SystemExit) as info:
+        main(["invert", "--operator", ex31_spec, "--point", point, "--damping", "0.5"])
+    assert info.value.code == 3
+    assert error_lines(capsys) == ["error: unrecognized arguments: --damping 0.5"]
+
+
+def test_main_calls_are_independent(capsys, tmp_path, ex31_spec):
     """The parser is built once per process; each call still parses its
-    own arguments and reads VOLTERRA_SEED when it runs."""
+    own arguments, and an option it leaves out takes its default."""
     argv = ["check", "--operator", ex31_spec, "--face", "1,2", "--samples", "20"]
-    monkeypatch.setenv("VOLTERRA_SEED", "11")
-    code, first = run(capsys, argv)
+    code, first = run(capsys, argv + ["--seed", "11"])
     assert code == 0
-    monkeypatch.setenv("VOLTERRA_SEED", "12")
-    code, second = run(capsys, argv + ["--margin", "1e-6"])
+    code, second = run(capsys, argv + ["--seed", "12", "--margin", "1e-6"])
     assert code == 0
     first, second = json.loads(first), json.loads(second)
     assert (first["seed"], second["seed"]) == (11, 12)
     assert (first["margin"], second["margin"]) == (1e-9, 1e-6)
     assert first["conditions"] != second["conditions"]
     # The first call's report does not change with what came after it.
-    monkeypatch.setenv("VOLTERRA_SEED", "11")
-    assert json.loads(run(capsys, argv)[1]) == first
+    assert json.loads(run(capsys, argv + ["--seed", "11"])[1]) == first
+    code, third = run(capsys, argv)
+    assert (code, json.loads(third)["seed"], json.loads(third)["margin"]) == (0, 0, 1e-9)
     point = write_json(tmp_path / "point.json", {"1": 0.5, "2": 0.5})
     code, out = run(capsys, ["apply", "--operator", ex31_spec, "--point", point])
     assert (code, json.loads(out)) == (0, {"1": 0.5, "2": 0.5})

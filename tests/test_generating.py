@@ -28,6 +28,7 @@ from volterra import (
     vertex,
 )
 from volterra import generating
+from volterra.simplex import _point_on, sample_face_block
 from helpers import linear_operator_from_cells, rand_point, rand_point_on_pool, rand_skew_operator
 
 
@@ -388,24 +389,82 @@ def test_one_dimensional_row_is_one_point():
         assert one_point == op.map.values(point.masses, point.support)
 
 
-def test_nan_values_never_win():
-    def fn(ks, X):  # example31, but NaN wherever x_1 > 0.5
-        x1 = dict(zip(ks, X)).get(1, 0.0)
-        sq = 0.0
-        for m in X:
-            sq = sq + m * m
-        nan = np.where(np.asarray(x1) > 0.5, np.nan, 0.0)
-        return [1.0 + (m - sq) + nan for m in X]
+def test_nan_values_fail_at_the_first_nan_point():
+    # NaN is the worst value: the first NaN point or pair in visiting order
+    # is the witness, and its verdict fails.
+    face = FaceSpec.prefix(3)
+    report = check_conditions(constant_map_operator(float("nan")), face, samples=50, seed=4)
+    for verdict in report.verdicts:
+        assert not verdict.passed
+        assert np.isnan(verdict.worst_value)
+        assert verdict.witness == face.barycenter()
+    pair = check_pair_condition(constant_map_operator(float("nan")), face, samples=50, seed=4)
+    assert not pair.passed
+    assert np.isnan(pair.max_value)
+    assert pair.witness == (vertex(1), vertex(1))
+
+    def fn(ks, X):  # g = 1, but NaN wherever 1/2 < x_1 < 1: at no vertex
+        x1 = np.asarray(dict(zip(ks, X)).get(1, 0.0))
+        nan = np.where((x1 > 0.5) & (x1 < 1.0), np.nan, 0.0)
+        return [1.0 + nan for _ in X]
 
     op = VolterraOperator(GeneratingMap(fn), label="partly_nan")
-    face = FaceSpec.prefix(3)
-    report = check_conditions(op, face, samples=300, seed=4)
+    samples, seed = 300, 4
+    rng = np.random.default_rng(seed)
+    interior = np.vstack((np.full((1, 3), 1.0 / 3.0), sample_face_block(face, rng, samples)))
+    nudged = generating._perturb_block(interior, generating.PERTURBATION, rng)
+
+    def first(*blocks):
+        n = np.flatnonzero(np.any([(B[:, 0] > 0.5) & (B[:, 0] < 1.0) for B in blocks], axis=0))[0]
+        return [_point_on(face.indices, B[n].tolist()) for B in blocks]
+
+    report = check_conditions(op, face, samples=samples, seed=seed)
     for verdict in report.verdicts:
-        assert np.isfinite(verdict.worst_value)
-        assert verdict.witness.mass(1) <= 0.5
-    pair = check_pair_condition(op, face, samples=300, seed=4)
-    assert np.isfinite(pair.max_value)
-    assert all(p.mass(1) <= 0.5 for p in pair.witness)
+        assert not verdict.passed
+        assert np.isnan(verdict.worst_value)
+    assert report.continuity.witness == first(interior, nudged)[0]
+    for verdict in report.verdicts[1:]:
+        assert verdict.witness == first(interior)[0]
+    drawn = sample_face_block(face, np.random.default_rng(seed), 2 * samples)
+    pair = check_pair_condition(op, face, samples=samples, seed=seed)
+    assert not pair.passed
+    assert np.isnan(pair.max_value)
+    assert pair.witness == tuple(first(drawn[0::2], drawn[1::2]))
+
+
+@pytest.mark.parametrize("block", [2, 256])
+def test_the_first_nan_vertex_pair_in_index_order_wins(monkeypatch, block):
+    # f_2(e_2) and f_1(e_3) are NaN, so pairs (2, 2) and (1, 3) are; with
+    # two vertices a piece, (2, 2) is found first but (1, 3) comes first.
+    def fn(ks, X):
+        x = dict(zip(ks, X))
+        hit = {2: x.get(2, 0.0), 1: x.get(3, 0.0)}
+        return [np.where(np.asarray(hit[k]) == 1.0, np.nan, 1.0) if k in hit else 1.0 for k in ks]
+
+    monkeypatch.setattr(generating, "_VERTEX_BLOCK", block)
+    pair = check_pair_condition(VolterraOperator(GeneratingMap(fn)), FaceSpec.prefix(4), samples=20, seed=1)
+    assert np.isnan(pair.max_value)
+    assert pair.witness == (vertex(1), vertex(3))
+
+
+def test_python_nesting_is_bounded():
+    # Every level adds frames to each map call, and a few hundred levels
+    # end apply in RecursionError, so building past the bound raises.
+    deep = example31()
+    for _ in range(generating.MAX_NESTING):
+        deep = compose(example31(), deep)
+    assert deep.map.depth == generating.MAX_NESTING
+    x = make_point({1: 0.5, 2: 0.5})
+    assert apply(deep, x) == x
+    message = f"operator nests more than {generating.MAX_NESTING} compose and convex levels"
+    for build in (
+        lambda: compose(example31(), deep),
+        lambda: compose(deep, example31()),
+        lambda: convex_combination(example31(), deep, 0.5),
+        lambda: convex_combination(deep, deep, 0.5),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])

@@ -304,17 +304,16 @@ def _points(max_index: int):
     name=st.sampled_from(["example31", "example32", "skew"]),
     x=_points(8),
     seed=st.integers(0, 2**32 - 1),
-    damping=st.sampled_from([1.0, 0.5, 0.2]),
     max_iter=st.sampled_from([0, 3, 200]),
 )
-def test_fixed_point_residual_is_the_distance_of_the_reported_point(name, x, seed, damping, max_iter):
+def test_fixed_point_residual_is_the_distance_of_the_reported_point(name, x, seed, max_iter):
     if name == "skew":
         _, op = rand_skew_operator(np.random.default_rng(seed), 8)
     else:
         op = example31() if name == "example31" else example32()
     y = apply(op, x)
     try:
-        result = invert_fixed_point(op, y, damping=damping, max_iter=max_iter)
+        result = invert_fixed_point(op, y, max_iter=max_iter)
     except NonConvergence as exc:
         assert exc.residual == l1_distance(apply(op, exc.best), y)
         assert exc.iterations <= max_iter
@@ -1072,7 +1071,6 @@ _OPTIONS = {
     "--max-iter": (simplex._count, lambda v: v >= 0),
     "--dimension": (simplex._count, lambda v: 1 <= v <= cli.MAX_BUILTIN_DIMENSION),
     "--tol": (simplex._number, lambda v: v > 0.0),
-    "--damping": (simplex._number, lambda v: 0.0 < v <= 1.0),
     "--margin": (simplex._number, lambda v: 0.0 <= v < math.inf),
 }
 #: option -> a command line it belongs to; OP and POINT name valid files.
@@ -1083,7 +1081,6 @@ _HOSTS = {
     "--max-iter": ["invert", "--operator", "OP", "--point", "POINT"],
     "--dimension": ["builtin", "--name", "example31"],
     "--tol": ["invert", "--operator", "OP", "--point", "POINT"],
-    "--damping": ["invert", "--operator", "OP", "--point", "POINT"],
     "--margin": ["check", "--operator", "OP", "--face", "1,2", "--samples", "5"],
 }
 #: Commands that write a report, each on valid inputs.

@@ -9,6 +9,7 @@ from volterra import (
     NonConvergence,
     ResidualTooLarge,
     apply,
+    convex_combination,
     example31,
     example32,
     identity_operator,
@@ -165,12 +166,16 @@ def test_invert_fixed_point_non_convergence_reports_best():
     assert abs(err.best.total() - 1.0) <= 1e-9
 
 
-def test_default_schedule_converges_by_sweeping():
-    # Well-conditioned sweeps halve the residual well within STALL_SWEEPS
-    # sweeps, so they must not hand over to Newton steps.
+@pytest.mark.parametrize("damping", [1.0, 0.5, 0.1, 0.02, 0.01, 0.005])
+def test_small_damping_still_converges_by_sweeping(damping):
+    # The operator is damped toward the identity, g = damping*g_op +
+    # (1 - damping)*1; damping 1.0 is op itself.  Well-conditioned sweeps
+    # halve the residual well within STALL_SWEEPS sweeps at every damping,
+    # so they must not hand over to Newton steps.
     rng = np.random.default_rng(4)
     _, skew = rand_skew_operator(rng, 8)
-    for op in (example31(), skew):
+    for base in (example31(), skew):
+        op = convex_combination(base, identity_operator(), damping)
         x = rand_point(rng, range(1, 9))
         result = invert_fixed_point(op, apply(op, x))
         assert result.method == "fixed_point"

@@ -50,7 +50,7 @@ from .errors import (
     RowSumViolation,
     UndefinedTriple,
 )
-from .generating import NORMALIZATION_TOLERANCE, GeneratingMap, VolterraOperator
+from .generating import NORMALIZATION_TOLERANCE, VolterraOperator, _continuous_map
 from .simplex import SparsePoint, _index, _key, _read, _total, _value
 
 #: Tolerance for row sums and permutation consistency of tensors.
@@ -273,7 +273,7 @@ def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
             out.append(xk * xk + 3.0 * xk * linear + 3.0 * squares + 6.0 * cross)
         return out
 
-    return VolterraOperator(GeneratingMap(fn, n), label=f"cubic_tensor(n={n})")
+    return VolterraOperator(_continuous_map(fn, n), label=f"cubic_tensor(n={n})")
 
 
 def _raise_first_undefined(p: CubicTensor) -> None:
@@ -312,7 +312,7 @@ def example31(dimension: int | None = None) -> VolterraOperator:
             sq = sq + m * m
         return [1.0 + (m - sq) for m in X]
 
-    return VolterraOperator(GeneratingMap(fn, dimension), label="example31")
+    return VolterraOperator(_continuous_map(fn, dimension), label="example31")
 
 
 def example31_tensor(dimension: int) -> CubicTensor:
@@ -361,7 +361,7 @@ def example32() -> VolterraOperator:
             s2 = s2 + xk * xk
         return out
 
-    return VolterraOperator(GeneratingMap(fn), label="example32")
+    return VolterraOperator(_continuous_map(fn), label="example32")
 
 
 def image_tail_sum(k: int, x: SparsePoint) -> float:
@@ -448,7 +448,7 @@ def sine_example() -> VolterraOperator:
         f2 = _per_element(lambda a, b, v: a * v / b if b > 0.0 else math.pi, x1, x2, s)
         return [1.0 - s if k == 1 else 1.0 + f2 if k == 2 else 1.0 for k in ks]
 
-    return VolterraOperator(GeneratingMap(fn, 2), label="sine")
+    return VolterraOperator(_continuous_map(fn, 2), label="sine")
 
 
 def tensor_to_obj(p: CubicTensor) -> list[dict]:

@@ -27,7 +27,9 @@ numpy.
 V maps the simplex into itself, continuously and with every face
 invariant, exactly when the generating map satisfies four conditions:
 
-    1. f is continuous (checked here only by a perturbation smoke test);
+    1. f is continuous (certified for the library's own maps, which are
+       continuous by construction; any other map gets a perturbation
+       smoke test, which cannot prove it);
     2. f_k(x) >= -1 for every k;
     3. sum_k x_k * f_k(x) = 0 for every x;
     4. f_k(x) > -1 strictly on the relative interior of every face.
@@ -95,15 +97,21 @@ class GeneratingMap:
     ``max_index`` n, an index, declares the domain 1..n, the face of a
     finite-dimensional operator: points and faces beyond it raise
     DomainViolation.  ``depth`` counts the ``compose`` and ``convex``
-    levels the map nests, 0 for any other map.  Immutable by convention.
+    levels the map nests, 0 for any other map.  ``continuous`` is False
+    on a map made here; the library sets it on the maps it builds from
+    continuous pieces (polynomials, the sine map, the identity, and
+    ``compose`` and ``convex`` of two such maps), whose continuity
+    ``check_conditions`` then certifies instead of testing it.
+    Immutable by convention.
     """
 
-    __slots__ = ("fn", "max_index", "depth")
+    __slots__ = ("fn", "max_index", "depth", "continuous")
 
     def __init__(self, fn: Callable[[Sequence[int], Sequence], Sequence], max_index: int | None = None):
         self.fn = fn
         self.max_index = None if max_index is None else _read(_index, max_index, "max_index")
         self.depth = 0
+        self.continuous = False
 
     def values(self, X, indices: Sequence[int]):
         """g over ``indices`` at one point or at every column of a block.
@@ -145,7 +153,15 @@ class VolterraOperator:
 
 def identity_operator() -> VolterraOperator:
     """The operator with g identically one; applies as the identity."""
-    return VolterraOperator(GeneratingMap(lambda ks, X: [1.0] * len(ks)), label="identity")
+    return VolterraOperator(_continuous_map(lambda ks, X: [1.0] * len(ks)), label="identity")
+
+
+def _continuous_map(fn, max_index: int | None = None) -> GeneratingMap:
+    """``GeneratingMap(fn, max_index)`` marked continuous: for the
+    library's maps, whose bodies are continuous by construction."""
+    gmap = GeneratingMap(fn, max_index)
+    gmap.continuous = True
+    return gmap
 
 
 def _check_domain(op: VolterraOperator, indices: Sequence[int], what: str) -> None:
@@ -358,16 +374,23 @@ def check_conditions(
     vertices and barycenter are always evaluated as well (vertices for
     the two boundary-safe conditions, the barycenter for all four).
     The strict interior bound is tested against -1 + margin; an exact
-    boundary hit counts as a failure.  The continuity check perturbs
-    each sample by at most PERTURBATION in l1 and flags generating
-    maps whose response exceeds CONTINUITY_BOUND; it is a smoke
-    test, not a certificate.  Points are evaluated as blocks, one column
-    per point; the balance adds a point's terms in index order, as
-    ``apply`` does.  Ties go to the first point, in the order
-    barycenter, samples, vertices.  A NaN value is worse than any
-    number, so the first NaN point is the witness and its verdict fails.
-    Neither the face size nor ``samples`` is bounded here; only the CLI
-    bounds their product (``cli.MAX_SAMPLE_CELLS``).
+    boundary hit counts as a failure.  The continuity of a map the
+    library built (``GeneratingMap.continuous``) is certified: its
+    verdict passes with worst value 0.0 and ``certified`` set, and no
+    point is evaluated for it; its witness is the barycenter, the first
+    point, which a response of 0.0 at every point would name too.  Any
+    other map gets a smoke test, not a certificate: each sample is
+    perturbed by at most PERTURBATION in l1, and a response above
+    CONTINUITY_BOUND fails.
+    The perturbation is drawn after the samples, so both kinds of map
+    get the same samples and the same verdicts on conditions 2-4.
+    Points are evaluated as blocks, one column per point; the balance
+    adds a point's terms in index order, as ``apply`` does.  Ties go to
+    the first point, in the order barycenter, samples, vertices.  A NaN
+    value is worse than any number, so the first NaN point is the
+    witness and its verdict fails.  Neither the face size nor
+    ``samples`` is bounded here; only the CLI bounds their product
+    (``cli.MAX_SAMPLE_CELLS``).
     """
     from .reports import ConditionReport, ConditionVerdict
 
@@ -378,8 +401,10 @@ def check_conditions(
     indices = face.indices
     d = len(indices)
     interior = np.vstack((np.full((1, d), 1.0 / d), sample_face_block(face, rng, samples)))
-    nudged = _perturb_block(interior, PERTURBATION, rng)
-    (x_in, f_in), (_, f_nudged) = _evaluate(op.map, indices, interior, nudged)
+    blocks = [interior]
+    if not op.map.continuous:
+        blocks.append(_perturb_block(interior, PERTURBATION, rng))
+    (x_in, f_in), *nudged = _evaluate(op.map, indices, *blocks)
     # Interior points first, then vertices: the order points are probed in.
     lowest = [f_in.min(axis=0)]
     balance = [_ordered_sum(np.multiply(x_in, f_in, out=x_in))]
@@ -389,10 +414,6 @@ def check_conditions(
         balance.append(_ordered_sum(np.multiply(x_vert, f_vert, out=x_vert)))
     lowest = np.concatenate(lowest)
     balance = np.abs(np.concatenate(balance))
-    # Each point's |df| goes back to a C-ordered row, in the spent nudged
-    # block, and is summed as numpy sums such a row.
-    f_nudged -= f_in
-    wobble = np.abs(f_nudged.T, out=nudged).sum(axis=1)
     probed = len(interior)
 
     def verdict(name, values, better, passes, smoke_test=False):
@@ -410,13 +431,24 @@ def check_conditions(
             smoke_test=smoke_test,
         )
 
+    if nudged:
+        # Each point's |df| goes back to a C-ordered row, in the spent
+        # nudged block, and is summed as numpy sums such a row.
+        ((_, f_nudged),) = nudged
+        f_nudged -= f_in
+        wobble = np.abs(f_nudged.T, out=blocks[1]).sum(axis=1)
+        continuity = verdict("continuity_smoke", wobble, np.greater,
+                             lambda w: w <= CONTINUITY_BOUND, smoke_test=True)
+    else:
+        continuity = ConditionVerdict(
+            condition="continuity_smoke", passed=True, worst_value=0.0, witness=face.barycenter(), certified=True
+        )
     return ConditionReport(
         face=face,
         samples=samples,
         seed=seed,
         margin=margin,
-        continuity=verdict("continuity_smoke", wobble, np.greater,
-                           lambda w: w <= CONTINUITY_BOUND, smoke_test=True),
+        continuity=continuity,
         lower_bound=verdict("mass_lower_bound", lowest, np.less,
                             lambda w: w >= -1.0 - NEGATIVE_TOLERANCE),
         balance=verdict("weighted_balance", balance, np.greater,
@@ -532,11 +564,13 @@ def convex_combination(
 def _nested_map(fn, op1: VolterraOperator, op2: VolterraOperator) -> GeneratingMap:
     """The map ``fn`` built from op1's and op2's: its domain is the one
     both share (the smaller bound), and it nests one level deeper than
-    the deeper of theirs.  Past ``MAX_NESTING`` levels, ValueError."""
+    the deeper of theirs; it is continuous when both of theirs are.
+    Past ``MAX_NESTING`` levels, ValueError."""
     depth = 1 + max(op1.map.depth, op2.map.depth)
     if depth > MAX_NESTING:
         raise ValueError(f"operator nests more than {MAX_NESTING} compose and convex levels")
     bounds = [n for n in (op1.map.max_index, op2.map.max_index) if n is not None]
     gmap = GeneratingMap(fn, min(bounds, default=None))
     gmap.depth = depth
+    gmap.continuous = op1.map.continuous and op2.map.continuous
     return gmap

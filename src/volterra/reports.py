@@ -16,13 +16,16 @@ from .simplex import FaceSpec, SparsePoint, point_to_obj
 
 @dataclass(frozen=True)
 class ConditionVerdict:
-    """Outcome of one condition over the evaluated point set."""
+    """Outcome of one condition over the evaluated point set, or, with
+    ``certified`` set, a condition that holds by construction and was
+    not sampled (worst value 0.0 at the face's barycenter)."""
 
     condition: str
     passed: bool
     worst_value: float
     witness: SparsePoint | None
     smoke_test: bool = False
+    certified: bool = False
 
     def to_obj(self) -> dict:
         return {
@@ -31,6 +34,7 @@ class ConditionVerdict:
             "worst_value": self.worst_value,
             "witness": None if self.witness is None else point_to_obj(self.witness),
             "smoke_test": self.smoke_test,
+            "certified": self.certified,
         }
 
 

@@ -15,13 +15,16 @@ from volterra import (
     compose,
     convex_combination,
     example31,
+    example31_tensor,
     example32,
     identity_operator,
     invert_fixed_point,
     is_fixed_point,
     l1_distance,
     make_point,
+    operator_from_tensor,
     pair_condition_value,
+    point_to_obj,
     quadratic_operator,
     sine_example,
     validate_matrix,
@@ -164,9 +167,21 @@ def test_condition_report_serialization():
         "weighted_balance",
         "interior_strict_bound",
     ]
-    for entry in obj["conditions"]:
+    continuity, *sampled = obj["conditions"]
+    # example31 is continuous by construction: its continuity is certified,
+    # not sampled, at worst value 0.0 with the barycenter as witness.
+    assert continuity == {
+        "condition": "continuity_smoke",
+        "passed": True,
+        "worst_value": 0.0,
+        "witness": {"1": 0.5, "2": 0.5},
+        "smoke_test": False,
+        "certified": True,
+    }
+    for entry in sampled:
         assert entry["passed"] is True
         assert entry["witness"] is not None
+        assert entry["smoke_test"] is False and entry["certified"] is False
 
 
 def test_pair_condition_frozen_values():
@@ -490,3 +505,67 @@ def test_vertex_pieces_give_the_same_reports(monkeypatch, block):
         for op, face in zip(ops, faces)
     ]
     assert repr(actual) == repr(expected)
+
+
+def _library_families():
+    """One operator of each family the library builds, with a face."""
+    _, skew = rand_skew_operator(np.random.default_rng(8), 5)
+    return {
+        "example31": (example31(), FaceSpec.prefix(5)),
+        "example32": (example32(), FaceSpec.prefix(5)),
+        "sine": (sine_example(), FaceSpec.of((1, 2))),
+        "tensor": (operator_from_tensor(example31_tensor(4)), FaceSpec.prefix(4)),
+        "skew": (skew, FaceSpec.prefix(5)),
+        "identity": (identity_operator(), FaceSpec.prefix(3)),
+        "compose": (compose(example31(), skew), FaceSpec.prefix(5)),
+        "convex": (convex_combination(example32(), skew, 0.3), FaceSpec.prefix(5)),
+    }
+
+
+def _bare(op: VolterraOperator) -> VolterraOperator:
+    """op's map body and domain in a map built by hand."""
+    return VolterraOperator(GeneratingMap(op.map.fn, op.map.max_index), label=op.label)
+
+
+@pytest.mark.parametrize("family", list(_library_families()))
+def test_library_maps_are_certified_continuous(family):
+    op, face = _library_families()[family]
+    assert op.map.continuous is True
+    continuity = check_conditions(op, face, samples=60, seed=5).continuity
+    assert continuity.to_obj() == {
+        "condition": "continuity_smoke",
+        "passed": True,
+        "worst_value": 0.0,
+        "witness": point_to_obj(face.barycenter()),
+        "smoke_test": False,
+        "certified": True,
+    }
+
+
+@pytest.mark.parametrize("family", list(_library_families()))
+def test_certifying_leaves_the_sampled_conditions_as_they_are(family):
+    op, face = _library_families()[family]
+    certified = check_conditions(op, face, samples=60, seed=5).to_obj()
+    smoked = check_conditions(_bare(op), face, samples=60, seed=5).to_obj()
+    assert smoked["conditions"][0]["smoke_test"] is True
+    del certified["conditions"][0], smoked["conditions"][0]
+    assert certified == smoked  # conditions 2-4, face, samples, seed, margin, all_passed
+
+
+def test_hand_built_maps_keep_the_smoke_test():
+    face = FaceSpec.prefix(3)
+    bare = _bare(example31())
+    assert GeneratingMap(bare.map.fn).continuous is False
+    ops = [
+        bare,
+        compose(example31(), bare),
+        compose(bare, example31()),
+        convex_combination(example31(), bare, 0.5),
+        convex_combination(bare, identity_operator(), 0.5),
+    ]
+    for op in ops:
+        assert op.map.continuous is False
+        continuity = check_conditions(op, face, samples=60, seed=5).continuity
+        assert continuity.smoke_test is True and continuity.certified is False
+        assert continuity.passed and continuity.witness is not None
+        assert 0.0 < continuity.worst_value <= generating.CONTINUITY_BOUND

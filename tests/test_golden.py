@@ -2,12 +2,15 @@
 
 Covers ``check_conditions`` and ``check_pair_condition`` for seven
 operators, seeds 0-2, 200 samples (sine on its face {1, 2}, the others
-on 1..6); ``apply`` of every operator family at one seeded point; and
-``invert_fixed_point`` on five targets: two that converge at once, one
-example32 run that rejects sweeps and halves its damping before it
-converges, and two example32 runs on which the sweeps stall and Newton
-steps finish (the sweeps alone ended in ``NonConvergence``, at
-``max_iter`` and at the damping floor; the keys keep those names).
+on 1..6); every one of them is built by the library, so each continuity
+verdict is the certified one (worst value 0.0 at the barycenter) and the
+samples are pinned by the other three verdicts; ``apply`` of every
+operator family at one seeded point; and ``invert_fixed_point`` on
+five targets: two that converge at once, one example32 run that rejects
+sweeps and halves its damping before it converges, and two example32
+runs on which the sweeps stall and Newton steps finish (the sweeps
+alone ended in ``NonConvergence``, at ``max_iter`` and at the damping
+floor; the keys keep those names).
 Regenerate only for an intended change of results:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """

@@ -12,7 +12,8 @@ Commands::
 All inputs and reports are JSON (trajectories are JSON Lines).  Exit
 codes: 0 success/pass, 1 validation or condition failure, 2
 non-convergence, 3 malformed input or an unwritable --output, 141 a
-closed stdout.  The seed of a sampled check is --seed, 0 by default.
+closed stdout.  ``check`` and ``pair-check`` share one body; the seed of
+a sampled check is --seed, 0 by default.
 
 ``quadratic``, ``dynamics`` and ``inversion`` are imported by the code
 that uses them, when it runs, so ``apply`` on a formula operator loads
@@ -127,26 +128,6 @@ def _load_point(path: str) -> SparsePoint:
         raise MalformedInput(f"bad point file {path}: {exc}") from exc
 
 
-def _parse_face(text: str) -> FaceSpec:
-    try:
-        return FaceSpec.parse(text)
-    except ValueError as exc:
-        raise MalformedInput(f"bad face {text!r}: {exc}") from exc
-
-
-def _sampling(args) -> tuple[FaceSpec, int]:
-    """The face and seed of a sampled check; MalformedInput when
-    ``--samples`` points on the face exceed ``MAX_SAMPLE_CELLS`` masses."""
-    face = _parse_face(args.face)
-    cells = args.samples * len(face)
-    if cells > MAX_SAMPLE_CELLS:
-        raise MalformedInput(
-            f"{args.samples} samples on {len(face)} indices are {cells} masses; "
-            f"at most {MAX_SAMPLE_CELLS} are allowed"
-        )
-    return face, args.seed
-
-
 def _emit(payload, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output:
@@ -163,34 +144,38 @@ def _write(path: str, text: str) -> None:
         raise MalformedInput(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_check(args) -> int:
+def _sampled_check(args, checker, passed, **options) -> int:
+    """Run ``checker`` on the command line's operator and face, write its
+    report and return 0 when ``passed(report)``, else 1; MalformedInput
+    for a bad face or more than ``MAX_SAMPLE_CELLS`` sampled masses."""
     op = _load_operator(args.operator)
-    face, seed = _sampling(args)
-    report = check_conditions(
-        op, face, samples=args.samples, seed=seed, margin=args.margin
-    )
+    try:
+        face = FaceSpec.parse(args.face)
+    except ValueError as exc:
+        raise MalformedInput(f"bad face {args.face!r}: {exc}") from exc
+    cells = args.samples * len(face)
+    if cells > MAX_SAMPLE_CELLS:
+        raise MalformedInput(
+            f"{args.samples} samples on {len(face)} indices are {cells} masses; "
+            f"at most {MAX_SAMPLE_CELLS} are allowed"
+        )
+    report = checker(op, face, samples=args.samples, seed=args.seed, **options)
     payload = {
-        "command": "check",
+        "command": args.command,
         "version": __version__,
         "operator": op.label,
         **report.to_obj(),
     }
     _emit(payload, args.output)
-    return 0 if report.all_passed else 1
+    return 0 if passed(report) else 1
+
+
+def cmd_check(args) -> int:
+    return _sampled_check(args, check_conditions, lambda report: report.all_passed, margin=args.margin)
 
 
 def cmd_pair_check(args) -> int:
-    op = _load_operator(args.operator)
-    face, seed = _sampling(args)
-    report = check_pair_condition(op, face, samples=args.samples, seed=seed)
-    payload = {
-        "command": "pair-check",
-        "version": __version__,
-        "operator": op.label,
-        **report.to_obj(),
-    }
-    _emit(payload, args.output)
-    return 0 if report.passed else 1
+    return _sampled_check(args, check_pair_condition, lambda report: report.passed)
 
 
 def cmd_apply(args) -> int:

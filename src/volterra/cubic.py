@@ -320,20 +320,20 @@ def example31_tensor(dimension: int) -> CubicTensor:
 
     For pairwise distinct i, j, k the coefficients are p_{ikk,k} = 1,
     p_{iik,k} = 0 and p_{ijk,k} = 1/3; all rows are supported inside
-    their triples.
+    their triples.  The store is built in ``validate_tensor``'s form.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     third = 1.0 / 3.0
-    raw: dict[Triple, dict[int, float]] = {}
+    store: dict[Triple, dict[int, float]] = {}
     for a in range(1, dimension + 1):
-        raw[(a, a, a)] = {a: 1.0}
+        store[(a, a, a)] = {a: 1.0}
         for b in range(a + 1, dimension + 1):
-            raw[(a, a, b)] = {a: 1.0}
-            raw[(a, b, b)] = {b: 1.0}
+            store[(a, a, b)] = {a: 1.0}
+            store[(a, b, b)] = {b: 1.0}
             for c in range(b + 1, dimension + 1):
-                raw[(a, b, c)] = {a: third, b: third, c: third}
-    return validate_tensor(raw)
+                store[(a, b, c)] = {a: third, b: third, c: third}
+    return CubicTensor(store, dimension)
 
 
 def example32() -> VolterraOperator:

@@ -12,7 +12,7 @@ in ``l1_distance``'s order only until the partial sum passes the bound
 (``simplex._within``): a step far from settling costs a term or two,
 not a pass over the whole support, and the decision is the one the
 full sum gives.  Images are fed back as ``apply`` returns them, with
-their raw totals.
+their raw totals.  A ``Trajectory`` stores points and convergence only.
 """
 
 from __future__ import annotations
@@ -38,10 +38,18 @@ FIXED_POINT_STEPS = 500
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A run, start first; its step count and limit derive from it."""
+
     points: tuple[SparsePoint, ...]
-    steps: int
     converged: bool
-    limit: SparsePoint | None
+
+    @property
+    def steps(self) -> int:
+        return len(self.points) - 1
+
+    @property
+    def limit(self) -> SparsePoint | None:
+        return self.points[-1] if self.converged else None
 
     def to_records(self) -> list[dict]:
         return [{"t": t, "x": point_to_obj(p)} for t, p in enumerate(self.points)]
@@ -57,7 +65,6 @@ def iterate(op: VolterraOperator, x0: SparsePoint, steps: int) -> Trajectory:
         raise ValueError("steps must be >= 0")
     points = [x0]
     quiet = 0
-    converged = False
     for t in range(steps):
         try:
             nxt = apply(op, points[-1])
@@ -66,14 +73,8 @@ def iterate(op: VolterraOperator, x0: SparsePoint, steps: int) -> Trajectory:
         quiet = quiet + 1 if _within(nxt, points[-1], _STEP_BOUND) else 0
         points.append(nxt)
         if quiet >= SETTLE_STEPS:
-            converged = True
             break
-    return Trajectory(
-        points=tuple(points),
-        steps=len(points) - 1,
-        converged=converged,
-        limit=points[-1] if converged else None,
-    )
+    return Trajectory(points=tuple(points), converged=quiet >= SETTLE_STEPS)
 
 
 def detect_fixed_points_on_face(
@@ -90,8 +91,8 @@ def detect_fixed_points_on_face(
     ones are often repelling and unreachable by iteration, but the
     barycenter probe catches the symmetric ones exactly).  Candidates
     are deduplicated within an l1 radius of 10*tol and each returned
-    point passes ``is_fixed_point`` at tol.  Each start is iterated for
-    at most FIXED_POINT_STEPS steps.
+    point passes ``is_fixed_point`` at tol, tested once per probe: on a
+    start, else on the limit it settles on within FIXED_POINT_STEPS steps.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -101,20 +102,12 @@ def detect_fixed_points_on_face(
     probes.extend(sample_face_rng(face, rng) for _ in range(starts))
 
     found: list[SparsePoint] = []
-
-    def consider(candidate: SparsePoint) -> None:
-        if not is_fixed_point(op, candidate, tol):
-            return
-        for existing in found:
-            if _within(existing, candidate, 10.0 * tol):
-                return
-        found.append(candidate)
-
     for start in probes:
-        if is_fixed_point(op, start, tol):
-            consider(start)
-            continue
-        trajectory = iterate(op, start, FIXED_POINT_STEPS)
-        if trajectory.converged and trajectory.limit is not None:
-            consider(trajectory.limit)
+        candidate = start
+        if not is_fixed_point(op, start, tol):
+            candidate = iterate(op, start, FIXED_POINT_STEPS).limit
+            if candidate is None or not is_fixed_point(op, candidate, tol):
+                continue
+        if not any(_within(existing, candidate, 10.0 * tol) for existing in found):
+            found.append(candidate)
     return found

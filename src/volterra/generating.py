@@ -190,15 +190,10 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     """
     _check_domain(op, x.support, "point support")
     gvals = op.map.values(x.masses, x.support)
-    return _image(x.support, [m * g for m, g in zip(x.masses, gvals)])
-
-
-def _image(indices: Sequence[int], raw) -> SparsePoint:
-    """The image from raw masses aligned with ascending ``indices``,
-    checked and clamped as ``apply`` describes; a NaN total raises."""
-    masses = _checked_masses(indices, raw)
+    raw = [m * g for m, g in zip(x.masses, gvals)]
+    masses = _checked_masses(x.support, raw)
     # Only masses all above zero come back as the raw list itself.
-    return SparsePoint(indices, masses) if masses is raw else _point_on(indices, masses)
+    return SparsePoint(x.support, masses) if masses is raw else _point_on(x.support, masses)
 
 
 def _image_residual(support: Sequence[int], masses, gvals, target: Sequence[float]) -> float:
@@ -416,7 +411,7 @@ def check_conditions(
     balance = np.abs(np.concatenate(balance))
     probed = len(interior)
 
-    def verdict(name, values, better, passes, smoke_test=False):
+    def verdict(name, values, better, passes):
         i = _first(values, better)
         if i is None:
             worst, witness = (-np.inf if better is np.greater else np.inf), None
@@ -428,7 +423,6 @@ def check_conditions(
             passed=passes(worst),
             worst_value=worst,
             witness=witness,
-            smoke_test=smoke_test,
         )
 
     if nudged:
@@ -437,8 +431,7 @@ def check_conditions(
         ((_, f_nudged),) = nudged
         f_nudged -= f_in
         wobble = np.abs(f_nudged.T, out=blocks[1]).sum(axis=1)
-        continuity = verdict("continuity_smoke", wobble, np.greater,
-                             lambda w: w <= CONTINUITY_BOUND, smoke_test=True)
+        continuity = verdict("continuity_smoke", wobble, np.greater, lambda w: w <= CONTINUITY_BOUND)
     else:
         continuity = ConditionVerdict(
             condition="continuity_smoke", passed=True, worst_value=0.0, witness=face.barycenter(), certified=True

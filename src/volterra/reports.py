@@ -18,14 +18,18 @@ from .simplex import FaceSpec, SparsePoint, point_to_obj
 class ConditionVerdict:
     """Outcome of one condition over the evaluated point set, or, with
     ``certified`` set, a condition that holds by construction and was
-    not sampled (worst value 0.0 at the face's barycenter)."""
+    not sampled (worst value 0.0 at the face's barycenter).  ``smoke_test``
+    marks an uncertified continuity verdict, which sampling cannot prove."""
 
     condition: str
     passed: bool
     worst_value: float
     witness: SparsePoint | None
-    smoke_test: bool = False
     certified: bool = False
+
+    @property
+    def smoke_test(self) -> bool:
+        return self.condition == "continuity_smoke" and not self.certified
 
     def to_obj(self) -> dict:
         return {
@@ -70,18 +74,17 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class PairConditionReport:
-    """Sampled maximum of the pairwise bijectivity functional."""
+    """Sampled maximum of the pair functional; passes at most PAIR_TOLERANCE."""
 
     face: FaceSpec
     samples: int
     seed: int
     max_value: float
     witness: tuple[SparsePoint, SparsePoint]
-    threshold: float = PAIR_TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return self.max_value <= self.threshold
+        return self.max_value <= PAIR_TOLERANCE
 
     def to_obj(self) -> dict:
         wx, wy = self.witness
@@ -90,7 +93,7 @@ class PairConditionReport:
             "samples": self.samples,
             "seed": self.seed,
             "max_value": self.max_value,
-            "threshold": self.threshold,
+            "threshold": PAIR_TOLERANCE,
             "passed": self.passed,
             "witness": {"x": point_to_obj(wx), "y": point_to_obj(wy)},
         }

@@ -6,6 +6,7 @@ import pytest
 
 from volterra import (
     NegativeCoefficient,
+    NormalizationFailure,
     NonFiniteValue,
     NotVolterra,
     PermutationInconsistency,
@@ -23,6 +24,7 @@ from volterra import (
     operator_from_tensor,
     prefix_positivity_value,
     sine_example,
+    SparsePoint,
     validate_tensor,
     vertex,
 )
@@ -353,3 +355,27 @@ def test_validate_rejects_non_finite_coefficient():
         validate_tensor({(1, 1, 2): {1: float("nan"), 2: 1.0}})
     assert info.value.where == ((1, 1, 2), 1)
 
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_example31_tensor_is_built_valid(n):
+    """example31_tensor builds its store as validate_tensor would read it."""
+    built = example31_tensor(n)
+    read = validate_tensor(tensor_to_obj(built))
+    assert built.dimension == read.dimension == n
+    assert built.coefficients == read.coefficients
+
+
+@pytest.mark.parametrize("call", [
+    lambda: example31_tensor(0),
+    lambda: image_tail_sum(0, vertex(1)),
+    lambda: prefix_positivity_value(vertex(1), 0),
+], ids=["example31_tensor", "image_tail_sum", "prefix_positivity_value"])
+def test_indices_below_one_raise(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
+def test_cubic_apply_rejects_an_unnormalized_point():
+    with pytest.raises(NormalizationFailure):
+        cubic_apply(example31_tensor(2), SparsePoint((1,), (0.5,)))

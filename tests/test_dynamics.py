@@ -5,12 +5,14 @@ from volterra import (
     FaceSpec,
     GeneratingMap,
     NormalizationFailure,
+    Trajectory,
     TrajectoryError,
     VolterraOperator,
     apply,
     detect_fixed_points_on_face,
     example31,
     example32,
+    identity_operator,
     iterate,
     l1_distance,
     make_point,
@@ -122,3 +124,40 @@ def test_detect_fixed_points_quadratic_vertices_only():
     found = detect_fixed_points_on_face(op, FaceSpec.of([1, 2]), starts=15, seed=2)
     assert vertex(1) in found and vertex(2) in found
     assert len(found) == 2
+
+
+def test_trajectory_derives_steps_and_limit():
+    points = (vertex(1), make_point([(1, 0.5), (2, 0.5)]), vertex(2))
+    settled = Trajectory(points=points, converged=True)
+    assert (settled.steps, settled.limit) == (2, vertex(2))
+    running = Trajectory(points, False)
+    assert (running.steps, running.limit) == (2, None)
+    assert Trajectory((vertex(3),), True).limit == vertex(3)
+    for removed in ({"steps": 2}, {"limit": vertex(2)}):
+        with pytest.raises(TypeError):
+            Trajectory(points=points, converged=True, **removed)
+
+
+def test_detect_fixed_points_tests_each_probe_once():
+    """Six probes, all fixed: each is applied once, not once more when kept."""
+    identity = identity_operator()
+    calls = []
+
+    def counted(ks, X):
+        calls.append(len(ks))
+        return identity.map.fn(ks, X)
+
+    op = VolterraOperator(GeneratingMap(counted), label="counted")
+    found = detect_fixed_points_on_face(op, FaceSpec.prefix(3), starts=2, seed=0)
+    assert len(calls) == 6
+    assert len(found) == 6
+    assert found == detect_fixed_points_on_face(identity, FaceSpec.prefix(3), starts=2, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: iterate(example31(), vertex(1), -1),
+    lambda: detect_fixed_points_on_face(example31(), FaceSpec.prefix(2), starts=0),
+], ids=["iterate_steps", "detect_starts"])
+def test_counts_below_their_floor_raise(call):
+    with pytest.raises(ValueError, match=">= "):
+        call()

@@ -30,7 +30,7 @@ from volterra import (
     validate_matrix,
     vertex,
 )
-from volterra import generating
+from volterra import ConditionVerdict, PairConditionReport, generating
 from volterra.simplex import _point_on, sample_face_block
 from helpers import linear_operator_from_cells, rand_point, rand_point_on_pool, rand_skew_operator
 
@@ -569,3 +569,27 @@ def test_hand_built_maps_keep_the_smoke_test():
         assert continuity.smoke_test is True and continuity.certified is False
         assert continuity.passed and continuity.witness is not None
         assert 0.0 < continuity.worst_value <= generating.CONTINUITY_BOUND
+
+
+def test_report_fields_derived_from_the_others():
+    face = FaceSpec.prefix(2)
+    witness = (vertex(1), vertex(2))
+    for value, passed in ((generating.PAIR_TOLERANCE, True), (1.0, False)):
+        report = PairConditionReport(face=face, samples=5, seed=1, max_value=value, witness=witness)
+        assert report.passed is passed
+        assert report.to_obj()["threshold"] == generating.PAIR_TOLERANCE == 1e-12
+    with pytest.raises(TypeError):
+        PairConditionReport(face=face, samples=5, seed=1, max_value=1.0, witness=witness, threshold=2.0)
+    certified = ConditionVerdict("continuity_smoke", True, 0.0, face.barycenter(), certified=True)
+    smoked = ConditionVerdict("continuity_smoke", True, 1e-4, vertex(1))
+    sampled = ConditionVerdict("mass_lower_bound", True, 0.0, vertex(1), certified=False)
+    assert (certified.smoke_test, smoked.smoke_test, sampled.smoke_test) == (False, True, False)
+    assert [v.to_obj()["smoke_test"] for v in (certified, smoked, sampled)] == [False, True, False]
+    with pytest.raises(TypeError):
+        ConditionVerdict("continuity_smoke", True, 0.0, vertex(1), smoke_test=True)
+
+
+@pytest.mark.parametrize("checker", [check_conditions, check_pair_condition])
+def test_checkers_need_a_sample(checker):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        checker(example31(), FaceSpec.prefix(2), samples=0)

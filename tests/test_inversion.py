@@ -231,3 +231,17 @@ def test_fixed_point_evaluates_f_once_per_sweep(seed):
     result = invert_fixed_point(op, y)
     assert result == invert_fixed_point(base, y)
     assert 0 < len(calls) <= result.iterations + 1
+
+
+@pytest.mark.parametrize("max_iter", [41, 46, 51])
+def test_newton_budget_exit(max_iter):
+    """The example32 stall target: sweeps hand over to Newton steps at 40
+    iterations, which converge at 52; a budget in between runs out."""
+    op = example32()
+    y = apply(op, make_point({1: 0.025, 2: 0.4, 3: 0.575}))
+    with pytest.raises(NonConvergence) as info:
+        invert_fixed_point(op, y, max_iter=max_iter)
+    err = info.value
+    assert (err.method, err.iterations) == ("newton", max_iter)
+    assert err.residual == l1_distance(apply(op, err.best), y)
+    assert invert_fixed_point(op, y, max_iter=52).iterations == 52

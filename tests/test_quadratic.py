@@ -350,3 +350,8 @@ def test_star_matrix_tables_stay_linear_in_the_entries():
         hub += w * m
     assert values[0] == 1.0 + hub
     assert values[1:] == [1.0 + -w * x.masses[0] for w in weights]
+
+
+def test_empty_request_returns_no_values():
+    op = quadratic_operator(validate_matrix([(1, 2, 0.5)]))
+    assert op.map.values([], ()) == []

@@ -67,6 +67,7 @@ _EXPORTS = {
     ),
     "inversion": (
         "InversionResult",
+        "invert",
         "invert_triangular",
         "invert_fixed_point",
         "solve_monotone_cubic",

@@ -207,10 +207,7 @@ def cmd_invert(args) -> int:
     op = _load_operator(args.operator)
     y = _load_point(args.point)
     try:
-        if op.label == "example32":
-            result = inversion.invert_triangular(y, residual_tol=args.tol)
-        else:
-            result = inversion.invert_fixed_point(op, y, tol=args.tol, max_iter=args.max_iter)
+        result = inversion.invert(op, y, tol=args.tol, max_iter=args.max_iter)
     except NonConvergence as exc:
         result = inversion.InversionResult(
             preimage=exc.best,

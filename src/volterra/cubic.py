@@ -361,7 +361,9 @@ def example32() -> VolterraOperator:
             s2 = s2 + xk * xk
         return out
 
-    return VolterraOperator(_continuous_map(fn), label="example32")
+    gmap = _continuous_map(fn)
+    gmap.route = "triangular"
+    return VolterraOperator(gmap, label="example32")
 
 
 def image_tail_sum(k: int, x: SparsePoint) -> float:

@@ -102,16 +102,22 @@ class GeneratingMap:
     continuous pieces (polynomials, the sine map, the identity, and
     ``compose`` and ``convex`` of two such maps), whose continuity
     ``check_conditions`` then certifies instead of testing it.
+    ``route`` is how ``inversion.invert`` inverts the operator, set by
+    the library's constructors from its structure: ``"triangular"`` on
+    example32's map and on a convex combination of two such maps (the
+    same g), the pair (op1, op2) on ``compose(op1, op2)``, inverted
+    stage by stage, and None, the fixed-point sweeps, on any other map.
     Immutable by convention.
     """
 
-    __slots__ = ("fn", "max_index", "depth", "continuous")
+    __slots__ = ("fn", "max_index", "depth", "continuous", "route")
 
     def __init__(self, fn: Callable[[Sequence[int], Sequence], Sequence], max_index: int | None = None):
         self.fn = fn
         self.max_index = None if max_index is None else _read(_index, max_index, "max_index")
         self.depth = 0
         self.continuous = False
+        self.route = None
 
     def values(self, X, indices: Sequence[int]):
         """g over ``indices`` at one point or at every column of a block.
@@ -146,7 +152,10 @@ class VolterraOperator:
         self.label = label
 
     def f(self, k: int, x: SparsePoint) -> float:
+        """f_k(x); DomainViolation when k or the support of x lies past
+        the declared domain, as in ``apply``."""
         indices = tuple(sorted({k, *x.support}))
+        _check_domain(self, indices, "index set")
         gvals = self.map.values([x.mass(i) for i in indices], indices)
         return gvals[indices.index(k)] - 1.0
 
@@ -248,9 +257,14 @@ def _checked_masses(indices: Sequence[int], raw):
 
 
 def is_fixed_point(op: VolterraOperator, x: SparsePoint, tol: float) -> bool:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tol)
     return _within(apply(op, x), x, tol)
+
+
+def _check_tolerance(tol: float) -> None:
+    """ValueError unless ``tol > 0``, which a NaN fails too."""
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
 
 
 def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -> float:
@@ -534,7 +548,9 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
         g1 = op1.map.values(image, ks)
         return [b * a for b, a in zip(g2, g1)]
 
-    return VolterraOperator(_nested_map(fn, op1, op2), label=f"compose({op1.label}, {op2.label})")
+    gmap = _nested_map(fn, op1, op2)
+    gmap.route = (op1, op2)
+    return VolterraOperator(gmap, label=f"compose({op1.label}, {op2.label})")
 
 
 def convex_combination(
@@ -549,9 +565,10 @@ def convex_combination(
         g2 = op2.map.values(X, ks)
         return [lam * a + (1.0 - lam) * b for a, b in zip(g1, g2)]
 
-    return VolterraOperator(
-        _nested_map(fn, op1, op2), label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})"
-    )
+    gmap = _nested_map(fn, op1, op2)
+    if op1.map.route == "triangular" and op2.map.route == "triangular":
+        gmap.route = "triangular"
+    return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
 
 
 def _nested_map(fn, op1: VolterraOperator, op2: VolterraOperator) -> GeneratingMap:

@@ -1,27 +1,28 @@
 """Numerical inverses of Volterra-type operators.
 
-Two routes are provided.  The triangular route is exact-by-structure
-for the builtin operator ``example32``: its k-th image coordinate is
-h(x_k) = x_k^3 + 3*C_k*x_k with C_k >= 0 depending only on earlier
-coordinates, and h is strictly increasing on [0, 1], so coordinates are
-recovered in order, each as a closed-form cubic root.  The fixed-point
-route is a damped coordinate iteration
+``invert`` is the one entry point; it takes the route that the
+operator's map records (``GeneratingMap.route``), set by the
+constructors from the operator's structure, never from its label.
 
-    x_k  <-  normalize( (1-lam)*x_k + lam * y_k / g_k(x) ),  g_k = 1 + f_k,
+- Triangular: ``example32``, whose k-th image coordinate is
+  h(x_k) = x_k^3 + 3*C_k*x_k with C_k >= 0 depending only on earlier
+  coordinates, and h strictly increasing on [0, 1], so coordinates are
+  recovered in order, each as a closed-form cubic root; also a convex
+  combination of two such maps, which has the same g.
+- Staged: ``compose(op1, op2)`` applies op2 first, so its preimage is
+  op2's preimage of op1's preimage, each found by its own route.
+- Fixed point: every other operator, by the damped coordinate iteration
 
-started at the target itself with lam = 1/2, halved whenever the
-residual would increase, so the current iterate is always the best one
-so far.  The sweeps run on float lists aligned with the target's
-support, and a point is built only once, at exit.  When the sweeps
-stall (the residual has not halved over ``STALL_SWEEPS`` sweeps, or lam
-has reached its floor), Levenberg-Marquardt steps in the simplex's
-tangent space finish the search from the best iterate, with a
-finite-difference Jacobian taken as one block call of the map, on
-supports of at most ``NEWTON_MAX_SUPPORT`` indices.  They invert, for
-instance, the example32 images on which the sweeps alone stall.  Still
-no route guarantees convergence: a failure raises ``NonConvergence``
-with the best iterate, its exact residual and the method that ran, so
-no wrong answer is ever returned silently.
+      x_k  <-  normalize( (1-lam)*x_k + lam * y_k / g_k(x) ),  g_k = 1 + f_k,
+
+  started at the target itself with lam = 1/2, halved whenever the
+  residual would increase, so the current iterate is always the best
+  one so far.  The sweeps run on float lists aligned with the target's
+  support, and a point is built only once, at exit.
+
+No route guarantees convergence: a miss raises ``NonConvergence`` with
+the best iterate, its exact residual and the method that ran, so no
+wrong answer is ever returned silently.
 """
 
 from __future__ import annotations
@@ -29,21 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _numpy as np
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
-from .generating import VolterraOperator, _check_domain, _image_residual
-from .simplex import SparsePoint, _checked_all, _checked_mass, _normalized, _point_on, _total, point_to_obj
+from .generating import VolterraOperator, _check_domain, _check_tolerance, _image_residual, apply
+from .simplex import SparsePoint, _checked_all, _checked_mass, _normalized, _point_on, _total, l1_distance, point_to_obj
 
 #: Sweeps between two stall checks of ``invert_fixed_point``.
-STALL_SWEEPS = 20
+STALL_SWEEPS = 100
 #: Damping lam below which a sweep cannot move the iterate measurably.
 DAMPING_FLOOR = 1e-14
-#: Length of the finite-difference step along a tangent direction.
-FD_STEP = 1e-7
-#: Largest support on which stalled sweeps hand over to Newton steps,
-#: whose dense d x d arrays take about 60 MB at this size.
-NEWTON_MAX_SUPPORT = 1000
+#: Share of the tolerance each stage of a staged inverse must meet, so
+#: that the composed residual meets the whole of it.
+STAGE_TOL = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,50 @@ def solve_monotone_cubic(c: float, target: float) -> float:
     return t - (t * t * t + 3.0 * c * t - target) / (3.0 * (t * t + c))
 
 
+def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: int = 10_000) -> InversionResult:
+    """A preimage of y under op, by the route op's map records.
+
+    - ``"triangular"`` (example32, and convex combinations of two such
+      maps): the closed-form solve of ``invert_triangular``, its
+      residual taken on op's own map; ``max_iter`` plays no part.
+    - ``(op1, op2)`` (``compose(op1, op2)``, which applies op2 first):
+      ``invert(op1, y)``, then ``invert(op2, .)`` of that, each stage to
+      ``STAGE_TOL * tol`` with a budget of ``max_iter``, and the
+      iterations of both summed.  A stage that misses hands its best
+      iterate on.  The residual is taken once, on op, at the final
+      iterate: above ``tol`` it raises NonConvergence (method
+      ``"staged"``) naming the first stage that missed, with that
+      iterate and its residual.
+    - None (any other map): ``invert_fixed_point``.
+
+    A tolerance that is not positive (NaN included) is a ValueError.
+    """
+    route = op.map.route
+    if route is None:
+        return invert_fixed_point(op, y, tol, max_iter)
+    if route == "triangular":
+        return _triangular(op, y, tol)
+    _check_tolerance(tol)
+    _check_domain(op, y.support, "point support")
+    stage_tol = max(STAGE_TOL * tol, 5e-324)  # positive, even where STAGE_TOL * tol underflows
+    x, iterations, missed = y, 0, None
+    for stage, part in enumerate(route, 1):
+        try:
+            result = invert(part, x, stage_tol, max_iter)
+            x, n = result.preimage, result.iterations
+        except NonConvergence as exc:
+            x, n = exc.best, exc.iterations
+            missed = missed or f"stage {stage} ({part.label})"
+        iterations += n
+    residual = l1_distance(apply(op, x), y)
+    if residual > tol:
+        raise NonConvergence(
+            f"staged inversion of {op.label!r} missed at {missed or 'the composition'}",
+            x, residual, iterations, "staged",
+        )
+    return InversionResult(preimage=x, residual=residual, iterations=iterations, method="staged")
+
+
 def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionResult:
     """Sequential inverse of ``example32`` at the target y.
 
@@ -99,10 +141,18 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
     and normalized as ``make_point`` would, and the residual is the
     ``l1_distance`` of their forward image from y, checked as ``apply``
     checks it; a residual above ``residual_tol`` raises
-    ResidualTooLarge carrying the point found.  The reported
-    ``iterations`` (and the count a ResidualTooLarge carries) is the
-    largest index of y, the number of coordinates the inverse determines.
+    ResidualTooLarge carrying the point found, and a ``residual_tol``
+    that is not positive is a ValueError.  The reported ``iterations``
+    (and the count a ResidualTooLarge carries) is the largest index of
+    y, the number of coordinates the inverse determines.
     """
+    return _triangular(example32(), y, residual_tol)
+
+
+def _triangular(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> InversionResult:
+    """``invert_triangular`` with the residual taken on op's map, whose
+    g must be example32's."""
+    _check_tolerance(residual_tol)
     support = y.support
     roots = []
     s1 = 0.0  # sum of solved coordinates
@@ -114,7 +164,7 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
         pairs += t * s1
         s1 += t
     xm = _normalized(roots)
-    residual = _image_residual(support, xm, example32().map.values(xm, support), y.masses)
+    residual = _image_residual(support, xm, op.map.values(xm, support), y.masses)
     preimage = _point_on(support, xm)
     if residual > residual_tol:
         raise ResidualTooLarge(
@@ -128,8 +178,7 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
 def invert_fixed_point(
     op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: int = 10_000
 ) -> InversionResult:
-    """Damped fixed-point search for a preimage of y under op, finished
-    by Newton steps when the sweeps stall.
+    """Damped fixed-point search for a preimage of y under op.
 
     Starts at x = y (feasible, and close to the preimage when the
     generating map is small).  Each sweep mixes the current iterate with
@@ -144,16 +193,13 @@ def invert_fixed_point(
     ``l1_distance`` of the forward image from y, summed in its order; a
     point is built only for the result or for ``NonConvergence.best``.
 
-    Every ``STALL_SWEEPS`` sweeps the residual is compared with its value
-    that many sweeps before, and must have at least halved.  If it has
-    not, or lam has fallen below ``DAMPING_FLOOR``, the search continues
-    from the best iterate with ``_newton_steps`` and reports method
-    ``"newton"``.  Sweeps and Newton trials share ``max_iter``.  On a
-    support of more than ``NEWTON_MAX_SUPPORT`` indices the sweeps go on
-    instead, and the floor of lam raises ``NonConvergence``.
+    The sweeps stall when lam falls below ``DAMPING_FLOOR``, or when the
+    residual has not at least halved over the last ``STALL_SWEEPS``
+    sweeps; a stall, or ``max_iter`` sweeps, raises NonConvergence with
+    the best iterate.  A tolerance that is not positive (NaN included)
+    is a ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tol)
     _check_domain(op, y.support, "point support")
     support, target = y.support, y.masses
     lam = 0.5
@@ -161,21 +207,17 @@ def invert_fixed_point(
     gx = op.map.values(xm, support)
     residual = _image_residual(support, xm, gx, target)
     checkpoint = residual  # the residual STALL_SWEEPS sweeps before
-    newton = len(support) <= NEWTON_MAX_SUPPORT
     iterations = 0
     while residual > tol:
-        floored = lam < DAMPING_FLOOR
-        if iterations >= max_iter or (floored and not newton):
+        stalled = iterations >= max_iter or lam < DAMPING_FLOOR
+        if iterations and iterations % STALL_SWEEPS == 0:
+            stalled = stalled or residual > 0.5 * checkpoint
+            checkpoint = residual
+        if stalled:
             raise NonConvergence(
                 f"fixed-point inversion of {op.label!r} stalled",
                 _iterate(y, xm), residual, iterations, "fixed_point",
             )
-        stalled = floored
-        if iterations and iterations % STALL_SWEEPS == 0:
-            stalled = stalled or residual > 0.5 * checkpoint
-            checkpoint = residual
-        if stalled and newton:
-            return _newton_steps(op, y, xm, residual, iterations, tol, max_iter)
         iterations += 1
         mixed = []
         for yk, xk, g in zip(target, xm, gx):
@@ -191,79 +233,6 @@ def invert_fixed_point(
             lam *= 0.5
     return InversionResult(
         preimage=_iterate(y, xm), residual=residual, iterations=iterations, method="fixed_point"
-    )
-
-
-def _newton_steps(
-    op: VolterraOperator, y: SparsePoint, xm, residual: float, iterations: int, tol: float, max_iter: int
-) -> InversionResult:
-    """Levenberg-Marquardt steps in the simplex's tangent space from the
-    iterate with masses ``xm`` on the support of y.
-
-    The image's Jacobian along the d tangent directions e_j - 1/d comes
-    from forward differences of length ``FD_STEP``, taken as one
-    (d+1)-point block call of the map, so no map needs derivative code.
-    The differences run toward the vertices, along e_j - x, so that every
-    point of the block stays on the simplex (a composed map checks its
-    inner image, which a negative mass would make negative); since
-    e_j - 1/d is the sum over i of (e_j - 1/d)_i (e_i - x), the row for
-    e_j - 1/d is the one for e_j - x less the mean of those rows.
-    A trial solves (J^T J + mu I) s = -J^T R, R the image's offset from
-    y, and moves along the tangent vector s - mean(s), shortened to keep
-    every mass at least a tenth of its value (fraction to the boundary),
-    so the support stays y's; it is renormalized as the sweeps are.
-    mu starts at 1e-3 of the largest diagonal entry of J^T J, grows
-    4-fold on a rejected trial and shrinks 3-fold on an accepted one,
-    never below 1e-14 of that entry.  A trial is accepted only when it
-    strictly lowers the exact residual, so the iterate stays the best one
-    so far.  Each trial counts as an iteration.  NonConvergence (method
-    ``"newton"``) carries the best iterate when the budget runs out, when
-    the map does not move the image along any tangent direction, or when
-    a trial no longer moves the iterate.
-    """
-    support, target = y.support, y.masses
-    d = len(support)
-    eye = np.eye(d)
-    mu = None
-    while residual > tol:
-        x = np.array(xm)
-        block = np.vstack([x, (1.0 - FD_STEP) * x + FD_STEP * eye])
-        # Columns go to the map; the image stays in C-ordered rows, since
-        # the mean over rows and ``rows @ rows.T`` add in a layout's order.
-        image = np.multiply(block, op.map.values(np.ascontiguousarray(block.T), support).T, order="C")
-        toward = (image[1:] - image[0]) / FD_STEP  # row j: derivative along e_j - x
-        rows = toward - toward.mean(axis=0)  # row j: derivative along e_j - 1/d
-        normal = rows @ rows.T
-        gradient = rows @ (image[0] - target)
-        scale = float(normal.diagonal().max())
-        if not 0.0 < scale < math.inf:
-            raise _newton_stalled(op, y, xm, residual, iterations)
-        mu = 1e-3 * scale if mu is None else max(mu, 1e-14 * scale)
-        while True:
-            if iterations >= max_iter:
-                raise _newton_stalled(op, y, xm, residual, iterations)
-            iterations += 1
-            s = np.linalg.solve(normal + mu * eye, -gradient)
-            delta = s - s.mean()
-            shrinking = delta < 0.0
-            t = min(1.0, 0.9 * float((x[shrinking] / -delta[shrinking]).min())) if shrinking.any() else 1.0
-            moved = x + t * delta
-            if np.array_equal(moved, x):
-                raise _newton_stalled(op, y, xm, residual, iterations)
-            trial_m = _normalized(_checked_all(support, moved.tolist()))
-            trial_g = op.map.values(trial_m, support)
-            trial_residual = _image_residual(support, trial_m, trial_g, target)
-            if trial_residual < residual:
-                xm, residual = trial_m, trial_residual
-                mu /= 3.0
-                break
-            mu *= 4.0
-    return InversionResult(preimage=_iterate(y, xm), residual=residual, iterations=iterations, method="newton")
-
-
-def _newton_stalled(op: VolterraOperator, y: SparsePoint, xm, residual: float, iterations: int) -> NonConvergence:
-    return NonConvergence(
-        f"Newton steps for {op.label!r} stalled", _iterate(y, xm), residual, iterations, "newton"
     )
 
 

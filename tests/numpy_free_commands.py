@@ -3,12 +3,14 @@
     python tests/numpy_free_commands.py
 
 runs ``builtin``, ``apply``, ``simulate`` and a fixed-point ``invert`` on
-example31 and a triangular ``invert`` of example32 through
-``volterra.cli.main`` in this process, then ``check``, which samples a
-face into arrays.  It prints one JSON object with the exit codes, the
-``check`` report and whether numpy was loaded after the five commands
-and after ``check``, and exits 1 unless numpy stayed unloaded through
-the five commands and loaded for ``check``.  Run it
+example31, a triangular ``invert`` of example32, and an ``apply`` and a
+staged ``invert`` of compose(example31, example32) (on the image of
+{1: 0.025, 2: 0.4, 3: 0.575}, where the sweeps on the composition
+itself stall) through ``volterra.cli.main`` in this process, then
+``check``, which samples a face into arrays.  It prints one JSON object
+with the exit codes, the ``check`` report and whether numpy was loaded
+after the seven commands and after ``check``, and exits 1 unless numpy
+stayed unloaded through the seven commands and loaded for ``check``.  Run it
 against an installed package, or with ``PYTHONPATH=src`` from the root
 of a checkout.
 """
@@ -34,12 +36,19 @@ def run(tmp: Path) -> dict:
     operand = ["--operator", str(spec), "--point", str(point)]
     triangular = tmp / "example32.json"
     triangular.write_text(json.dumps({"type": "example32"}))
+    staged = tmp / "compose.json"
+    staged.write_text(json.dumps({"type": "compose", "operators": [{"type": "example31"}, {"type": "example32"}]}))
+    start = tmp / "start.json"
+    start.write_text(json.dumps({"1": 0.025, "2": 0.4, "3": 0.575}))
+    image = tmp / "image.json"
     commands = {
         "builtin": ["builtin", "--name", "example31"],
         "apply": ["apply", *operand],
         "simulate": ["simulate", *operand, "--steps", "5"],
         "invert": ["invert", *operand],
         "invert_example32": ["invert", "--operator", str(triangular), "--point", str(point)],
+        "apply_staged": ["apply", "--operator", str(staged), "--point", str(start), "--output", str(image)],
+        "invert_staged": ["invert", "--operator", str(staged), "--point", str(image)],
     }
     codes = {}
     for name, argv in commands.items():

@@ -214,25 +214,26 @@ def test_invert_non_convergence_exit_code(capsys, tmp_path):
 
 
 def test_invert_reports_the_method_that_ran(capsys, tmp_path):
-    # example32 under a convex label, so the fixed-point route runs; its
-    # sweeps stall on this image and Newton steps take over.
-    spec = write_json(
-        tmp_path / "c.json",
-        {"type": "convex", "operators": [{"type": "example32"}, {"type": "example32"}], "lambda": 0.5},
-    )
-    code, out = run(capsys, ["apply", "--operator", spec, "--point", write_json(
-        tmp_path / "x.json", {"1": 0.025, "2": 0.4, "3": 0.575})])
-    assert code == 0
-    point = write_json(tmp_path / "y.json", json.loads(out))
-    code, out = run(capsys, ["invert", "--operator", spec, "--point", point])
-    assert code == 0
-    result = json.loads(out)
-    assert result["method"] == "newton" and result["converged"] is True
-    assert result["residual"] <= 1e-10
-    code, out = run(capsys, ["invert", "--operator", spec, "--point", point, "--tol", "1e-18"])
-    assert code == 2
-    result = json.loads(out)
-    assert result["method"] == "newton" and result["converged"] is False
+    # The route comes from the operator's structure: example32 mixed with
+    # itself is still triangular, and a composition inverts stage by
+    # stage, also when a stage misses.
+    x = write_json(tmp_path / "x.json", {"1": 0.025, "2": 0.4, "3": 0.575})
+    twice = {"type": "convex", "operators": [{"type": "example32"}, {"type": "example32"}], "lambda": 0.5}
+    composed = {"type": "compose", "operators": [{"type": "example31"}, {"type": "example32"}]}
+    for name, spec, extra, code_wanted, method, converged in (
+        ("twice", twice, [], 0, "triangular", True),
+        ("composed", composed, [], 0, "staged", True),
+        ("short", composed, ["--max-iter", "2"], 2, "staged", False),
+    ):
+        spec = write_json(tmp_path / f"{name}.json", spec)
+        code, out = run(capsys, ["apply", "--operator", spec, "--point", x])
+        assert code == 0
+        point = write_json(tmp_path / f"{name}_y.json", json.loads(out))
+        code, out = run(capsys, ["invert", "--operator", spec, "--point", point, *extra])
+        assert code == code_wanted, name
+        result = json.loads(out)
+        assert (result["method"], result["converged"]) == (method, converged), name
+        assert (result["residual"] <= 1e-10) is converged, name
 
 
 def test_compose_and_convex_specs(capsys, tmp_path):

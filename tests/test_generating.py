@@ -129,6 +129,19 @@ def test_example31_domain_violation():
         check_conditions(op, FaceSpec.of([4, 6]), samples=4)
 
 
+def test_f_respects_the_declared_domain():
+    # f(k, x) checks k and the support of x against the domain, as apply does.
+    x = make_point([(1, 0.25), (2, 0.75)])
+    assert example31(3).f(3, x) == example31().f(3, x)
+    for op, k, point in (
+        (sine_example(), 3, x),
+        (example31(3), 5, vertex(1)),
+        (example31(3), 1, vertex(4)),
+    ):
+        with pytest.raises(DomainViolation):
+            op.f(k, point)
+
+
 def test_check_conditions_ex31_passes():
     report = check_conditions(example31(), FaceSpec.prefix(3), samples=800, seed=2)
     assert report.all_passed
@@ -304,8 +317,9 @@ def test_is_fixed_point():
     assert is_fixed_point(example31(), vertex(3), 1e-12)
     assert is_fixed_point(example31(), make_point([(1, 0.5), (2, 0.5)]), 1e-12)
     assert not is_fixed_point(example32(), make_point([(1, 0.5), (2, 0.5)]), 1e-12)
-    with pytest.raises(ValueError):
-        is_fixed_point(example31(), vertex(1), 0.0)
+    for tol in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError):
+            is_fixed_point(example31(), vertex(1), tol)
 
 
 def test_check_conditions_rejects_face_outside_domain():

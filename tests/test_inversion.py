@@ -9,16 +9,17 @@ from volterra import (
     NonConvergence,
     ResidualTooLarge,
     apply,
+    compose,
     convex_combination,
     example31,
     example32,
     identity_operator,
+    invert,
     invert_fixed_point,
     invert_triangular,
     l1_distance,
     make_point,
     quadratic_operator,
-    sample_face,
     sample_face_rng,
     solve_monotone_cubic,
     validate_matrix,
@@ -171,7 +172,7 @@ def test_small_damping_still_converges_by_sweeping(damping):
     # The operator is damped toward the identity, g = damping*g_op +
     # (1 - damping)*1; damping 1.0 is op itself.  Well-conditioned sweeps
     # halve the residual well within STALL_SWEEPS sweeps at every damping,
-    # so they must not hand over to Newton steps.
+    # so the stall rule must not end them.
     rng = np.random.default_rng(4)
     _, skew = rand_skew_operator(rng, 8)
     for base in (example31(), skew):
@@ -182,29 +183,25 @@ def test_small_damping_still_converges_by_sweeping(damping):
         assert result.residual <= 1e-10
 
 
-def test_supports_past_the_newton_bound_keep_sweeping(monkeypatch):
-    # Newton steps hold dense d x d arrays, so past NEWTON_MAX_SUPPORT a
-    # stall is not handed over: the sweeps end as they did before Newton
-    # steps existed, at max_iter or at the damping floor.
-    stall = apply(example32(), make_point({1: 0.025, 2: 0.4, 3: 0.575}))
-    floor = sample_face(FaceSpec.prefix(6), 34)
-    assert invert_fixed_point(example32(), stall, max_iter=200).method == "newton"
-    monkeypatch.setattr(inversion, "NEWTON_MAX_SUPPORT", 2)
-    with pytest.raises(NonConvergence) as info:
-        invert_fixed_point(example32(), stall, max_iter=200)
-    assert (info.value.method, info.value.iterations) == ("fixed_point", 200)
-    with pytest.raises(NonConvergence) as info:
-        invert_fixed_point(example32(), floor)
-    err = info.value
-    assert (err.method, err.iterations, err.residual) == ("fixed_point", 816, 0.14091159374738282)
-
-
 def test_invert_fixed_point_argument_validation():
     y = vertex(1)
-    with pytest.raises(ValueError):
-        invert_fixed_point(identity_operator(), y, tol=0.0)
     with pytest.raises(TypeError):
         invert_fixed_point(identity_operator(), y, damping=0.5)
+    # A tolerance must be positive.  With a NaN, ``residual > tol`` is
+    # false at once, and y would come back as its own preimage, though
+    # example31's image of y is not y.
+    y = make_point({1: 0.2, 2: 0.3, 3: 0.5})
+    for tol in (0.0, -1e-10, float("nan")):
+        for call in (
+            lambda: invert_fixed_point(identity_operator(), vertex(1), tol=tol),
+            lambda: invert_fixed_point(example31(), y, tol=tol),
+            lambda: invert_triangular(y, residual_tol=tol),
+            lambda: invert(example31(), y, tol=tol),
+            lambda: invert(example32(), y, tol=tol),
+            lambda: invert(compose(example31(), example32()), y, tol=tol),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_inversion_result_serialization():
@@ -233,15 +230,91 @@ def test_fixed_point_evaluates_f_once_per_sweep(seed):
     assert 0 < len(calls) <= result.iterations + 1
 
 
-@pytest.mark.parametrize("max_iter", [41, 46, 51])
-def test_newton_budget_exit(max_iter):
-    """The example32 stall target: sweeps hand over to Newton steps at 40
-    iterations, which converge at 52; a budget in between runs out."""
-    op = example32()
+def _heavy_tailed_point(rng: np.random.Generator):
+    """x ~ Dirichlet(0.3) on 3-8 of the indices 1..8, masses floored at
+    1e-6: a few large masses and several tiny ones."""
+    size = int(rng.integers(3, 9))
+    indices = sorted(int(k) for k in rng.choice(np.arange(1, 9), size=size, replace=False))
+    weights = np.maximum(rng.dirichlet(np.full(size, 0.3)), 1e-6)
+    return make_point(dict(zip(indices, (weights / weights.sum()).tolist())))
+
+
+_SKEW8 = rand_skew_operator(np.random.default_rng(8), 8)[1]
+
+#: Family -> (operator, seed of its targets, route, targets of 150 that
+#: converge).  The misses end in an honest NonConvergence: the sweeps on
+#: example31 (and in the stages of compositions of it) stall at a linear
+#: rate, and those on convex(e31, e32) mostly reach the damping floor.
+_FAMILIES = {
+    "example31": (example31(), 1000, "fixed_point", 149),
+    "example32": (example32(), 1005, "triangular", 150),
+    "convex(e32,e32)": (convex_combination(example32(), example32(), 0.5), 1007, "triangular", 150),
+    "convex(e31,e32)": (convex_combination(example31(), example32(), 0.5), 1010, "fixed_point", 143),
+    "compose(e32,e32)": (compose(example32(), example32()), 1008, "staged", 150),
+    "compose(e31,e32)": (compose(example31(), example32()), 1009, "staged", 146),
+    "compose(e31,e31)": (compose(example31(), example31()), 1006, "staged", 147),
+    "compose(skew,e31)": (compose(_SKEW8, example31()), 1004, "staged", 150),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_invert_seeded_heavy_tailed_targets(family):
+    # Each target either inverts to tol, with the true residual of the
+    # preimage, or raises NonConvergence carrying the true residual of
+    # its best iterate; the route is the one the structure gives.
+    op, seed, method, floor = _FAMILIES[family]
+    rng = np.random.default_rng(seed)
+    converged = 0
+    for _ in range(150):
+        y = apply(op, _heavy_tailed_point(rng))
+        try:
+            result = invert(op, y, max_iter=2000)
+        except NonConvergence as exc:
+            assert exc.method == method
+            assert exc.residual > 1e-10
+            assert exc.residual == l1_distance(apply(op, exc.best), y)
+        else:
+            converged += 1
+            assert result.method == method
+            assert result.residual <= 1e-10
+            assert result.residual == l1_distance(apply(op, result.preimage), y)
+    assert converged >= floor
+
+
+def test_route_comes_from_structure_not_label():
+    # example32's map under its label, but built by hand: no route is
+    # recorded, so the sweeps run, and the triangular solve does not.
+    op = VolterraOperator(GeneratingMap(example32().map.fn), label="example32")
+    y = apply(example32(), make_point({1: 0.5, 2: 0.3, 3: 0.2}))
+    result = invert(op, y)
+    assert result.method == "fixed_point"
+    assert result.residual <= 1e-10
+    assert invert(example32(), y).method == "triangular"
+
+
+def test_staged_miss_names_the_stage():
+    op = compose(example31(), example32())
+    x = make_point({1: 0.025, 2: 0.4, 3: 0.575})
+    y = apply(op, x)
+    result = invert(op, y)
+    assert result.method == "staged" and result.residual <= 1e-10
+    z = invert(example31(), y, tol=1e-10 / 16)
+    assert result.iterations == z.iterations + invert(example32(), z.preimage).iterations
+    with pytest.raises(NonConvergence, match="stage 1 \\(example31\\)") as info:
+        invert(op, y, max_iter=2)
+    err = info.value
+    assert (err.method, err.iterations) == ("staged", 2 + 3)  # two sweeps, then the triangle of 3
+    assert err.residual == l1_distance(apply(op, err.best), y) > 1e-10
+
+
+def test_sweep_stall_raises_with_the_best_iterate():
+    # example32's sweeps stall on this image: the residual stops halving
+    # within STALL_SWEEPS sweeps, and the best iterate comes back.
+    op = VolterraOperator(GeneratingMap(example32().map.fn), label="hand-built example32")
     y = apply(op, make_point({1: 0.025, 2: 0.4, 3: 0.575}))
     with pytest.raises(NonConvergence) as info:
-        invert_fixed_point(op, y, max_iter=max_iter)
+        invert(op, y)
     err = info.value
-    assert (err.method, err.iterations) == ("newton", max_iter)
-    assert err.residual == l1_distance(apply(op, err.best), y)
-    assert invert_fixed_point(op, y, max_iter=52).iterations == 52
+    assert err.method == "fixed_point"
+    assert err.iterations % inversion.STALL_SWEEPS == 0 and err.iterations < 10_000
+    assert err.residual == l1_distance(apply(op, err.best), y) > 1e-10

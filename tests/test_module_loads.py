@@ -101,3 +101,19 @@ def test_triangular_invert_loads_no_numpy(tmp_path):
     added = added_by(["invert", "--operator", str(spec), "--point", str(point)])
     assert "volterra.inversion" in added
     assert not added & {"numpy", "volterra.dynamics", "volterra.quadratic"}
+
+
+def test_staged_invert_loads_no_numpy(tmp_path):
+    # compose(example31, example32) inverts stage by stage: sweeps on
+    # float lists, then the closed-form triangle.  Sweeps on the
+    # composition itself stall on this image.
+    from volterra import apply, compose, example31, example32, make_point, point_to_obj
+
+    op = compose(example31(), example32())
+    spec = tmp_path / "compose.json"
+    spec.write_text(json.dumps({"type": "compose", "operators": [{"type": "example31"}, {"type": "example32"}]}))
+    point = tmp_path / "image.json"
+    point.write_text(json.dumps(point_to_obj(apply(op, make_point({1: 0.025, 2: 0.4, 3: 0.575})))))
+    added = added_by(["invert", "--operator", str(spec), "--point", str(point)])
+    assert "volterra.inversion" in added
+    assert not added & {"numpy", "volterra.dynamics", "volterra.quadratic"}

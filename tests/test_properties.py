@@ -323,31 +323,6 @@ def test_fixed_point_residual_is_the_distance_of_the_reported_point(name, x, see
         assert set(result.preimage.support) <= set(y.support)
 
 
-_EXAMPLE32_TWICE = convex_combination(example32(), example32(), 0.5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    op=st.sampled_from([example32(), _EXAMPLE32_TWICE]),
-    a=st.floats(0.02, 0.03),
-    b=st.floats(0.35, 0.45),
-    small=st.one_of(st.just(0.0), st.floats(-6.0, -2.0).map(lambda e: 10.0**e)),
-)
-def test_newton_steps_invert_example32_where_the_sweeps_stall(op, a, b, small):
-    # The damped sweeps stall on these images; a convex combination of
-    # example32 with itself is the same map under a label the CLI does not
-    # send to the triangular solver.  A small fourth mass puts the
-    # preimage near the boundary, where a full step would leave the
-    # simplex.
-    x = {1: a, 2: b, 3: 1.0 - a - b - small, 4: small}
-    y = apply(op, make_point({k: m for k, m in x.items() if m}))
-    result = invert_fixed_point(op, y)
-    assert result.method == "newton"
-    assert result.residual <= 1e-10
-    assert result.residual == l1_distance(apply(op, result.preimage), y)
-    assert result.preimage.support == y.support
-
-
 #: Unit roundoff of a float64 times two: one ulp of 1.
 _EPS = 2.0**-52
 

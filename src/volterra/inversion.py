@@ -91,12 +91,14 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
       residual taken on op's own map; ``max_iter`` plays no part.
     - ``(op1, op2)`` (``compose(op1, op2)``, which applies op2 first):
       ``invert(op1, y)``, then ``invert(op2, .)`` of that, each stage to
-      ``STAGE_TOL * tol`` with a budget of ``max_iter``, and the
-      iterations of both summed.  A stage that misses hands its best
-      iterate on.  The residual is taken once, on op, at the final
-      iterate: above ``tol`` it raises NonConvergence (method
-      ``"staged"``) naming the first stage that missed, with that
-      iterate and its residual.
+      ``STAGE_TOL * tol``, and the iterations of both summed.  The
+      stages share ``max_iter``: the second gets what the first left.
+      A triangular stage runs in full whatever is left, and counts its
+      coordinates, so only there can the sum pass ``max_iter``.  A
+      stage that misses hands its best iterate on.  The residual is
+      taken once, on op, at the final iterate: above ``tol`` it raises
+      NonConvergence (method ``"staged"``) naming the first stage that
+      missed, with that iterate and its residual.
     - None (any other map): ``invert_fixed_point``.
 
     A tolerance that is not positive (NaN included) is a ValueError.
@@ -112,7 +114,7 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
     x, iterations, missed = y, 0, None
     for stage, part in enumerate(route, 1):
         try:
-            result = invert(part, x, stage_tol, max_iter)
+            result = invert(part, x, stage_tol, max_iter - iterations)
             x, n = result.preimage, result.iterations
         except NonConvergence as exc:
             x, n = exc.best, exc.iterations
@@ -193,11 +195,13 @@ def invert_fixed_point(
     ``l1_distance`` of the forward image from y, summed in its order; a
     point is built only for the result or for ``NonConvergence.best``.
 
-    The sweeps stall when lam falls below ``DAMPING_FLOOR``, or when the
-    residual has not at least halved over the last ``STALL_SWEEPS``
-    sweeps; a stall, or ``max_iter`` sweeps, raises NonConvergence with
-    the best iterate.  A tolerance that is not positive (NaN included)
-    is a ValueError.
+    Every ``STALL_SWEEPS`` sweeps the residual's rate over the last
+    ``STALL_SWEEPS`` is read.  The sweeps stall when lam falls below
+    ``DAMPING_FLOOR``, or when at that rate the residual would not reach
+    tol within ``max_iter`` sweeps: a slow but steady linear rate that
+    fits the budget runs on.  A stall, or ``max_iter`` sweeps, raises
+    NonConvergence with the best iterate.  A tolerance that is not
+    positive (NaN included) is a ValueError.
     """
     _check_tolerance(tol)
     _check_domain(op, y.support, "point support")
@@ -211,7 +215,10 @@ def invert_fixed_point(
     while residual > tol:
         stalled = iterations >= max_iter or lam < DAMPING_FLOOR
         if iterations and iterations % STALL_SWEEPS == 0:
-            stalled = stalled or residual > 0.5 * checkpoint
+            rate = residual / checkpoint  # over the last STALL_SWEEPS sweeps
+            stalled = stalled or rate >= 1.0 or (
+                iterations + STALL_SWEEPS * math.log(tol / residual) / math.log(rate) > max_iter
+            )
             checkpoint = residual
         if stalled:
             raise NonConvergence(

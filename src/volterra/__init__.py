@@ -29,7 +29,6 @@ _EXPORTS = {
         "point_from_obj",
     ),
     "generating": (
-        "GeneratingMap",
         "VolterraOperator",
         "apply",
         "check_conditions",

@@ -5,18 +5,19 @@ generating map f = (f_1, f_2, ...):
 
     (Vx)_k = x_k * (1 + f_k(x)) = x_k * g_k(x).
 
-A generating map is one callable plus an optional domain bound,
-``GeneratingMap(fn, max_index)``, where ``fn(indices, X)`` returns the
-growth factors [g_k(x) for k in indices] and ``X[j]`` is the mass of x
-at ``indices[j]``.  Every image is x_k * g_k: a small factor (x_1^2 for
-example32) rebuilt as 1 + (g_k - 1) would cancel.  Only the checkers
-and the pair functional, which speak of f, take g - 1.  ``X[j]`` is a
-float for one point, or a length-N row for a block of N points: one
-body, written with elementwise arithmetic only, serves both.  Every
-consumer evaluates g through ``GeneratingMap.values``: ``apply``,
+An operator is its generating map: one callable plus an optional
+domain bound, ``VolterraOperator(fn, max_index)``, where
+``fn(indices, X)`` returns the growth factors [g_k(x) for k in indices]
+and ``X[j]`` is the mass of x at ``indices[j]``.  Every image is
+x_k * g_k: a small factor (x_1^2 for example32) rebuilt as
+1 + (g_k - 1) would cancel.  Only the checkers and the pair
+functional, which speak of f, take g - 1.  ``X[j]`` is a float for one
+point, or a length-N row for a block of N points: one body, written
+with elementwise arithmetic only, serves both.  Every
+consumer evaluates g through ``VolterraOperator.values``: ``apply``,
 ``pair_condition_value``, the inverters and trajectories one point at
 a time on the point's own floats, the checkers a whole block of sampled
-points per call, and the maps nested in ``compose`` and
+points per call, and the operators nested in ``compose`` and
 ``convex_combination`` the point or block their own body was given.
 ``values`` tells the two apart by the argument's ``ndim``: a block is a
 (d, N) array, one row per index and one column per point, and anything
@@ -84,8 +85,9 @@ MAX_NESTING = 64
 _VERTEX_BLOCK = 256
 
 
-class GeneratingMap:
-    """The functionals f_k defining an operator, held as one callable.
+class VolterraOperator:
+    """An operator, held as its generating map: the functionals f_k as
+    one callable, and the label reports name it by.
 
     ``fn(indices, X)`` returns [g_k(x) = 1 + f_k(x) for k in indices]
     as a list, a tuple or an array, where ``X[j]`` is the mass of x at
@@ -97,24 +99,26 @@ class GeneratingMap:
     ``max_index`` n, an index, declares the domain 1..n, the face of a
     finite-dimensional operator: points and faces beyond it raise
     DomainViolation.  ``depth`` counts the ``compose`` and ``convex``
-    levels the map nests, 0 for any other map.  ``continuous`` is False
-    on a map made here; the library sets it on the maps it builds from
-    continuous pieces (polynomials, the sine map, the identity, and
-    ``compose`` and ``convex`` of two such maps), whose continuity
-    ``check_conditions`` then certifies instead of testing it.
-    ``route`` is how ``inversion.invert`` inverts the operator, set by
-    the library's constructors from its structure: ``"triangular"`` on
-    example32's map and on a convex combination of two such maps (the
-    same g), the pair (op1, op2) on ``compose(op1, op2)``, inverted
-    stage by stage, and None, the fixed-point sweeps, on any other map.
-    Immutable by convention.
+    levels the operator nests, 0 for any other.  ``continuous`` is False
+    on an operator made here; the library sets it on the operators it
+    builds from continuous pieces (polynomials, the sine map, the
+    identity, and ``compose`` and ``convex`` of two such operators),
+    whose continuity ``check_conditions`` then certifies instead of
+    testing it.  ``route`` is how ``inversion.invert`` inverts the
+    operator, set by the library's constructors from its structure:
+    ``"triangular"`` on example32 and on a convex combination of two
+    such operators (the same g), the pair (op1, op2) on
+    ``compose(op1, op2)``, inverted stage by stage, and None, the
+    fixed-point sweeps, on any other operator.  Immutable by convention.
     """
 
-    __slots__ = ("fn", "max_index", "depth", "continuous", "route")
+    __slots__ = ("fn", "max_index", "label", "depth", "continuous", "route")
 
-    def __init__(self, fn: Callable[[Sequence[int], Sequence], Sequence], max_index: int | None = None):
+    def __init__(self, fn: Callable[[Sequence[int], Sequence], Sequence], max_index: int | None = None,
+                 label: str = "operator"):
         self.fn = fn
         self.max_index = None if max_index is None else _read(_index, max_index, "max_index")
+        self.label = label
         self.depth = 0
         self.continuous = False
         self.route = None
@@ -140,44 +144,39 @@ class GeneratingMap:
             return block
         return out if isinstance(out, (list, tuple)) else out.tolist()
 
-
-class VolterraOperator:
-    """A generating map and the label reports name it by; immutable by
-    convention."""
-
-    __slots__ = ("map", "label")
-
-    def __init__(self, map: GeneratingMap, label: str = "operator"):
-        self.map = map
-        self.label = label
-
     def f(self, k: int, x: SparsePoint) -> float:
         """f_k(x); DomainViolation when k or the support of x lies past
         the declared domain, as in ``apply``."""
         indices = tuple(sorted({k, *x.support}))
         _check_domain(self, indices, "index set")
-        gvals = self.map.values([x.mass(i) for i in indices], indices)
+        gvals = self.values([x.mass(i) for i in indices], indices)
         return gvals[indices.index(k)] - 1.0
+
+
+# The class's former name, kept unexported: the benchmark's tracer
+# (perfbench/tracing.py) wraps ``generating.GeneratingMap.values``.
+GeneratingMap = VolterraOperator
 
 
 def identity_operator() -> VolterraOperator:
     """The operator with g identically one; applies as the identity."""
-    return VolterraOperator(_continuous_map(lambda ks, X: [1.0] * len(ks)), label="identity")
+    return _continuous(lambda ks, X: [1.0] * len(ks), label="identity")
 
 
-def _continuous_map(fn, max_index: int | None = None) -> GeneratingMap:
-    """``GeneratingMap(fn, max_index)`` marked continuous: for the
-    library's maps, whose bodies are continuous by construction."""
-    gmap = GeneratingMap(fn, max_index)
-    gmap.continuous = True
-    return gmap
+def _continuous(fn, max_index: int | None = None, label: str = "operator") -> VolterraOperator:
+    """``VolterraOperator(fn, max_index, label)`` marked continuous: for
+    the library's operators, whose bodies are continuous by
+    construction."""
+    op = VolterraOperator(fn, max_index, label)
+    op.continuous = True
+    return op
 
 
 def _check_domain(op: VolterraOperator, indices: Sequence[int], what: str) -> None:
     """DomainViolation, naming ``what``, the number of the ascending
     ``indices`` and the first of them past op's declared domain
     1..max_index, unless the last of them lies in it."""
-    n = op.map.max_index
+    n = op.max_index
     if n is not None and indices and indices[-1] > n:
         raise DomainViolation(
             f"{what} of size {len(indices)} has index {indices[bisect_right(indices, n)]} "
@@ -198,7 +197,7 @@ def apply(op: VolterraOperator, x: SparsePoint) -> SparsePoint:
     always contained in the support of x.
     """
     _check_domain(op, x.support, "point support")
-    gvals = op.map.values(x.masses, x.support)
+    gvals = op.values(x.masses, x.support)
     raw = [m * g for m, g in zip(x.masses, gvals)]
     masses = _checked_masses(x.support, raw)
     # Only masses all above zero come back as the raw list itself.
@@ -277,8 +276,8 @@ def pair_condition_value(op: VolterraOperator, x: SparsePoint, y: SparsePoint) -
     _check_domain(op, y.support, "point support")
     union = tuple(sorted({*x.support, *y.support}))
     xm, ym = ([d.get(k, 0.0) for k in union] for d in (x.as_dict(), y.as_dict()))
-    gy = op.map.values(ym, union)
-    gx = op.map.values(xm, union)
+    gy = op.values(ym, union)
+    gx = op.values(xm, union)
     return _support_sum(xm, gy) + _support_sum(ym, gx)
 
 
@@ -341,7 +340,7 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+def _evaluate(op: VolterraOperator, indices: tuple[int, ...], *blocks) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each block of points as rows, copied to C-ordered (d, N) columns,
     and f = g - 1 at its points in the same layout, one ``values`` call
     per block.
@@ -354,12 +353,12 @@ def _evaluate(gmap: GeneratingMap, indices: tuple[int, ...], *blocks) -> list[tu
     """
     columns = [np.array(B.T, order="C") for B in blocks]  # a copy even where B.T is already C-ordered
     try:
-        out = [gmap.values(C, indices) for C in columns]
+        out = [op.values(C, indices) for C in columns]
     except Exception:  # re-raised below, by the first point that fails
         out = [np.empty(C.shape) for C in columns]
         for n in range(len(blocks[0])):
             for B, G in zip(blocks, out):
-                G[:, n] = gmap.values(B[n].tolist(), indices)
+                G[:, n] = op.values(B[n].tolist(), indices)
     return [(C, np.subtract(G, 1.0, out=G)) for C, G in zip(columns, out)]
 
 
@@ -384,7 +383,7 @@ def check_conditions(
     the two boundary-safe conditions, the barycenter for all four).
     The strict interior bound is tested against -1 + margin; an exact
     boundary hit counts as a failure.  The continuity of a map the
-    library built (``GeneratingMap.continuous``) is certified: its
+    library built (``VolterraOperator.continuous``) is certified: its
     verdict passes with worst value 0.0 and ``certified`` set, and no
     point is evaluated for it; its witness is the barycenter, the first
     point, which a response of 0.0 at every point would name too.  Any
@@ -411,14 +410,14 @@ def check_conditions(
     d = len(indices)
     interior = np.vstack((np.full((1, d), 1.0 / d), sample_face_block(face, rng, samples)))
     blocks = [interior]
-    if not op.map.continuous:
+    if not op.continuous:
         blocks.append(_perturb_block(interior, PERTURBATION, rng))
-    (x_in, f_in), *nudged = _evaluate(op.map, indices, *blocks)
+    (x_in, f_in), *nudged = _evaluate(op, indices, *blocks)
     # Interior points first, then vertices: the order points are probed in.
     lowest = [f_in.min(axis=0)]
     balance = [_ordered_sum(np.multiply(x_in, f_in, out=x_in))]
     for start in range(0, d if d > 1 else 0, _VERTEX_BLOCK):
-        ((x_vert, f_vert),) = _evaluate(op.map, indices, _vertex_rows(d, start, min(start + _VERTEX_BLOCK, d)))
+        ((x_vert, f_vert),) = _evaluate(op, indices, _vertex_rows(d, start, min(start + _VERTEX_BLOCK, d)))
         lowest.append(f_vert.min(axis=0))
         balance.append(_ordered_sum(np.multiply(x_vert, f_vert, out=x_vert)))
     lowest = np.concatenate(lowest)
@@ -490,8 +489,8 @@ def check_pair_condition(
     indices = face.indices
     drawn = sample_face_block(face, rng, 2 * samples)
     xs, ys = drawn[0::2], drawn[1::2]
-    best, (a, b) = _best_vertex_pair(op.map, indices)
-    (y_cols, fy), (x_cols, fx) = _evaluate(op.map, indices, ys, xs)
+    best, (a, b) = _best_vertex_pair(op, indices)
+    (y_cols, fy), (x_cols, fx) = _evaluate(op, indices, ys, xs)
     witness = (vertex(indices[a]), vertex(indices[b]))
     sampled = _ordered_sum(np.multiply(x_cols, fy, out=x_cols))
     sampled += _ordered_sum(np.multiply(y_cols, fx, out=y_cols))
@@ -501,7 +500,7 @@ def check_pair_condition(
     return PairConditionReport(face=face, samples=samples, seed=seed, max_value=best, witness=witness)
 
 
-def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[float, tuple[int, int]]:
+def _best_vertex_pair(op: VolterraOperator, indices: tuple[int, ...]) -> tuple[float, tuple[int, int]]:
     """The largest f_a(e_b) + f_b(e_a) over vertex pairs a <= b (as
     positions in ``indices``) and the first pair in index order to reach
     it, where a NaN beats any number; (0, 0) stands in when nothing
@@ -518,7 +517,7 @@ def _best_vertex_pair(gmap: GeneratingMap, indices: tuple[int, ...]) -> tuple[fl
         for j in range(i, d, _VERTEX_BLOCK):
             right = np.arange(j, min(j + _VERTEX_BLOCK, d))
             pos = left if j == i else np.concatenate((left, right))
-            ((_, f),) = _evaluate(gmap, tuple(indices[p] for p in pos), np.eye(len(pos)))
+            ((_, f),) = _evaluate(op, tuple(indices[p] for p in pos), np.eye(len(pos)))
             # f[a, b] = f_a(e_b), so a vertex pair adds f and its transpose.
             pairs = (0.0 + f) + (0.0 + f.T)
             if j == i:
@@ -543,14 +542,14 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
     defined on all of the face (no division), so vertex probes work.
     """
     def fn(ks: Sequence[int], X) -> list:
-        g2 = op2.map.values(X, ks)
+        g2 = op2.values(X, ks)
         image = _checked_masses(ks, [m * g for m, g in zip(X, g2)])
-        g1 = op1.map.values(image, ks)
+        g1 = op1.values(image, ks)
         return [b * a for b, a in zip(g2, g1)]
 
-    gmap = _nested_map(fn, op1, op2)
-    gmap.route = (op1, op2)
-    return VolterraOperator(gmap, label=f"compose({op1.label}, {op2.label})")
+    op = _nested(fn, op1, op2, f"compose({op1.label}, {op2.label})")
+    op.route = (op1, op2)
+    return op
 
 
 def convex_combination(
@@ -561,26 +560,26 @@ def convex_combination(
         raise LambdaOutOfRange(lam)
 
     def fn(ks: Sequence[int], X) -> list:
-        g1 = op1.map.values(X, ks)
-        g2 = op2.map.values(X, ks)
+        g1 = op1.values(X, ks)
+        g2 = op2.values(X, ks)
         return [lam * a + (1.0 - lam) * b for a, b in zip(g1, g2)]
 
-    gmap = _nested_map(fn, op1, op2)
-    if op1.map.route == "triangular" and op2.map.route == "triangular":
-        gmap.route = "triangular"
-    return VolterraOperator(gmap, label=f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
+    op = _nested(fn, op1, op2, f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
+    if op1.route == "triangular" and op2.route == "triangular":
+        op.route = "triangular"
+    return op
 
 
-def _nested_map(fn, op1: VolterraOperator, op2: VolterraOperator) -> GeneratingMap:
-    """The map ``fn`` built from op1's and op2's: its domain is the one
-    both share (the smaller bound), and it nests one level deeper than
-    the deeper of theirs; it is continuous when both of theirs are.
-    Past ``MAX_NESTING`` levels, ValueError."""
-    depth = 1 + max(op1.map.depth, op2.map.depth)
+def _nested(fn, op1: VolterraOperator, op2: VolterraOperator, label: str) -> VolterraOperator:
+    """The operator with map ``fn`` built from op1's and op2's: its
+    domain is the one both share (the smaller bound), and it nests one
+    level deeper than the deeper of them; it is continuous when both of
+    them are.  Past ``MAX_NESTING`` levels, ValueError."""
+    depth = 1 + max(op1.depth, op2.depth)
     if depth > MAX_NESTING:
         raise ValueError(f"operator nests more than {MAX_NESTING} compose and convex levels")
-    bounds = [n for n in (op1.map.max_index, op2.map.max_index) if n is not None]
-    gmap = GeneratingMap(fn, min(bounds, default=None))
-    gmap.depth = depth
-    gmap.continuous = op1.map.continuous and op2.map.continuous
-    return gmap
+    bounds = [n for n in (op1.max_index, op2.max_index) if n is not None]
+    op = VolterraOperator(fn, min(bounds, default=None), label)
+    op.depth = depth
+    op.continuous = op1.continuous and op2.continuous
+    return op

@@ -1,7 +1,7 @@
 """Numerical inverses of Volterra-type operators.
 
 ``invert`` is the one entry point; it takes the route that the
-operator's map records (``GeneratingMap.route``), set by the
+operator records (``VolterraOperator.route``), set by the
 constructors from the operator's structure, never from its label.
 
 - Triangular: ``example32``, whose k-th image coordinate is
@@ -84,26 +84,24 @@ def solve_monotone_cubic(c: float, target: float) -> float:
 
 
 def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: int = 10_000) -> InversionResult:
-    """A preimage of y under op, by the route op's map records.
+    """A preimage of y under op, by the route op records.
 
     - ``"triangular"`` (example32, and convex combinations of two such
       maps): the closed-form solve of ``invert_triangular``, its
-      residual taken on op's own map; ``max_iter`` plays no part.
+      residual taken on op itself; ``max_iter`` plays no part.
     - ``(op1, op2)`` (``compose(op1, op2)``, which applies op2 first):
       ``invert(op1, y)``, then ``invert(op2, .)`` of that, each stage to
       ``STAGE_TOL * tol``, and the iterations of both summed.  The
       stages share ``max_iter``: the second gets what the first left.
-      A triangular stage runs in full whatever is left, and counts its
-      coordinates, so only there can the sum pass ``max_iter``.  A
-      stage that misses hands its best iterate on.  The residual is
+      A stage that misses hands its best iterate on.  The residual is
       taken once, on op, at the final iterate: above ``tol`` it raises
       NonConvergence (method ``"staged"``) naming the first stage that
       missed, with that iterate and its residual.
-    - None (any other map): ``invert_fixed_point``.
+    - None (any other operator): ``invert_fixed_point``.
 
     A tolerance that is not positive (NaN included) is a ValueError.
     """
-    route = op.map.route
+    route = op.route
     if route is None:
         return invert_fixed_point(op, y, tol, max_iter)
     if route == "triangular":
@@ -145,15 +143,15 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
     checks it; a residual above ``residual_tol`` raises
     ResidualTooLarge carrying the point found, and a ``residual_tol``
     that is not positive is a ValueError.  The reported ``iterations``
-    (and the count a ResidualTooLarge carries) is the largest index of
-    y, the number of coordinates the inverse determines.
+    (and the count a ResidualTooLarge carries) is 0: no sweep runs, so
+    the solve spends nothing of a staged inverse's ``max_iter``.
     """
     return _triangular(example32(), y, residual_tol)
 
 
 def _triangular(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> InversionResult:
-    """``invert_triangular`` with the residual taken on op's map, whose
-    g must be example32's."""
+    """``invert_triangular`` with the residual taken on op, whose g must
+    be example32's."""
     _check_tolerance(residual_tol)
     support = y.support
     roots = []
@@ -166,14 +164,14 @@ def _triangular(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> In
         pairs += t * s1
         s1 += t
     xm = _normalized(roots)
-    residual = _image_residual(support, xm, op.map.values(xm, support), y.masses)
+    residual = _image_residual(support, xm, op.values(xm, support), y.masses)
     preimage = _point_on(support, xm)
     if residual > residual_tol:
         raise ResidualTooLarge(
-            "triangular inverse misses the target", preimage, residual, y.max_index, "triangular"
+            "triangular inverse misses the target", preimage, residual, 0, "triangular"
         )
     return InversionResult(
-        preimage=preimage, residual=residual, iterations=y.max_index, method="triangular"
+        preimage=preimage, residual=residual, iterations=0, method="triangular"
     )
 
 
@@ -208,7 +206,7 @@ def invert_fixed_point(
     support, target = y.support, y.masses
     lam = 0.5
     xm = target  # masses of the iterate, aligned with the support of y
-    gx = op.map.values(xm, support)
+    gx = op.values(xm, support)
     residual = _image_residual(support, xm, gx, target)
     checkpoint = residual  # the residual STALL_SWEEPS sweeps before
     iterations = 0
@@ -232,7 +230,7 @@ def invert_fixed_point(
             mixed.append((1.0 - lam) * xk + lam * candidate)
         total = _total(mixed)
         trial_m = _normalized(_checked_all(support, [v / total for v in mixed]))
-        trial_g = op.map.values(trial_m, support)
+        trial_g = op.values(trial_m, support)
         trial_residual = _image_residual(support, trial_m, trial_g, target)
         if trial_residual < residual:
             xm, gx, residual = trial_m, trial_g, trial_residual

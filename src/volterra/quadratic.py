@@ -20,7 +20,7 @@ from itertools import chain, starmap
 
 from . import _numpy as np
 from .errors import BoundViolation, NonFiniteValue, NotSkew
-from .generating import VolterraOperator, _continuous_map, _ordered_sum
+from .generating import VolterraOperator, _continuous, _ordered_sum
 from .simplex import SparsePoint, _index, _value, vertex
 
 #: Tolerance for skew-symmetry, zero diagonal and the entry bound.
@@ -262,7 +262,7 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         f += 1.0
         return f
 
-    return VolterraOperator(_continuous_map(fn), label=f"quadratic(n={n})")
+    return _continuous(fn, label=f"quadratic(n={n})")
 
 
 def symmetry_defect_witness(raw) -> tuple[SparsePoint, float] | None:

@@ -15,7 +15,7 @@ array, bit for bit the N points that N sequential draws give.
 Every face holds at most ``MAX_FACE_SIZE`` indices, so that no input can
 make a face, or a checker's block of points on it, arbitrarily large.
 An operator's declared domain is no face but the prefix 1..n, held as
-its bound n (``GeneratingMap.max_index``), which may be far larger.
+its bound n (``VolterraOperator.max_index``), which may be far larger.
 
 Every index, key, count and number the package takes from outside, here,
 in the matrix, tensor and operator-spec readers and on the command line,

@@ -11,7 +11,6 @@ import numpy as np
 from volterra import (
     CubicTensor,
     FaceSpec,
-    GeneratingMap,
     SparsePoint,
     VolterraOperator,
     sample_face_rng,
@@ -101,4 +100,4 @@ def linear_operator_from_cells(cells) -> VolterraOperator:
             out.append(1.0 + sum(row.get(i, 0.0) * m for i, m in zip(ks, X)))
         return out
 
-    return VolterraOperator(GeneratingMap(fn), label="raw_linear")
+    return VolterraOperator(fn, label="raw_linear")

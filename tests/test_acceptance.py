@@ -133,7 +133,7 @@ def test_c05_skew_characterization_both_directions():
         face = FaceSpec.prefix(n)
         for _ in range(1000):
             x = sample_face_rng(face, rng)
-            fvals = [g - 1.0 for g in op.map.values(x.masses, face.indices)]
+            fvals = [g - 1.0 for g in op.values(x.masses, face.indices)]
             balance = abs(sum(x.mass(k) * v for k, v in zip(face.indices, fvals)))
             worst_balance = max(worst_balance, balance)
         pair_report = check_pair_condition(op, face, samples=100, seed=506)

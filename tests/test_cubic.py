@@ -164,7 +164,7 @@ def test_operator_from_tensor_matches_brute_force_sum():
 def test_operator_from_tensor_example31_families():
     # g_k = x_k^2 + 3 x_k sum_i p_ikk x_i + 3 sum_i p_iik x_i^2
     #       + 6 sum_{i<j} p_ijk x_i x_j; each point below reads one family.
-    values = operator_from_tensor(example31_tensor(4)).map.values
+    values = operator_from_tensor(example31_tensor(4)).values
 
     def g(k, masses):
         ks = sorted(masses)
@@ -180,8 +180,8 @@ def test_operator_from_tensor_example31_families():
 
 def test_operator_from_tensor_degenerate_only():
     op = operator_from_tensor(validate_tensor({(1, 1, 1): {1: 1.0}}))
-    assert op.map.max_index == 1
-    assert op.map.values([1.0], [1]) == [1.0]
+    assert op.max_index == 1
+    assert op.values([1.0], [1]) == [1.0]
     assert apply(op, vertex(1)) == vertex(1)
 
 
@@ -215,7 +215,7 @@ def test_example31_dual_form_identity():
 
 def test_example31_restricted_domain():
     op = example31(dimension=3)
-    assert op.map.max_index == 3
+    assert op.max_index == 3
 
 
 # --- builtin: example32 -----------------------------------------------------

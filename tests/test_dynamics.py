@@ -3,7 +3,6 @@ import pytest
 
 from volterra import (
     FaceSpec,
-    GeneratingMap,
     NormalizationFailure,
     Trajectory,
     TrajectoryError,
@@ -94,10 +93,10 @@ def test_trajectory_error_carries_step_index():
 
     def switching(ks, X):  # one point at a time: iterate never passes a block
         if dict(zip(ks, X)).get(1, 0.0) > 0.1:
-            return ex31.map.values(X, ks)
+            return ex31.values(X, ks)
         return [1.25] * len(ks)
 
-    op = VolterraOperator(GeneratingMap(switching), label="switching")
+    op = VolterraOperator(switching, label="switching")
     with pytest.raises(TrajectoryError) as info:
         iterate(op, make_point([(1, 0.3), (2, 0.7)]), 50)
     assert info.value.step == 3
@@ -145,9 +144,9 @@ def test_detect_fixed_points_tests_each_probe_once():
 
     def counted(ks, X):
         calls.append(len(ks))
-        return identity.map.fn(ks, X)
+        return identity.fn(ks, X)
 
-    op = VolterraOperator(GeneratingMap(counted), label="counted")
+    op = VolterraOperator(counted, label="counted")
     found = detect_fixed_points_on_face(op, FaceSpec.prefix(3), starts=2, seed=0)
     assert len(calls) == 6
     assert len(found) == 6

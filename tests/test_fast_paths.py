@@ -161,8 +161,8 @@ def test_cached_request_plans_give_fresh_values(case, rows):
     op = quadratic_operator(matrix)
 
     def agrees(ks, masses):
-        expected = quadratic_operator(matrix).map.values(masses, list(ks))
-        assert _bits(op.map.values(masses, ks)) == _bits(expected), ks
+        expected = quadratic_operator(matrix).values(masses, list(ks))
+        assert _bits(op.values(masses, ks)) == _bits(expected), ks
 
     for ks, r in zip((a, b, a, part, tuple(a)), rows):
         agrees(ks, _masses(rng, ks, r))
@@ -182,14 +182,14 @@ def test_cached_request_plans_hold_across_threads():
     op = quadratic_operator(matrix)
     requests = [list(range(1, 13)), [2, 5, 7], [1, 3, 4, 9, 12], [6, 8]]
     masses = [rng.uniform(0.0, 1.0, size=len(ks)).tolist() for ks in requests]
-    expected = [_bits(quadratic_operator(matrix).map.values(m, ks)) for ks, m in zip(requests, masses)]
+    expected = [_bits(quadratic_operator(matrix).values(m, ks)) for ks, m in zip(requests, masses)]
     wrong = []
 
     def ask(j):
         for _ in range(300):
             for i in (j, (j + 1) % len(requests)):
                 try:
-                    if _bits(op.map.values(masses[i], requests[i])) != expected[i]:
+                    if _bits(op.values(masses[i], requests[i])) != expected[i]:
                         wrong.append(i)
                 except Exception as exc:  # a stale plan can also fail to index
                     wrong.append(exc)

@@ -4,7 +4,6 @@ import pytest
 from volterra import (
     DomainViolation,
     FaceSpec,
-    GeneratingMap,
     LambdaOutOfRange,
     NegativeCoordinate,
     NormalizationFailure,
@@ -37,8 +36,7 @@ from helpers import linear_operator_from_cells, rand_point, rand_point_on_pool, 
 
 def constant_map_operator(value: float) -> VolterraOperator:
     """The operator whose growth factor g_k is ``value`` everywhere."""
-    gmap = GeneratingMap(lambda ks, X: [value] * len(ks))
-    return VolterraOperator(gmap, label=f"constant({value})")
+    return VolterraOperator(lambda ks, X: [value] * len(ks), label=f"constant({value})")
 
 
 def test_apply_ex31_uniform_two_point_fixed():
@@ -74,7 +72,7 @@ def test_checkers_raise_for_a_negative_inner_image():
     so composed after it example31 gets a negative mass: each checker
     raises where a block evaluation finds one, as ``apply`` would, and
     never clamps it."""
-    bad = VolterraOperator(GeneratingMap(lambda ks, X: [1.0 + 3.0 * X[1], 1.0 - 3.0 * X[0]]))
+    bad = VolterraOperator(lambda ks, X: [1.0 + 3.0 * X[1], 1.0 - 3.0 * X[0]])
     op = compose(example31(), bad)
     face = FaceSpec.of([1, 2])
     with pytest.raises(NegativeCoordinate) as at_barycenter:
@@ -355,7 +353,7 @@ def test_block_failure_raises_the_first_points_exception():
 
 
 def test_block_with_missing_values_raises():
-    short = GeneratingMap(lambda ks, X: [0.0] * (len(ks) - 1))
+    short = VolterraOperator(lambda ks, X: [0.0] * (len(ks) - 1))
     with pytest.raises(ValueError, match="2 values for 3 indices"):
         short.values(np.full((3, 4), 1.0 / 3.0), (1, 2, 3))
 
@@ -365,10 +363,10 @@ def test_one_point_with_a_wrong_value_count_raises(extra):
     """A map one value short must not give an image of three indices and
     two masses, whose total is still within tolerance, nor a map one value
     long an image that drops the extra one, a nested map included."""
-    wrong = VolterraOperator(GeneratingMap(lambda ks, X: [1.0] * (len(ks) + extra)), label="wrong")
+    wrong = VolterraOperator(lambda ks, X: [1.0] * (len(ks) + extra), label="wrong")
     x = make_point({1: 0.5, 2: 0.5 - 1e-12, 3: 1e-12})
     calls = [
-        lambda: wrong.map.values(x.masses, x.support),
+        lambda: wrong.values(x.masses, x.support),
         lambda: apply(wrong, x),
         lambda: apply(compose(identity_operator(), wrong), x),
         lambda: apply(convex_combination(wrong, identity_operator(), 0.5), x),
@@ -387,14 +385,13 @@ def test_continuity_adds_each_row_as_a_c_ordered_row():
     spanning nine decades make the order show: f = g - 1 for g in (0, 2)
     is a multiple of 2^-53, so rows of such differences summing below 1
     add exactly in any order."""
-    steep = GeneratingMap(lambda ks, X: [1.0 + m * 10.0 ** (j % 9) for j, m in enumerate(X)])
-    op = VolterraOperator(steep, label="steep")
+    op = VolterraOperator(lambda ks, X: [1.0 + m * 10.0 ** (j % 9) for j, m in enumerate(X)], label="steep")
     face = FaceSpec.of(range(1, 41))
     report = check_conditions(op, face, samples=40, seed=0)
     rng = np.random.default_rng(0)
     interior = np.vstack((face.barycenter().masses, generating.sample_face_block(face, rng, 40)))
     nudged = generating._perturb_block(interior, generating.PERTURBATION, rng)
-    f_in, f_nudged = (np.array([op.map.values(row.tolist(), face.indices) for row in B]) - 1.0 for B in (interior, nudged))
+    f_in, f_nudged = (np.array([op.values(row.tolist(), face.indices) for row in B]) - 1.0 for B in (interior, nudged))
     wobble = np.abs(f_nudged - f_in)
     assert report.continuity.worst_value == wobble.sum(axis=1).max()
     assert report.continuity.worst_value != max(sum(row) for row in wobble.tolist())
@@ -413,9 +410,9 @@ def test_one_dimensional_row_is_one_point():
         (sine_example(), on_12),
     ]
     for op, point in cases:
-        one_point = op.map.values(np.array(point.masses), point.support)
+        one_point = op.values(np.array(point.masses), point.support)
         assert isinstance(one_point, list)
-        assert one_point == op.map.values(point.masses, point.support)
+        assert one_point == op.values(point.masses, point.support)
 
 
 def test_nan_values_fail_at_the_first_nan_point():
@@ -437,7 +434,7 @@ def test_nan_values_fail_at_the_first_nan_point():
         nan = np.where((x1 > 0.5) & (x1 < 1.0), np.nan, 0.0)
         return [1.0 + nan for _ in X]
 
-    op = VolterraOperator(GeneratingMap(fn), label="partly_nan")
+    op = VolterraOperator(fn, label="partly_nan")
     samples, seed = 300, 4
     rng = np.random.default_rng(seed)
     interior = np.vstack((np.full((1, 3), 1.0 / 3.0), sample_face_block(face, rng, samples)))
@@ -471,7 +468,7 @@ def test_the_first_nan_vertex_pair_in_index_order_wins(monkeypatch, block):
         return [np.where(np.asarray(hit[k]) == 1.0, np.nan, 1.0) if k in hit else 1.0 for k in ks]
 
     monkeypatch.setattr(generating, "_VERTEX_BLOCK", block)
-    pair = check_pair_condition(VolterraOperator(GeneratingMap(fn)), FaceSpec.prefix(4), samples=20, seed=1)
+    pair = check_pair_condition(VolterraOperator(fn), FaceSpec.prefix(4), samples=20, seed=1)
     assert np.isnan(pair.max_value)
     assert pair.witness == (vertex(1), vertex(3))
 
@@ -482,7 +479,7 @@ def test_python_nesting_is_bounded():
     deep = example31()
     for _ in range(generating.MAX_NESTING):
         deep = compose(example31(), deep)
-    assert deep.map.depth == generating.MAX_NESTING
+    assert deep.depth == generating.MAX_NESTING
     x = make_point({1: 0.5, 2: 0.5})
     assert apply(deep, x) == x
     message = f"operator nests more than {generating.MAX_NESTING} compose and convex levels"
@@ -537,14 +534,14 @@ def _library_families():
 
 
 def _bare(op: VolterraOperator) -> VolterraOperator:
-    """op's map body and domain in a map built by hand."""
-    return VolterraOperator(GeneratingMap(op.map.fn, op.map.max_index), label=op.label)
+    """op's map body and domain in an operator built by hand."""
+    return VolterraOperator(op.fn, op.max_index, label=op.label)
 
 
 @pytest.mark.parametrize("family", list(_library_families()))
 def test_library_maps_are_certified_continuous(family):
     op, face = _library_families()[family]
-    assert op.map.continuous is True
+    assert op.continuous is True
     continuity = check_conditions(op, face, samples=60, seed=5).continuity
     assert continuity.to_obj() == {
         "condition": "continuity_smoke",
@@ -569,7 +566,7 @@ def test_certifying_leaves_the_sampled_conditions_as_they_are(family):
 def test_hand_built_maps_keep_the_smoke_test():
     face = FaceSpec.prefix(3)
     bare = _bare(example31())
-    assert GeneratingMap(bare.map.fn).continuous is False
+    assert VolterraOperator(bare.fn).continuous is False
     ops = [
         bare,
         compose(example31(), bare),
@@ -578,7 +575,7 @@ def test_hand_built_maps_keep_the_smoke_test():
         convex_combination(bare, identity_operator(), 0.5),
     ]
     for op in ops:
-        assert op.map.continuous is False
+        assert op.continuous is False
         continuity = check_conditions(op, face, samples=60, seed=5).continuity
         assert continuity.smoke_test is True and continuity.certified is False
         assert continuity.passed and continuity.witness is not None

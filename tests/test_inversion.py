@@ -5,7 +5,6 @@ import pytest
 
 from volterra import (
     FaceSpec,
-    GeneratingMap,
     NonConvergence,
     ResidualTooLarge,
     apply,
@@ -99,7 +98,7 @@ def test_invert_triangular_solves_only_the_support():
     assert far.preimage.masses == near.preimage.masses
     assert far.preimage.support == (1, 10**12)
     assert far.residual == near.residual
-    assert far.iterations == 10**12  # the largest index, as before
+    assert far.iterations == 0  # no sweep runs
 
 
 def test_invert_triangular_root_that_underflows():
@@ -223,9 +222,9 @@ def test_fixed_point_evaluates_f_once_per_sweep(seed):
 
     def counted(ks, X):
         calls.append(len(ks))
-        return base.map.fn(ks, X)
+        return base.fn(ks, X)
 
-    op = VolterraOperator(GeneratingMap(counted), label="counted")
+    op = VolterraOperator(counted, label="counted")
     y = sample_face_rng(FaceSpec.prefix(6), np.random.default_rng(seed))
     result = invert_fixed_point(op, y)
     assert result == invert_fixed_point(base, y)
@@ -302,7 +301,7 @@ def test_a_slow_steady_rate_that_fits_the_budget_is_no_stall():
 def test_route_comes_from_structure_not_label():
     # example32's map under its label, but built by hand: no route is
     # recorded, so the sweeps run, and the triangular solve does not.
-    op = VolterraOperator(GeneratingMap(example32().map.fn), label="example32")
+    op = VolterraOperator(example32().fn, label="example32")
     y = apply(example32(), make_point({1: 0.5, 2: 0.3, 3: 0.2}))
     result = invert(op, y)
     assert result.method == "fixed_point"
@@ -321,7 +320,7 @@ def test_staged_miss_names_the_stage():
     with pytest.raises(NonConvergence, match="stage 1 \\(example31\\)") as info:
         invert(op, y, max_iter=2)
     err = info.value
-    assert (err.method, err.iterations) == ("staged", 2 + 3)  # two sweeps, then the triangle of 3
+    assert (err.method, err.iterations) == ("staged", 2)  # two sweeps; the triangle adds none
     assert err.residual == l1_distance(apply(op, err.best), y) > 1e-10
     # Sweeping stages share the budget: the first spends it, and the
     # second stops before its first sweep.
@@ -331,11 +330,24 @@ def test_staged_miss_names_the_stage():
     assert info.value.iterations == 4
 
 
+@pytest.mark.parametrize("order", ["e32 after e31", "e31 after e32"])
+def test_a_triangular_stage_spends_none_of_the_budget(order):
+    # A target whose largest index is twice max_iter: were the triangular
+    # stage to count the index, it would use up the budget of the sweeping
+    # stage, or pass it.
+    x = make_point({1: 0.3, 5: 0.3, 20000: 0.4})
+    op = compose(example32(), example31()) if order == "e32 after e31" else compose(example31(), example32())
+    result = invert(op, apply(op, x))
+    assert result.method == "staged" and result.residual <= 1e-10
+    assert 0 < result.iterations <= 10_000
+    assert l1_distance(result.preimage, x) <= 1e-9
+
+
 def test_sweep_stall_raises_with_the_best_iterate():
     # example32's sweeps stall on this image: at a stall check the rate
     # over the last STALL_SWEEPS sweeps cannot reach tol within the
     # budget, and the best iterate comes back.
-    op = VolterraOperator(GeneratingMap(example32().map.fn), label="hand-built example32")
+    op = VolterraOperator(example32().fn, label="hand-built example32")
     y = apply(op, make_point({1: 0.025, 2: 0.4, 3: 0.575}))
     with pytest.raises(NonConvergence) as info:
         invert(op, y)

@@ -54,7 +54,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from volterra import (
     CubicTensor,
     FaceSpec,
-    GeneratingMap,
     NonConvergence,
     NotVolterra,
     SparsePoint,
@@ -133,12 +132,12 @@ def test_block_rows_equal_one_point_values(name, picks, rows, seed):
     pool = tuple(pool)
     face = FaceSpec.of(pool[p % len(pool)] for p in picks)
     block = _block(face, rows, seed)
-    together = op.map.values(np.ascontiguousarray(block.T), face.indices).T
-    one_by_one = np.array([op.map.values(row.tolist(), face.indices) for row in block])
+    together = op.values(np.ascontiguousarray(block.T), face.indices).T
+    one_by_one = np.array([op.values(row.tolist(), face.indices) for row in block])
     assert together.shape == block.shape
     assert together.tobytes() == one_by_one.tobytes()
     # One point may also come as a 1-D array, the nested maps included.
-    as_arrays = np.array([op.map.values(row, face.indices) for row in block])
+    as_arrays = np.array([op.values(row, face.indices) for row in block])
     assert together.tobytes() == as_arrays.tobytes()
 
 
@@ -209,7 +208,7 @@ _tensor12 = operator_from_tensor(rand_volterra_tensor(_rng, 12))
 # which a point's terms are added shows in the bits of its sums; it is
 # zero at every vertex, so a sampled pair beats every vertex pair.
 _steep = VolterraOperator(
-    GeneratingMap(lambda ks, X: [1.0 + m * (1.0 - m) * 10.0 ** (k % 9) for k, m in zip(ks, X)]), "steep")
+    lambda ks, X: [1.0 + m * (1.0 - m) * 10.0 ** (k % 9) for k, m in zip(ks, X)], label="steep")
 
 #: name -> (operator, the indices its faces are drawn from)
 CHECKED = {
@@ -257,7 +256,7 @@ def test_reports_equal_a_point_by_point_reference(name, picks, samples, seed):
     vertices = [vertex(k) for k in ks] if len(ks) > 1 else []
     lowest, balance = [], []
     for p in interior + vertices:
-        f = [g - 1.0 for g in op.map.values([p.mass(k) for k in ks], ks)]
+        f = [g - 1.0 for g in op.values([p.mass(k) for k in ks], ks)]
         assert not any(math.isnan(v) for v in f)
         low, total = f[0], 0.0
         for v in f[1:]:
@@ -562,11 +561,11 @@ def test_quadratic_values_are_the_ascending_sums_bit_for_bit(case):
     matrix, ks, block, chunk = case
     op = quadratic_operator(matrix)
     with mock.patch.object(quadratic, "_CHUNK_CELLS", chunk):
-        together = op.map.values(np.ascontiguousarray(block.T), ks).T
+        together = op.values(np.ascontiguousarray(block.T), ks).T
     for row, values in zip(block, together):
         expected = _bits(_ascending_sums(matrix, ks, row.tolist()))
         assert _bits(values) == expected
-        assert _bits(op.map.values(row.tolist(), ks)) == expected
+        assert _bits(op.values(row.tolist(), ks)) == expected
 
 
 def test_sparse_subset_block_is_the_ascending_sums_at_every_chunk_size():
@@ -583,7 +582,7 @@ def test_sparse_subset_block_is_the_ascending_sums_at_every_chunk_size():
     op = quadratic_operator(matrix)
     for chunk in (1, 1 << 14, 1 << 16, 1 << 30):
         with mock.patch.object(quadratic, "_CHUNK_CELLS", chunk):
-            together = op.map.values(np.ascontiguousarray(block.T), ks).T
+            together = op.values(np.ascontiguousarray(block.T), ks).T
         assert [_bits(values) for values in together] == expected
 
 
@@ -1024,15 +1023,15 @@ def test_operator_from_tensor_matches_the_two_step_reference(raw, data):
         assert vars(info.value) == vars(exc) and info.value.args == exc.args
         return
     op = operator_from_tensor(p)
-    reference = GeneratingMap(lambda ks, X: _reference_brackets(families, ks, X), p.dimension)
+    reference = VolterraOperator(lambda ks, X: _reference_brackets(families, ks, X), p.dimension)
     picks = data.draw(st.sets(st.integers(1, p.dimension), min_size=1))
     face = FaceSpec.of(picks)
     block = _block(face, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**32 - 1)))
     columns = np.ascontiguousarray(block.T)
     want = reference.values(columns, face.indices)
-    assert op.map.values(columns, face.indices).tobytes() == want.tobytes()
+    assert op.values(columns, face.indices).tobytes() == want.tobytes()
     for row in block:
-        got = op.map.values(row.tolist(), face.indices)
+        got = op.values(row.tolist(), face.indices)
         assert np.array(got).tobytes() == np.array(reference.values(row.tolist(), face.indices)).tobytes()
 
 

@@ -45,6 +45,19 @@ def test_readme_overview_names_only_exported_names():
             assert getattr(source, name) is getattr(volterra, name), f"{name!r} is not in volterra.{module}"
 
 
+def test_readme_custom_operator_example_gives_its_commented_results():
+    """The README's ``python`` block runs as written, and each top-level
+    line that ends in a comment evaluates to what the comment shows."""
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    results = [(i, *m.groups()) for i, line in enumerate(lines) if (m := re.fullmatch(r"(\S.*?)\s+# (.+)", line))]
+    assert [shown for _, _, shown in results] == ["SparsePoint({1: 0.784, 2: 0.216})", "True"]
+    namespace = {}
+    exec("\n".join(lines[: results[0][0]]), namespace)
+    for _, expression, shown in results:
+        assert repr(eval(expression, namespace)) == shown, expression
+
+
 def test_dir_covers_all():
     assert set(volterra.__all__) <= set(dir(volterra))
 
@@ -62,16 +75,14 @@ def test_unknown_attribute_names_the_package():
 
 
 def test_former_dataclasses_keep_their_constructors():
-    from volterra import CubicTensor, FaceSpec, GeneratingMap, SkewMatrix, VolterraCheck, VolterraOperator
+    from volterra import CubicTensor, FaceSpec, SkewMatrix, VolterraCheck, VolterraOperator
 
     fn = lambda ks, X: [0.0] * len(ks)  # noqa: E731
     assert FaceSpec(indices=(1, 2)).indices == (1, 2)
-    for gmap in (GeneratingMap(fn, 2), GeneratingMap(fn=fn, max_index=2)):
-        assert (gmap.fn, gmap.max_index) == (fn, 2)
-    assert GeneratingMap(fn).max_index is None
-    for op in (VolterraOperator(GeneratingMap(fn), "zero"), VolterraOperator(map=GeneratingMap(fn), label="zero")):
-        assert op.map.fn is fn and op.label == "zero"
-    assert VolterraOperator(GeneratingMap(fn)).label == "operator"
+    for op in (VolterraOperator(fn, 2, "zero"), VolterraOperator(fn=fn, max_index=2, label="zero")):
+        assert (op.fn, op.max_index, op.label) == (fn, 2, "zero")
+    assert VolterraOperator(fn).max_index is None
+    assert VolterraOperator(fn).label == "operator"
     rows = {(1, 1, 1): {1: 1.0}}
     for tensor in (CubicTensor(rows, 1), CubicTensor(coefficients=rows, dimension=1)):
         assert (tensor.coefficients, tensor.dimension) == (rows, 1)

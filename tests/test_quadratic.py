@@ -271,13 +271,13 @@ def test_values_equal_ascending_index_sum(n):
         for i, m in x.items():
             total += matrix.coefficient(k, i) * m
         expected.append(1.0 + total)
-    assert op.map.values([x.mass(k) for k in ks], ks) == expected
+    assert op.values([x.mass(k) for k in ks], ks) == expected
 
 
 def test_empty_skew_matrix_applies_as_identity():
     op = quadratic_operator(validate_matrix([]))
     x = make_point({2: 0.25, 7: 0.75})
-    assert op.map.values([x.mass(k) for k in (1, 2, 7)], (1, 2, 7)) == [1.0, 1.0, 1.0]
+    assert op.values([x.mass(k) for k in (1, 2, 7)], (1, 2, 7)) == [1.0, 1.0, 1.0]
     assert apply(op, x) == x
 
 
@@ -294,7 +294,7 @@ def test_two_point_support_on_full_matrix():
         for i, m in x.items():
             total += matrix.coefficient(k, i) * m
         expected.append(1.0 + total)
-    assert op.map.values(x.masses, x.support) == expected
+    assert op.values(x.masses, x.support) == expected
     image = apply(op, x)
     assert image.masses == tuple(m * g for m, g in zip(x.masses, expected))
 
@@ -344,7 +344,7 @@ def test_star_matrix_tables_stay_linear_in_the_entries():
     assert kept <= 16 * (2 * nnz + keys)
     assert peak <= 64 * (2 * nnz + keys)
     x = make_point({k: 1.0 / n for k in range(1, n + 1)})
-    values = op.map.values(x.masses, x.support)
+    values = op.values(x.masses, x.support)
     hub = 0.0
     for w, m in zip(weights, x.masses[1:]):
         hub += w * m
@@ -354,4 +354,4 @@ def test_star_matrix_tables_stay_linear_in_the_entries():
 
 def test_empty_request_returns_no_values():
     op = quadratic_operator(validate_matrix([(1, 2, 0.5)]))
-    assert op.map.values([], ()) == []
+    assert op.values([], ()) == []

@@ -15,10 +15,14 @@ constructors from the operator's structure, never from its label.
 
       x_k  <-  normalize( (1-lam)*x_k + lam * y_k / g_k(x) ),  g_k = 1 + f_k,
 
-  started at the target itself with lam = 1/2, halved whenever the
-  residual would increase, so the current iterate is always the best
-  one so far.  The sweeps run on float lists aligned with the target's
-  support, and a point is built only once, at exit.
+  started at the target itself with lam = 1/2.  A sweep that would
+  increase the residual is rejected and halves lam; an accepted sweep
+  doubles it, up to 1/2 again, so lam recovers after early overshoots
+  and the current iterate is always the best one so far.  The sweeps
+  stop on three conditions only: the residual meets the tolerance, lam
+  falls below ``DAMPING_FLOOR``, or ``max_iter`` sweeps have run.  They
+  run on float lists aligned with the target's support, and a point is
+  built only once, at exit.
 
 No route guarantees convergence: a miss raises ``NonConvergence`` with
 the best iterate, its exact residual and the method that ran, so no
@@ -35,8 +39,6 @@ from .errors import NonConvergence, ResidualTooLarge
 from .generating import VolterraOperator, _check_domain, _check_tolerance, _image_residual, apply
 from .simplex import SparsePoint, _checked_all, _checked_mass, _normalized, _point_on, _total, l1_distance, point_to_obj
 
-#: Sweeps between two stall checks of ``invert_fixed_point``.
-STALL_SWEEPS = 100
 #: Damping lam below which a sweep cannot move the iterate measurably.
 DAMPING_FLOOR = 1e-14
 #: Share of the tolerance each stage of a staged inverse must meet, so
@@ -183,23 +185,25 @@ def invert_fixed_point(
     Starts at x = y (feasible, and close to the preimage when the
     generating map is small).  Each sweep mixes the current iterate with
     y_k / g_k(x) over the support of y, with damping lam = 1/2 at the
-    start, and renormalizes; a sweep that would increase the residual is
-    rejected and lam halved instead, so the iterate is always the best
-    one so far.  Support never extends beyond the support of y.  Each
-    sweep evaluates g once, at the trial point, over the support of y;
-    the forward image and the next sweep reuse those values.  The sweeps
-    work on float lists aligned with the support of y, checked and
-    renormalized as ``make_point`` would, and the residual is the
-    ``l1_distance`` of the forward image from y, summed in its order; a
-    point is built only for the result or for ``NonConvergence.best``.
+    start, and renormalizes.  A sweep that would increase the residual
+    is rejected and lam halved instead, so the iterate is always the
+    best one so far; an accepted sweep doubles lam, capped at 1/2, so a
+    few early rejections do not slow every later sweep.  Support never
+    extends beyond the support of y.  Each sweep evaluates g once, at
+    the trial point, over the support of y; the forward image and the
+    next sweep reuse those values.  The sweeps work on float lists
+    aligned with the support of y, checked and renormalized as
+    ``make_point`` would, and the residual is the ``l1_distance`` of the
+    forward image from y, summed in its order; a point is built only for
+    the result or for ``NonConvergence.best``.
 
-    Every ``STALL_SWEEPS`` sweeps the residual's rate over the last
-    ``STALL_SWEEPS`` is read.  The sweeps stall when lam falls below
-    ``DAMPING_FLOOR``, or when at that rate the residual would not reach
-    tol within ``max_iter`` sweeps: a slow but steady linear rate that
-    fits the budget runs on.  A stall, or ``max_iter`` sweeps, raises
-    NonConvergence with the best iterate.  A tolerance that is not
-    positive (NaN included) is a ValueError.
+    The sweeps stop when the residual is at most tol, when lam falls
+    below ``DAMPING_FLOOR``, or after ``max_iter`` sweeps; the last two
+    raise NonConvergence with the best iterate.  A slow but steady run
+    is bounded by ``max_iter`` alone: at worst ``max_iter`` sweeps, each
+    one ``values`` call over the support of y plus O(|support|) list
+    work.  A tolerance that is not positive (NaN included) is a
+    ValueError.
     """
     _check_tolerance(tol)
     _check_domain(op, y.support, "point support")
@@ -208,17 +212,9 @@ def invert_fixed_point(
     xm = target  # masses of the iterate, aligned with the support of y
     gx = op.values(xm, support)
     residual = _image_residual(support, xm, gx, target)
-    checkpoint = residual  # the residual STALL_SWEEPS sweeps before
     iterations = 0
     while residual > tol:
-        stalled = iterations >= max_iter or lam < DAMPING_FLOOR
-        if iterations and iterations % STALL_SWEEPS == 0:
-            rate = residual / checkpoint  # over the last STALL_SWEEPS sweeps
-            stalled = stalled or rate >= 1.0 or (
-                iterations + STALL_SWEEPS * math.log(tol / residual) / math.log(rate) > max_iter
-            )
-            checkpoint = residual
-        if stalled:
+        if iterations >= max_iter or lam < DAMPING_FLOOR:
             raise NonConvergence(
                 f"fixed-point inversion of {op.label!r} stalled",
                 _iterate(y, xm), residual, iterations, "fixed_point",
@@ -234,6 +230,7 @@ def invert_fixed_point(
         trial_residual = _image_residual(support, trial_m, trial_g, target)
         if trial_residual < residual:
             xm, gx, residual = trial_m, trial_g, trial_residual
+            lam = min(2.0 * lam, 0.5)
         else:
             lam *= 0.5
     return InversionResult(

@@ -7,9 +7,10 @@ verdict is the certified one (worst value 0.0 at the barycenter) and the
 samples are pinned by the other three verdicts; ``apply`` of every
 operator family at one seeded point; and ``invert_fixed_point`` on
 five targets: two that converge at once, one example32 run that rejects
-sweeps and halves its damping before it converges, and two example32
-runs on which the sweeps stall and raise ``NonConvergence`` (the keys
-name how they once stalled, at ``max_iter`` and at the damping floor).
+sweeps, halving its damping and doubling it back on accepted sweeps,
+before it converges, and two example32 runs (``example32_stall`` and
+``example32_damping_floor``) on which rejections drive the damping
+below its floor, which raises ``NonConvergence``.
 Regenerate only for an intended change of results:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """

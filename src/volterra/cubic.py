@@ -312,7 +312,9 @@ def example31(dimension: int | None = None) -> VolterraOperator:
             sq = sq + m * m
         return [1.0 + (m - sq) for m in X]
 
-    return _continuous(fn, dimension, "example31")
+    op = _continuous(fn, dimension, "example31")
+    op.structure = (1.0, 1.0, 0.0, -1.0, 0.0)
+    return op
 
 
 def example31_tensor(dimension: int) -> CubicTensor:
@@ -362,7 +364,7 @@ def example32() -> VolterraOperator:
         return out
 
     op = _continuous(fn, label="example32")
-    op.route = "triangular"
+    op.structure = (0.0, 0.0, 1.0, 0.0, 1.0)
     return op
 
 

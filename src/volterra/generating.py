@@ -104,15 +104,23 @@ class VolterraOperator:
     builds from continuous pieces (polynomials, the sine map, the
     identity, and ``compose`` and ``convex`` of two such operators),
     whose continuity ``check_conditions`` then certifies instead of
-    testing it.  ``route`` is how ``inversion.invert`` inverts the
-    operator, set by the library's constructors from its structure:
-    ``"triangular"`` on example32 and on a convex combination of two
-    such operators (the same g), the pair (op1, op2) on
-    ``compose(op1, op2)``, inverted stage by stage, and None, the
-    fixed-point sweeps, on any other operator.  Immutable by convention.
+    testing it.  ``inversion.invert`` reads two attributes, set by the
+    library's constructors from the operator's structure, never from its
+    label.  ``structure`` is None, or the coefficients
+    (one, x, x2, s, prefix) of a map of the form
+
+        g_k(x) = one + x*x_k + x2*x_k^2 + s*sum_i x_i^2 + prefix*3*C_k(x),
+
+    where C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j is example32's
+    prefix term: (1, 1, 0, -1, 0) on example31, (0, 0, 1, 0, 1) on example32,
+    and lam*r1 + (1-lam)*r2 on a convex combination of two such
+    operators.  ``stages`` is None, or the pair (op1, op2) on
+    ``compose(op1, op2)``, inverted stage by stage.  An operator with
+    neither is inverted by the fixed-point sweeps.  Immutable by
+    convention.
     """
 
-    __slots__ = ("fn", "max_index", "label", "depth", "continuous", "route")
+    __slots__ = ("fn", "max_index", "label", "depth", "continuous", "structure", "stages")
 
     def __init__(self, fn: Callable[[Sequence[int], Sequence], Sequence], max_index: int | None = None,
                  label: str = "operator"):
@@ -121,7 +129,8 @@ class VolterraOperator:
         self.label = label
         self.depth = 0
         self.continuous = False
-        self.route = None
+        self.structure = None
+        self.stages = None
 
     def values(self, X, indices: Sequence[int]):
         """g over ``indices`` at one point or at every column of a block.
@@ -548,14 +557,18 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
         return [b * a for b, a in zip(g2, g1)]
 
     op = _nested(fn, op1, op2, f"compose({op1.label}, {op2.label})")
-    op.route = (op1, op2)
+    op.stages = (op1, op2)
     return op
 
 
 def convex_combination(
     op1: VolterraOperator, op2: VolterraOperator, lam: float
 ) -> VolterraOperator:
-    """Growth factor lam*g1 + (1-lam)*g2; images mix coordinate-wise."""
+    """Growth factor lam*g1 + (1-lam)*g2; images mix coordinate-wise.
+
+    Where both operators record a ``structure``, so does the mix: the
+    coefficients mixed the same way, or the one record both share.
+    """
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRange(lam)
 
@@ -565,8 +578,9 @@ def convex_combination(
         return [lam * a + (1.0 - lam) * b for a, b in zip(g1, g2)]
 
     op = _nested(fn, op1, op2, f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")
-    if op1.route == "triangular" and op2.route == "triangular":
-        op.route = "triangular"
+    r1, r2 = op1.structure, op2.structure
+    if r1 is not None and r2 is not None:
+        op.structure = r1 if r1 == r2 else tuple(lam * a + (1.0 - lam) * b for a, b in zip(r1, r2))
     return op
 
 

@@ -1,14 +1,21 @@
 """Numerical inverses of Volterra-type operators.
 
 ``invert`` is the one entry point; it takes the route that the
-operator records (``VolterraOperator.route``), set by the
-constructors from the operator's structure, never from its label.
+operator's structure gives (``VolterraOperator.structure`` and
+``.stages``, set by the constructors), never its label.
 
-- Triangular: ``example32``, whose k-th image coordinate is
-  h(x_k) = x_k^3 + 3*C_k*x_k with C_k >= 0 depending only on earlier
-  coordinates, and h strictly increasing on [0, 1], so coordinates are
-  recovered in order, each as a closed-form cubic root; also a convex
-  combination of two such maps, which has the same g.
+- Structured: example31, example32 and their convex combinations, whose
+  g_k is one + x*x_k + x2*x_k^2 + s*sum_i x_i^2 + prefix*3*C_k, with
+  C_k >= 0 depending only on coordinates before k.  Given the scalar
+  c = 1 - sum_i x_i^2, coordinate k solves an increasing polynomial,
+  x2*t^3 + x*t^2 + (one + s*(1-c) + 3*prefix*C_k)*t = y_k, so they are
+  recovered in order: example31's by the closed form
+  t = 2*y_k / (c + sqrt(c^2 + 4*y_k)), example32's by a closed-form
+  cubic root, and a mix's by Newton's method from above.  Where s
+  appears (method ``"scalar"``), a safeguarded Newton root in c on
+  [0, 1] finds the c at which the coordinates add up to 1 with
+  sum_i x_i^2 = 1 - c; without it (method ``"triangular"``, example32
+  and its self-mixes) one pass does.  Neither runs a sweep.
 - Staged: ``compose(op1, op2)`` applies op2 first, so its preimage is
   op2's preimage of op1's preimage, each found by its own route.
 - Fixed point: every other operator, by the damped coordinate iteration
@@ -37,13 +44,19 @@ from dataclasses import dataclass
 from .cubic import example32
 from .errors import NonConvergence, ResidualTooLarge
 from .generating import VolterraOperator, _check_domain, _check_tolerance, _image_residual, apply
-from .simplex import SparsePoint, _checked_all, _checked_mass, _normalized, _point_on, _total, l1_distance, point_to_obj
+from .simplex import SparsePoint, _checked_all, _normalized, _point_on, _total, l1_distance, point_to_obj
 
 #: Damping lam below which a sweep cannot move the iterate measurably.
 DAMPING_FLOOR = 1e-14
 #: Share of the tolerance each stage of a staged inverse must meet, so
 #: that the composed residual meets the whole of it.
 STAGE_TOL = 1.0 / 16.0
+#: Balance below which the scalar root stops once a Newton step no
+#: longer halves it: rounding, not c, decides it there.
+ROOT_NOISE = 2.0**-40
+#: Most steps of the scalar root: 200 halvings shrink [0, 1] below
+#: 1e-60, and Newton's steps take a handful.
+_ROOT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -86,33 +99,38 @@ def solve_monotone_cubic(c: float, target: float) -> float:
 
 
 def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: int = 10_000) -> InversionResult:
-    """A preimage of y under op, by the route op records.
+    """A preimage of y under op, by the route op's structure gives.
 
-    - ``"triangular"`` (example32, and convex combinations of two such
-      maps): the closed-form solve of ``invert_triangular``, its
-      residual taken on op itself; ``max_iter`` plays no part.
-    - ``(op1, op2)`` (``compose(op1, op2)``, which applies op2 first):
-      ``invert(op1, y)``, then ``invert(op2, .)`` of that, each stage to
-      ``STAGE_TOL * tol``, and the iterations of both summed.  The
-      stages share ``max_iter``: the second gets what the first left.
-      A stage that misses hands its best iterate on.  The residual is
-      taken once, on op, at the final iterate: above ``tol`` it raises
-      NonConvergence (method ``"staged"``) naming the first stage that
-      missed, with that iterate and its residual.
-    - None (any other operator): ``invert_fixed_point``.
+    - ``structure`` recorded (example31, example32 and their convex
+      combinations): the structured solve, one scalar root in
+      c = 1 - sum_i x_i^2 (method ``"scalar"``) or, where g holds no
+      sum of squares, none (``"triangular"``), then the coordinates in
+      order, the residual taken on op itself.  It runs no sweep:
+      ``iterations`` is 0 and ``max_iter`` plays no part.  A residual
+      above ``tol`` raises ResidualTooLarge (method ``"scalar"`` or
+      ``"triangular"``) with the point found; it never falls back to
+      the sweeps.
+    - ``stages`` (op1, op2) (``compose(op1, op2)``, which applies op2
+      first): ``invert(op1, y)``, then ``invert(op2, .)`` of that, each
+      stage to ``STAGE_TOL * tol``, and the iterations of both summed.
+      The stages share ``max_iter``: the second gets what the first
+      left.  A stage that misses hands its best iterate on.  The
+      residual is taken once, on op, at the final iterate: above ``tol``
+      it raises NonConvergence (method ``"staged"``) naming the first
+      stage that missed, with that iterate and its residual.
+    - Neither (any other operator): ``invert_fixed_point``.
 
     A tolerance that is not positive (NaN included) is a ValueError.
     """
-    route = op.route
-    if route is None:
+    if op.structure is not None:
+        return _structured(op, y, tol)
+    if op.stages is None:
         return invert_fixed_point(op, y, tol, max_iter)
-    if route == "triangular":
-        return _triangular(op, y, tol)
     _check_tolerance(tol)
     _check_domain(op, y.support, "point support")
     stage_tol = max(STAGE_TOL * tol, 5e-324)  # positive, even where STAGE_TOL * tol underflows
     x, iterations, missed = y, 0, None
-    for stage, part in enumerate(route, 1):
+    for stage, part in enumerate(op.stages, 1):
         try:
             result = invert(part, x, stage_tol, max_iter - iterations)
             x, n = result.preimage, result.iterations
@@ -130,7 +148,8 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
 
 
 def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionResult:
-    """Sequential inverse of ``example32`` at the target y.
+    """Sequential inverse of ``example32`` at the target y: the
+    structured solve without the scalar root.
 
     Solves, for each index of y in turn, the strictly increasing cubic
     t^3 + 3*C_k*t = y_k with C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j
@@ -148,33 +167,147 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
     (and the count a ResidualTooLarge carries) is 0: no sweep runs, so
     the solve spends nothing of a staged inverse's ``max_iter``.
     """
-    return _triangular(example32(), y, residual_tol)
+    return _structured(example32(), y, residual_tol)
 
 
-def _triangular(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> InversionResult:
-    """``invert_triangular`` with the residual taken on op, whose g must
-    be example32's."""
+def _structured(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> InversionResult:
+    """The structured solve of ``invert`` for an op that records its
+    ``structure``, the residual taken on op: the coordinates in order, at
+    the root c of ``_scalar_root`` where g holds s, then checked and
+    normalized as ``make_point`` would."""
     _check_tolerance(residual_tol)
-    support = y.support
+    _check_domain(op, y.support, "point support")
+    structure = op.structure
+    one, _, _, s, _ = structure
+    support, target = y.support, y.masses
+    method = "scalar" if s else "triangular"
+    roots, slope = _coordinates(structure, (one + s) / 3.0, -s / 3.0, target)
+    if s:
+        roots = _scalar_root(structure, target, roots, slope)
+    xm = _normalized(_checked_all(support, roots))
+    residual = _image_residual(support, xm, op.values(xm, support), target)
+    preimage = _point_on(support, xm)
+    if residual > residual_tol:
+        raise ResidualTooLarge(f"{method} inverse misses the target", preimage, residual, 0, method)
+    return InversionResult(preimage=preimage, residual=residual, iterations=0, method=method)
+
+
+def _balance(roots: list[float], c: float) -> float:
+    """sum_k x_k (1 - x_k) - c, zero at a root c of ``_scalar_root``."""
+    return _total([t * (1.0 - t) for t in roots]) - c
+
+
+def _scalar_root(structure: tuple, target, roots: list[float], slope: float) -> list[float]:
+    """The coordinates solved at the root c in [0, 1] of ``_balance``,
+    given those at c = 0 and the balance's slope there.
+
+    With c = 1 - sum_i x_i^2, the constant part of g is
+    ``one + s - s*c`` (exactly c on example31), and the coordinates
+    solved at any c balance exactly when c = sum_k x_k (1 - x_k), that
+    is, when they add up to 1 with sum_k x_k^2 = 1 - c: the y_k add up
+    to 1.  The balance, not the sum less 1, is the function whose root is
+    taken: where s moves g little (a mix with little of example31) the
+    sum hardly moves with c, but the balance falls with slope about -1.
+    It is at least 0 at c = 0 and below 0 at c = 1 on example31; where
+    rounding leaves no sign change, that end of [0, 1] stands for the
+    root, and the residual check decides, as for any other.
+
+    Newton's steps run from the end with the smaller balance, each kept
+    inside the bracket the signs so far give; a step that leaves it, or
+    a slope that does not fall, bisects instead.  They end at a root, at
+    a bracket of two adjacent floats, or at a Newton step that fails to
+    halve a balance already below ``ROOT_NOISE``: the rounding of the
+    coordinates then decides the balance, not c.
+    """
+    one, _, _, s, _ = structure
+    base = one + s
+    low = _balance(roots, 0.0)
+    if not low > 0.0:
+        return roots
+    high, high_slope = _coordinates(structure, (base - s) / 3.0, -s / 3.0, target)
+    excess = _balance(high, 1.0)
+    if excess >= 0.0:
+        return high
+    c = 1.0
+    if low <= -excess:  # Newton's steps start at the end nearer the root
+        c, excess = 0.0, low
+    else:
+        roots, slope = high, high_slope
+    lo, hi = 0.0, 1.0
+    for _ in range(_ROOT_STEPS):
+        if excess > 0.0:
+            lo = c
+        elif excess < 0.0:
+            hi = c
+        else:
+            break
+        step = c - excess / slope if slope < 0.0 else lo
+        newton = lo < step < hi
+        if not newton:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        c = step
+        roots, slope = _coordinates(structure, (base - s * c) / 3.0, -s / 3.0, target)
+        last, excess = excess, _balance(roots, c)
+        if newton and ROOT_NOISE >= abs(excess) > 0.5 * abs(last):
+            break
+    return roots
+
+
+def _coordinates(structure: tuple, q0: float, dq0: float, target) -> tuple[list[float], float]:
+    """The roots, in support order, of x2*t^3 + x*t^2 + 3*q_k*t = y_k with
+    q_k = q0 + prefix*C_k, each given the earlier ones, and the
+    derivative of ``_balance`` at them along dq0 = dq0/dc (where dq0 is
+    0.0, it is not computed).
+
+    The roots are not checked here.  C_k below zero, which rounding can
+    give, counts as zero.
+    """
+    _, a1, a2, _, prefix = structure
     roots = []
-    s1 = 0.0  # sum of solved coordinates
-    pairs = 0.0  # sum of products over solved index pairs
-    for k, yk in y.items():
-        c = s1 - pairs
-        t = _checked_mass(k, solve_monotone_cubic(c if c > 0.0 else 0.0, yk))
+    s1 = pairs = 0.0  # sum of the solved coordinates, and of their products over pairs
+    d1 = dpairs = 0.0  # their derivatives in c
+    slope = -1.0  # of the balance
+    for yk in target:
+        ck = s1 - pairs
+        q = q0 + prefix * ck if ck > 0.0 else q0
+        if a1 == 0.0:  # example32's cubic, as solved for it since the first release
+            t = solve_monotone_cubic(q / a2, yk / a2)
+        elif a2 == 0.0:  # example31's quadratic, without cancellation
+            t = 2.0 * yk / (3.0 * q + math.hypot(3.0 * q, 2.0 * math.sqrt(a1 * yk)))
+        else:
+            t = _mixed_root(a1, a2, q, yk)
+        if dq0:
+            dq = dq0 + prefix * (d1 - dpairs) if ck > 0.0 else dq0
+            dt = -3.0 * t * dq / ((3.0 * a2 * t + 2.0 * a1) * t + 3.0 * q) if t > 0.0 else 0.0
+            dpairs += dt * s1 + t * d1
+            d1 += dt
+            slope += dt * (1.0 - 2.0 * t)
         roots.append(t)
         pairs += t * s1
         s1 += t
-    xm = _normalized(roots)
-    residual = _image_residual(support, xm, op.values(xm, support), y.masses)
-    preimage = _point_on(support, xm)
-    if residual > residual_tol:
-        raise ResidualTooLarge(
-            "triangular inverse misses the target", preimage, residual, 0, "triangular"
-        )
-    return InversionResult(
-        preimage=preimage, residual=residual, iterations=0, method="triangular"
-    )
+    return roots, slope
+
+
+def _mixed_root(a1: float, a2: float, q: float, target: float) -> float:
+    """Root of a2*t^3 + a1*t^2 + 3*q*t = target for a1, a2 > 0, q >= 0.
+
+    Either part alone reaches the target at a larger t than the whole, so
+    the smaller of their two roots is above the root; the polynomial is
+    increasing and convex for t >= 0, so Newton's steps from there fall
+    monotonically onto it, and the first one that does not fall ends
+    them.
+    """
+    t = solve_monotone_cubic(q / a2, target / a2)
+    quadratic = 3.0 * q + math.hypot(3.0 * q, 2.0 * math.sqrt(a1 * target))
+    if quadratic > 0.0:  # zero only where a1 * target underflows
+        t = min(t, 2.0 * target / quadratic)
+    while True:
+        step = t - (((a2 * t + a1) * t + 3.0 * q) * t - target) / ((3.0 * a2 * t + 2.0 * a1) * t + 3.0 * q)
+        if not step < t:
+            return t
+        t = step
 
 
 def invert_fixed_point(

@@ -215,15 +215,21 @@ def test_invert_non_convergence_exit_code(capsys, tmp_path):
 
 def test_invert_reports_the_method_that_ran(capsys, tmp_path):
     # The route comes from the operator's structure: example32 mixed with
-    # itself is still triangular, and a composition inverts stage by
-    # stage, also when a stage misses.
+    # itself is still triangular, example31 and its mixes with example32
+    # take the scalar root, and a composition inverts stage by stage, also
+    # when a sweeping stage misses.
     x = write_json(tmp_path / "x.json", {"1": 0.025, "2": 0.4, "3": 0.575})
     twice = {"type": "convex", "operators": [{"type": "example32"}, {"type": "example32"}], "lambda": 0.5}
+    mixed = {"type": "convex", "operators": [{"type": "example31"}, {"type": "example32"}], "lambda": 0.5}
     composed = {"type": "compose", "operators": [{"type": "example31"}, {"type": "example32"}]}
+    sweeping = {"type": "compose", "operators": [
+        {"type": "quadratic", "matrix": [[1, 2, 0.5], [2, 3, -0.7]]}, {"type": "example32"}]}
     for name, spec, extra, code_wanted, method, converged in (
         ("twice", twice, [], 0, "triangular", True),
-        ("composed", composed, [], 0, "staged", True),
-        ("short", composed, ["--max-iter", "2"], 2, "staged", False),
+        ("example31", {"type": "example31"}, [], 0, "scalar", True),
+        ("mixed", mixed, [], 0, "scalar", True),
+        ("composed", composed, ["--max-iter", "0"], 0, "staged", True),
+        ("short", sweeping, ["--max-iter", "2"], 2, "staged", False),
     ):
         spec = write_json(tmp_path / f"{name}.json", spec)
         code, out = run(capsys, ["apply", "--operator", spec, "--point", x])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from volterra import (
+    DomainViolation,
     FaceSpec,
     NonConvergence,
     ResidualTooLarge,
@@ -242,14 +243,13 @@ def _heavy_tailed_point(rng: np.random.Generator):
 _SKEW8 = rand_skew_operator(np.random.default_rng(8), 8)[1]
 
 #: Family -> (operator, seed of its targets, route, targets of 150 that
-#: converge at the CLI's default budget).  The misses, all on
-#: convex(e31, e32), end in an honest NonConvergence at the damping floor.
+#: converge at the CLI's default budget).
 _FAMILIES = {
-    "example31": (example31(), 1000, "fixed_point", 150),
+    "example31": (example31(), 1000, "scalar", 150),
     "example31_tensor(8)": (operator_from_tensor(example31_tensor(8)), 1002, "fixed_point", 150),
     "example32": (example32(), 1005, "triangular", 150),
     "convex(e32,e32)": (convex_combination(example32(), example32(), 0.5), 1007, "triangular", 150),
-    "convex(e31,e32)": (convex_combination(example31(), example32(), 0.5), 1010, "fixed_point", 145),
+    "convex(e31,e32)": (convex_combination(example31(), example32(), 0.5), 1010, "scalar", 150),
     "compose(e32,e32)": (compose(example32(), example32()), 1008, "staged", 150),
     "compose(e31,e32)": (compose(example31(), example32()), 1009, "staged", 150),
     "compose(e31,e31)": (compose(example31(), example31()), 1006, "staged", 150),
@@ -290,7 +290,7 @@ def test_a_target_whose_first_sweeps_overshoot_recovers_its_damping():
     op = example31()
     y = apply(op, make_point({2: 6.22873049528632e-05, 3: 0.9997846866076967, 5: 0.00015302608735048718}))
     for max_iter in (10_000, 100):
-        result = invert(op, y, max_iter=max_iter)
+        result = invert_fixed_point(op, y, max_iter=max_iter)
         assert result.iterations <= 100 and result.residual <= 1e-10
 
 
@@ -327,22 +327,23 @@ def test_route_comes_from_structure_not_label():
 
 
 def test_staged_miss_names_the_stage():
-    op = compose(example31(), example32())
+    # The skew quadratic stage sweeps; the triangle adds no sweep.
+    op = compose(_SKEW8, example32())
     x = make_point({1: 0.025, 2: 0.4, 3: 0.575})
     y = apply(op, x)
     result = invert(op, y)
     assert result.method == "staged" and result.residual <= 1e-10
-    z = invert(example31(), y, tol=1e-10 / 16)
+    z = invert(_SKEW8, y, tol=1e-10 / 16)
     assert result.iterations == z.iterations + invert(example32(), z.preimage).iterations
-    with pytest.raises(NonConvergence, match="stage 1 \\(example31\\)") as info:
+    with pytest.raises(NonConvergence, match="stage 1 \\(quadratic\\(n=8\\)\\)") as info:
         invert(op, y, max_iter=2)
     err = info.value
     assert (err.method, err.iterations) == ("staged", 2)  # two sweeps; the triangle adds none
     assert err.residual == l1_distance(apply(op, err.best), y) > 1e-10
     # Sweeping stages share the budget: the first spends it, and the
     # second stops before its first sweep.
-    twice = compose(example31(), example31())
-    with pytest.raises(NonConvergence, match="stage 1 \\(example31\\)") as info:
+    twice = compose(_SKEW8, _SKEW8)
+    with pytest.raises(NonConvergence, match="stage 1 \\(quadratic\\(n=8\\)\\)") as info:
         invert(twice, apply(twice, x), max_iter=4)
     assert info.value.iterations == 4
 
@@ -351,9 +352,12 @@ def test_staged_miss_names_the_stage():
 def test_a_triangular_stage_spends_none_of_the_budget(order):
     # A target whose largest index is twice max_iter: were the triangular
     # stage to count the index, it would use up the budget of the sweeping
-    # stage, or pass it.
+    # stage, or pass it.  example31 alone takes the scalar root, so the
+    # sweeping stage is example31 mixed with the identity, which records
+    # no structure.
     x = make_point({1: 0.3, 5: 0.3, 20000: 0.4})
-    op = compose(example32(), example31()) if order == "e32 after e31" else compose(example31(), example32())
+    e31 = convex_combination(example31(), identity_operator(), 0.5)
+    op = compose(example32(), e31) if order == "e32 after e31" else compose(e31, example32())
     result = invert(op, apply(op, x))
     assert result.method == "staged" and result.residual <= 1e-10
     assert 0 < result.iterations <= 10_000
@@ -372,3 +376,69 @@ def test_sweep_stall_raises_with_the_best_iterate():
     assert err.method == "fixed_point"
     assert err.iterations < 10_000
     assert err.residual == l1_distance(apply(op, err.best), y) > 1e-10
+
+
+@pytest.mark.parametrize("family", ["example31", "compose(e31,e31)", "compose(e31,e32)", "convex(e31,e32)"])
+def test_scalar_preimages_are_right_in_every_coordinate(family):
+    # The sweeps stop on the l1 residual, and left coordinates of these
+    # sets up to 1.1e-3 off; the scalar root solves each coordinate in
+    # closed form, so every one comes back to a relative 1e-10.
+    op, seed, _, _ = _FAMILIES[family]
+    rng = np.random.default_rng(seed)
+    for _ in range(150):
+        x = _heavy_tailed_point(rng)
+        result = invert(op, apply(op, x))
+        assert result.iterations == 0
+        assert result.preimage.support == x.support
+        for got, want in zip(result.preimage.masses, x.masses):
+            assert abs(got - want) <= 1e-10 * want
+
+
+def test_no_operator_of_example31_and_example32_pieces_sweeps():
+    # example31, example32, their convex mixes (mixes of mixes too) and
+    # every composition of those, two levels deep, invert by their
+    # structure, with no sweep, even on a budget of none.
+    e31, e32 = example31(), example32()
+    mixes = [e31, e32] + [convex_combination(a, b, lam) for a, b in ((e31, e32), (e32, e31)) for lam in (0.3, 0.7)]
+    mixes.append(convex_combination(mixes[2], mixes[5], 0.4))
+    composed = [compose(a, b) for a in mixes for b in mixes]
+    x = make_point({1: 0.1, 2: 0.25, 4: 0.05, 7: 0.6})
+    for op in mixes + composed + [compose(a, b) for a in composed[::7] for b in composed[::5]]:
+        result = invert(op, apply(op, x), max_iter=0)
+        assert result.method in ("scalar", "triangular", "staged"), op.label
+        assert result.iterations == 0 and result.residual <= 1e-10, op.label
+        assert l1_distance(result.preimage, x) <= 1e-12, op.label
+
+
+def test_scalar_miss_raises_with_the_point_found():
+    # Below the rounding of the forward image no root meets the tolerance:
+    # the miss is a ResidualTooLarge of the scalar route, carrying the
+    # point found and its true residual, and never a fall back to sweeps.
+    op = example31()
+    y = make_point({1: 0.2, 2: 0.3, 3: 0.5})
+    with pytest.raises(ResidualTooLarge) as info:
+        invert(op, y, tol=1e-30)
+    err = info.value
+    assert (err.method, err.iterations) == ("scalar", 0)
+    assert err.residual == l1_distance(apply(op, err.best), y) > 1e-30
+
+
+def test_scalar_route_keeps_the_declared_domain():
+    op = example31(3)
+    y = make_point({1: 0.2, 2: 0.3, 4: 0.5})
+    with pytest.raises(DomainViolation):
+        invert(op, y)
+    with pytest.raises(DomainViolation):
+        invert(convex_combination(op, example32(), 0.5), y)
+    assert invert(op, make_point({1: 0.2, 2: 0.3, 3: 0.5})).method == "scalar"
+
+
+def test_structure_record_mixes_linearly():
+    e31, e32 = example31(), example32()
+    assert e31.structure == (1.0, 1.0, 0.0, -1.0, 0.0)
+    assert e32.structure == (0.0, 0.0, 1.0, 0.0, 1.0)
+    assert convex_combination(e31, e32, 0.25).structure == (0.25, 0.25, 0.75, -0.25, 0.75)
+    # A mix of two equal records is that record, bit for bit, at any lam.
+    assert convex_combination(e32, e32, 0.1).structure == e32.structure
+    assert compose(e31, e32).structure is None and compose(e31, e32).stages == (e31, e32)
+    assert convex_combination(e31, identity_operator(), 0.5).structure is None

@@ -27,7 +27,7 @@ def test_formula_commands_run_without_numpy(capsys, tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     result = json.loads(done.stdout)
     assert result["exit_codes"] == {
-        "builtin": 0, "apply": 0, "simulate": 0, "invert": 0, "invert_example32": 0,
+        "builtin": 0, "apply": 0, "simulate": 0, "invert": 0, "invert_fixed_point": 0, "invert_example32": 0,
         "apply_staged": 0, "invert_staged": 0, "check": 0,
     }
     assert not result["numpy_after_formula_commands"]

@@ -92,6 +92,23 @@ def test_invert_loads_inversion_only(operand):
     assert not added & {"numpy", "volterra.dynamics", "volterra.quadratic"}
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "example31"},
+    {"type": "convex", "operators": [{"type": "example31"}, {"type": "example32"}], "lambda": 0.5},
+], ids=["example31", "convex"])
+def test_scalar_invert_loads_no_numpy(tmp_path, spec):
+    # The scalar root and each coordinate given it are solved with math.
+    operator = tmp_path / "operator.json"
+    operator.write_text(json.dumps(spec))
+    point = tmp_path / "image.json"
+    point.write_text(json.dumps({"1": 0.2, "2": 0.3, "3": 0.5}))
+    inverse = tmp_path / "inverse.json"
+    added = added_by(["invert", "--operator", str(operator), "--point", str(point), "--output", str(inverse)])
+    assert json.loads(inverse.read_text())["method"] == "scalar"
+    assert "volterra.inversion" in added
+    assert not added & {"numpy", "volterra.dynamics", "volterra.quadratic"}
+
+
 def test_triangular_invert_loads_no_numpy(tmp_path):
     # The triangular route solves each coordinate in closed form with math.
     spec = tmp_path / "example32.json"
@@ -104,9 +121,9 @@ def test_triangular_invert_loads_no_numpy(tmp_path):
 
 
 def test_staged_invert_loads_no_numpy(tmp_path):
-    # compose(example31, example32) inverts stage by stage: sweeps on
-    # float lists, then the closed-form triangle.  Sweeps on the
-    # composition itself stall on this image.
+    # compose(example31, example32) inverts stage by stage: the scalar
+    # root, then the closed-form triangle.  Sweeps on the composition
+    # itself stall on this image.
     from volterra import apply, compose, example31, example32, make_point, point_to_obj
 
     op = compose(example31(), example32())

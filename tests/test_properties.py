@@ -11,6 +11,8 @@ l1 residual of the point it returns.  Each cubic root of the triangular
 inverse of example32 lies within 2 * 2^-52 of the exact rational root,
 relative, and the inverse meets every coordinate of an image, however
 small, to a relative 8 d 2^-52 on supports of up to 10^4 indices.
+example31 and every convex mix of example31 and example32 invert with
+no sweep, each coordinate within 64 * 2^-52 / g_k(x) of x_k, relative.
 example32's image agrees
 with exact rational arithmetic to the last bits, however small its
 masses, and example32 composed with itself applies as example32 twice.
@@ -67,6 +69,7 @@ from volterra import (
     example31,
     example32,
     identity_operator,
+    invert,
     invert_fixed_point,
     invert_triangular,
     l1_distance,
@@ -393,6 +396,49 @@ def test_triangular_round_trip(x):
     assert result.residual == l1_distance(image, y)
     for got, want in zip(image.masses, y.masses):
         assert abs(got - want) <= bound * want
+
+
+def _heavy_tailed_points(max_index: int):
+    """Points on up to eight indices of 1..max_index whose masses span up
+    to twelve decades."""
+    weights = st.floats(0.0, 12.0).map(lambda e: 10.0**-e)
+    return st.dictionaries(st.integers(1, max_index), weights, min_size=1, max_size=8).map(_weighted)
+
+
+def _check_structured_round_trip(op, x: SparsePoint, method: str) -> None:
+    # Rounding g_k(x) in the forward image moves y_k by about 2^-52 * x_k
+    # relative to g_k(x), so a small growth factor keeps few of x_k's
+    # digits in y_k; the inverse may lose that much, and no more than a
+    # few dozen times it.
+    y = apply(op, x)
+    result = invert(op, y)
+    assert (result.method, result.iterations) == (method, 0)
+    assert result.residual == l1_distance(apply(op, result.preimage), y) <= 1e-10
+    assert result.preimage.support == x.support
+    for got, want, g in zip(result.preimage.masses, x.masses, op.values(x.masses, x.support)):
+        assert abs(got - want) <= 64 * _EPS * want / g
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.0, 1.0), x=_heavy_tailed_points(12))
+# The ends: example32's record alone, and example31's.
+@example(lam=0.0, x=_weighted({1: 1.0, 2: 1e-6, 5: 0.3}))
+@example(lam=1.0, x=_weighted({1: 1.0, 2: 1e-6, 5: 0.3}))
+# So little of example31 that s cannot move the coordinates' sum.
+@example(lam=5e-324, x=_weighted({1: 1e-9, 3: 1.0, 4: 1e-3}))
+@example(lam=1e-12, x=_weighted({1: 1e-6, 3: 1.0, 4: 1e-3}))
+# A point near a vertex, where c = 1 - sum x_i^2 is about 2e-12.
+@example(lam=0.5, x=_weighted({2: 1.0, 6: 1e-12}))
+def test_convex_example31_example32_round_trip(lam, x):
+    op = convex_combination(example31(), example32(), lam)
+    _check_structured_round_trip(op, x, "scalar" if lam > 0.0 else "triangular")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dimension=st.integers(1, 12))
+def test_example31_round_trip(data, dimension):
+    x = data.draw(_heavy_tailed_points(dimension))
+    _check_structured_round_trip(example31(dimension), x, "scalar")
 
 
 def _spread_points(max_index: int):

@@ -10,7 +10,11 @@ five targets: two that converge at once, one example32 run that rejects
 sweeps, halving its damping and doubling it back on accepted sweeps,
 before it converges, and two example32 runs (``example32_stall`` and
 ``example32_damping_floor``) on which rejections drive the damping
-below its floor, which raises ``NonConvergence``.
+below its floor, which raises ``NonConvergence``; and ``invert`` on
+the images of two points (seeded on 1..6, and one near a vertex) under
+example31, example32, a convex mix of the two, a mix nested in a mix
+and their composition, so the scalar, triangular and staged routes are
+held to their bits.
 Regenerate only for an intended change of results:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -32,6 +36,7 @@ from volterra import (
     example31_tensor,
     example32,
     identity_operator,
+    invert,
     invert_fixed_point,
     make_point,
     operator_from_tensor,
@@ -95,6 +100,23 @@ def golden_reports() -> dict:
                 "residual": exc.residual,
                 "iterations": exc.iterations,
             }
+    e31, e32 = ops["example31"], ops["example32"]
+    structured = {
+        "example31": e31,
+        "example32": e32,
+        "convex0.5_example31_example32": convex_combination(e31, e32, 0.5),
+        "convex0.7_convex0.3_example31_example32_example31": convex_combination(
+            convex_combination(e31, e32, 0.3), e31, 0.7
+        ),
+        "compose_example31_example32": compose(e31, e32),
+    }
+    starts = {
+        "sample8": sample_face(face6, 8),
+        "near_vertex": make_point({2: 6.22873049528632e-05, 3: 0.9997846866076967, 5: 0.00015302608735048718}),
+    }
+    for name, op in structured.items():
+        for start, x in starts.items():
+            out[f"invert/{name}/{start}"] = invert(op, apply(op, x)).to_obj()
     return json.loads(json.dumps(out))  # tuples become lists, as in the fixture
 
 

@@ -313,7 +313,7 @@ def example31(dimension: int | None = None) -> VolterraOperator:
         return [1.0 + (m - sq) for m in X]
 
     op = _continuous(fn, dimension, "example31")
-    op.structure = (1.0, 1.0, 0.0, -1.0, 0.0)
+    op.structure = (1.0, 0.0)
     return op
 
 
@@ -364,7 +364,7 @@ def example32() -> VolterraOperator:
         return out
 
     op = _continuous(fn, label="example32")
-    op.structure = (0.0, 0.0, 1.0, 0.0, 1.0)
+    op.structure = (0.0, 1.0)
     return op
 
 

@@ -106,15 +106,15 @@ class VolterraOperator:
     whose continuity ``check_conditions`` then certifies instead of
     testing it.  ``inversion.invert`` reads two attributes, set by the
     library's constructors from the operator's structure, never from its
-    label.  ``structure`` is None, or the coefficients
-    (one, x, x2, s, prefix) of a map of the form
+    label.  ``structure`` is None, or the weights (w31, w32) of a map of
+    the form
 
-        g_k(x) = one + x*x_k + x2*x_k^2 + s*sum_i x_i^2 + prefix*3*C_k(x),
+        g_k(x) = w31*(1 + x_k - sum_i x_i^2) + w32*(x_k^2 + 3*C_k(x)),
 
-    where C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j is example32's
-    prefix term: (1, 1, 0, -1, 0) on example31, (0, 0, 1, 0, 1) on example32,
-    and lam*r1 + (1-lam)*r2 on a convex combination of two such
-    operators.  ``stages`` is None, or the pair (op1, op2) on
+    example31's growth factor and example32's, where
+    C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j: (1, 0) on example31,
+    (0, 1) on example32, and lam*r1 + (1-lam)*r2 on a convex combination
+    of two such operators.  ``stages`` is None, or the pair (op1, op2) on
     ``compose(op1, op2)``, inverted stage by stage.  An operator with
     neither is inverted by the fixed-point sweeps.  Immutable by
     convention.
@@ -567,7 +567,7 @@ def convex_combination(
     """Growth factor lam*g1 + (1-lam)*g2; images mix coordinate-wise.
 
     Where both operators record a ``structure``, so does the mix: the
-    coefficients mixed the same way, or the one record both share.
+    weights mixed the same way, or the one record both share.
     """
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRange(lam)

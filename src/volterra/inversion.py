@@ -5,16 +5,16 @@ operator's structure gives (``VolterraOperator.structure`` and
 ``.stages``, set by the constructors), never its label.
 
 - Structured: example31, example32 and their convex combinations, whose
-  g_k is one + x*x_k + x2*x_k^2 + s*sum_i x_i^2 + prefix*3*C_k, with
-  C_k >= 0 depending only on coordinates before k.  Given the scalar
-  c = 1 - sum_i x_i^2, coordinate k solves an increasing polynomial,
-  x2*t^3 + x*t^2 + (one + s*(1-c) + 3*prefix*C_k)*t = y_k, so they are
-  recovered in order: example31's by the closed form
+  g_k is w31*(c + x_k) + w32*(x_k^2 + 3*C_k) for the weights (w31, w32)
+  of their ``structure``, c = 1 - sum_i x_i^2 and C_k >= 0 depending
+  only on coordinates before k.  Given c, coordinate k solves an
+  increasing polynomial, w32*t^3 + w31*t^2 + (w31*c + 3*w32*C_k)*t = y_k,
+  so they are recovered in order: example31's by the closed form
   t = 2*y_k / (c + sqrt(c^2 + 4*y_k)), example32's by a closed-form
-  cubic root, and a mix's by Newton's method from above.  Where s
-  appears (method ``"scalar"``), a safeguarded Newton root in c on
+  cubic root, and a mix's by Newton's method from above.  Where w31 is
+  not zero (method ``"scalar"``), a safeguarded Newton root in c on
   [0, 1] finds the c at which the coordinates add up to 1 with
-  sum_i x_i^2 = 1 - c; without it (method ``"triangular"``, example32
+  sum_i x_i^2 = 1 - c; where it is (method ``"triangular"``, example32
   and its self-mixes) one pass does.  Neither runs a sweep.
 - Staged: ``compose(op1, op2)`` applies op2 first, so its preimage is
   op2's preimage of op1's preimage, each found by its own route.
@@ -103,8 +103,8 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
 
     - ``structure`` recorded (example31, example32 and their convex
       combinations): the structured solve, one scalar root in
-      c = 1 - sum_i x_i^2 (method ``"scalar"``) or, where g holds no
-      sum of squares, none (``"triangular"``), then the coordinates in
+      c = 1 - sum_i x_i^2 (method ``"scalar"``) or, where example31's
+      weight w31 is zero, none (``"triangular"``), then the coordinates in
       order, the residual taken on op itself.  It runs no sweep:
       ``iterations`` is 0 and ``max_iter`` plays no part.  A residual
       above ``tol`` raises ResidualTooLarge (method ``"scalar"`` or
@@ -172,18 +172,16 @@ def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionR
 
 def _structured(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> InversionResult:
     """The structured solve of ``invert`` for an op that records its
-    ``structure``, the residual taken on op: the coordinates in order, at
-    the root c of ``_scalar_root`` where g holds s, then checked and
-    normalized as ``make_point`` would."""
+    ``structure`` (w31, w32), the residual taken on op: the coordinates
+    in order, at the root c of ``_scalar_root`` where w31 is not zero,
+    then checked and normalized as ``make_point`` would."""
     _check_tolerance(residual_tol)
     _check_domain(op, y.support, "point support")
-    structure = op.structure
-    one, _, _, s, _ = structure
     support, target = y.support, y.masses
-    method = "scalar" if s else "triangular"
-    roots, slope = _coordinates(structure, (one + s) / 3.0, -s / 3.0, target)
-    if s:
-        roots = _scalar_root(structure, target, roots, slope)
+    if op.structure[0]:
+        method, roots = "scalar", _scalar_root(op.structure, target)
+    else:
+        method, roots = "triangular", _coordinates(op.structure, 0.0, target)[0]
     xm = _normalized(_checked_all(support, roots))
     residual = _image_residual(support, xm, op.values(xm, support), target)
     preimage = _point_on(support, xm)
@@ -192,25 +190,19 @@ def _structured(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> In
     return InversionResult(preimage=preimage, residual=residual, iterations=0, method=method)
 
 
-def _balance(roots: list[float], c: float) -> float:
-    """sum_k x_k (1 - x_k) - c, zero at a root c of ``_scalar_root``."""
-    return _total([t * (1.0 - t) for t in roots]) - c
+def _scalar_root(structure: tuple, target) -> list[float]:
+    """The coordinates solved at the root c in [0, 1] of the balance
+    sum_k x_k (1 - x_k) - c, for weights (w31, w32) with w31 not zero.
 
-
-def _scalar_root(structure: tuple, target, roots: list[float], slope: float) -> list[float]:
-    """The coordinates solved at the root c in [0, 1] of ``_balance``,
-    given those at c = 0 and the balance's slope there.
-
-    With c = 1 - sum_i x_i^2, the constant part of g is
-    ``one + s - s*c`` (exactly c on example31), and the coordinates
-    solved at any c balance exactly when c = sum_k x_k (1 - x_k), that
-    is, when they add up to 1 with sum_k x_k^2 = 1 - c: the y_k add up
-    to 1.  The balance, not the sum less 1, is the function whose root is
-    taken: where s moves g little (a mix with little of example31) the
-    sum hardly moves with c, but the balance falls with slope about -1.
-    It is at least 0 at c = 0 and below 0 at c = 1 on example31; where
-    rounding leaves no sign change, that end of [0, 1] stands for the
-    root, and the residual check decides, as for any other.
+    With c = 1 - sum_i x_i^2, the coordinates solved at any c balance
+    exactly when c = sum_k x_k (1 - x_k), that is, when they add up to 1
+    with sum_k x_k^2 = 1 - c: the y_k add up to 1.  The balance, not the
+    sum less 1, is the function whose root is taken: where w31 is small
+    (a mix with little of example31) the sum hardly moves with c, but the
+    balance falls with slope about -1.  It is at least 0 at c = 0 and
+    below 0 at c = 1 on example31; where rounding leaves no sign change,
+    that end of [0, 1] stands for the root, and the residual check
+    decides, as for any other.
 
     Newton's steps run from the end with the smaller balance, each kept
     inside the bracket the signs so far give; a step that leaves it, or
@@ -219,15 +211,10 @@ def _scalar_root(structure: tuple, target, roots: list[float], slope: float) -> 
     halve a balance already below ``ROOT_NOISE``: the rounding of the
     coordinates then decides the balance, not c.
     """
-    one, _, _, s, _ = structure
-    base = one + s
-    low = _balance(roots, 0.0)
+    roots, low, slope = _coordinates(structure, 0.0, target)
     if not low > 0.0:
         return roots
-    high, high_slope = _coordinates(structure, (base - s) / 3.0, -s / 3.0, target)
-    excess = _balance(high, 1.0)
-    if excess >= 0.0:
-        return high
+    high, excess, high_slope = _coordinates(structure, 1.0, target)
     c = 1.0
     if low <= -excess:  # Newton's steps start at the end nearer the root
         c, excess = 0.0, low
@@ -247,47 +234,49 @@ def _scalar_root(structure: tuple, target, roots: list[float], slope: float) -> 
             step = 0.5 * (lo + hi)
             if not lo < step < hi:
                 break
-        c = step
-        roots, slope = _coordinates(structure, (base - s * c) / 3.0, -s / 3.0, target)
-        last, excess = excess, _balance(roots, c)
+        c, last = step, excess
+        roots, excess, slope = _coordinates(structure, c, target)
         if newton and ROOT_NOISE >= abs(excess) > 0.5 * abs(last):
             break
     return roots
 
 
-def _coordinates(structure: tuple, q0: float, dq0: float, target) -> tuple[list[float], float]:
-    """The roots, in support order, of x2*t^3 + x*t^2 + 3*q_k*t = y_k with
-    q_k = q0 + prefix*C_k, each given the earlier ones, and the
-    derivative of ``_balance`` at them along dq0 = dq0/dc (where dq0 is
-    0.0, it is not computed).
+def _coordinates(structure: tuple, c: float, target) -> tuple[list[float], float, float]:
+    """The roots, in support order, of w32*t^3 + w31*t^2 + 3*q_k*t = y_k
+    with 3*q_k = w31*c + 3*w32*C_k, each given the earlier ones; the
+    balance sum_k t_k (1 - t_k) - c at them; and its derivative in c.
+    Where w31 is zero, neither is computed: they read -c and -1.0.
 
     The roots are not checked here.  C_k below zero, which rounding can
     give, counts as zero.
     """
-    _, a1, a2, _, prefix = structure
+    w31, w32 = structure
+    q0 = w31 * c / 3.0
+    dq0 = w31 / 3.0  # dq0/dc
     roots = []
     s1 = pairs = 0.0  # sum of the solved coordinates, and of their products over pairs
     d1 = dpairs = 0.0  # their derivatives in c
-    slope = -1.0  # of the balance
+    balance, slope = 0.0, -1.0
     for yk in target:
         ck = s1 - pairs
-        q = q0 + prefix * ck if ck > 0.0 else q0
-        if a1 == 0.0:  # example32's cubic, as solved for it since the first release
-            t = solve_monotone_cubic(q / a2, yk / a2)
-        elif a2 == 0.0:  # example31's quadratic, without cancellation
-            t = 2.0 * yk / (3.0 * q + math.hypot(3.0 * q, 2.0 * math.sqrt(a1 * yk)))
+        q = q0 + w32 * ck if ck > 0.0 else q0
+        if w31 == 0.0:  # example32's cubic, as solved for it since the first release
+            t = solve_monotone_cubic(q / w32, yk / w32)
+        elif w32 == 0.0:  # example31's quadratic, without cancellation
+            t = 2.0 * yk / (3.0 * q + math.hypot(3.0 * q, 2.0 * math.sqrt(w31 * yk)))
         else:
-            t = _mixed_root(a1, a2, q, yk)
-        if dq0:
-            dq = dq0 + prefix * (d1 - dpairs) if ck > 0.0 else dq0
-            dt = -3.0 * t * dq / ((3.0 * a2 * t + 2.0 * a1) * t + 3.0 * q) if t > 0.0 else 0.0
+            t = _mixed_root(w31, w32, q, yk)
+        if w31:
+            dq = dq0 + w32 * (d1 - dpairs) if ck > 0.0 else dq0
+            dt = -3.0 * t * dq / ((3.0 * w32 * t + 2.0 * w31) * t + 3.0 * q) if t > 0.0 else 0.0
             dpairs += dt * s1 + t * d1
             d1 += dt
             slope += dt * (1.0 - 2.0 * t)
+            balance += t * (1.0 - t)
         roots.append(t)
         pairs += t * s1
         s1 += t
-    return roots, slope
+    return roots, balance - c, slope
 
 
 def _mixed_root(a1: float, a2: float, q: float, target: float) -> float:

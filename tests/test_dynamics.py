@@ -19,6 +19,7 @@ from volterra import (
     validate_matrix,
     vertex,
 )
+from volterra import dynamics
 from helpers import rand_point, rand_skew_operator
 
 
@@ -123,6 +124,24 @@ def test_detect_fixed_points_quadratic_vertices_only():
     found = detect_fixed_points_on_face(op, FaceSpec.of([1, 2]), starts=15, seed=2)
     assert vertex(1) in found and vertex(2) in found
     assert len(found) == 2
+
+
+def test_detect_fixed_points_skips_starts_that_never_settle(monkeypatch):
+    # A cyclic skew operator: the sampled starts circle the barycenter
+    # for FIXED_POINT_STEPS steps without settling, so no candidate comes
+    # of them; the vertices and the barycenter are fixed as probed.
+    op = quadratic_operator(validate_matrix([[1, 2, 0.1], [2, 3, 0.1], [3, 1, 0.1]]))
+    face = FaceSpec.prefix(3)
+    runs = []
+
+    def recorded(*args):
+        runs.append(iterate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(dynamics, "iterate", recorded)
+    found = detect_fixed_points_on_face(op, face, starts=5, seed=0)
+    assert [(run.steps, run.limit) for run in runs] == [(dynamics.FIXED_POINT_STEPS, None)] * 5
+    assert found == [vertex(1), vertex(2), vertex(3), face.barycenter()]
 
 
 def test_trajectory_derives_steps_and_limit():

@@ -434,10 +434,15 @@ def test_scalar_route_keeps_the_declared_domain():
 
 
 def test_structure_record_mixes_linearly():
+    # The record is the pair (w31, w32) of example31's and example32's
+    # weights in g, mixed weight by weight.
     e31, e32 = example31(), example32()
-    assert e31.structure == (1.0, 1.0, 0.0, -1.0, 0.0)
-    assert e32.structure == (0.0, 0.0, 1.0, 0.0, 1.0)
-    assert convex_combination(e31, e32, 0.25).structure == (0.25, 0.25, 0.75, -0.25, 0.75)
+    assert e31.structure == (1.0, 0.0)
+    assert e32.structure == (0.0, 1.0)
+    assert convex_combination(e31, e32, 0.25).structure == (0.25, 0.75)
+    inner = convex_combination(e31, e32, 0.3)
+    nested = convex_combination(inner, e31, 0.7)
+    assert nested.structure == tuple(0.7 * a + (1.0 - 0.7) * b for a, b in zip(inner.structure, e31.structure))
     # A mix of two equal records is that record, bit for bit, at any lam.
     assert convex_combination(e32, e32, 0.1).structure == e32.structure
     assert compose(e31, e32).structure is None and compose(e31, e32).stages == (e31, e32)

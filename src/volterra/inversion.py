@@ -20,16 +20,21 @@ operator's structure gives (``VolterraOperator.structure`` and
   op2's preimage of op1's preimage, each found by its own route.
 - Fixed point: every other operator, by the damped coordinate iteration
 
-      x_k  <-  normalize( (1-lam)*x_k + lam * y_k / g_k(x) ),  g_k = 1 + f_k,
+      x_k  <-  normalize( (1-lam)*x_k + lam * P_k ),  P_k = y_k / g_k(x),  g_k = 1 + f_k,
 
-  started at the target itself with lam = 1/2.  A sweep that would
-  increase the residual is rejected and halves lam; an accepted sweep
-  doubles it, up to 1/2 again, so lam recovers after early overshoots
-  and the current iterate is always the best one so far.  The sweeps
-  stop on three conditions only: the residual meets the tolerance, lam
-  falls below ``DAMPING_FLOOR``, or ``max_iter`` sweeps have run.  They
-  run on float lists aligned with the target's support, and a point is
-  built only once, at exit.
+  started at the target itself with lam = 1/2, with a one-step Anderson
+  trial (D. G. Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J. Numer.
+  Anal. 49, 2011) before it once an iterate has been accepted: the
+  secant extrapolation P - gamma*(P - P') of the images P at the iterate
+  and P' at the one accepted before it.  A trial that would increase
+  the residual is rejected: a rejected extrapolation gives way to the
+  damped sweep, and a rejected damped sweep halves lam.  An accepted
+  trial doubles lam, up to 1/2 again, so lam recovers after early
+  overshoots, and the current iterate is always the best one so far.
+  Every trial is one sweep.  The sweeps stop on three conditions only:
+  the residual meets the tolerance, lam falls below ``DAMPING_FLOOR``,
+  or ``max_iter`` sweeps have run.  They run on float lists aligned
+  with the target's support, and a point is built only once, at exit.
 
 No route guarantees convergence: a miss raises ``NonConvergence`` with
 the best iterate, its exact residual and the method that ran, so no
@@ -302,18 +307,27 @@ def _mixed_root(a1: float, a2: float, q: float, target: float) -> float:
 def invert_fixed_point(
     op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: int = 10_000
 ) -> InversionResult:
-    """Damped fixed-point search for a preimage of y under op.
+    """Damped fixed-point search for a preimage of y under op, with a
+    one-step Anderson trial.
 
     Starts at x = y (feasible, and close to the preimage when the
-    generating map is small).  Each sweep mixes the current iterate with
-    y_k / g_k(x) over the support of y, with damping lam = 1/2 at the
-    start, and renormalizes.  A sweep that would increase the residual
-    is rejected and lam halved instead, so the iterate is always the
-    best one so far; an accepted sweep doubles lam, capped at 1/2, so a
-    few early rejections do not slow every later sweep.  Support never
-    extends beyond the support of y.  Each sweep evaluates g once, at
-    the trial point, over the support of y; the forward image and the
-    next sweep reuse those values.  The sweeps work on float lists
+    generating map is small).  A damped sweep mixes the current iterate
+    with P_k = y_k / g_k(x) (x_k where g_k <= 1e-12) over the support of
+    y, with damping lam = 1/2 at the start, and renormalizes.  At each
+    iterate x reached by an accepted trial, an Anderson trial comes
+    first: with r = P - x, and P' and r' those of the iterate accepted
+    before x, it tries P - gamma*(P - P') for
+    gamma = <r, r - r'> / |r - r'|^2, normalized and checked as the
+    damped trial is, unless r = r' or a mass of the candidate is not
+    finite and above zero.  A trial that would increase the residual is
+    rejected, so the iterate is always the best one so far: a rejected
+    extrapolation is not tried again at that iterate, and the damped
+    sweep follows; a rejected damped sweep halves lam.  An accepted
+    trial doubles lam, capped at 1/2, so a few early rejections do not
+    slow every later sweep.  Support never extends beyond the support
+    of y.  Each trial is one sweep: it evaluates g once, at the trial
+    point, over the support of y; the forward image and the next sweep
+    reuse those values.  The sweeps work on float lists
     aligned with the support of y, checked and renormalized as
     ``make_point`` would, and the residual is the ``l1_distance`` of the
     forward image from y, summed in its order; a point is built only for
@@ -335,6 +349,8 @@ def invert_fixed_point(
     gx = op.values(xm, support)
     residual = _image_residual(support, xm, gx, target)
     iterations = 0
+    images = None  # P_k = y_k / g_k(x) at the iterate; step is P - x
+    previous = None  # (step, images) of the iterate accepted before it
     while residual > tol:
         if iterations >= max_iter or lam < DAMPING_FLOOR:
             raise NonConvergence(
@@ -342,22 +358,50 @@ def invert_fixed_point(
                 _iterate(y, xm), residual, iterations, "fixed_point",
             )
         iterations += 1
-        mixed = []
-        for yk, xk, g in zip(target, xm, gx):
-            candidate = yk / g if g > 1e-12 else xk
-            mixed.append((1.0 - lam) * xk + lam * candidate)
-        total = _total(mixed)
-        trial_m = _normalized(_checked_all(support, [v / total for v in mixed]))
+        if images is None:
+            images = [yk / g if g > 1e-12 else xk for yk, xk, g in zip(target, xm, gx)]
+            step = [p - xk for p, xk in zip(images, xm)]
+        trial_m = _anderson(support, step, images, previous) if previous else None
+        previous = None  # an extrapolation is tried once at an iterate
+        extrapolated = trial_m is not None
+        if not extrapolated:
+            mixed = [(1.0 - lam) * xk + lam * p for xk, p in zip(xm, images)]
+            total = _total(mixed)
+            trial_m = _normalized(_checked_all(support, [v / total for v in mixed]))
         trial_g = op.values(trial_m, support)
         trial_residual = _image_residual(support, trial_m, trial_g, target)
         if trial_residual < residual:
+            previous, images = (step, images), None
             xm, gx, residual = trial_m, trial_g, trial_residual
             lam = min(2.0 * lam, 0.5)
-        else:
+        elif not extrapolated:
             lam *= 0.5
     return InversionResult(
         preimage=_iterate(y, xm), residual=residual, iterations=iterations, method="fixed_point"
     )
+
+
+def _anderson(support, step, images, previous):
+    """The one-step Anderson extrapolation P - gamma*(P - P') of the
+    images P = y_k / g_k(x) at the iterate, with P' those at the iterate
+    accepted before it and gamma = <r, r - r'> / |r - r'|^2 for the steps
+    r = P - x and r' = P' - x', normalized and checked as a damped trial
+    is; None where |r - r'| is zero or a mass of the candidate is not
+    finite and above zero."""
+    last_step, last_images = previous
+    delta = [r - q for r, q in zip(step, last_step)]
+    norm = _total(d * d for d in delta)
+    if not norm > 0.0:
+        return None
+    gamma = _total(r * d for r, d in zip(step, delta)) / norm
+    candidate = [p - gamma * (p - q) for p, q in zip(images, last_images)]
+    total = _total(candidate)
+    if not 0.0 < total < math.inf:
+        return None
+    scaled = [v / total for v in candidate]
+    if not min(scaled) > 0.0:
+        return None
+    return _normalized(_checked_all(support, scaled))
 
 
 def _iterate(y: SparsePoint, xm) -> SparsePoint:

@@ -242,11 +242,13 @@ def _heavy_tailed_point(rng: np.random.Generator):
 
 _SKEW8 = rand_skew_operator(np.random.default_rng(8), 8)[1]
 
+_TENSOR8 = operator_from_tensor(example31_tensor(8))
+
 #: Family -> (operator, seed of its targets, route, targets of 150 that
 #: converge at the CLI's default budget).
 _FAMILIES = {
     "example31": (example31(), 1000, "scalar", 150),
-    "example31_tensor(8)": (operator_from_tensor(example31_tensor(8)), 1002, "fixed_point", 150),
+    "example31_tensor(8)": (_TENSOR8, 1002, "fixed_point", 150),
     "example32": (example32(), 1005, "triangular", 150),
     "convex(e32,e32)": (convex_combination(example32(), example32(), 0.5), 1007, "triangular", 150),
     "convex(e31,e32)": (convex_combination(example31(), example32(), 0.5), 1010, "scalar", 150),
@@ -254,15 +256,24 @@ _FAMILIES = {
     "compose(e31,e32)": (compose(example31(), example32()), 1009, "staged", 150),
     "compose(e31,e31)": (compose(example31(), example31()), 1006, "staged", 150),
     "compose(skew,e31)": (compose(_SKEW8, example31()), 1004, "staged", 150),
+    "skew8": (_SKEW8, 1001, "fixed_point", 150),
+    "convex(e31,skew8)": (convex_combination(example31(), _SKEW8, 0.5), 1003, "fixed_point", 150),
+    "convex(e31,compose(e31,e31))": (
+        convex_combination(example31(), compose(example31(), example31()), 0.5), 1011, "fixed_point", 150
+    ),
+    "convex(tensor8,e32)": (convex_combination(_TENSOR8, example32(), 0.5), 1012, "fixed_point", 150),
 }
+#: Most sweeps a converged target of the seeded sets may take, the
+#: sweeps of every stage summed; the structured routes take none.
+_MAX_SWEEPS = 25
 
 
 @pytest.mark.parametrize("family", list(_FAMILIES))
 def test_invert_seeded_heavy_tailed_targets(family):
-    # Each target either inverts to tol within 100 sweeps, with the true
-    # residual of the preimage, or raises NonConvergence carrying the true
-    # residual of its best iterate; the route is the one the structure
-    # gives.
+    # Each target either inverts to tol within _MAX_SWEEPS sweeps, with
+    # the true residual of the preimage, or raises NonConvergence carrying
+    # the true residual of its best iterate; the route is the one the
+    # structure gives.
     op, seed, method, floor = _FAMILIES[family]
     rng = np.random.default_rng(seed)
     converged = 0
@@ -277,16 +288,16 @@ def test_invert_seeded_heavy_tailed_targets(family):
         else:
             converged += 1
             assert result.method == method
-            assert result.residual <= 1e-10 and result.iterations <= 100
+            assert result.residual <= 1e-10 and result.iterations <= _MAX_SWEEPS
             assert result.residual == l1_distance(apply(op, result.preimage), y)
     assert converged >= floor
 
 
 def test_a_target_whose_first_sweeps_overshoot_recovers_its_damping():
     # The first sweeps overshoot, and their rejections halve the damping
-    # to about 5e-4; each accepted sweep doubles it back toward 1/2, so
-    # the target converges in a few dozen sweeps, within a budget of 100
-    # too.
+    # to about 5e-4; each accepted sweep doubles it back toward 1/2, and
+    # the Anderson trials then converge in a few sweeps: 16 in all, within
+    # a budget of 100 too.
     op = example31()
     y = apply(op, make_point({2: 6.22873049528632e-05, 3: 0.9997846866076967, 5: 0.00015302608735048718}))
     for max_iter in (10_000, 100):
@@ -296,9 +307,11 @@ def test_a_target_whose_first_sweeps_overshoot_recovers_its_damping():
 
 def test_a_crawl_runs_to_max_iter():
     # g_k = x_k^(p-1) / sum_j x_j^p, so that (Vx)_k = x_k^p / sum_j x_j^p:
-    # with p = 0.01 every sweep is accepted but gains little, so neither
-    # tol nor the damping floor ends the sweeps: max_iter does, with the
-    # residual below the start's.  The default budget is enough to converge.
+    # with p = 0.01 a damped sweep gains little, and the Anderson trials
+    # take 25 sweeps to converge.  In the first 10 no damped sweep is
+    # rejected, so the damping never falls and neither tol nor the
+    # damping floor ends the sweeps: max_iter does, with the residual
+    # below the start's.  The default budget is enough to converge.
     p = 0.01
 
     def crawl(ks, X):
@@ -308,11 +321,11 @@ def test_a_crawl_runs_to_max_iter():
     op = VolterraOperator(crawl, label="crawl")
     y = apply(op, make_point({1: 0.2, 2: 0.3, 3: 0.5}))
     with pytest.raises(NonConvergence) as info:
-        invert(op, y, max_iter=1000)
-    assert info.value.iterations == 1000
+        invert(op, y, max_iter=10)
+    assert info.value.iterations == 10
     assert info.value.residual < l1_distance(apply(op, y), y)
     result = invert(op, y)
-    assert 1000 < result.iterations <= 10_000 and result.residual <= 1e-10
+    assert 10 < result.iterations <= 10_000 and result.residual <= 1e-10
 
 
 def test_route_comes_from_structure_not_label():

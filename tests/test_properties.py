@@ -7,8 +7,10 @@ of row i bit for bit; and a block of samples must be the very points
 that sequential draws give.  The checkers' worst values and witnesses
 are, bit for bit, those of plain loops over one-point evaluations and
 ``pair_condition_value``.  The fixed-point inverter reports the exact
-l1 residual of the point it returns.  Each cubic root of the triangular
-inverse of example32 lies within 2 * 2^-52 of the exact rational root,
+l1 residual of the point it returns, and its Anderson trials never
+raise from a candidate on skew quadratic maps and heavy-tailed targets.
+Each cubic root of the triangular inverse of example32 lies within
+2 * 2^-52 of the exact rational root,
 relative, and the inverse meets every coordinate of an image, however
 small, to a relative 8 d 2^-52 on supports of up to 10^4 indices.
 example31 and every convex mix of example31 and example32 invert with
@@ -323,6 +325,46 @@ def test_fixed_point_residual_is_the_distance_of_the_reported_point(name, x, see
         assert result.residual == l1_distance(apply(op, result.preimage), y)
         assert result.residual <= 1e-10
         assert set(result.preimage.support) <= set(y.support)
+
+
+@st.composite
+def _skew_targets(draw):
+    """A skew matrix on 1..n for n from 2 to 6, entries in [-1, 1], and a
+    target on some of the indices 1..n whose masses span up to twelve
+    decades."""
+    n = draw(st.integers(2, 6))
+    cells = [[k, i, draw(st.floats(-1.0, 1.0))] for k in range(1, n + 1) for i in range(k + 1, n + 1)]
+    return quadratic_operator(validate_matrix(cells)), draw(_heavy_tailed_points(n))
+
+
+#: A skew map and target on which one Anderson candidate has a negative
+#: mass, so the damped trial runs in its place.
+_NEGATIVE_CANDIDATE = (
+    quadratic_operator(validate_matrix([[1, 2, 0.9931454391595396], [1, 3, 0.7737498770386535], [2, 3, -1.0]])),
+    _weighted({1: 0.062, 2: 4.4e-6, 3: 0.938}),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_skew_targets(), tol=st.sampled_from([1e-10, 1e-14]), max_iter=st.sampled_from([3, 10_000]))
+@example(case=_NEGATIVE_CANDIDATE, tol=1e-10, max_iter=10_000)
+@example(case=_NEGATIVE_CANDIDATE, tol=1e-14, max_iter=10_000)
+def test_anderson_trials_never_raise_from_a_candidate(case, tol, max_iter):
+    # Each Anderson trial extrapolates from two iterates, and its
+    # candidate may have a mass that is negative or not finite; such a
+    # candidate is skipped, never checked.  So the sweeps either return a
+    # preimage whose residual is the true one, or raise NonConvergence
+    # with the true residual of the best iterate: NegativeMass,
+    # NonFiniteValue or a ValueError from a candidate fails the test.
+    op, y = case
+    try:
+        result = invert_fixed_point(op, y, tol=tol, max_iter=max_iter)
+    except NonConvergence as exc:
+        assert exc.iterations <= max_iter
+        assert exc.residual == l1_distance(apply(op, exc.best), y) > tol
+    else:
+        assert result.residual == l1_distance(apply(op, result.preimage), y) <= tol
+        assert result.iterations <= max_iter
 
 
 #: Unit roundoff of a float64 times two: one ulp of 1.

@@ -50,7 +50,7 @@ from .errors import (
     RowSumViolation,
     UndefinedTriple,
 )
-from .generating import NORMALIZATION_TOLERANCE, VolterraOperator, _continuous
+from .generating import NORMALIZATION_TOLERANCE, VolterraOperator, _continuous, _ordered_sum
 from .simplex import SparsePoint, _index, _key, _read, _total, _value
 
 #: Tolerance for row sums and permutation consistency of tensors.
@@ -307,6 +307,8 @@ def example31(dimension: int | None = None) -> VolterraOperator:
     """
 
     def fn(ks: Sequence[int], X) -> list:
+        if getattr(X, "ndim", 1) == 2:
+            return 1.0 + (X - _ordered_sum(X * X))
         sq = 0.0
         for m in X:
             sq = sq + m * m

@@ -96,6 +96,10 @@ class VolterraOperator:
     points, and one body serves both: it may only use elementwise
     arithmetic on the masses (no ``if`` on a value and no ``math``
     function of a row; use ``np.where`` or a loop over the elements).
+    A map may instead treat a block (``X.ndim == 2``) as one array and
+    return an array of X's shape, if each point keeps its one-point
+    bits: sums over the index axis then add rows top to bottom, as
+    ``_ordered_sum`` does.
     ``max_index`` n, an index, declares the domain 1..n, the face of a
     finite-dimensional operator: points and faces beyond it raise
     DomainViolation.  ``depth`` counts the ``compose`` and ``convex``
@@ -138,15 +142,19 @@ class VolterraOperator:
         X is one point's masses aligned with ``indices`` (the result is
         the map's list or tuple of floats as is, or its array's
         ``tolist()``) or a (len(indices), N) block of N points, one row
-        per index, told apart by ``ndim`` (the result is a C-ordered
-        array of X's shape, row j holding g at ``indices[j]``).  A block
-        of points as rows is read as columns, with no error if square.
-        A map that returns the wrong number of values raises ValueError.
+        per index, told apart by ``ndim`` (the result is a new C-ordered
+        float array of X's shape, row j holding g at ``indices[j]``: the
+        map's array of that shape copied at once, or its rows one by
+        one, so the caller may overwrite it).  A block of points as rows
+        is read as columns, with no error if square.  A map that returns
+        the wrong number of values raises ValueError.
         """
         out = self.fn(indices, X)
         if len(out) != len(indices):
             raise ValueError(f"generating map returned {len(out)} values for {len(indices)} indices")
         if getattr(X, "ndim", 1) == 2:
+            if getattr(out, "shape", None) == X.shape:
+                return np.array(out, dtype=float, order="C")
             block = np.empty(X.shape)
             for j, row in enumerate(out):
                 block[j] = row
@@ -237,18 +245,22 @@ def _image_residual(support: Sequence[int], masses, gvals, target: Sequence[floa
 def _checked_masses(indices: Sequence[int], raw):
     """Raw image masses, floats or the length-N rows of a block,
     checked as ``apply`` describes, with the ones not above zero set to
-    zero.  A block comes back as one (d, N) array.  One point's masses
+    zero.  A block comes back as a new (d, N) array; its first entry
+    below the tolerance in row-major order is searched for only when its
+    ``min`` is not at or above it, and each column is totalled top to
+    bottom by ``_ordered_sum``.  One point's masses
     are checked by one C-level ``min`` and their total, and come back
     as they are, no copy, when every one is above zero; the coordinates
     are visited one by one only to find the first one below the
     tolerance."""
     if len(raw) and getattr(raw[0], "ndim", 0):
-        raw = np.array(raw)
-        low = np.argwhere(raw < -NEGATIVE_TOLERANCE)
-        if len(low):
-            j, n = low[0]
-            raise NegativeCoordinate(indices[j], float(raw[j, n]))
-        total = 0.0 + np.cumsum(raw, axis=0)[-1]
+        raw = np.ascontiguousarray(raw)
+        if not raw.min(initial=0.0) >= -NEGATIVE_TOLERANCE:  # an entry below it, or a NaN
+            low = np.argwhere(raw < -NEGATIVE_TOLERANCE)
+            if len(low):
+                j, n = low[0]
+                raise NegativeCoordinate(indices[j], float(raw[j, n]))
+        total = _ordered_sum(raw)
         off = np.flatnonzero(~(np.abs(total - 1.0) <= NORMALIZATION_TOLERANCE))
         if len(off):
             raise NormalizationFailure(float(total[off[0]]), NORMALIZATION_TOLERANCE)
@@ -344,7 +356,7 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     adds its slices one after another; a single output numpy would sum
     pairwise, so it goes through ``cumsum`` (several times slower than
     the reduction on a block)."""
-    total = np.add.reduce(terms) if terms.size > len(terms) else np.cumsum(terms, axis=0)[-1]
+    total = np.cumsum(terms, axis=0)[-1] if terms.size == len(terms) > 0 else np.add.reduce(terms)
     total += 0.0  # -0.0 becomes 0.0, as it does for a sum started from 0.0
     return total
 
@@ -552,6 +564,8 @@ def compose(op1: VolterraOperator, op2: VolterraOperator) -> VolterraOperator:
     """
     def fn(ks: Sequence[int], X) -> list:
         g2 = op2.values(X, ks)
+        if getattr(X, "ndim", 1) == 2:
+            return g2 * op1.values(_checked_masses(ks, X * g2), ks)
         image = _checked_masses(ks, [m * g for m, g in zip(X, g2)])
         g1 = op1.values(image, ks)
         return [b * a for b, a in zip(g2, g1)]
@@ -575,6 +589,8 @@ def convex_combination(
     def fn(ks: Sequence[int], X) -> list:
         g1 = op1.values(X, ks)
         g2 = op2.values(X, ks)
+        if getattr(X, "ndim", 1) == 2:
+            return lam * g1 + (1.0 - lam) * g2
         return [lam * a + (1.0 - lam) * b for a, b in zip(g1, g2)]
 
     op = _nested(fn, op1, op2, f"convex({lam}*{op1.label} + {1.0 - lam}*{op2.label})")

@@ -3,6 +3,8 @@
 An image is checked by one ``min`` and its total, and its coordinates
 are visited one by one only to name the first bad one: the result, or
 the error type with its index and value, is the per-coordinate loop's.
+A block of images, gated by its ``min`` and totalled column by column
+from the top, gives what the full scan and ``cumsum`` totals gave.
 A trajectory step is compared with the tolerance by a sum that stops
 once it passes the bound, and decides as the whole ``l1_distance``
 does.  A quadratic operator keeps the plan of its last request, and
@@ -83,6 +85,53 @@ def test_image_checks_match_the_coordinate_loops(raw):
     # The inverter's sweep check, against _checked_mass on each mass.
     each = _outcome(lambda: [_checked_mass(k, m) for k, m in zip(indices, raw)])
     assert _outcome(_checked_all, indices, list(raw)) == each
+
+
+def _checked_block_reference(indices, raw):
+    """The block image check before its ``min`` gate and ordered totals:
+    a scan for every entry below the tolerance and totals by ``cumsum``."""
+    raw = np.array(raw)
+    low = np.argwhere(raw < -NEGATIVE_TOLERANCE)
+    if len(low):
+        j, n = low[0]
+        raise NegativeCoordinate(indices[j], float(raw[j, n]))
+    total = 0.0 + np.cumsum(raw, axis=0)[-1]
+    off = np.flatnonzero(~(np.abs(total - 1.0) <= NORMALIZATION_TOLERANCE))
+    if len(off):
+        raise NormalizationFailure(float(total[off[0]]), NORMALIZATION_TOLERANCE)
+    return np.where(raw > 0.0, raw, 0.0)
+
+
+@st.composite
+def _image_blocks(draw):
+    """A (d, N) block of 1-12 rows and 1-6 columns, each column masses
+    that total 1 with some replaced as in ``_images``, given as a
+    C-ordered array, a Fortran-ordered one or a list of rows."""
+    d, n = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=d * n, max_size=d * n))).reshape(d, n)
+    block = weights / weights.sum(axis=0)
+    for _ in range(draw(st.integers(0, 4))):
+        block[draw(st.integers(0, d - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(_SPECIAL) | st.floats(-1e-11, 0.0))
+    return draw(st.sampled_from([np.ascontiguousarray, np.asfortranarray, list]))(block)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_image_blocks())
+# A NaN before a negative beyond the tolerance in one column: NaN is the
+# column's min, and the negative must still raise.
+@example(raw=np.array([[NAN], [-0.5], [1.5]]))
+@example(raw=np.array([[0.5, NAN], [0.5, 1.0], [0.0, -2e-12]]))
+@example(raw=np.array([[1.0, -NEGATIVE_TOLERANCE], [-0.0, 1.0]]))
+# Nine rows, whose Fortran-ordered columns numpy would sum pairwise.
+@example(raw=np.asfortranarray(np.array([[0.1] * 2] * 9 + [[0.1, 0.1 + 2.0 ** -52]])))
+def test_block_image_checks_match_the_reference(raw):
+    indices = list(range(3, 3 + 2 * len(raw), 2))
+
+    def outcome(check):
+        return _outcome(lambda: np.ravel(check(indices, raw)))
+
+    assert outcome(_checked_masses) == outcome(_checked_block_reference)
 
 
 @st.composite

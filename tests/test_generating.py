@@ -358,6 +358,44 @@ def test_block_with_missing_values_raises():
         short.values(np.full((3, 4), 1.0 / 3.0), (1, 2, 3))
 
 
+def test_a_block_the_map_keeps_is_copied():
+    """The checkers overwrite the blocks ``values`` returns, so a map that
+    hands back one cached array for every block of a shape keeps it as it
+    was and gets the reports of a map that returns fresh copies."""
+    cache, pristine = {}, {}
+
+    def cached(ks, X):
+        g = [1.0 + 0.01 * (k % 3) for k in ks]
+        if getattr(X, "ndim", 1) != 2:
+            return g
+        if X.shape not in cache:
+            cache[X.shape] = np.repeat(np.array(g)[:, None], X.shape[1], axis=1)
+            pristine[X.shape] = cache[X.shape].copy()
+        return cache[X.shape]
+
+    kept = VolterraOperator(cached, label="cached")
+    fresh = VolterraOperator(lambda ks, X: np.array(cached(ks, X)), label="cached")
+    # Samples, barycenter, nudges and vertices all make 6 x 6 blocks.
+    face = FaceSpec.prefix(6)
+    reports = [(check_conditions(op, face, samples=5, seed=1), check_pair_condition(op, face, samples=5, seed=1))
+               for op in (kept, fresh)]
+    assert reports[0] == reports[1]
+    assert sorted(cache) == [(6, 5), (6, 6)]
+    for shape, block in cache.items():
+        assert block.tobytes() == pristine[shape].tobytes()
+
+
+def test_scalar_rows_fill_a_block_of_its_shape():
+    """A map may give a block's rows as scalars, as identity's does, or
+    mix them with rows: ``values`` still returns a float block of X's
+    shape."""
+    X = np.full((3, 4), 0.25)
+    assert identity_operator().values(X, (1, 2, 3)).tolist() == [[1.0] * 4] * 3
+    block = VolterraOperator(lambda ks, X: [1, X[1], 2.0]).values(X, (1, 2, 3))
+    assert block.shape == X.shape and block.dtype == np.float64 and block.flags.c_contiguous
+    assert block.tolist() == [[1.0] * 4, [0.25] * 4, [2.0] * 4]
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_one_point_with_a_wrong_value_count_raises(extra):
     """A map one value short must not give an image of three indices and

@@ -110,6 +110,8 @@ FAMILIES = {
     "compose": (compose(example31(), _skew8), range(1, 11)),
     "convex": (convex_combination(example32(), _skew8, 0.3), range(1, 11)),
     "identity": (identity_operator(), range(1, 11)),
+    "convex31_32": (convex_combination(example31(), example32(), 0.3), range(1, 13)),
+    "compose_skew_31": (compose(_skew8, example31()), range(1, 11)),
 }
 
 
@@ -132,6 +134,10 @@ def _block(face: FaceSpec, rows: int, seed: int) -> np.ndarray:
     rows=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
+# One-column blocks, whose sums take the cumsum route of _ordered_sum.
+@example(name="example31", picks=set(range(12)), rows=1, seed=0)
+@example(name="convex31_32", picks=set(range(12)), rows=1, seed=1)
+@example(name="compose_skew_31", picks=set(range(10)), rows=1, seed=2)
 def test_block_rows_equal_one_point_values(name, picks, rows, seed):
     op, pool = FAMILIES[name]
     pool = tuple(pool)
@@ -224,6 +230,8 @@ CHECKED = {
     "compose": (compose(example31(), _skew8), range(1, 41)),
     "convex": (convex_combination(example32(), _tensor12, 0.3), range(1, 13)),
     "steep": (_steep, range(1, 41)),
+    "convex31_32": (convex_combination(example31(), example32(), 0.3), range(1, 41)),
+    "compose_skew_31": (compose(_skew8, example31()), range(1, 41)),
 }
 
 
@@ -246,6 +254,8 @@ def _first_to_beat(scored, better, start):
 @example(name="steep", picks=set(range(40)), samples=1, seed=0)
 @example(name="steep", picks=set(range(8)), samples=1, seed=1)
 @example(name="compose", picks=set(range(12)), samples=1, seed=2)
+@example(name="convex31_32", picks=set(range(40)), samples=1, seed=3)
+@example(name="compose_skew_31", picks=set(range(12)), samples=1, seed=4)
 def test_reports_equal_a_point_by_point_reference(name, picks, samples, seed):
     """The checkers' block sums give, bit for bit, the worst values and
     witnesses of plain loops over one-point evaluations: balance and

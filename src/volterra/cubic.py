@@ -428,12 +428,18 @@ def _sinpi(t: float) -> float:
     return -v if n % 2 else v
 
 
-def _per_element(scalar_fn, *args):
-    """``scalar_fn`` of floats, applied to floats or element by element to columns."""
-    if not any(getattr(a, "ndim", 0) for a in args):
-        return scalar_fn(*args)
-    columns = [c.tolist() for c in np.broadcast_arrays(*args)]
-    return np.array([scalar_fn(*row) for row in zip(*columns)])
+def _sinpi_row(t):
+    """``_sinpi`` of every entry of a 1-D array, with its bits: the floor,
+    the fold at 1/2 and the sign on arrays, and ``math.sin`` of each
+    folded value (numpy's sine need not round as it does).  A NaN or
+    infinite entry raises what ``math.floor`` raises on the first one."""
+    n = np.floor(t)
+    for bad in t[~np.isfinite(n)].tolist():
+        math.floor(bad)
+    r = t - n
+    r = np.where(r > 0.5, 1.0 - r, r)
+    v = np.array(list(map(math.sin, (math.pi * r).tolist())))
+    return np.where(n % 2.0 != 0.0, -v, v)
 
 
 def sine_example() -> VolterraOperator:
@@ -447,11 +453,17 @@ def sine_example() -> VolterraOperator:
     """
 
     def fn(ks: Sequence[int], X) -> list:
+        block = getattr(X, "ndim", 1) == 2
         masses = dict(zip(ks, X))
-        x1 = masses.get(1, 0.0)
+        x1 = masses.get(1, np.zeros(X.shape[1]) if block else 0.0)
         x2 = masses.get(2, 0.0)
-        s = _per_element(_sinpi, x1)
-        f2 = _per_element(lambda a, b, v: a * v / b if b > 0.0 else math.pi, x1, x2, s)
+        if block:
+            s = _sinpi_row(x1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f2 = np.where(x2 > 0.0, x1 * s / x2, math.pi)
+        else:
+            s = _sinpi(x1)
+            f2 = x1 * s / x2 if x2 > 0.0 else math.pi
         return [1.0 - s if k == 1 else 1.0 + f2 if k == 2 else 1.0 for k in ks]
 
     return _continuous(fn, 2, "sine")

@@ -17,7 +17,7 @@ with elementwise arithmetic only, serves both.  Every
 consumer evaluates g through ``VolterraOperator.values``: ``apply``,
 ``pair_condition_value``, the inverters and trajectories one point at
 a time on the point's own floats, the checkers a whole block of sampled
-points per call, and the operators nested in ``compose`` and
+points and vertices per call, and the operators nested in ``compose`` and
 ``convex_combination`` the point or block their own body was given.
 ``values`` tells the two apart by the argument's ``ndim``: a block is a
 (d, N) array, one row per index and one column per point, and anything
@@ -361,33 +361,38 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _evaluate(op: VolterraOperator, indices: tuple[int, ...], *blocks) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each block of points as rows, copied to C-ordered (d, N) columns,
-    and f = g - 1 at its points in the same layout, one ``values`` call
-    per block.
+def _evaluate(op: VolterraOperator, indices: tuple[int, ...], *blocks, lag: int = 0) -> list[np.ndarray]:
+    """f = g - 1 at every column of each C-ordered (d, N) block, in the
+    block's layout, one ``values`` call per block, taken in place on the
+    copy ``values`` returns.
 
-    The copies are the caller's to overwrite.  Should a block raise, the
-    points are evaluated one at a time instead, point n of every block
-    before point n + 1: the order in which the checkers visit their
-    points, so the exception that surfaces is the one the first failing
-    point raises.
+    Should a block raise, the points are evaluated one at a time
+    instead, in the order in which the checkers visit them, so the
+    exception that surfaces is the one the first failing point raises:
+    column by column, with column n of a later block right after column
+    n + ``lag`` of the first.
     """
-    columns = [np.array(B.T, order="C") for B in blocks]  # a copy even where B.T is already C-ordered
     try:
-        out = [op.values(C, indices) for C in columns]
+        out = [op.values(X, indices) for X in blocks]
     except Exception:  # re-raised below, by the first point that fails
-        out = [np.empty(C.shape) for C in columns]
-        for n in range(len(blocks[0])):
-            for B, G in zip(blocks, out):
-                G[:, n] = op.values(B[n].tolist(), indices)
-    return [(C, np.subtract(G, 1.0, out=G)) for C, G in zip(columns, out)]
+        out = [np.empty(X.shape) for X in blocks]
+        for n in range(blocks[0].shape[1]):
+            for i, (X, G) in enumerate(zip(blocks, out)):
+                m = n - lag if i else n
+                if 0 <= m < X.shape[1]:
+                    G[:, m] = op.values(X[:, m].tolist(), indices)
+    return [np.subtract(G, 1.0, out=G) for G in out]
 
 
-def _vertex_rows(d: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the d x d identity: vertices as face points."""
-    rows = np.zeros((stop - start, d))
-    rows[np.arange(stop - start), np.arange(start, stop)] = 1.0
-    return rows
+def _with_vertices(d: int, start: int, stop: int, before: int = 0, after: int = 0) -> np.ndarray:
+    """A C-ordered (d, before + (stop - start) + after) block whose
+    columns from ``before`` on are the vertices start..stop-1 of a face of
+    d indices (as positions), one 1.0 each; the other columns are the
+    caller's to fill."""
+    block = np.empty((d, before + stop - start + after))
+    block[:, before:before + stop - start] = 0.0
+    block[np.arange(start, stop), np.arange(before, before + stop - start)] = 1.0
+    return block
 
 
 def check_conditions(
@@ -413,13 +418,17 @@ def check_conditions(
     CONTINUITY_BOUND fails.
     The perturbation is drawn after the samples, so both kinds of map
     get the same samples and the same verdicts on conditions 2-4.
-    Points are evaluated as blocks, one column per point; the balance
-    adds a point's terms in index order, as ``apply`` does.  Ties go to
-    the first point, in the order barycenter, samples, vertices.  A NaN
-    value is worse than any number, so the first NaN point is the
-    witness and its verdict fails.  Neither the face size nor
-    ``samples`` is bounded here; only the CLI bounds their product
-    (``cli.MAX_SAMPLE_CELLS``).
+    Points are evaluated as one block, one column per point: the
+    barycenter, the samples, then the first ``_VERTEX_BLOCK`` vertices;
+    a wider face's later vertices go in blocks of their own, and the
+    perturbed points in one more.  The balance adds a point's terms in
+    index order, as ``apply`` does.  Ties go to the first point, in the
+    order barycenter, samples, vertices.  A NaN value is worse than any
+    number, so the first NaN point is the witness and its verdict fails.
+    A failing evaluation raises the exception of the first point that
+    fails in that order, each perturbed point right after its own.
+    Neither the face size nor ``samples`` is bounded here; only the CLI
+    bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
     from .reports import ConditionReport, ConditionVerdict
 
@@ -429,21 +438,32 @@ def check_conditions(
     rng = np.random.default_rng(seed)
     indices = face.indices
     d = len(indices)
-    interior = np.vstack((np.full((1, d), 1.0 / d), sample_face_block(face, rng, samples)))
-    blocks = [interior]
+    probed = 1 + samples
+    first = min(d, _VERTEX_BLOCK) if d > 1 else 0  # one index: its vertex is the barycenter
+    points = _with_vertices(d, 0, first, before=probed)
+    points[:, 0] = 1.0 / d
+    points[:, 1:probed] = sample_face_block(face, rng, samples).T
+    interior = points[:, :probed]
+    blocks = [points]
     if not op.continuous:
-        blocks.append(_perturb_block(interior, PERTURBATION, rng))
-    (x_in, f_in), *nudged = _evaluate(op, indices, *blocks)
-    # Interior points first, then vertices: the order points are probed in.
-    lowest = [f_in.min(axis=0)]
-    balance = [_ordered_sum(np.multiply(x_in, f_in, out=x_in))]
-    for start in range(0, d if d > 1 else 0, _VERTEX_BLOCK):
-        ((x_vert, f_vert),) = _evaluate(op, indices, _vertex_rows(d, start, min(start + _VERTEX_BLOCK, d)))
+        nudged = _perturb_block(interior.T, PERTURBATION, rng)
+        blocks.append(np.array(nudged.T, order="C"))
+    f, *nudged_f = _evaluate(op, indices, *blocks)
+    if nudged_f:
+        # Each point's |df| goes back to a C-ordered row, in the spent
+        # nudged rows, and is summed as numpy sums such a row.
+        (f_nudged,) = nudged_f
+        f_nudged -= f[:, :probed]
+        wobble = np.abs(f_nudged.T, out=nudged).sum(axis=1)
+    lowest = [f.min(axis=0)]
+    balance = [_ordered_sum(np.multiply(points, f, out=f))]
+    for start in range(_VERTEX_BLOCK, d, _VERTEX_BLOCK):
+        x_vert = _with_vertices(d, start, min(start + _VERTEX_BLOCK, d))
+        (f_vert,) = _evaluate(op, indices, x_vert)
         lowest.append(f_vert.min(axis=0))
-        balance.append(_ordered_sum(np.multiply(x_vert, f_vert, out=x_vert)))
+        balance.append(_ordered_sum(np.multiply(x_vert, f_vert, out=f_vert)))
     lowest = np.concatenate(lowest)
     balance = np.abs(np.concatenate(balance))
-    probed = len(interior)
 
     def verdict(name, values, better, passes):
         i = _first(values, better)
@@ -451,7 +471,7 @@ def check_conditions(
             worst, witness = (-np.inf if better is np.greater else np.inf), None
         else:
             worst = float(values[i])
-            witness = _point_on(indices, interior[i].tolist()) if i < probed else vertex(indices[i - probed])
+            witness = _point_on(indices, interior[:, i].tolist()) if i < probed else vertex(indices[i - probed])
         return ConditionVerdict(
             condition=name,
             passed=passes(worst),
@@ -459,12 +479,7 @@ def check_conditions(
             witness=witness,
         )
 
-    if nudged:
-        # Each point's |df| goes back to a C-ordered row, in the spent
-        # nudged block, and is summed as numpy sums such a row.
-        ((_, f_nudged),) = nudged
-        f_nudged -= f_in
-        wobble = np.abs(f_nudged.T, out=blocks[1]).sum(axis=1)
+    if nudged_f:
         continuity = verdict("continuity_smoke", wobble, np.greater, lambda w: w <= CONTINUITY_BOUND)
     else:
         continuity = ConditionVerdict(
@@ -494,12 +509,15 @@ def check_pair_condition(
     to the pairwise condition typically sit at extremal points.  Ties go
     to the first pair, vertex pairs (a, b) with a <= b in index order
     first, then the samples; a NaN value beats any number, so the first
-    NaN pair is the witness and the check fails.  A failing evaluation
-    raises the exception of the first point that fails, in the order
-    pair by pair evaluation visits them: the vertices in index order,
-    then y before x for each sampled pair.  Neither the face size nor
-    ``samples`` is bounded here; only the CLI bounds their product
-    (``cli.MAX_SAMPLE_CELLS``).
+    NaN pair is the witness and the check fails.  The points go in two
+    blocks, one column per point: the face's vertices, when it has at
+    most ``_VERTEX_BLOCK`` indices, then the y samples; and the x
+    samples.  A wider face's vertex pairs go in ``_best_vertex_pair``'s
+    pieces.  A failing evaluation raises the exception of the first
+    point that fails, in the order pair by pair evaluation visits them:
+    the vertices in index order, then y before x for each sampled pair.
+    Neither the face size nor ``samples`` is bounded here; only the CLI
+    bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
     from .reports import PairConditionReport
 
@@ -508,26 +526,37 @@ def check_pair_condition(
     _check_domain(op, face.indices, "face")
     rng = np.random.default_rng(seed)
     indices = face.indices
+    d = len(indices)
     drawn = sample_face_block(face, rng, 2 * samples)
     xs, ys = drawn[0::2], drawn[1::2]
-    best, (a, b) = _best_vertex_pair(op, indices)
-    (y_cols, fy), (x_cols, fx) = _evaluate(op, indices, ys, xs)
+    lead = d if d <= _VERTEX_BLOCK else 0
+    y_cols = _with_vertices(d, 0, lead, after=samples)
+    y_cols[:, lead:] = ys.T
+    x_cols = np.array(xs.T, order="C")
+    pieces = None if lead else _best_vertex_pair(op, indices)  # a wider face's vertices come first
+    fy, fx = _evaluate(op, indices, y_cols, x_cols, lag=lead)
+    best, (a, b) = pieces or _best_vertex_pair(op, indices, fy[:, :lead])
     witness = (vertex(indices[a]), vertex(indices[b]))
-    sampled = _ordered_sum(np.multiply(x_cols, fy, out=x_cols))
-    sampled += _ordered_sum(np.multiply(y_cols, fx, out=y_cols))
+    sampled = _ordered_sum(np.multiply(x_cols, fy[:, lead:], out=x_cols))
+    sampled += _ordered_sum(np.multiply(y_cols[:, lead:], fx, out=fx))
     n = _first(sampled, np.greater)
     if n is not None and _worse(sampled[n], best):  # the samples come after every vertex pair
         best, witness = float(sampled[n]), tuple(_point_on(indices, B[n].tolist()) for B in (xs, ys))
     return PairConditionReport(face=face, samples=samples, seed=seed, max_value=best, witness=witness)
 
 
-def _best_vertex_pair(op: VolterraOperator, indices: tuple[int, ...]) -> tuple[float, tuple[int, int]]:
+def _best_vertex_pair(
+    op: VolterraOperator, indices: tuple[int, ...], at_vertices=None
+) -> tuple[float, tuple[int, int]]:
     """The largest f_a(e_b) + f_b(e_a) over vertex pairs a <= b (as
     positions in ``indices``) and the first pair in index order to reach
     it, where a NaN beats any number; (0, 0) stands in when nothing
     beats -inf.
 
-    The pairs go in pieces of at most two runs of _VERTEX_BLOCK vertices,
+    ``at_vertices``, when given, holds f_a(e_b) at [a, b] for every
+    vertex of a face of at most _VERTEX_BLOCK indices, evaluated by the
+    caller in its own block, and the face is one piece.  Otherwise the
+    pairs go in pieces of at most two runs of _VERTEX_BLOCK vertices,
     each evaluated on its own indices only: a zero mass adds nothing, so
     f_a(e_b) is the same on any index set that holds a and b.
     """
@@ -538,7 +567,9 @@ def _best_vertex_pair(op: VolterraOperator, indices: tuple[int, ...]) -> tuple[f
         for j in range(i, d, _VERTEX_BLOCK):
             right = np.arange(j, min(j + _VERTEX_BLOCK, d))
             pos = left if j == i else np.concatenate((left, right))
-            ((_, f),) = _evaluate(op, tuple(indices[p] for p in pos), np.eye(len(pos)))
+            f = at_vertices
+            if f is None:
+                (f,) = _evaluate(op, tuple(indices[p] for p in pos), np.eye(len(pos)))
             # f[a, b] = f_a(e_b), so a vertex pair adds f and its transpose.
             pairs = (0.0 + f) + (0.0 + f.T)
             if j == i:

@@ -338,6 +338,18 @@ def test_sine_generating_values():
     assert op.f(2, vertex(1)) == math.pi
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sine_block_raises_as_its_first_bad_point_does(bad):
+    # A block computes its sines on arrays, but a NaN or infinite mass
+    # still raises math.floor's error, as that point alone raises it.
+    op = sine_example()
+    with pytest.raises((ValueError, OverflowError)) as one_point:
+        op.values([bad, 0.5], (1, 2))
+    with pytest.raises(type(one_point.value)) as block:
+        op.values(np.array([[0.25, bad, -bad], [0.75, 0.5, 0.5]]), (1, 2))
+    assert str(block.value) == str(one_point.value)
+
+
 # --- serialization ----------------------------------------------------------
 
 

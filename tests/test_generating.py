@@ -352,6 +352,95 @@ def test_block_failure_raises_the_first_points_exception():
     assert str(info.value) == str(first_pair.value)
 
 
+def _failing_at(bad, known=None):
+    """A map with g = 1 that raises ValueError(bad[point]) at each point
+    of ``bad`` (keyed by its masses as a tuple) and, when ``known`` is
+    given, ValueError("unknown") at every point outside it.  A block is
+    evaluated column by column in storage order, so it raises what its
+    first failing column raises."""
+
+    def fn(ks, X):
+        if getattr(X, "ndim", 1) == 2:
+            for column in X.T:
+                fn(ks, column.tolist())
+            return np.ones(X.shape)
+        point = tuple(X)
+        if point in bad:
+            raise ValueError(bad[point])
+        if known is not None and point not in known:
+            raise ValueError("unknown")
+        return [1.0] * len(ks)
+
+    return fn
+
+
+_CORNERS = [tuple(float(i == j) for i in range(4)) for j in range(4)]
+
+
+def test_pair_check_failures_raise_in_visit_order():
+    """The pair check raises what the first failing point raises, in the
+    order it visits points, not in the order its blocks store them."""
+    face, samples, seed = FaceSpec.prefix(4), 6, 2
+    drawn = sample_face_block(face, np.random.default_rng(seed), 2 * samples)
+    xs, ys = drawn[0::2], drawn[1::2]
+    # The y samples share a block with the vertices, the x samples have
+    # their own; y_3 is stored before x_2 but visited after it.
+    op = VolterraOperator(_failing_at({tuple(xs[2].tolist()): "x_2", tuple(ys[3].tolist()): "y_3"}))
+    with pytest.raises(ValueError, match="^x_2$"):
+        check_pair_condition(op, face, samples=samples, seed=seed)
+    # A vertex fails too, and the vertices come first.
+    op = VolterraOperator(_failing_at({tuple(xs[2].tolist()): "x_2", _CORNERS[3]: "e_4"}))
+    with pytest.raises(ValueError, match="^e_4$"):
+        check_pair_condition(op, face, samples=samples, seed=seed)
+
+
+def test_condition_check_failures_raise_in_visit_order():
+    """``check_conditions`` raises what the first failing point raises:
+    the barycenter, then the samples, then the vertices, each perturbed
+    point right after its own."""
+    face, samples, seed = FaceSpec.prefix(4), 6, 2
+    drawn = sample_face_block(face, np.random.default_rng(seed), samples)
+    bad = {tuple(drawn[4].tolist()): "sample 4", _CORNERS[0]: "e_1"}
+    certified = VolterraOperator(_failing_at(bad))
+    certified.continuous = True
+    with pytest.raises(ValueError, match="^sample 4$"):
+        check_conditions(certified, face, samples=samples, seed=seed)
+    # Without the certificate every nudged point fails as well, and the
+    # barycenter's nudge comes right after the barycenter.
+    known = {*map(tuple, drawn.tolist()), *_CORNERS, (0.25,) * 4}
+    with pytest.raises(ValueError, match="^unknown$"):
+        check_conditions(VolterraOperator(_failing_at(bad, known)), face, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("width, conditions, pairs", [
+    (5, 1, 2),
+    (generating._VERTEX_BLOCK, 1, 2),
+    # One vertex more: the later vertices, and every vertex pair, in pieces.
+    (generating._VERTEX_BLOCK + 1, 2, 5),
+])
+def test_one_block_call_per_kind_of_point(width, conditions, pairs):
+    """A certified map gets one block for the barycenter, the samples and
+    the vertices in ``check_conditions``, and two in
+    ``check_pair_condition``: the vertices with the y samples, and the x
+    samples."""
+    shapes = []
+
+    def fn(ks, X):
+        if getattr(X, "ndim", 1) == 2:
+            shapes.append(X.shape)
+        return example31().fn(ks, X)
+
+    op = VolterraOperator(fn)
+    op.continuous = True
+    face = FaceSpec.prefix(width)
+    check_conditions(op, face, samples=7, seed=1)
+    assert len(shapes) == conditions
+    assert shapes[0] == (width, 1 + 7 + min(width, generating._VERTEX_BLOCK))
+    shapes.clear()
+    check_pair_condition(op, face, samples=7, seed=1)
+    assert len(shapes) == pairs
+
+
 def test_block_with_missing_values_raises():
     short = VolterraOperator(lambda ks, X: [0.0] * (len(ks) - 1))
     with pytest.raises(ValueError, match="2 values for 3 indices"):
@@ -375,12 +464,14 @@ def test_a_block_the_map_keeps_is_copied():
 
     kept = VolterraOperator(cached, label="cached")
     fresh = VolterraOperator(lambda ks, X: np.array(cached(ks, X)), label="cached")
-    # Samples, barycenter, nudges and vertices all make 6 x 6 blocks.
+    # The barycenter, samples and vertices make one 6 x 12 block and the
+    # nudges a 6 x 6 one; the vertices and y samples 6 x 11, the x
+    # samples 6 x 5.
     face = FaceSpec.prefix(6)
     reports = [(check_conditions(op, face, samples=5, seed=1), check_pair_condition(op, face, samples=5, seed=1))
                for op in (kept, fresh)]
     assert reports[0] == reports[1]
-    assert sorted(cache) == [(6, 5), (6, 6)]
+    assert sorted(cache) == [(6, 5), (6, 6), (6, 11), (6, 12)]
     for shape, block in cache.items():
         assert block.tobytes() == pristine[shape].tobytes()
 
@@ -531,10 +622,11 @@ def test_python_nesting_is_bounded():
             build()
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@pytest.mark.parametrize("block", [1, 2, 3, 5, generating._VERTEX_BLOCK + 1])
 def test_vertex_pieces_give_the_same_reports(monkeypatch, block):
-    # Faces wider than the vertex block are checked piece by piece; ties
-    # must still go to the first point or pair in index order.
+    # Faces wider than the vertex block are checked piece by piece, the
+    # others with their vertices in the samples' blocks; ties must still
+    # go to the first point or pair in index order.
     rng = np.random.default_rng(block)
     # Pairs (2, 3) and (1, 5) tie for the maximum; (1, 5) comes first in
     # index order but sits in a later piece when the block is 2.
@@ -542,6 +634,15 @@ def test_vertex_pieces_give_the_same_reports(monkeypatch, block):
     ops = [example31(), example32(), rand_skew_operator(rng, 9)[1], sine_example(), tied]
     faces = [FaceSpec.prefix(9), FaceSpec.prefix(9), FaceSpec.of((2, 3, 5, 7, 8, 9)), FaceSpec.of((1, 2)),
              FaceSpec.prefix(6)]
+    if block > generating._VERTEX_BLOCK:
+        # A face one index wider than the default block: the default
+        # takes pieces, and this block merges the vertices.  Every
+        # example32 vertex pair (a, b) with a < b has value 1, and this
+        # map's far pair (1, 257) ties with (2, 3) and comes first.
+        wide = FaceSpec.prefix(generating._VERTEX_BLOCK + 1)
+        far = linear_operator_from_cells([(2, 3, 0.5), (3, 2, 0.5), (1, len(wide), 0.5), (len(wide), 1, 0.5)])
+        ops += [example32(), far]
+        faces += [wide, wide]
     expected = [
         (check_conditions(op, face, samples=40, seed=1).to_obj(),
          check_pair_condition(op, face, samples=40, seed=1).to_obj())

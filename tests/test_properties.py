@@ -133,16 +133,21 @@ def _block(face: FaceSpec, rows: int, seed: int) -> np.ndarray:
     picks=st.sets(st.integers(0, 11), min_size=1, max_size=12),
     rows=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
+    points=st.none(),
 )
 # One-column blocks, whose sums take the cumsum route of _ordered_sum.
-@example(name="example31", picks=set(range(12)), rows=1, seed=0)
-@example(name="convex31_32", picks=set(range(12)), rows=1, seed=1)
-@example(name="compose_skew_31", picks=set(range(10)), rows=1, seed=2)
-def test_block_rows_equal_one_point_values(name, picks, rows, seed):
+@example(name="example31", picks=set(range(12)), rows=1, seed=0, points=None)
+@example(name="convex31_32", picks=set(range(12)), rows=1, seed=1, points=None)
+@example(name="compose_skew_31", picks=set(range(10)), rows=1, seed=2, points=None)
+# Sine's special points in one block, given as rows: the barycenter of
+# {1, 2} (s = 1.0 and f_1 = -1 exactly), e^(1) (x_2 = 0, so f_2 = pi)
+# and e^(2) (x_1 = 0).
+@example(name="sine", picks={0, 1}, rows=3, seed=0, points=[[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+def test_block_rows_equal_one_point_values(name, picks, rows, seed, points):
     op, pool = FAMILIES[name]
     pool = tuple(pool)
     face = FaceSpec.of(pool[p % len(pool)] for p in picks)
-    block = _block(face, rows, seed)
+    block = _block(face, rows, seed) if points is None else np.array(points)
     together = op.values(np.ascontiguousarray(block.T), face.indices).T
     one_by_one = np.array([op.values(row.tolist(), face.indices) for row in block])
     assert together.shape == block.shape

@@ -67,7 +67,6 @@ _EXPORTS = {
     "inversion": (
         "InversionResult",
         "invert",
-        "invert_triangular",
         "invert_fixed_point",
         "solve_monotone_cubic",
     ),

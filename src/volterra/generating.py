@@ -93,9 +93,11 @@ class VolterraOperator:
     as a list, a tuple or an array, where ``X[j]`` is the mass of x at
     ``indices[j]``; the indices ascend and cover the support of x.
     ``X[j]`` is a float for one point, or row j of a (d, N) block of N
-    points, and one body serves both: it may only use elementwise
-    arithmetic on the masses (no ``if`` on a value and no ``math``
-    function of a row; use ``np.where`` or a loop over the elements).
+    points, and one body serves both: it should use only elementwise
+    arithmetic on the masses (``np.where`` or a loop over the elements,
+    not an ``if`` on a value or a ``math`` function of a row).  A body
+    that raises on a block is evaluated a point at a time instead, with
+    the same reports, only slower.
     A map may instead treat a block (``X.ndim == 2``) as one array and
     return an array of X's shape, if each point keeps its one-point
     bits: sums over the index axis then add rows top to bottom, as
@@ -336,11 +338,8 @@ def _first(values: np.ndarray, better) -> int | None:
     """Index of the worst entry: the first NaN, else the first entry that
     beats every earlier one under the strict comparison ``better``, or
     None when every entry is -inf (``np.greater``) or inf (``np.less``)."""
-    nan = np.flatnonzero(np.isnan(values))
-    if len(nan):
-        return int(nan[0])
-    i = int(np.argmax(values) if better is np.greater else np.argmin(values))
-    return i if better(values[i], -np.inf if better is np.greater else np.inf) else None
+    i = int(np.argmax(values) if better is np.greater else np.argmin(values))  # either stops at a NaN
+    return None if values[i] == (-np.inf if better is np.greater else np.inf) else i
 
 
 def _worse(value: float, than: float) -> bool:
@@ -419,9 +418,10 @@ def check_conditions(
     The perturbation is drawn after the samples, so both kinds of map
     get the same samples and the same verdicts on conditions 2-4.
     Points are evaluated as one block, one column per point: the
-    barycenter, the samples, then the first ``_VERTEX_BLOCK`` vertices;
-    a wider face's later vertices go in blocks of their own, and the
-    perturbed points in one more.  The balance adds a point's terms in
+    barycenter, the samples, then the vertices of a face of at most
+    ``_VERTEX_BLOCK`` indices, the rule ``check_pair_condition`` keeps;
+    a wider face's vertices go in pieces of their own, and the perturbed
+    points in one more block.  The balance adds a point's terms in
     index order, as ``apply`` does.  Ties go to the first point, in the
     order barycenter, samples, vertices.  A NaN value is worse than any
     number, so the first NaN point is the witness and its verdict fails.
@@ -439,7 +439,7 @@ def check_conditions(
     indices = face.indices
     d = len(indices)
     probed = 1 + samples
-    first = min(d, _VERTEX_BLOCK) if d > 1 else 0  # one index: its vertex is the barycenter
+    first = d if d <= _VERTEX_BLOCK else 0  # a wider face's vertices go in pieces
     points = _with_vertices(d, 0, first, before=probed)
     points[:, 0] = 1.0 / d
     points[:, 1:probed] = sample_face_block(face, rng, samples).T
@@ -457,7 +457,7 @@ def check_conditions(
         wobble = np.abs(f_nudged.T, out=nudged).sum(axis=1)
     lowest = [f.min(axis=0)]
     balance = [_ordered_sum(np.multiply(points, f, out=f))]
-    for start in range(_VERTEX_BLOCK, d, _VERTEX_BLOCK):
+    for start in range(first, d, _VERTEX_BLOCK):
         x_vert = _with_vertices(d, start, min(start + _VERTEX_BLOCK, d))
         (f_vert,) = _evaluate(op, indices, x_vert)
         lowest.append(f_vert.min(axis=0))

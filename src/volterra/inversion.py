@@ -15,7 +15,8 @@ operator's structure gives (``VolterraOperator.structure`` and
   not zero (method ``"scalar"``), a safeguarded Newton root in c on
   [0, 1] finds the c at which the coordinates add up to 1 with
   sum_i x_i^2 = 1 - c; where it is (method ``"triangular"``, example32
-  and its self-mixes) one pass does.  Neither runs a sweep.
+  and its self-mixes) the root is c = 0, and one pass does.  Neither
+  runs a sweep.
 - Staged: ``compose(op1, op2)`` applies op2 first, so its preimage is
   op2's preimage of op1's preimage, each found by its own route.
 - Fixed point: every other operator, by the damped coordinate iteration
@@ -108,13 +109,18 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
 
     - ``structure`` recorded (example31, example32 and their convex
       combinations): the structured solve, one scalar root in
-      c = 1 - sum_i x_i^2 (method ``"scalar"``) or, where example31's
-      weight w31 is zero, none (``"triangular"``), then the coordinates in
-      order, the residual taken on op itself.  It runs no sweep:
-      ``iterations`` is 0 and ``max_iter`` plays no part.  A residual
-      above ``tol`` raises ResidualTooLarge (method ``"scalar"`` or
-      ``"triangular"``) with the point found; it never falls back to
-      the sweeps.
+      c = 1 - sum_i x_i^2, then the coordinates in order, the residual
+      taken on op itself.  The method is ``"scalar"``, or
+      ``"triangular"`` where example31's weight w31 is zero: there the
+      root is c = 0 at once.  Only the support of y is solved: a zero
+      target mass would solve to zero and add nothing to later
+      coordinates, so the preimage keeps y's support (less a root that
+      underflows to zero) and the work does not grow with the largest
+      index.  It runs no sweep: ``iterations`` is 0, in a result and in
+      a ResidualTooLarge alike, so it spends nothing of a staged
+      inverse's ``max_iter``.  A residual above ``tol`` raises
+      ResidualTooLarge (method ``"scalar"`` or ``"triangular"``) with
+      the point found; it never falls back to the sweeps.
     - ``stages`` (op1, op2) (``compose(op1, op2)``, which applies op2
       first): ``invert(op1, y)``, then ``invert(op2, .)`` of that, each
       stage to ``STAGE_TOL * tol``, and the iterations of both summed.
@@ -153,51 +159,33 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
 
 
 def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionResult:
-    """Sequential inverse of ``example32`` at the target y: the
-    structured solve without the scalar root.
-
-    Solves, for each index of y in turn, the strictly increasing cubic
-    t^3 + 3*C_k*t = y_k with C_k = sum_{i<k} x_i - sum_{i<j<k} x_i x_j
-    (nonnegative on the simplex; 0 for the first index, where the root
-    is y_k^(1/3)) by ``solve_monotone_cubic``.  Only the indices in the
-    support of y are solved: an index with zero target mass solves to
-    exactly zero and adds nothing to C_k, so the preimage support equals
-    the target support (less a root that underflows to zero) and the
-    work does not grow with the largest index.  The roots are checked
-    and normalized as ``make_point`` would, and the residual is the
-    ``l1_distance`` of their forward image from y, checked as ``apply``
-    checks it; a residual above ``residual_tol`` raises
-    ResidualTooLarge carrying the point found, and a ``residual_tol``
-    that is not positive is a ValueError.  The reported ``iterations``
-    (and the count a ResidualTooLarge carries) is 0: no sweep runs, so
-    the solve spends nothing of a staged inverse's ``max_iter``.
-    """
+    """``invert(example32(), y, residual_tol)``, kept unexported under this
+    name: the benchmark's invert workload and tracer (perfbench/) call it."""
     return _structured(example32(), y, residual_tol)
 
 
-def _structured(op: VolterraOperator, y: SparsePoint, residual_tol: float) -> InversionResult:
+def _structured(op: VolterraOperator, y: SparsePoint, tol: float) -> InversionResult:
     """The structured solve of ``invert`` for an op that records its
-    ``structure`` (w31, w32), the residual taken on op: the coordinates
-    in order, at the root c of ``_scalar_root`` where w31 is not zero,
-    then checked and normalized as ``make_point`` would."""
-    _check_tolerance(residual_tol)
+    ``structure`` (w31, w32): the coordinates at the root c of
+    ``_scalar_root``, checked and normalized as ``make_point`` would, the
+    residual taken on op.  The structure picks only the method label."""
+    _check_tolerance(tol)
     _check_domain(op, y.support, "point support")
-    support, target = y.support, y.masses
-    if op.structure[0]:
-        method, roots = "scalar", _scalar_root(op.structure, target)
-    else:
-        method, roots = "triangular", _coordinates(op.structure, 0.0, target)[0]
-    xm = _normalized(_checked_all(support, roots))
-    residual = _image_residual(support, xm, op.values(xm, support), target)
+    support = y.support
+    method = "scalar" if op.structure[0] else "triangular"
+    xm = _normalized(_checked_all(support, _scalar_root(op.structure, y.masses)))
+    residual = _image_residual(support, xm, op.values(xm, support), y.masses)
     preimage = _point_on(support, xm)
-    if residual > residual_tol:
+    if residual > tol:
         raise ResidualTooLarge(f"{method} inverse misses the target", preimage, residual, 0, method)
     return InversionResult(preimage=preimage, residual=residual, iterations=0, method=method)
 
 
 def _scalar_root(structure: tuple, target) -> list[float]:
     """The coordinates solved at the root c in [0, 1] of the balance
-    sum_k x_k (1 - x_k) - c, for weights (w31, w32) with w31 not zero.
+    sum_k x_k (1 - x_k) - c, for weights (w31, w32).  Where w31 is zero,
+    ``_coordinates`` adds no balance, so it reads 0 at c = 0 and the
+    roots at c = 0 come back at once: example32's triangular solve.
 
     With c = 1 - sum_i x_i^2, the coordinates solved at any c balance
     exactly when c = sum_k x_k (1 - x_k), that is, when they add up to 1
@@ -355,13 +343,13 @@ def invert_fixed_point(
         if iterations >= max_iter or lam < DAMPING_FLOOR:
             raise NonConvergence(
                 f"fixed-point inversion of {op.label!r} stalled",
-                _iterate(y, xm), residual, iterations, "fixed_point",
+                _point_on(support, xm), residual, iterations, "fixed_point",
             )
         iterations += 1
         if images is None:
             images = [yk / g if g > 1e-12 else xk for yk, xk, g in zip(target, xm, gx)]
             step = [p - xk for p, xk in zip(images, xm)]
-        trial_m = _anderson(support, step, images, previous) if previous else None
+        trial_m = _anderson(step, images, previous) if previous else None
         previous = None  # an extrapolation is tried once at an iterate
         extrapolated = trial_m is not None
         if not extrapolated:
@@ -377,17 +365,18 @@ def invert_fixed_point(
         elif not extrapolated:
             lam *= 0.5
     return InversionResult(
-        preimage=_iterate(y, xm), residual=residual, iterations=iterations, method="fixed_point"
+        preimage=_point_on(support, xm), residual=residual, iterations=iterations, method="fixed_point"
     )
 
 
-def _anderson(support, step, images, previous):
+def _anderson(step, images, previous):
     """The one-step Anderson extrapolation P - gamma*(P - P') of the
     images P = y_k / g_k(x) at the iterate, with P' those at the iterate
     accepted before it and gamma = <r, r - r'> / |r - r'|^2 for the steps
-    r = P - x and r' = P' - x', normalized and checked as a damped trial
-    is; None where |r - r'| is zero or a mass of the candidate is not
-    finite and above zero."""
+    r = P - x and r' = P' - x', normalized as a damped trial is; None
+    where |r - r'| is zero or a mass of the candidate is not finite and
+    above zero.  A candidate that passes has every mass in (0, 1], so
+    ``_checked_all`` would find nothing in it."""
     last_step, last_images = previous
     delta = [r - q for r, q in zip(step, last_step)]
     norm = _total(d * d for d in delta)
@@ -401,10 +390,5 @@ def _anderson(support, step, images, previous):
     scaled = [v / total for v in candidate]
     if not min(scaled) > 0.0:
         return None
-    return _normalized(_checked_all(support, scaled))
+    return _normalized(scaled)
 
-
-def _iterate(y: SparsePoint, xm) -> SparsePoint:
-    """The iterate with masses ``xm`` on the support of y: y itself until
-    a sweep is accepted."""
-    return y if xm is y.masses else _point_on(y.support, xm)

@@ -10,7 +10,9 @@ once it passes the bound, and decides as the whole ``l1_distance``
 does.  A quadratic operator keeps the plan of its last request, and
 every request after it, repeated, new, a subset or a list mutated in
 place, gets a freshly built operator's values bit for bit, also from
-threads that share the operator.
+threads that share the operator.  The checkers' worst entry is the one
+numpy's ``argmax`` or ``argmin`` finds, the first NaN included, as a
+scan for NaN before them found it.
 """
 
 import math
@@ -23,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from volterra import SparsePoint, l1_distance, quadratic_operator, validate_matrix
 from volterra.dynamics import STEP_TOLERANCE, _STEP_BOUND
 from volterra.errors import NegativeCoordinate, NormalizationFailure
-from volterra.generating import NEGATIVE_TOLERANCE, NORMALIZATION_TOLERANCE, _checked_masses
+from volterra.generating import NEGATIVE_TOLERANCE, NORMALIZATION_TOLERANCE, _checked_masses, _first
 from volterra.simplex import _checked_all, _checked_mass, _within
 
 NAN, INF = math.nan, math.inf
@@ -255,3 +257,25 @@ def test_cached_request_plans_hold_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
+
+
+def _first_scan(values, better):
+    """The worst-entry search ``_first`` replaced: a scan for the first
+    NaN, then ``argmax`` or ``argmin``."""
+    nan = np.flatnonzero(np.isnan(values))
+    if len(nan):
+        return int(nan[0])
+    i = int(np.argmax(values) if better is np.greater else np.argmin(values))
+    return i if better(values[i], -np.inf if better is np.greater else np.inf) else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.sampled_from([NAN, INF, -INF, -0.0, 0.0, 1.0, -1.0, 2.0, 1e-300]), min_size=1, max_size=12))
+@example(values=[-INF, -INF])
+@example(values=[INF, INF])
+@example(values=[1.0, -INF, NAN, NAN])
+@example(values=[-0.0, 0.0, -0.0])
+def test_first_worst_entry_matches_the_nan_scan(values):
+    array = np.array(values)
+    for better in (np.greater, np.less):
+        assert _first(array, better) == _first_scan(array, better)

@@ -415,14 +415,15 @@ def test_condition_check_failures_raise_in_visit_order():
 @pytest.mark.parametrize("width, conditions, pairs", [
     (5, 1, 2),
     (generating._VERTEX_BLOCK, 1, 2),
-    # One vertex more: the later vertices, and every vertex pair, in pieces.
-    (generating._VERTEX_BLOCK + 1, 2, 5),
+    # One vertex more: every vertex, and every vertex pair, in pieces.
+    (generating._VERTEX_BLOCK + 1, 3, 5),
 ])
 def test_one_block_call_per_kind_of_point(width, conditions, pairs):
     """A certified map gets one block for the barycenter, the samples and
     the vertices in ``check_conditions``, and two in
     ``check_pair_condition``: the vertices with the y samples, and the x
-    samples."""
+    samples.  Both leave the vertices of a face wider than
+    ``_VERTEX_BLOCK`` to pieces of their own."""
     shapes = []
 
     def fn(ks, X):
@@ -435,10 +436,42 @@ def test_one_block_call_per_kind_of_point(width, conditions, pairs):
     face = FaceSpec.prefix(width)
     check_conditions(op, face, samples=7, seed=1)
     assert len(shapes) == conditions
-    assert shapes[0] == (width, 1 + 7 + min(width, generating._VERTEX_BLOCK))
+    assert shapes[0] == (width, 1 + 7 + (width if width <= generating._VERTEX_BLOCK else 0))
     shapes.clear()
     check_pair_condition(op, face, samples=7, seed=1)
     assert len(shapes) == pairs
+
+
+def test_a_map_that_only_takes_floats_gets_its_array_twins_reports():
+    """A body with an ``if`` on a value raises on a block's rows, so the
+    checkers evaluate its points one at a time; the reports are those of
+    the same map written with ``np.where``, which takes whole blocks."""
+
+    def kinked(ks, X):
+        sq = 0.0
+        for m in X:
+            sq = sq + m * m
+        out = []
+        for m in X:
+            if m > 0.5:
+                out.append(1.0 + (m - sq))
+            else:
+                out.append(1.0 + 0.5 * (m - sq))
+        return out
+
+    def kinked_where(ks, X):
+        sq = 0.0
+        for m in X:
+            sq = sq + m * m
+        return [np.where(m > 0.5, 1.0 + (m - sq), 1.0 + 0.5 * (m - sq)) for m in X]
+
+    with pytest.raises(ValueError):
+        kinked((1, 2), np.full((2, 3), 0.5))
+    for face in (FaceSpec.of((4,)), FaceSpec.prefix(3), FaceSpec.of((2, 5, 9, 11))):
+        for checker in (check_conditions, check_pair_condition):
+            floats = checker(VolterraOperator(kinked), face, samples=60, seed=7)
+            arrays = checker(VolterraOperator(kinked_where), face, samples=60, seed=7)
+            assert repr(floats.to_obj()) == repr(arrays.to_obj())
 
 
 def test_block_with_missing_values_raises():

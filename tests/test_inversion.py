@@ -17,7 +17,6 @@ from volterra import (
     identity_operator,
     invert,
     invert_fixed_point,
-    invert_triangular,
     l1_distance,
     make_point,
     operator_from_tensor,
@@ -28,6 +27,8 @@ from volterra import (
     vertex,
     VolterraOperator,
 )
+import volterra
+from volterra.inversion import invert_triangular
 from helpers import rand_point, rand_point_on_pool, rand_skew_operator
 
 
@@ -48,16 +49,16 @@ def test_solve_monotone_cubic_rejects_negative_coefficient():
 
 
 def test_invert_triangular_vertex():
-    result = invert_triangular(vertex(1))
+    result = invert(example32(), vertex(1))
     assert result.preimage == vertex(1)
     assert result.residual == 0.0
     assert result.method == "triangular" and result.converged
 
 
 def test_invert_triangular_frozen_cases():
-    result = invert_triangular(make_point([(1, 0.125), (2, 0.875)]))
+    result = invert(example32(), make_point([(1, 0.125), (2, 0.875)]))
     assert l1_distance(result.preimage, make_point([(1, 0.5), (2, 0.5)])) <= 1e-12
-    result = invert_triangular(make_point([(1, 0.125), (2, 0.477), (3, 0.398)]))
+    result = invert(example32(), make_point([(1, 0.125), (2, 0.477), (3, 0.398)]))
     assert l1_distance(
         result.preimage, make_point([(1, 0.5), (2, 0.3), (3, 0.2)])
     ) <= 1e-12
@@ -68,7 +69,7 @@ def test_invert_triangular_random_round_trips():
     op = example32()
     for _ in range(100):
         x = rand_point_on_pool(rng, 36, 30)
-        result = invert_triangular(apply(op, x))
+        result = invert(op, apply(op, x))
         assert l1_distance(result.preimage, x) <= 1e-9
         assert result.residual <= 1e-10
 
@@ -76,22 +77,22 @@ def test_invert_triangular_random_round_trips():
 def test_invert_triangular_sparse_support_preserved():
     op = example32()
     x = make_point([(2, 0.5), (5, 0.3), (9, 0.2)])
-    result = invert_triangular(apply(op, x))
+    result = invert(op, apply(op, x))
     assert result.preimage.support == (2, 5, 9)
     assert l1_distance(result.preimage, x) <= 1e-10
 
 
 def _timed_out(signum, frame):
-    raise TimeoutError("invert_triangular did not return within 10 s")
+    raise TimeoutError("the triangular inverse did not return within 10 s")
 
 
 def test_invert_triangular_solves_only_the_support():
-    near = invert_triangular(make_point({1: 0.5, 2: 0.5}))
+    near = invert(example32(), make_point({1: 0.5, 2: 0.5}))
     # A loop over every index up to 10**12 would never end.
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(10)
     try:
-        far = invert_triangular(make_point({1: 0.5, 10**12: 0.5}))
+        far = invert(example32(), make_point({1: 0.5, 10**12: 0.5}))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -106,7 +107,7 @@ def test_invert_triangular_root_that_underflows():
     # the preimage drops index 2, and the residual counts y_2 in full, as
     # l1_distance of the forward image does.
     y = make_point({1: 1.0, 2: 5e-324})
-    result = invert_triangular(y)
+    result = invert(example32(), y)
     assert result.preimage == vertex(1)
     assert result.residual == l1_distance(apply(example32(), result.preimage), y) == 5e-324
 
@@ -114,13 +115,32 @@ def test_invert_triangular_root_that_underflows():
 def test_invert_triangular_residual_too_large_reports_best():
     y = make_point([(1, 0.3), (2, 0.7)])
     with pytest.raises(ResidualTooLarge) as info:
-        invert_triangular(y, residual_tol=1e-30)
+        invert(example32(), y, tol=1e-30)
     err = info.value
     assert err.residual > 1e-30
     assert l1_distance(apply(example32(), err.best), y) == pytest.approx(
         err.residual, abs=1e-15
     )
 
+
+def test_unexported_triangular_name_takes_the_route_invert_takes():
+    # The benchmark calls and times inversion.invert_triangular by name,
+    # so it must stay the same solve as invert(example32(), y).
+    assert "invert_triangular" not in volterra.__all__
+    op = example32()
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        x = rand_point_on_pool(rng, 40, 12)
+        for y in (x, apply(op, x)):
+            assert invert_triangular(y).to_obj() == invert(op, y).to_obj()
+    y = make_point([(1, 0.3), (2, 0.7)])
+    errors = []
+    for call in (lambda: invert_triangular(y, residual_tol=1e-30), lambda: invert(op, y, tol=1e-30)):
+        with pytest.raises(ResidualTooLarge) as info:
+            call()
+        err = info.value
+        errors.append((str(err), err.best, err.residual, err.iterations, err.method))
+    assert errors[0] == errors[1]
 
 def test_invert_fixed_point_identity_immediate():
     y = make_point([(1, 0.3), (4, 0.7)])
@@ -196,7 +216,6 @@ def test_invert_fixed_point_argument_validation():
         for call in (
             lambda: invert_fixed_point(identity_operator(), vertex(1), tol=tol),
             lambda: invert_fixed_point(example31(), y, tol=tol),
-            lambda: invert_triangular(y, residual_tol=tol),
             lambda: invert(example31(), y, tol=tol),
             lambda: invert(example32(), y, tol=tol),
             lambda: invert(compose(example31(), example32()), y, tol=tol),
@@ -206,7 +225,7 @@ def test_invert_fixed_point_argument_validation():
 
 
 def test_inversion_result_serialization():
-    result = invert_triangular(make_point([(1, 0.125), (2, 0.875)]))
+    result = invert(example32(), make_point([(1, 0.125), (2, 0.875)]))
     obj = result.to_obj()
     assert obj["method"] == "triangular"
     assert obj["converged"] is True

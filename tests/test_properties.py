@@ -73,7 +73,6 @@ from volterra import (
     identity_operator,
     invert,
     invert_fixed_point,
-    invert_triangular,
     l1_distance,
     make_point,
     operator_from_tensor,
@@ -445,7 +444,7 @@ def test_triangular_round_trip(x):
     # is at most 8 d 2^-52 (y's masses total 1).
     bound = 8 * len(x) * _EPS
     y = apply(example32(), x)
-    result = invert_triangular(y)
+    result = invert(example32(), y)
     assert result.preimage.support == x.support
     assert result.residual <= bound
     assert l1_distance(result.preimage, x) <= bound

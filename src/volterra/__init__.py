@@ -52,7 +52,6 @@ _EXPORTS = {
     ),
     "cubic": (
         "CubicTensor",
-        "VolterraCheck",
         "validate_tensor",
         "is_volterra",
         "cubic_apply",
@@ -93,7 +92,6 @@ _EXPORTS = {
         "UndefinedTriple",
         "NotVolterra",
         "NonConvergence",
-        "ResidualTooLarge",
         "TrajectoryError",
     ),
 }

@@ -148,33 +148,23 @@ def validate_tensor(raw) -> CubicTensor:
     return CubicTensor(coefficients=store, dimension=dimension)
 
 
-class VolterraCheck:
-    """Face-invariance verdict; truthy iff the tensor is Volterra.
-    ``offender`` is (triple, k, p_{triple,k}) of a row that leaves its
-    triple, or None."""
-
-    __slots__ = ("ok", "offender")
-
-    def __init__(self, ok: bool, offender: tuple[Triple, int, float] | None = None):
-        self.ok = ok
-        self.offender = offender
-
-    def __bool__(self) -> bool:
-        return self.ok
+def is_volterra(p: CubicTensor) -> bool:
+    """True iff every output distribution is supported inside its triple."""
+    return _offender(p) is None
 
 
-def is_volterra(p: CubicTensor) -> VolterraCheck:
-    """True iff every output distribution is supported inside its triple.
+def _offender(p: CubicTensor) -> tuple[Triple, int, float] | None:
+    """(triple, k, p_{triple,k}) of the least triple whose row leaves it,
+    at the least output outside it, or None when no row does.
 
-    The rows are checked in store order; only a failing tensor pays for
-    finding its first offender in sorted order: the least triple, then
-    the least output outside it.
+    The rows are scanned in store order; only a failing tensor pays for
+    finding its offender in sorted order.
     """
     rows = p.coefficients
     if all(k in triple for triple, row in rows.items() for k in row):
-        return VolterraCheck(True)
+        return None
     triple, k = min((triple, k) for triple, row in rows.items() for k in row if k not in triple)
-    return VolterraCheck(False, (triple, k, rows[triple][k]))
+    return triple, k, rows[triple][k]
 
 
 def cubic_apply(p: CubicTensor, x: SparsePoint) -> SparsePoint:
@@ -220,13 +210,17 @@ def operator_from_tensor(p: CubicTensor) -> VolterraOperator:
     (3*x_i^2) or (i, j) with i < j for ``p_ijk[k][(i, j)]`` (6*x_i*x_j).
     The (k, k, k) row weights x_k^2 by 1, as face invariance forces.
 
-    Raises NotVolterra when a row leaves its triple, and UndefinedTriple
-    when a triple other than (i, i, i) within the dimension is missing.
+    Raises NotVolterra, naming ``_offender``, when a row leaves its
+    triple; UndefinedTriple when a triple other than (i, i, i) within
+    the dimension is missing; and ValueError on an empty tensor, which
+    names no index.
     """
-    check = is_volterra(p)
-    if not check:
-        raise NotVolterra(*check.offender)
+    offender = _offender(p)
+    if offender is not None:
+        raise NotVolterra(*offender)
     n = p.dimension
+    if n < 1:
+        raise ValueError("the cubic tensor is empty: it has no triple, so it names no index")
     p_ikk: dict[int, dict[int, float]] = {}
     p_iik: dict[int, dict[int, float]] = {}
     p_ijk: dict[int, dict[tuple[int, int], float]] = {}

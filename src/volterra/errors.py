@@ -2,8 +2,8 @@
 
 Validation errors signal bad input data or an operator caught violating
 its construction contract; they carry the offending witness so callers
-can report it.  Non-convergence errors carry the best iterate found so
-no result is ever silently wrong.
+can report it.  A missed inverse raises NonConvergence, which carries
+the best iterate found, so no result is ever silently wrong.
 """
 
 from __future__ import annotations
@@ -143,8 +143,10 @@ class NotVolterra(ValidationError):
 
 
 class NonConvergence(VolterraError):
-    """An iterative inversion failed to reach the requested residual;
-    ``method`` names the route that ran last, as ``InversionResult`` would."""
+    """An inversion missed the requested residual: every route raises
+    this one class.  ``method`` names the route that ran last, as
+    ``InversionResult`` would; the structured routes (``"scalar"``,
+    ``"triangular"``) run no sweep, so their ``iterations`` is 0."""
 
     def __init__(self, message: str, best, residual: float, iterations: int, method: str):
         super().__init__(
@@ -154,10 +156,6 @@ class NonConvergence(VolterraError):
         self.residual = residual
         self.iterations = iterations
         self.method = method
-
-
-class ResidualTooLarge(NonConvergence):
-    """A direct inverter finished but its forward check missed the target."""
 
 
 class TrajectoryError(VolterraError):

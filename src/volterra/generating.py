@@ -360,27 +360,24 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _evaluate(op: VolterraOperator, indices: tuple[int, ...], *blocks, lag: int = 0) -> list[np.ndarray]:
-    """f = g - 1 at every column of each C-ordered (d, N) block, in the
-    block's layout, one ``values`` call per block, taken in place on the
-    copy ``values`` returns.
+def _evaluate(op: VolterraOperator, indices: tuple[int, ...], X: np.ndarray) -> np.ndarray:
+    """f = g - 1 at every column of the C-ordered (d, N) block X, in X's
+    layout, by one ``values`` call, taken in place on the copy ``values``
+    returns.
 
-    Should a block raise, the points are evaluated one at a time
-    instead, in the order in which the checkers visit them, so the
-    exception that surfaces is the one the first failing point raises:
-    column by column, with column n of a later block right after column
-    n + ``lag`` of the first.
+    Should the block raise, its points are evaluated one at a time
+    instead, column by column in storage order, so the exception that
+    surfaces is the one its first failing column raises.  The checkers
+    evaluate their blocks one after another, so a map that fails in
+    several blocks raises for the first of them in the checker's order.
     """
     try:
-        out = [op.values(X, indices) for X in blocks]
-    except Exception:  # re-raised below, by the first point that fails
-        out = [np.empty(X.shape) for X in blocks]
-        for n in range(blocks[0].shape[1]):
-            for i, (X, G) in enumerate(zip(blocks, out)):
-                m = n - lag if i else n
-                if 0 <= m < X.shape[1]:
-                    G[:, m] = op.values(X[:, m].tolist(), indices)
-    return [np.subtract(G, 1.0, out=G) for G in out]
+        G = op.values(X, indices)
+    except Exception:  # re-raised below, by the first column that fails
+        G = np.empty(X.shape)
+        for n in range(X.shape[1]):
+            G[:, n] = op.values(X[:, n].tolist(), indices)
+    return np.subtract(G, 1.0, out=G)
 
 
 def _with_vertices(d: int, start: int, stop: int, before: int = 0, after: int = 0) -> np.ndarray:
@@ -417,16 +414,17 @@ def check_conditions(
     CONTINUITY_BOUND fails.
     The perturbation is drawn after the samples, so both kinds of map
     get the same samples and the same verdicts on conditions 2-4.
-    Points are evaluated as one block, one column per point: the
-    barycenter, the samples, then the vertices of a face of at most
-    ``_VERTEX_BLOCK`` indices, the rule ``check_pair_condition`` keeps;
-    a wider face's vertices go in pieces of their own, and the perturbed
-    points in one more block.  The balance adds a point's terms in
-    index order, as ``apply`` does.  Ties go to the first point, in the
-    order barycenter, samples, vertices.  A NaN value is worse than any
-    number, so the first NaN point is the witness and its verdict fails.
-    A failing evaluation raises the exception of the first point that
-    fails in that order, each perturbed point right after its own.
+    Points are evaluated in blocks, one column per point, in this
+    order: the points block (the barycenter, the samples, then the
+    vertices of a face of at most ``_VERTEX_BLOCK`` indices, the rule
+    ``check_pair_condition`` keeps), the perturbed points, then a wider
+    face's vertices in pieces of their own.  A failing evaluation raises
+    the exception of the first failing point of the first block that
+    fails, in that order (``_evaluate``).  The balance adds a point's
+    terms in index order, as ``apply`` does.  Ties go to the first
+    point, in the order barycenter, samples, vertices.  A NaN value is
+    worse than any number, so the first NaN point is the witness and its
+    verdict fails.
     Neither the face size nor ``samples`` is bounded here; only the CLI
     bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
@@ -444,22 +442,19 @@ def check_conditions(
     points[:, 0] = 1.0 / d
     points[:, 1:probed] = sample_face_block(face, rng, samples).T
     interior = points[:, :probed]
-    blocks = [points]
+    f = _evaluate(op, indices, points)
     if not op.continuous:
         nudged = _perturb_block(interior.T, PERTURBATION, rng)
-        blocks.append(np.array(nudged.T, order="C"))
-    f, *nudged_f = _evaluate(op, indices, *blocks)
-    if nudged_f:
+        f_nudged = _evaluate(op, indices, np.array(nudged.T, order="C"))
         # Each point's |df| goes back to a C-ordered row, in the spent
         # nudged rows, and is summed as numpy sums such a row.
-        (f_nudged,) = nudged_f
         f_nudged -= f[:, :probed]
         wobble = np.abs(f_nudged.T, out=nudged).sum(axis=1)
     lowest = [f.min(axis=0)]
     balance = [_ordered_sum(np.multiply(points, f, out=f))]
     for start in range(first, d, _VERTEX_BLOCK):
         x_vert = _with_vertices(d, start, min(start + _VERTEX_BLOCK, d))
-        (f_vert,) = _evaluate(op, indices, x_vert)
+        f_vert = _evaluate(op, indices, x_vert)
         lowest.append(f_vert.min(axis=0))
         balance.append(_ordered_sum(np.multiply(x_vert, f_vert, out=f_vert)))
     lowest = np.concatenate(lowest)
@@ -479,7 +474,7 @@ def check_conditions(
             witness=witness,
         )
 
-    if nudged_f:
+    if not op.continuous:
         continuity = verdict("continuity_smoke", wobble, np.greater, lambda w: w <= CONTINUITY_BOUND)
     else:
         continuity = ConditionVerdict(
@@ -509,13 +504,13 @@ def check_pair_condition(
     to the pairwise condition typically sit at extremal points.  Ties go
     to the first pair, vertex pairs (a, b) with a <= b in index order
     first, then the samples; a NaN value beats any number, so the first
-    NaN pair is the witness and the check fails.  The points go in two
-    blocks, one column per point: the face's vertices, when it has at
-    most ``_VERTEX_BLOCK`` indices, then the y samples; and the x
-    samples.  A wider face's vertex pairs go in ``_best_vertex_pair``'s
-    pieces.  A failing evaluation raises the exception of the first
-    point that fails, in the order pair by pair evaluation visits them:
-    the vertices in index order, then y before x for each sampled pair.
+    NaN pair is the witness and the check fails.  The points are
+    evaluated in blocks, one column per point, in this order: a face
+    wider than ``_VERTEX_BLOCK`` indices has its vertex pairs in
+    ``_best_vertex_pair``'s pieces first; then the y block (the vertices
+    of a narrower face, then the y samples); then the x samples.  A
+    failing evaluation raises the exception of the first failing point
+    of the first block that fails, in that order (``_evaluate``).
     Neither the face size nor ``samples`` is bounded here; only the CLI
     bounds their product (``cli.MAX_SAMPLE_CELLS``).
     """
@@ -534,7 +529,8 @@ def check_pair_condition(
     y_cols[:, lead:] = ys.T
     x_cols = np.array(xs.T, order="C")
     pieces = None if lead else _best_vertex_pair(op, indices)  # a wider face's vertices come first
-    fy, fx = _evaluate(op, indices, y_cols, x_cols, lag=lead)
+    fy = _evaluate(op, indices, y_cols)
+    fx = _evaluate(op, indices, x_cols)
     best, (a, b) = pieces or _best_vertex_pair(op, indices, fy[:, :lead])
     witness = (vertex(indices[a]), vertex(indices[b]))
     sampled = _ordered_sum(np.multiply(x_cols, fy[:, lead:], out=x_cols))
@@ -569,7 +565,7 @@ def _best_vertex_pair(
             pos = left if j == i else np.concatenate((left, right))
             f = at_vertices
             if f is None:
-                (f,) = _evaluate(op, tuple(indices[p] for p in pos), np.eye(len(pos)))
+                f = _evaluate(op, tuple(indices[p] for p in pos), np.eye(len(pos)))
             # f[a, b] = f_a(e_b), so a vertex pair adds f and its transpose.
             pairs = (0.0 + f) + (0.0 + f.T)
             if j == i:

@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .cubic import example32
-from .errors import NonConvergence, ResidualTooLarge
+from .errors import NonConvergence
 from .generating import VolterraOperator, _check_domain, _check_tolerance, _image_residual, apply
 from .simplex import SparsePoint, _checked_all, _normalized, _point_on, _total, l1_distance, point_to_obj
 
@@ -117,9 +117,9 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
       coordinates, so the preimage keeps y's support (less a root that
       underflows to zero) and the work does not grow with the largest
       index.  It runs no sweep: ``iterations`` is 0, in a result and in
-      a ResidualTooLarge alike, so it spends nothing of a staged
+      a NonConvergence alike, so it spends nothing of a staged
       inverse's ``max_iter``.  A residual above ``tol`` raises
-      ResidualTooLarge (method ``"scalar"`` or ``"triangular"``) with
+      NonConvergence (method ``"scalar"`` or ``"triangular"``) with
       the point found; it never falls back to the sweeps.
     - ``stages`` (op1, op2) (``compose(op1, op2)``, which applies op2
       first): ``invert(op1, y)``, then ``invert(op2, .)`` of that, each
@@ -131,7 +131,9 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
       stage that missed, with that iterate and its residual.
     - Neither (any other operator): ``invert_fixed_point``.
 
-    A tolerance that is not positive (NaN included) is a ValueError.
+    Every route reports a miss the same way, by NonConvergence with the
+    best point, its residual, the iterations and the method.  A
+    tolerance that is not positive (NaN included) is a ValueError.
     """
     if op.structure is not None:
         return _structured(op, y, tol)
@@ -160,7 +162,9 @@ def invert(op: VolterraOperator, y: SparsePoint, tol: float = 1e-10, max_iter: i
 
 def invert_triangular(y: SparsePoint, residual_tol: float = 1e-10) -> InversionResult:
     """``invert(example32(), y, residual_tol)``, kept unexported under this
-    name: the benchmark's invert workload and tracer (perfbench/) call it."""
+    name: the benchmark's invert workload and tracer (perfbench/) call it.
+    A miss raises ``invert``'s NonConvergence, method ``"triangular"``
+    and ``iterations`` 0."""
     return _structured(example32(), y, residual_tol)
 
 
@@ -177,7 +181,7 @@ def _structured(op: VolterraOperator, y: SparsePoint, tol: float) -> InversionRe
     residual = _image_residual(support, xm, op.values(xm, support), y.masses)
     preimage = _point_on(support, xm)
     if residual > tol:
-        raise ResidualTooLarge(f"{method} inverse misses the target", preimage, residual, 0, method)
+        raise NonConvergence(f"{method} inverse misses the target", preimage, residual, 0, method)
     return InversionResult(preimage=preimage, residual=residual, iterations=0, method=method)
 
 

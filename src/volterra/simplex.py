@@ -278,9 +278,9 @@ def vertex(n: int) -> SparsePoint:
 class FaceSpec:
     """A finite index set defining a face of the simplex.
 
-    Its indices are read by ``_index`` and kept as ints, ascending.
-    Immutable by convention; equal to, and hashed as, any face on the
-    same indices.
+    Its indices are read by ``_index`` and kept as ints, ascending; more
+    than MAX_FACE_SIZE of them are a ValueError.  Immutable by
+    convention; equal to, and hashed as, any face on the same indices.
     """
 
     __slots__ = ("indices",)
@@ -289,6 +289,7 @@ class FaceSpec:
         keys = tuple(_read(_index, k, "face index") for k in indices)
         if not keys:
             raise ValueError("a face needs at least one index")
+        _check_size(len(keys))
         if not all(map(operator.lt, keys, keys[1:])):
             raise ValueError("face indices must be strictly increasing")
         self.indices = keys

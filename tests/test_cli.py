@@ -242,6 +242,22 @@ def test_invert_reports_the_method_that_ran(capsys, tmp_path):
         assert (result["residual"] <= 1e-10) is converged, name
 
 
+@pytest.mark.parametrize("name, point, method", [
+    ("example31", {"1": 0.2, "2": 0.3, "3": 0.5}, "scalar"),
+    ("example32", {"1": 0.3, "2": 0.7}, "triangular"),
+])
+def test_structured_miss_exits_two(capsys, tmp_path, name, point, method):
+    # No root meets a tolerance below the rounding of the forward image:
+    # the structured solve runs no sweep and reports the point it found.
+    spec = write_json(tmp_path / "op.json", {"type": name})
+    y = write_json(tmp_path / "y.json", point)
+    code, out = run(capsys, ["invert", "--operator", spec, "--point", y, "--tol", "1e-30"])
+    assert code == 2
+    result = json.loads(out)
+    assert (result["converged"], result["method"], result["iterations"]) == (False, method, 0)
+    assert result["residual"] > 1e-30 and set(result["preimage"]) == set(point)
+
+
 def test_compose_and_convex_specs(capsys, tmp_path):
     spec = write_json(
         tmp_path / "c.json",
@@ -548,6 +564,36 @@ def test_oversized_face_exits_three_at_once(capsys, ex31_spec):
     assert code == 3
     code, _ = run(capsys, ["pair-check", "--operator", ex31_spec, "--face", "1..1000000000"])
     assert code == 3
+
+
+def test_empty_tensor_exits_three_naming_it(capsys, tmp_path):
+    spec = write_json(tmp_path / "empty.json", {"type": "cubic_tensor", "triples": []})
+    point = write_json(tmp_path / "p.json", {"1": 1.0})
+    assert main(["apply", "--operator", spec, "--point", point]) == 3
+    (line,) = error_lines(capsys)
+    assert "tensor is empty" in line and "max_index" not in line
+
+
+@pytest.mark.parametrize("face", ["1..256", "1..300"])
+def test_wide_face_pair_check_keeps_the_vertex_witness(capsys, ex32_spec, face):
+    # Up to 256 indices the vertices share the y samples' block; a wider
+    # face's vertex pairs go in pieces of their own.  Either way example32
+    # fails the pairwise condition first at (e1, e2), with value 1.
+    code, out = run(capsys, ["pair-check", "--operator", ex32_spec, "--face", face, "--samples", "50"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["max_value"] == 1.0
+    assert report["witness"] == {"x": {"1": 1.0}, "y": {"2": 1.0}}
+
+
+def test_wide_face_check_finds_the_lower_bound_at_e2(capsys, ex32_spec):
+    # A face of 300 indices has its vertices evaluated in pieces.
+    # example32's f_1 = x_1^2 - 1 is -1 at every vertex but e1, so the
+    # lower bound f_k >= -1 holds with equality first at e2.
+    code, out = run(capsys, ["check", "--operator", ex32_spec, "--face", "1..300", "--samples", "50"])
+    assert code == 0
+    lower = json.loads(out)["conditions"][1]
+    assert (lower["condition"], lower["worst_value"], lower["witness"]) == ("mass_lower_bound", -1.0, {"2": 1.0})
 
 
 def test_domain_violation_messages(capsys, tmp_path, sine_spec):

@@ -88,13 +88,15 @@ def test_validate_json_shape():
 
 
 def test_is_volterra_true_for_example31_tensor():
-    assert is_volterra(example31_tensor(4))
+    assert is_volterra(example31_tensor(4)) is True
 
 
-def test_is_volterra_reports_offender():
-    check = is_volterra(validate_tensor({(1, 1, 1): {2: 1.0}}))
-    assert not check
-    assert check.offender == ((1, 1, 1), 2, 1.0)
+def test_not_volterra_names_the_offender():
+    p = validate_tensor({(1, 1, 1): {2: 1.0}})
+    assert is_volterra(p) is False
+    with pytest.raises(NotVolterra) as info:
+        operator_from_tensor(p)
+    assert (info.value.triple, info.value.k, info.value.value) == ((1, 1, 1), 2, 1.0)
 
 
 def test_non_volterra_tensor_leaks_mass_outside_support():

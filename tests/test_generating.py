@@ -378,26 +378,27 @@ _CORNERS = [tuple(float(i == j) for i in range(4)) for j in range(4)]
 
 
 def test_pair_check_failures_raise_in_visit_order():
-    """The pair check raises what the first failing point raises, in the
-    order it visits points, not in the order its blocks store them."""
+    """The pair check raises what the first failing point of the first
+    failing block raises, its blocks in order: the vertices with the y
+    samples, then the x samples."""
     face, samples, seed = FaceSpec.prefix(4), 6, 2
     drawn = sample_face_block(face, np.random.default_rng(seed), 2 * samples)
     xs, ys = drawn[0::2], drawn[1::2]
-    # The y samples share a block with the vertices, the x samples have
-    # their own; y_3 is stored before x_2 but visited after it.
+    # y_3 sits in the y block, which goes before the x block of x_2.
     op = VolterraOperator(_failing_at({tuple(xs[2].tolist()): "x_2", tuple(ys[3].tolist()): "y_3"}))
-    with pytest.raises(ValueError, match="^x_2$"):
+    with pytest.raises(ValueError, match="^y_3$"):
         check_pair_condition(op, face, samples=samples, seed=seed)
-    # A vertex fails too, and the vertices come first.
-    op = VolterraOperator(_failing_at({tuple(xs[2].tolist()): "x_2", _CORNERS[3]: "e_4"}))
+    # A vertex fails too, and the vertices lead the y block.
+    op = VolterraOperator(_failing_at({tuple(ys[3].tolist()): "y_3", _CORNERS[3]: "e_4"}))
     with pytest.raises(ValueError, match="^e_4$"):
         check_pair_condition(op, face, samples=samples, seed=seed)
 
 
-def test_condition_check_failures_raise_in_visit_order():
-    """``check_conditions`` raises what the first failing point raises:
-    the barycenter, then the samples, then the vertices, each perturbed
-    point right after its own."""
+def test_condition_check_failures_raise_in_visit_order(monkeypatch):
+    """``check_conditions`` raises what the first failing point of the
+    first failing block raises, its blocks in order: the barycenter, the
+    samples and the vertices; the perturbed points; then the vertex
+    pieces of a face wider than ``_VERTEX_BLOCK``."""
     face, samples, seed = FaceSpec.prefix(4), 6, 2
     drawn = sample_face_block(face, np.random.default_rng(seed), samples)
     bad = {tuple(drawn[4].tolist()): "sample 4", _CORNERS[0]: "e_1"}
@@ -405,11 +406,21 @@ def test_condition_check_failures_raise_in_visit_order():
     certified.continuous = True
     with pytest.raises(ValueError, match="^sample 4$"):
         check_conditions(certified, face, samples=samples, seed=seed)
-    # Without the certificate every nudged point fails as well, and the
-    # barycenter's nudge comes right after the barycenter.
+    # Without the certificate every perturbed point fails as well, but
+    # they have a block of their own, after the samples'.
     known = {*map(tuple, drawn.tolist()), *_CORNERS, (0.25,) * 4}
-    with pytest.raises(ValueError, match="^unknown$"):
+    with pytest.raises(ValueError, match="^sample 4$"):
         check_conditions(VolterraOperator(_failing_at(bad, known)), face, samples=samples, seed=seed)
+    with pytest.raises(ValueError, match="^unknown$"):
+        check_conditions(VolterraOperator(_failing_at({}, known)), face, samples=samples, seed=seed)
+    # A wider face's vertex pieces come after the perturbed points.
+    monkeypatch.setattr(generating, "_VERTEX_BLOCK", 3)
+    with pytest.raises(ValueError, match="^e_1$"):
+        check_conditions(VolterraOperator(_failing_at({_CORNERS[0]: "e_1"})), face, samples=samples, seed=seed)
+    with pytest.raises(ValueError, match="^unknown$"):
+        check_conditions(
+            VolterraOperator(_failing_at({_CORNERS[0]: "e_1"}, known)), face, samples=samples, seed=seed
+        )
 
 
 @pytest.mark.parametrize("width, conditions, pairs", [

@@ -73,6 +73,7 @@ from volterra import (
     identity_operator,
     invert,
     invert_fixed_point,
+    is_volterra,
     l1_distance,
     make_point,
     operator_from_tensor,
@@ -1135,6 +1136,27 @@ def test_operator_from_tensor_matches_the_two_step_reference(raw, data):
     for row in block:
         got = op.values(row.tolist(), face.indices)
         assert np.array(got).tobytes() == np.array(reference.values(row.tolist(), face.indices)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_tensors())
+def test_is_volterra_is_true_exactly_when_the_tensor_builds_an_operator(raw):
+    """``is_volterra`` is a bool, true exactly when ``operator_from_tensor``
+    raises no NotVolterra; the offender it names is the least (triple, k)
+    of a row that leaves its triple, whatever the store order."""
+    p = validate_tensor(raw)
+    verdict = is_volterra(p)
+    assert type(verdict) is bool
+    leaks = [(t, k) for t, row in p.coefficients.items() for k in row if k not in t]
+    try:
+        operator_from_tensor(p)
+    except NotVolterra as exc:
+        t, k = min(leaks)
+        assert not verdict and (exc.triple, exc.k, exc.value) == (t, k, p.coefficients[t][k])
+    except UndefinedTriple:
+        assert verdict and not leaks
+    else:
+        assert verdict and not leaks
 
 
 # --- malformed command lines and files exit 3 ---------------------------------

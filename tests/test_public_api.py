@@ -75,7 +75,8 @@ def test_unknown_attribute_names_the_package():
 
 
 def test_former_dataclasses_keep_their_constructors():
-    from volterra import CubicTensor, FaceSpec, SkewMatrix, VolterraCheck, VolterraOperator
+    from volterra import CubicTensor, FaceSpec, NotVolterra, SkewMatrix, VolterraOperator, is_volterra
+    from volterra import operator_from_tensor
 
     fn = lambda ks, X: [0.0] * len(ks)  # noqa: E731
     assert FaceSpec(indices=(1, 2)).indices == (1, 2)
@@ -86,10 +87,12 @@ def test_former_dataclasses_keep_their_constructors():
     rows = {(1, 1, 1): {1: 1.0}}
     for tensor in (CubicTensor(rows, 1), CubicTensor(coefficients=rows, dimension=1)):
         assert (tensor.coefficients, tensor.dimension) == (rows, 1)
-    offender = ((1, 1, 2), 3, 0.5)
-    assert VolterraCheck(True).offender is None and VolterraCheck(True)
-    for check in (VolterraCheck(False, offender), VolterraCheck(ok=False, offender=offender)):
-        assert not check and check.offender == offender
+    assert is_volterra(CubicTensor(rows, 1)) is True
+    leaking = CubicTensor({(1, 1, 2): {1: 0.5, 3: 0.5}}, 3)
+    assert is_volterra(leaking) is False
+    with pytest.raises(NotVolterra) as info:
+        operator_from_tensor(leaking)
+    assert (info.value.triple, info.value.k, info.value.value) == ((1, 1, 2), 3, 0.5)
     entries = {(1, 2): 0.5}
     for matrix in (SkewMatrix(entries, 2), SkewMatrix(entries=entries, dimension=2)):
         assert (matrix.entries, matrix.dimension) == (entries, 2)

@@ -209,3 +209,9 @@ def test_prefix_face_is_bounded_before_building(monkeypatch):
     assert built == []
     assert FaceSpec.prefix(MAX_FACE_SIZE).indices == tuple(range(1, MAX_FACE_SIZE + 1))
     assert built == [(1, MAX_FACE_SIZE + 1)]
+
+
+def test_face_constructor_keeps_the_size_bound():
+    with pytest.raises(ValueError, match=f"at most {MAX_FACE_SIZE} indices, got {MAX_FACE_SIZE + 1}"):
+        FaceSpec(tuple(range(1, MAX_FACE_SIZE + 2)))
+    assert len(FaceSpec(tuple(range(1, MAX_FACE_SIZE + 1)))) == MAX_FACE_SIZE

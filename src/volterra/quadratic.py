@@ -148,88 +148,80 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
     """The operator with linear generating map f_k(x) = sum_i a_ki x_i,
     growth factor g_k = f_k + 1.
 
-    The rows of the matrix (both orientations of the store) are held by
-    the indices that have entries, ``keys``, and a column as its
-    position there.  A row of length in (2^(b-1), 2^b] lives in the
-    table of bucket b: C-ordered (depth, rows) arrays of columns and
-    values, as deep as the bucket's longest row; a shorter row is padded
-    with the column ``len(keys)``, which reads a zero mass.  So the
-    tables hold fewer than two cells per entry, a star matrix cannot
-    blow them up, and nothing is sized by the largest index.
+    The operator holds the entries of the store in both orientations,
+    sorted by (row, column), and each entry's mirror: the place of its
+    (column, row) twin.  Masses outside a request read zero, so on the
+    requested indices ks the map is the quadratic map of the principal
+    submatrix A_ks, and a request's plan holds exactly that, its rows
+    and columns as positions in ks: of the requested rows' entries it
+    keeps those whose mirror's row, their column, is requested too.  A
+    kept row of length in (2^(b-1), 2^b] lives in the table of bucket
+    b: C-ordered (depth, rows) arrays of columns and values, as deep as
+    the bucket's longest row; a shorter row is padded with position
+    len(ks), which reads a zero row appended to the masses.  So a plan
+    holds fewer than two cells per entry of A_ks, a star matrix cannot
+    blow it up, and nothing is sized by the largest index.
 
-    An evaluation writes the requested masses into an array indexed by
-    position in ``keys`` whose other rows read zero, takes the requested
-    rows of each table, gathers their masses, multiplies by the values
+    An evaluation gathers each table's masses, multiplies by the values
     and adds the gathered rows one after another: f_k sums left to right
-    in ascending column order, and padding and unrequested columns add a
-    signed zero, which can change only the sign of a zero sum.  A block
+    in ascending column order.  A left-out column's mass is 0, so its
+    term is a signed zero, which can change only the sign of a zero
+    partial sum; ``_ordered_sum``'s ``+= 0.0`` and g = f + 1 erase that
+    sign, so leaving it out, like the padding, changes no bit.  A block
     goes in chunks of points that gather at most ``_CHUNK_CELLS`` cells.
 
-    Where the requested masses go and which rows of each table they feed
-    depends on the requested indices only, so the map keeps that plan
+    The plan depends on the requested indices only, so the map keeps it
     for its last request, keyed by a tuple copy of the indices compared
     by value.  An operator leaves every face invariant, so a trajectory
-    asks for the same support step after step and reads only masses;
-    a new request costs what it would without the plan.
+    asks for the same support step after step and reads only masses; a
+    new request builds its own tables.
     """
     n = a.dimension
     count = len(a.entries)
     upper = np.fromiter(chain.from_iterable(a.entries), dtype=np.intp, count=2 * count)
     coef = np.fromiter(a.entries.values(), dtype=float, count=count)
     lo, hi = upper[0::2], upper[1::2]
-    # Every entry in both orientations, sorted by (row, column).
+    # Every entry in both orientations, the twin of entry e at e + count
+    # (mod 2 count), sorted by (row, column).
     rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
     order = np.lexsort((cols, rows))
     rows = rows[order]
     vals = np.concatenate((coef, -coef))[order]
-    # Whether an entry starts a row, and a closing True after the last.
-    run = np.empty(len(rows) + 1, dtype=bool)
-    run[0] = run[-1] = True
-    np.not_equal(rows[1:], rows[:-1], out=run[1:-1])
-    edges = run.nonzero()[0]
-    starts, lengths = edges[:-1], edges[1:] - edges[:-1]
-    width = len(starts)
-    padded = np.zeros(width + 1, dtype=np.intp)  # 0 is no index: a request past the last key misses
-    padded[:width] = rows[starts]
-    keys = padded[:width]  # the indices that have entries, ascending
-    cols = keys.searchsorted(cols[order])  # each column as a position in keys
-    bucket = np.frexp(lengths - 1)[1]  # the b with a length in (2^(b-1), 2^b]
-    tables = []  # (its rows as positions in keys, columns, values) by bucket
-    for b in sorted(set(bucket.tolist())):
-        members = (bucket == b).nonzero()[0]
-        depths = lengths[members]
-        j = np.arange(np.maximum.reduce(depths))[:, None]
-        entry = j + starts[members]
-        table_cols, table_vals = cols.take(entry, mode="wrap"), vals.take(entry, mode="wrap")
-        pad = j >= depths  # the cells past the end of their row
-        table_cols[pad], table_vals[pad] = width, 0.0
-        tables.append((members, table_cols, table_vals))
+    rank = np.empty_like(order)  # each entry's place in the sorted order
+    rank[order] = np.arange(len(order))
+    mirror = np.roll(rank, count)[order]
 
     def plan(ks: tuple[int, ...]) -> tuple:
-        """Where the masses at ``ks`` go and which rows they feed: the
-        requested indices that have entries, as positions in ``keys``
-        and in ks; each table's requested rows, as (columns, values,
-        places in ks); and the cells those rows hold."""
-        ks = np.fromiter(ks, dtype=np.intp, count=len(ks))
-        at = keys.searchsorted(ks)
-        hit = padded[at] == ks  # the requested indices that have entries
-        req, out = at[hit], hit.nonzero()[0]  # their positions in keys and in ks
-        place = np.empty(width, dtype=np.intp)  # position in ks by position in keys, -1 if not requested
-        place.fill(-1)
-        place[req] = out
-        # ``take`` keeps the rows C-ordered; ``cols[:, take]`` would be
-        # F-ordered, and numpy sums a reduction over an F-ordered gather
-        # pairwise.
-        rows = []
-        for members, cols, vals in tables:
-            rows_at = place[members]
-            take = (rows_at >= 0).nonzero()[0]
-            if len(take) < len(members):
-                if not len(take):
-                    continue
-                cols, vals, rows_at = cols.take(take, axis=1), vals.take(take, axis=1), rows_at[take]
-            rows.append((cols, vals, rows_at))
-        return req, out, rows, sum(cols.size for cols, _, _ in rows)
+        """The tables of A_ks, as (columns, values, rows), the columns
+        and rows as positions in ks, and the cells they hold."""
+        d = len(ks)
+        ks = np.fromiter(ks, dtype=np.intp, count=d)
+        first = rows.searchsorted(ks)
+        lengths = rows.searchsorted(ks, side="right") - first
+        # The requested rows' entries, row after row, and each one's row
+        # as a position in ks.
+        pos = np.repeat(np.arange(d), lengths)
+        entry = np.arange(len(pos)) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+        at = np.full(len(rows), -1)  # each taken entry's row as a position in ks
+        at[entry] = pos
+        col = at[mirror[entry]]  # its column as a position in ks, -1 if not requested
+        keep = col >= 0
+        pos, col, val = pos[keep], col[keep], vals[entry[keep]]
+        kept = np.bincount(pos, minlength=d)  # the length of each row of A_ks
+        starts = np.cumsum(kept) - kept
+        live = kept.nonzero()[0]
+        bucket = np.frexp(kept[live] - 1)[1]  # the b with a length in (2^(b-1), 2^b]
+        tables = []
+        for b in sorted(set(bucket.tolist())):
+            members = live[bucket == b]
+            depths = kept[members]
+            j = np.arange(np.maximum.reduce(depths))[:, None]
+            cell = j + starts[members]
+            table_cols, table_vals = col.take(cell, mode="wrap"), val.take(cell, mode="wrap")
+            pad = j >= depths  # the cells past the end of their row
+            table_cols[pad], table_vals[pad] = d, 0.0
+            tables.append((table_cols, table_vals, members))
+        return tables, sum(cols.size for cols, _, _ in tables)
 
     # The last request and its plan, replaced in one assignment, so a
     # caller on another thread never pairs one request with another's plan.
@@ -244,18 +236,17 @@ def quadratic_operator(a: SkewMatrix) -> VolterraOperator:
         seen = last
         if seen[0] != request:
             seen = last = (request, plan(request))
-        req, out, rows, cells = seen[1]
+        tables, cells = seen[1]
         f = np.zeros(masses.shape)
         if masses.ndim == 1:
             parts = [(masses, f)]
         else:
-            rows = [(cols, vals[:, :, None], rows_at) for cols, vals, rows_at in rows]
+            tables = [(cols, vals[:, :, None], rows_at) for cols, vals, rows_at in tables]
             step = max(1, _CHUNK_CELLS // max(cells, 1))
             parts = [(masses[:, s:s + step], f[:, s:s + step]) for s in range(0, masses.shape[1], step)]
         for part, f_part in parts:
-            G = np.zeros((width + 1,) + part.shape[1:])  # masses by position in keys
-            G[req] = part[out]
-            for cols, vals, rows_at in rows:
+            G = np.concatenate((part, np.zeros((1,) + part.shape[1:])))  # the padding reads the zero row
+            for cols, vals, rows_at in tables:
                 W = G[cols]  # (depth, rows) or (depth, rows, points), C-ordered
                 W *= vals
                 f_part[rows_at] = _ordered_sum(W)  # each f_k adds its terms in column order

@@ -49,6 +49,23 @@ def rand_skew_operator(rng: np.random.Generator, n: int):
     return matrix, quadratic_operator(matrix)
 
 
+def quadratic_values(matrix, ks, X, at=None) -> list:
+    """g_k = 1.0 + (0.0 + a_ki x_i + ...) at each k in ``at`` (by default
+    every k in ``ks``), the terms added left to right over the requested
+    i in ascending order.  X is one point's masses aligned with ks,
+    giving a list of floats, or a (len(ks), N) array of N points, giving
+    a list of rows, whose columns are added elementwise, as the loop
+    adds one point's."""
+    order = sorted(range(len(ks)), key=ks.__getitem__)
+    out = []
+    for k in ks if at is None else at:
+        total = 0.0
+        for j in order:
+            total += matrix.coefficient(k, ks[j]) * X[j]
+        out.append(1.0 + total)
+    return out
+
+
 def rand_volterra_tensor(rng: np.random.Generator, n: int) -> CubicTensor:
     """A random face-invariant cubic tensor over 1..n."""
     raw = {}

@@ -9,8 +9,9 @@ A trajectory step is compared with the tolerance by a sum that stops
 once it passes the bound, and decides as the whole ``l1_distance``
 does.  A quadratic operator keeps the plan of its last request, and
 every request after it, repeated, new, a subset or a list mutated in
-place, gets a freshly built operator's values bit for bit, also from
-threads that share the operator.  The checkers' worst entry is the one
+place, gets a freshly built operator's values bit for bit, and the
+left-to-right sums over its requested columns, also from threads that
+share the operator.  The checkers' worst entry is the one
 numpy's ``argmax`` or ``argmin`` finds, the first NaN included, as a
 scan for NaN before them found it.
 """
@@ -27,6 +28,7 @@ from volterra.dynamics import STEP_TOLERANCE, _STEP_BOUND
 from volterra.errors import NegativeCoordinate, NormalizationFailure
 from volterra.generating import NEGATIVE_TOLERANCE, NORMALIZATION_TOLERANCE, _checked_masses, _first
 from volterra.simplex import _checked_all, _checked_mass, _within
+from helpers import quadratic_values
 
 NAN, INF = math.nan, math.inf
 
@@ -212,8 +214,9 @@ def test_cached_request_plans_give_fresh_values(case, rows):
     op = quadratic_operator(matrix)
 
     def agrees(ks, masses):
-        expected = quadratic_operator(matrix).values(masses, list(ks))
-        assert _bits(op.values(masses, ks)) == _bits(expected), ks
+        expected = _bits(quadratic_values(matrix, ks, masses))
+        assert _bits(quadratic_operator(matrix).values(masses, list(ks))) == expected, ks
+        assert _bits(op.values(masses, ks)) == expected, ks
 
     for ks, r in zip((a, b, a, part, tuple(a)), rows):
         agrees(ks, _masses(rng, ks, r))

@@ -11,7 +11,10 @@ from volterra import (
     FaceSpec,
     NonFiniteValue,
     NotSkew,
+    VolterraOperator,
     apply,
+    check_conditions,
+    check_pair_condition,
     l1_distance,
     make_point,
     pair_condition_value,
@@ -21,8 +24,10 @@ from volterra import (
     validate_matrix,
     vertex,
 )
+from volterra import quadratic
 from helpers import (
     linear_operator_from_cells,
+    quadratic_values,
     rand_defective_cells,
     rand_point,
     rand_skew_operator,
@@ -265,13 +270,8 @@ def test_values_equal_ascending_index_sum(n):
     face = FaceSpec.of(sorted(set(rng.choice(np.arange(1, n + 1), size=15, replace=False))))
     x = sample_face(face, n)
     ks = list(range(1, n + 3))  # includes indices beyond the dimension
-    expected = []
-    for k in ks:
-        total = 0.0
-        for i, m in x.items():
-            total += matrix.coefficient(k, i) * m
-        expected.append(1.0 + total)
-    assert op.values([x.mass(k) for k in ks], ks) == expected
+    masses = [x.mass(k) for k in ks]
+    assert op.values(masses, ks) == quadratic_values(matrix, ks, masses)
 
 
 def test_empty_skew_matrix_applies_as_identity():
@@ -288,15 +288,66 @@ def test_two_point_support_on_full_matrix():
     )
     op = quadratic_operator(matrix)
     x = make_point({3: 0.4, 377: 0.6})
-    expected = []
-    for k in x.support:
-        total = 0.0
-        for i, m in x.items():
-            total += matrix.coefficient(k, i) * m
-        expected.append(1.0 + total)
+    expected = quadratic_values(matrix, x.support, x.masses)
     assert op.values(x.masses, x.support) == expected
     image = apply(op, x)
     assert image.masses == tuple(m * g for m, g in zip(x.masses, expected))
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("shape", ["dense", "sparse", "star", "empty"])
+def test_sub_requests_read_only_the_principal_submatrix(shape, monkeypatch):
+    """A request's values are the left-to-right sums over the requested
+    columns alone, bit for bit, whichever columns with entries it skips
+    and whichever indices with no entries it holds: at one point, at a
+    small block, and at a block of several chunks, at the default chunk
+    size and at one of 256 cells."""
+    n = 30
+    rng = np.random.default_rng(len(shape))
+    pairs = [(k, i) for k in range(1, n + 1) for i in range(k + 1, n + 1)]
+    if shape == "sparse":  # index 4 has no entries
+        pairs = [(k, i) for k, i in pairs if 4 not in (k, i) and rng.random() < 0.1]
+    elif shape == "star":  # index 1 holds every entry
+        pairs = [(1, i) for i in range(2, n + 1)]
+    elif shape == "empty":
+        pairs = []
+    matrix = validate_matrix([[k, i, float(rng.uniform(-1.0, 1.0))] for k, i in pairs])
+    op = quadratic_operator(matrix)
+    requests = [
+        list(range(1, n + 1, 2)) + [n + 1, n + 4],  # every other column, and two past the dimension
+        list(range(2, n // 2)),  # no hub
+        sorted(rng.choice(np.arange(1, n + 5), size=12, replace=False).tolist()),
+        list(range(1, n + 3)),
+    ]
+    default = quadratic._CHUNK_CELLS
+    for ks in requests:
+        x = rng.dirichlet(np.ones(len(ks))).tolist()
+        assert _hexes(op.values(x, ks)) == _hexes(quadratic_values(matrix, ks, x)), ks
+        for points in (3, 100):
+            X = rng.dirichlet(np.ones(len(ks)), size=points).T.copy()
+            expected = _hexes(quadratic_values(matrix, ks, X))
+            for chunk in (default, 256):
+                monkeypatch.setattr(quadratic, "_CHUNK_CELLS", chunk)
+                assert _hexes(op.values(X, ks)) == expected, (ks, points, chunk)
+
+
+def test_wide_face_checks_equal_a_reference_maps():
+    """On a 300-index face the pair check's vertex pieces are requests
+    of 44, 256 and 300 indices; both checkers' reports equal those of
+    the left-to-right reference map."""
+    n = 300
+    rng = np.random.default_rng(300)
+    matrix = validate_matrix([[k, i, float(rng.uniform(-1.0, 1.0))]
+                              for k in range(1, n + 1) for i in range(k + 1, n + 1) if rng.random() < 0.02])
+    reference = VolterraOperator(lambda ks, X: quadratic_values(matrix, ks, X))
+    reference.continuous = True
+    face = FaceSpec.prefix(n)
+    for check in (check_pair_condition, check_conditions):
+        report = check(quadratic_operator(matrix), face, samples=50, seed=3).to_obj()
+        assert report == check(reference, face, samples=50, seed=3).to_obj()
 
 
 @pytest.mark.parametrize("far", [10**7, 5 * 10**9])
@@ -327,28 +378,34 @@ def test_far_indices_keep_row_and_column_order():
 
 
 def test_star_matrix_tables_stay_linear_in_the_entries():
-    """One full row next to n - 1 rows of one entry: a table as deep as the
-    longest row for every row would hold n^2 cells; the tables hold at most
-    2 nnz + keys cells (nnz counts both orientations), 16 bytes a cell."""
+    """One full row next to n - 1 rows of one entry.  The operator holds
+    its entries, sorted in both orientations, and their mirrors; the
+    tables belong to a request's plan, where a table as deep as the
+    longest row for every row would hold n^2 cells.  Building the
+    operator and its first full-request call each keep at most
+    2 nnz + keys cells of 16 bytes (nnz counts both orientations, keys
+    the indices with entries) and peak at four times that."""
     n = 20_000
     rng = np.random.default_rng(20_000)
     weights = rng.uniform(-1.0, 1.0, size=n - 1).tolist()
     matrix = validate_matrix([[1, i, w] for i, w in zip(range(2, n + 1), weights)])
     nnz, keys = 2 * (n - 1), n
+    x = make_point({k: 1.0 / n for k in range(1, n + 1)})
     tracemalloc.start()
     try:
         op = quadratic_operator(matrix)
-        kept, peak = tracemalloc.get_traced_memory()
+        built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        op.values(x.masses, x.support)
+        called = [v - before for v in tracemalloc.get_traced_memory()]
     finally:
         tracemalloc.stop()
-    assert kept <= 16 * (2 * nnz + keys)
-    assert peak <= 64 * (2 * nnz + keys)
-    x = make_point({k: 1.0 / n for k in range(1, n + 1)})
+    for kept, peak in (built, called):
+        assert kept <= 16 * (2 * nnz + keys)
+        assert peak <= 64 * (2 * nnz + keys)
     values = op.values(x.masses, x.support)
-    hub = 0.0
-    for w, m in zip(weights, x.masses[1:]):
-        hub += w * m
-    assert values[0] == 1.0 + hub
+    assert values[:2] + values[-1:] == quadratic_values(matrix, x.support, x.masses, at=(1, 2, n))
     assert values[1:] == [1.0 + -w * x.masses[0] for w in weights]
 
 
